@@ -141,7 +141,7 @@ proptest! {
     fn predict_probs_into_matches_tape_bitwise(
         seed in 0u64..1000,
         n in 2usize..12,
-        hidden in 4usize..20,
+        hidden in 4usize..52,
         layers in 1usize..4,
         steps in 1usize..8,
     ) {

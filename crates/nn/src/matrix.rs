@@ -10,10 +10,6 @@ use std::fmt;
 /// tile fits in two 256-bit vector registers.
 const TILE: usize = 16;
 
-/// Longest shared suffix [`Matrix::matmul_packed_cat_bias_into`]
-/// accepts: its row-invariant products live in a fixed stack buffer.
-const MAX_SHARED_SUFFIX: usize = 32;
-
 /// Writeback of one tile accumulator: broadcast bias add, optional
 /// ReLU, then the copy of the tile's live lanes. Each step is the
 /// identical per-element operation the unfused op sequence performs,
@@ -456,9 +452,8 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics when `self.cols() + suffix.len() != rhs.rows()`, when
-    /// `bias` is not `1 × rhs.cols()`, or when `suffix` is longer than
-    /// 32 (the kernel's stack buffer for shared products).
+    /// Panics when `self.cols() + suffix.len() != rhs.rows()` or when
+    /// `bias` is not `1 × rhs.cols()`.
     pub fn matmul_packed_cat_bias_into(
         &self,
         suffix: &[f32],
@@ -487,10 +482,6 @@ impl Matrix {
         out: &mut Matrix,
     ) {
         let s_len = suffix.map_or(0, <[f32]>::len);
-        assert!(
-            s_len <= MAX_SHARED_SUFFIX,
-            "shared suffix longer than {MAX_SHARED_SUFFIX} (got {s_len})"
-        );
         assert_eq!(
             self.cols + s_len,
             rhs.rows,
@@ -532,15 +523,16 @@ impl Matrix {
             // products, computed once and added after each row's own
             // terms — the same values in the same `k` order the
             // concatenated dot would produce.
-            let mut ps = [0.0f32; MAX_SHARED_SUFFIX];
-            if let Some(sfx) = suffix {
-                for (j, &sv) in sfx.iter().enumerate() {
+            let ps: Vec<f32> = suffix
+                .unwrap_or_default()
+                .iter()
+                .enumerate()
+                .map(|(j, &sv)| {
                     let rv = rhs.data[(k + j) * TILE];
                     let keep = (((sv.to_bits() << 1) != 0) as u32).wrapping_neg();
-                    ps[j] = f32::from_bits((sv * rv).to_bits() & keep);
-                }
-            }
-            let ps = &ps[..s_len];
+                    f32::from_bits((sv * rv).to_bits() & keep)
+                })
+                .collect();
             let prefix = &rhs.data[..k * TILE];
             let tier = simd_tier();
             let mut r = 0usize;
@@ -568,7 +560,7 @@ impl Matrix {
                     }
                 }
                 for si in &mut s {
-                    for &p in ps {
+                    for &p in &ps {
                         *si += p;
                     }
                     if bias.is_some() {
@@ -588,7 +580,7 @@ impl Matrix {
                     let keep = (((a.to_bits() << 1) != 0) as u32).wrapping_neg();
                     s += f32::from_bits((a * col[0]).to_bits() & std::hint::black_box(keep));
                 }
-                for &p in ps {
+                for &p in &ps {
                     s += p;
                 }
                 if bias.is_some() {
@@ -605,7 +597,7 @@ impl Matrix {
         let tier = simd_tier();
         let panel_len = rhs.rows * TILE;
         let tiles = d.div_ceil(TILE);
-        let mut sprod = [[0.0f32; TILE]; MAX_SHARED_SUFFIX];
+        let mut sprod = vec![[0.0f32; TILE]; s_len];
         for tile in 0..tiles {
             let panel = &rhs.data[tile * panel_len..(tile + 1) * panel_len];
             let lo = tile * TILE;
@@ -632,7 +624,7 @@ impl Matrix {
                     }
                 }
             }
-            let spro = &sprod[..s_len];
+            let spro = &sprod[..];
             let prefix_panel = &panel[..k * TILE];
             // Several A-rows per pass: independent vector accumulator
             // chains keep the FP adders busy instead of serializing on
@@ -1245,11 +1237,53 @@ mod tests {
         }
     }
 
-    /// The shared-suffix fused op must reproduce, bit for bit, the
-    /// materialized pipeline it replaces: concatenate the suffix row
-    /// onto every `A` row, naive matmul, broadcast bias add, optional
-    /// ReLU — across ragged shapes, empty prefixes/suffixes, `d == 1`
-    /// column outputs, and suffix zeros against non-finite weights.
+    /// Checks the shared-suffix fused op against the materialized
+    /// pipeline it replaces: concatenate the suffix row onto every `A`
+    /// row, naive matmul, broadcast bias add, optional ReLU. Every third
+    /// suffix entry is zero, and the first faces a NaN weight that the
+    /// zero-skip must mask out exactly like the branchy skip.
+    fn assert_cat_matches_materialized(m: usize, kp: usize, s: usize, d: usize, rng: &mut StdRng) {
+        let a = sparse_randn(m, kp, rng);
+        let mut sfx = Matrix::randn(1, s, 1.0, rng);
+        for (j, x) in sfx.data_mut().iter_mut().enumerate() {
+            if j % 3 == 0 {
+                *x = 0.0;
+            }
+        }
+        let mut b = Matrix::randn(kp + s, d, 1.0, rng);
+        if s > 0 && d > 0 {
+            b.data_mut()[kp * d] = f32::NAN;
+        }
+        let bias = Matrix::randn(1, d, 1.0, rng);
+        let mut cat = Matrix::zeros(m, kp + s);
+        for r in 0..m {
+            let dst = &mut cat.data_mut()[r * (kp + s)..(r + 1) * (kp + s)];
+            dst[..kp].copy_from_slice(a.row(r));
+            dst[kp..].copy_from_slice(sfx.data());
+        }
+        let packed = b.pack_b();
+        for relu in [false, true] {
+            let mut want = cat.matmul(&b);
+            for row in 0..m {
+                for (x, &bv) in want.data_mut()[row * d..(row + 1) * d]
+                    .iter_mut()
+                    .zip(bias.data())
+                {
+                    *x += bv;
+                    if relu {
+                        *x = x.max(0.0);
+                    }
+                }
+            }
+            let mut got = Matrix::zeros(0, 0);
+            a.matmul_packed_cat_bias_into(sfx.data(), &packed, &bias, relu, &mut got);
+            assert_eq!(bits(&want), bits(&got), "{m}x{kp}+{s}x{d} relu={relu}");
+        }
+    }
+
+    /// The shared-suffix fused op reproduces the materialized pipeline
+    /// bit for bit across ragged shapes, empty prefixes/suffixes and
+    /// `d == 1` column outputs.
     #[test]
     fn packed_cat_suffix_matches_materialized() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -1265,43 +1299,20 @@ mod tests {
             (21, 7, 32, 20),
         ];
         for (m, kp, s, d) in shapes {
-            let a = sparse_randn(m, kp, &mut rng);
-            let mut sfx = Matrix::randn(1, s, 1.0, &mut rng);
-            for (j, x) in sfx.data_mut().iter_mut().enumerate() {
-                if j % 3 == 0 {
-                    *x = 0.0; // exercise the suffix zero-skip
-                }
-            }
-            let mut b = Matrix::randn(kp + s, d, 1.0, &mut rng);
-            if s > 0 && d > 0 {
-                // Non-finite weights in a suffix row that a zero suffix
-                // entry must mask out, exactly like the branchy skip.
-                b.data_mut()[kp * d] = f32::NAN;
-            }
-            let bias = Matrix::randn(1, d, 1.0, &mut rng);
-            let mut cat = Matrix::zeros(m, kp + s);
-            for r in 0..m {
-                let dst = &mut cat.data_mut()[r * (kp + s)..(r + 1) * (kp + s)];
-                dst[..kp].copy_from_slice(a.row(r));
-                dst[kp..].copy_from_slice(sfx.data());
-            }
-            let packed = b.pack_b();
-            for relu in [false, true] {
-                let mut want = cat.matmul(&b);
-                for row in 0..m {
-                    for (x, &bv) in want.data_mut()[row * d..(row + 1) * d]
-                        .iter_mut()
-                        .zip(bias.data())
-                    {
-                        *x += bv;
-                        if relu {
-                            *x = x.max(0.0);
-                        }
-                    }
-                }
-                let mut got = Matrix::zeros(0, 0);
-                a.matmul_packed_cat_bias_into(sfx.data(), &packed, &bias, relu, &mut got);
-                assert_eq!(bits(&want), bits(&got), "{m}x{kp}+{s}x{d} relu={relu}");
+            assert_cat_matches_materialized(m, kp, s, d, &mut rng);
+        }
+    }
+
+    /// The suffix is the denoiser's hidden width, so every width a
+    /// config can ask for must work — `standard()` (48) and `paper()`
+    /// (256) included — on the column path and the tiled path, with
+    /// enough rows to reach the 8-, 4- and 1-row kernels.
+    #[test]
+    fn packed_cat_suffix_any_width_matches_materialized() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for s in [0usize, 1, 16, 31, 32, 33, 48, 256] {
+            for d in [1usize, 3, 20] {
+                assert_cat_matches_materialized(13, s, s, d, &mut rng);
             }
         }
     }
@@ -1320,22 +1331,5 @@ mod tests {
         let mut out = Matrix::zeros(0, 0);
         a.matmul_packed_into(&packed, &mut out);
         assert_eq!(bits(&a.matmul(&small)), bits(&out));
-    }
-}
-
-#[cfg(test)]
-mod review_probe {
-    use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
-    #[test]
-    fn suffix_48_like_standard_config() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let hc = 48;
-        let a = Matrix::randn(4, hc, 1.0, &mut rng);
-        let sfx = vec![0.5f32; hc];
-        let b = Matrix::randn(2 * hc, 3, 1.0, &mut rng);
-        let bias = Matrix::randn(1, 3, 1.0, &mut rng);
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_packed_cat_bias_into(&sfx, &b.pack_b(), &bias, false, &mut out);
     }
 }

@@ -23,6 +23,13 @@
 //!   fresh execution — coalescing is a concurrency optimisation, not a
 //!   response cache.
 //!
+//! Nobody blocks on the leader's daemon ticket. The coalescer redeems
+//! it at admission with a completion hook, which publishes the outcome
+//! to the group on whichever thread resolves the job. Each waiter then
+//! either blocks on the published outcome ([`CoalesceTicket::wait`]) or
+//! registers a hook of its own and is called with it, as the network
+//! server's connections do.
+//!
 //! Unseeded requests draw fresh entropy per execution, so two of them
 //! are *not* the same computation: only requests with an explicit seed
 //! are eligible to coalesce; unseeded ones always pass straight
@@ -30,7 +37,7 @@
 //! [`DaemonStats`]. `tests/net_equivalence.rs` property-tests that a
 //! coalesced run is outcome-identical to an uncoalesced one.
 
-use crate::daemon::{Daemon, DaemonStats, Ticket};
+use crate::daemon::{Daemon, DaemonStats, Hook, Ticket};
 use crate::error::ServeError;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -45,21 +52,92 @@ struct Slot {
 }
 
 enum SlotState {
-    /// The leader has not redeemed the daemon ticket yet. The ticket
-    /// sits here until the first waiter takes it (`None` while someone
-    /// is off redeeming it).
-    Pending(Option<Ticket>),
+    /// The leader's job is unresolved; these waiters' hooks run when it
+    /// lands.
+    Pending(Vec<Hook>),
     /// The leader's outcome, cloned to every waiter (boxed: a design
     /// dwarfs the pending variant).
     Done(Box<Result<Generated, ServeError>>),
 }
 
 impl Slot {
+    fn new() -> Arc<Self> {
+        Arc::new(Slot {
+            state: Mutex::new(SlotState::Pending(Vec::new())),
+            cv: Condvar::new(),
+        })
+    }
+
     fn lock_state(&self) -> MutexGuard<'_, SlotState> {
         self.state.lock().unwrap_or_else(|poisoned| {
             self.state.clear_poison();
             poisoned.into_inner()
         })
+    }
+
+    /// The leader ticket's completion hook: records the outcome for
+    /// blocking waiters and late hooks, wakes the former, then calls
+    /// every hook registered so far (outside the lock).
+    fn publish(&self, outcome: Result<Generated, ServeError>) {
+        let previous = std::mem::replace(
+            &mut *self.lock_state(),
+            SlotState::Done(Box::new(outcome.clone())),
+        );
+        self.cv.notify_all();
+        if let SlotState::Pending(mut hooks) = previous {
+            if let Some(last) = hooks.pop() {
+                for hook in hooks {
+                    hook(outcome.clone());
+                }
+                last(outcome);
+            }
+        }
+    }
+
+    /// Calls `hook` with the group's outcome: at publication, or right
+    /// now when it has already been published.
+    fn on_complete(&self, hook: Hook) {
+        let mut state = self.lock_state();
+        match &mut *state {
+            SlotState::Pending(hooks) => hooks.push(hook),
+            SlotState::Done(outcome) => {
+                let outcome = (**outcome).clone();
+                drop(state);
+                hook(outcome);
+            }
+        }
+    }
+
+    /// Blocks until the outcome is published and returns a clone of it;
+    /// `None` when `timeout` elapses first (`None` timeout waits
+    /// forever).
+    fn wait(&self, timeout: Option<Duration>) -> Option<Result<Generated, ServeError>> {
+        let give_up = timeout.map(|t| Instant::now() + t);
+        let mut state = self.lock_state();
+        loop {
+            if let SlotState::Done(outcome) = &*state {
+                return Some((**outcome).clone());
+            }
+            state = match give_up {
+                None => self.cv.wait(state).unwrap_or_else(|poisoned| {
+                    self.state.clear_poison();
+                    poisoned.into_inner()
+                }),
+                Some(give_up) => {
+                    let now = Instant::now();
+                    if now >= give_up {
+                        return None;
+                    }
+                    match self.cv.wait_timeout(state, give_up - now) {
+                        Ok((g, _)) => g,
+                        Err(poisoned) => {
+                            self.state.clear_poison();
+                            poisoned.into_inner().0
+                        }
+                    }
+                }
+            };
+        }
     }
 }
 
@@ -177,13 +255,15 @@ impl Coalescer {
         // Leader path: admit to the daemon *while holding the map lock*
         // so a racing identical submission cannot also lead. Admission
         // is non-blocking (bounded queue, immediate accept/reject), so
-        // the lock hold is short.
+        // the lock hold is short. The daemon ticket is redeemed right
+        // here by the publishing hook; should the job already have
+        // resolved, the hook runs now, with no waiter hooks to call yet
+        // (the slot is not in the map), so nothing takes the map lock.
         self.daemon.note_coalesce_miss();
         let ticket = self.daemon.submit(tenant, artifact, request)?;
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState::Pending(Some(ticket))),
-            cv: Condvar::new(),
-        });
+        let slot = Slot::new();
+        let publisher = slot.clone();
+        ticket.on_complete(move |outcome| publisher.publish(outcome));
         inflight.insert(
             key.clone(),
             InFlight {
@@ -196,8 +276,8 @@ impl Coalescer {
 
     /// Drains the daemon and returns the final counters. Outstanding
     /// [`CoalesceTicket`]s stay redeemable: the daemon resolves every
-    /// admitted ticket on shutdown, and the first waiter of each group
-    /// publishes that outcome to the rest.
+    /// admitted ticket on shutdown, and each group's leader hook
+    /// publishes that outcome to its waiters.
     pub fn shutdown(self) -> DaemonStats {
         self.daemon.shutdown()
     }
@@ -212,8 +292,8 @@ impl Coalescer {
 /// [`CoalesceTicket::wait`] or [`CoalesceTicket::wait_timeout`].
 ///
 /// Dropping it unredeemed is safe in any state: the waiter detaches
-/// from its group, and the underlying daemon ticket — whoever holds it
-/// — is always resolved by the daemon, so nothing strands.
+/// from its group, and the daemon resolves the underlying job (and so
+/// publishes the group's outcome) regardless, so nothing strands.
 #[must_use = "an unredeemed ticket discards the response"]
 pub struct CoalesceTicket {
     inner: TicketInner,
@@ -256,18 +336,48 @@ impl CoalesceTicket {
     }
 
     /// Blocks until the group's outcome lands and returns a clone of
-    /// it. The first waiter to arrive redeems the underlying daemon
-    /// ticket on the group's behalf and publishes the outcome; the
-    /// rest just wait on the slot.
+    /// it.
     pub fn wait(mut self) -> Result<Generated, ServeError> {
         match &mut self.inner {
             TicketInner::Solo(ticket) => ticket.take().expect("solo ticket present").wait(),
             TicketInner::Grouped { slot, key, inflight, detached } => {
-                let slot = slot.clone();
-                let outcome = wait_slot(&slot, None).expect("unbounded wait always resolves");
+                let outcome = slot.wait(None).expect("unbounded wait always resolves");
                 inflight.detach(key);
                 *detached = true;
                 outcome
+            }
+        }
+    }
+
+    /// Redeems the ticket without blocking: `hook` runs once with the
+    /// group's outcome, on the thread that resolves it — or on this one,
+    /// right now, when it has already landed. A grouped waiter detaches
+    /// just before its hook runs, as a blocking [`CoalesceTicket::wait`]
+    /// does when it returns. Hooks must be quick (see
+    /// `Ticket::on_complete`).
+    pub(crate) fn on_complete(
+        mut self,
+        hook: impl FnOnce(Result<Generated, ServeError>) + Send + 'static,
+    ) {
+        match &mut self.inner {
+            TicketInner::Solo(ticket) => {
+                ticket
+                    .take()
+                    .expect("solo ticket present")
+                    .on_complete(hook);
+            }
+            TicketInner::Grouped {
+                slot,
+                key,
+                inflight,
+                detached,
+            } => {
+                *detached = true;
+                let (key, inflight) = (std::mem::take(key), inflight.clone());
+                slot.on_complete(Box::new(move |outcome| {
+                    inflight.detach(&key);
+                    hook(outcome);
+                }));
             }
         }
     }
@@ -294,8 +404,7 @@ impl CoalesceTicket {
                 }
             }
             TicketInner::Grouped { slot, key, inflight, detached } => {
-                let the_slot = slot.clone();
-                match wait_slot(&the_slot, Some(timeout)) {
+                match slot.wait(Some(timeout)) {
                     Some(outcome) => {
                         inflight.detach(key);
                         *detached = true;
@@ -309,86 +418,13 @@ impl CoalesceTicket {
 }
 
 impl Drop for CoalesceTicket {
-    /// Detaches from the group so an abandoned waiter (e.g. a client
-    /// that disconnected mid-flight) cannot pin the in-flight entry.
-    /// The underlying daemon ticket needs no action: if this waiter
-    /// held it (leader group dropped wholesale), dropping it is safe —
-    /// the daemon resolves the slot regardless.
+    /// Detaches from the group so an abandoned waiter cannot pin the
+    /// in-flight entry. The group needs no action: its leader hook
+    /// still publishes when the daemon resolves the job.
     fn drop(&mut self) {
         if let TicketInner::Grouped { key, inflight, detached, .. } = &self.inner {
             if !*detached {
                 inflight.detach(key);
-            }
-        }
-    }
-}
-
-/// Waits on a group slot. The first arrival takes the daemon ticket
-/// out of `Pending` and redeems it *outside* the slot lock (so fellow
-/// waiters can time out meanwhile), then publishes `Done` and wakes
-/// everyone. `None` timeout waits forever; returns `None` on timeout.
-fn wait_slot(
-    slot: &Slot,
-    timeout: Option<Duration>,
-) -> Option<Result<Generated, ServeError>> {
-    let give_up = timeout.map(|t| Instant::now() + t);
-    let mut state = slot.lock_state();
-    loop {
-        match &mut *state {
-            SlotState::Done(outcome) => return Some((**outcome).clone()),
-            SlotState::Pending(ticket @ Some(_)) => {
-                let ticket = ticket.take().expect("just matched Some");
-                drop(state);
-                let outcome = match give_up {
-                    None => ticket.wait(),
-                    Some(give_up) => {
-                        let budget = give_up.saturating_duration_since(Instant::now());
-                        match ticket.wait_timeout(budget) {
-                            Ok(outcome) => outcome,
-                            Err(ticket) => {
-                                // Put the unredeemed ticket back and wake
-                                // a fellow waiter to take over redeeming.
-                                let mut state = slot.lock_state();
-                                if let SlotState::Pending(hole) = &mut *state {
-                                    *hole = Some(ticket);
-                                }
-                                drop(state);
-                                slot.cv.notify_one();
-                                return None;
-                            }
-                        }
-                    }
-                };
-                let mut state = slot.lock_state();
-                *state = SlotState::Done(Box::new(outcome.clone()));
-                drop(state);
-                slot.cv.notify_all();
-                return Some(outcome);
-            }
-            SlotState::Pending(None) => {
-                // Another waiter is off redeeming the daemon ticket.
-                state = match give_up {
-                    None => match slot.cv.wait(state) {
-                        Ok(g) => g,
-                        Err(poisoned) => {
-                            slot.state.clear_poison();
-                            poisoned.into_inner()
-                        }
-                    },
-                    Some(give_up) => {
-                        let now = Instant::now();
-                        if now >= give_up {
-                            return None;
-                        }
-                        match slot.cv.wait_timeout(state, give_up - now) {
-                            Ok((g, _)) => g,
-                            Err(poisoned) => {
-                                slot.state.clear_poison();
-                                poisoned.into_inner().0
-                            }
-                        }
-                    }
-                };
             }
         }
     }
@@ -508,6 +544,34 @@ mod tests {
         // …but an identical retry of the *admitted* key still hits.
         let _dup = c.submit("t", "/m.json", GenRequest::nodes(16).seeded(1)).unwrap();
         assert_eq!(c.stats().coalesce_hits, 1);
+    }
+
+    /// Hooked waiters are called when the leader's job resolves, a
+    /// hook registered on a published group runs at once, and every
+    /// hooked waiter detaches as its hook runs.
+    #[test]
+    fn hooks_receive_the_published_outcome() {
+        let c = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(5);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let tx = tx.clone();
+            c.submit("t", "/m.json", request())
+                .unwrap()
+                .on_complete(move |outcome| tx.send(outcome).unwrap());
+        }
+        let late = c.submit("t", "/m.json", request()).unwrap();
+        assert_eq!(c.stats().queued, 1, "one daemon job for the whole group");
+        assert!(rx.try_recv().is_err(), "nothing has resolved yet");
+        c.daemon.begin_shutdown();
+        c.daemon.fail_stranded();
+        for _ in 0..3 {
+            assert_eq!(rx.try_recv().unwrap().unwrap_err(), ServeError::ShuttingDown);
+        }
+        assert_eq!(c.lock_inflight().len(), 1, "the unhooked waiter is still attached");
+        late.on_complete(move |outcome| tx.send(outcome).unwrap());
+        assert_eq!(rx.try_recv().unwrap().unwrap_err(), ServeError::ShuttingDown);
+        assert!(c.lock_inflight().is_empty());
     }
 
     /// A bounded wait on an unresolved group hands the ticket back and

@@ -118,19 +118,53 @@ struct Job {
     slot: Arc<TicketShared>,
 }
 
+/// A completion hook: called once with a request's outcome by
+/// whichever thread resolves it.
+pub(crate) type Hook = Box<dyn FnOnce(Result<Generated, ServeError>) + Send>;
+
+/// What a [`Ticket`]'s rendezvous cell holds.
+enum TicketState {
+    /// Unresolved, or resolved and already handed out.
+    Pending,
+    /// Unresolved, with a hook waiting for the outcome.
+    Hooked(Hook),
+    /// Resolved, waiting for [`Ticket::wait`] (boxed: a design dwarfs
+    /// the other variants).
+    Done(Box<Result<Generated, ServeError>>),
+}
+
+impl TicketState {
+    fn take_done(&mut self) -> Option<Result<Generated, ServeError>> {
+        match std::mem::replace(self, TicketState::Pending) {
+            TicketState::Done(outcome) => Some(*outcome),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
 /// The rendezvous cell a [`Ticket`] waits on.
 struct TicketShared {
-    result: Mutex<Option<Result<Generated, ServeError>>>,
+    state: Mutex<TicketState>,
     cv: Condvar,
 }
 
 impl TicketShared {
-    /// Locks the result cell, recovering a poisoned lock: the cell is a
-    /// plain `Option` write, so a panic mid-update cannot leave it
-    /// inconsistent.
-    fn lock_result(&self) -> MutexGuard<'_, Option<Result<Generated, ServeError>>> {
-        self.result.lock().unwrap_or_else(|poisoned| {
-            self.result.clear_poison();
+    fn new() -> Arc<Self> {
+        Arc::new(TicketShared {
+            state: Mutex::new(TicketState::Pending),
+            cv: Condvar::new(),
+        })
+    }
+
+    /// Locks the cell, recovering a poisoned lock: every update is a
+    /// single assignment, and hooks run outside the lock, so a panic
+    /// cannot leave it inconsistent.
+    fn lock_state(&self) -> MutexGuard<'_, TicketState> {
+        self.state.lock().unwrap_or_else(|poisoned| {
+            self.state.clear_poison();
             poisoned.into_inner()
         })
     }
@@ -155,15 +189,15 @@ impl Ticket {
     /// fill it on completion, and shutdown fails stranded jobs with
     /// [`ServeError::ShuttingDown`].
     pub fn wait(self) -> Result<Generated, ServeError> {
-        let mut guard = self.slot.lock_result();
+        let mut guard = self.slot.lock_state();
         loop {
-            if let Some(outcome) = guard.take() {
+            if let Some(outcome) = guard.take_done() {
                 return outcome;
             }
             guard = match self.slot.cv.wait(guard) {
                 Ok(g) => g,
                 Err(poisoned) => {
-                    self.slot.result.clear_poison();
+                    self.slot.state.clear_poison();
                     poisoned.into_inner()
                 }
             };
@@ -180,9 +214,9 @@ impl Ticket {
     /// Returns `Err(self)` when `timeout` elapsed without an outcome.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Result<Generated, ServeError>, Ticket> {
         let give_up = Instant::now() + timeout;
-        let mut guard = self.slot.lock_result();
+        let mut guard = self.slot.lock_state();
         loop {
-            if let Some(outcome) = guard.take() {
+            if let Some(outcome) = guard.take_done() {
                 return Ok(outcome);
             }
             let now = Instant::now();
@@ -193,10 +227,30 @@ impl Ticket {
             guard = match self.slot.cv.wait_timeout(guard, give_up - now) {
                 Ok((g, _)) => g,
                 Err(poisoned) => {
-                    self.slot.result.clear_poison();
+                    self.slot.state.clear_poison();
                     poisoned.into_inner().0
                 }
             };
+        }
+    }
+
+    /// Redeems the ticket without blocking: `hook` runs once with the
+    /// outcome, on whichever thread resolves the request — the worker
+    /// that served it, the shutdown that failed it, or this caller,
+    /// right now, when the outcome has already landed. Hooks run outside
+    /// every daemon lock but on that thread's time, so they must be
+    /// quick (hand the outcome off, never block).
+    pub(crate) fn on_complete(
+        self,
+        hook: impl FnOnce(Result<Generated, ServeError>) + Send + 'static,
+    ) {
+        let mut state = self.slot.lock_state();
+        match state.take_done() {
+            Some(outcome) => {
+                drop(state);
+                hook(outcome);
+            }
+            None => *state = TicketState::Hooked(Box::new(hook)),
         }
     }
 }
@@ -371,10 +425,7 @@ impl Daemon {
         request: GenRequest,
     ) -> Result<Ticket, ServeError> {
         use std::sync::atomic::Ordering;
-        let slot = Arc::new(TicketShared {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        });
+        let slot = TicketShared::new();
         let deadline = request.time_budget().map(|budget| Instant::now() + budget);
         let seed_hint = request.seed().unwrap_or(0);
         {
@@ -459,10 +510,15 @@ impl Daemon {
     }
 
     /// Fails every still-queued job (only possible with zero workers —
-    /// workers drain the queue before exiting).
+    /// workers drain the queue before exiting). The jobs leave the queue
+    /// under its lock but resolve after it is released, so their
+    /// completion hooks never run under it.
     pub(crate) fn fail_stranded(&self) {
-        let mut queues = self.shared.lock_queues();
-        while let Some(job) = queues.pop_round_robin() {
+        let stranded: Vec<Job> = {
+            let mut queues = self.shared.lock_queues();
+            std::iter::from_fn(|| queues.pop_round_robin()).collect()
+        };
+        for job in stranded {
             fill(&job.slot, Err(ServeError::ShuttingDown));
         }
     }
@@ -481,11 +537,18 @@ impl Drop for Daemon {
     }
 }
 
+/// Resolves a ticket: runs its hook when one is registered, otherwise
+/// parks the outcome and wakes the waiter.
 fn fill(slot: &TicketShared, outcome: Result<Generated, ServeError>) {
-    let mut guard = slot.lock_result();
-    *guard = Some(outcome);
-    drop(guard);
-    slot.cv.notify_all();
+    let mut state = slot.lock_state();
+    if let TicketState::Hooked(hook) = std::mem::replace(&mut *state, TicketState::Pending) {
+        drop(state);
+        hook(outcome);
+    } else {
+        *state = TicketState::Done(Box::new(outcome));
+        drop(state);
+        slot.cv.notify_all();
+    }
 }
 
 /// Renders a caught panic payload for [`ServeError::WorkerPanicked`].
@@ -580,10 +643,7 @@ mod tests {
             request: GenRequest::nodes(8),
             deadline: None,
             seed_hint: 0,
-            slot: Arc::new(TicketShared {
-                result: Mutex::new(None),
-                cv: Condvar::new(),
-            }),
+            slot: TicketShared::new(),
         }
     }
 
@@ -715,6 +775,66 @@ mod tests {
         };
         daemon.shutdown();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::ShuttingDown);
+    }
+
+    /// A hook runs exactly once, on whichever side resolves the ticket:
+    /// shutdown's `fail_stranded` for a hook registered first, the
+    /// registering caller for a ticket that already resolved.
+    #[test]
+    fn completion_hooks_run_once_wherever_the_ticket_resolves() {
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 0,
+            queue_capacity: 4,
+            ..DaemonConfig::default()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let early = tx.clone();
+        daemon
+            .submit("a", "m", GenRequest::nodes(8))
+            .unwrap()
+            .on_complete(move |outcome| early.send(("early", outcome)).unwrap());
+        let late = daemon.submit("a", "m", GenRequest::nodes(8)).unwrap();
+        assert!(rx.try_recv().is_err(), "nothing has resolved yet");
+        daemon.begin_shutdown();
+        daemon.fail_stranded();
+        let (tag, outcome) = rx.try_recv().expect("fail_stranded ran the hook");
+        assert_eq!(
+            (tag, outcome.unwrap_err()),
+            ("early", ServeError::ShuttingDown)
+        );
+        late.on_complete(move |outcome| tx.send(("late", outcome)).unwrap());
+        let (tag, outcome) = rx
+            .try_recv()
+            .expect("a resolved ticket runs its hook at once");
+        assert_eq!(
+            (tag, outcome.unwrap_err()),
+            ("late", ServeError::ShuttingDown)
+        );
+        assert!(rx.try_recv().is_err(), "each hook runs once");
+    }
+
+    /// A worker resolving a hooked ticket hands the outcome to the hook.
+    #[test]
+    fn workers_resolve_hooked_tickets() {
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..DaemonConfig::default()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        daemon
+            .submit(
+                "a",
+                "/no/such/model.json",
+                GenRequest::nodes(8).deadline(Duration::ZERO),
+            )
+            .unwrap()
+            .on_complete(move |outcome| tx.send(outcome).unwrap());
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("hook fired");
+        assert_eq!(outcome.unwrap_err(), ServeError::DeadlineExceeded);
+        daemon.shutdown();
     }
 
     /// Panics the job whose request seed is 7; leaves others alone.

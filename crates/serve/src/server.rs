@@ -1,12 +1,25 @@
 //! The TCP front-end: frames off the wire, into the daemon, back out.
 //!
 //! [`NetServer`] binds a `std::net` listener and speaks the
-//! [`crate::wire`] protocol. Per connection it runs a **reader** thread
-//! (decode frames, admit through the [`Coalescer`], forward work) and a
-//! **writer** thread (redeem tickets, encode responses), joined by an
-//! mpsc channel — so a connection can pipeline many requests and slow
-//! generation never blocks frame decoding. The acceptor thread owns the
-//! listener.
+//! [`crate::wire`] protocol. The acceptor thread owns the listener and
+//! sets `TCP_NODELAY` on every accepted socket (frames go out in one
+//! write each, see [`crate::wire::write_frame`], so Nagle's algorithm
+//! has nothing to coalesce and would only hold a response back until
+//! the peer's delayed ACK). Each connection then runs exactly two
+//! threads, however many requests it pipelines:
+//!
+//! - a **reader** decodes frames and admits them through the
+//!   [`Coalescer`]. For each admitted request it registers a completion
+//!   hook on the ticket and moves on, so slow generation never blocks
+//!   frame decoding;
+//! - a **writer** encodes and sends response frames. The hooks run on
+//!   whichever thread resolves the request (a daemon worker or
+//!   shutdown; for a coalesced follower, whichever resolves its
+//!   group's leader) and push the outcome onto the writer's mpsc
+//!   channel.
+//!
+//! No thread is spawned per request, so a connection's cost is fixed
+//! and thread exhaustion cannot close it.
 //!
 //! Invariants the tests hold this module to:
 //!
@@ -17,21 +30,28 @@
 //!   carries a millisecond budget; the countdown starts when the
 //!   reader admits the job, not when the client built the request.
 //! - **Disconnects leak nothing.** A client hanging up mid-flight
-//!   drops the connection's tickets; the daemon still resolves every
-//!   admitted slot, and the coalescer detaches the waiters, so no
-//!   worker or in-flight entry strands.
+//!   leaves its hooks to fire into a dead writer; the daemon still
+//!   resolves every admitted slot and the coalescer detaches the
+//!   waiters, so no worker or in-flight entry strands. A closed
+//!   connection deregisters its socket, so fds stay flat however many
+//!   connections come and go.
 //! - **Protocol garbage cannot take the server down.** A malformed
 //!   frame gets a typed `protocol` response (when the id is known) and
 //!   a connection close — never a panic, and never any effect on other
 //!   connections.
 //! - **Shutdown drains.** [`NetServer::shutdown`] stops accepting,
-//!   unblocks the acceptor, closes live connections, joins every
+//!   fails every queued request with a typed `ShuttingDown` answer,
+//!   closes the read half of live connections so their writers flush
+//!   every answer, closes outright whatever is still open after a short
+//!   grace (a peer that stopped reading cannot hold it up), joins every
 //!   thread, then drains the daemon.
 //!
 //! Chaos runs exercise one more seam: the injector's
 //! [`FaultInjector::connection`] verdict is consulted per request —
 //! `Drop` hangs up without answering (client sees a clean close),
-//! `Slow` delays the response write.
+//! `Slow` makes the writer hold that response aside until its delay has
+//! passed, while other responses on the connection go out as they
+//! complete.
 
 use crate::coalesce::{CoalesceTicket, Coalescer};
 use crate::daemon::{Daemon, DaemonConfig, DaemonStats};
@@ -40,12 +60,19 @@ use crate::wire::{
     decode_request, encode_response, read_frame, write_frame, ResponseBody, ResponseFrame,
     WireError, MAX_FRAME_BYTES,
 };
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long shutdown lets live connections flush their answers before
+/// it closes them outright, so a peer that stopped reading (and so
+/// blocks its writer mid-send) cannot hold shutdown up.
+const SHUTDOWN_WRITE_GRACE: Duration = Duration::from_secs(1);
 
 /// Configuration of a [`NetServer`].
 #[derive(Clone, Debug)]
@@ -68,10 +95,15 @@ impl Default for NetServerConfig {
 /// What the writer thread processes. Responses go out in *completion*
 /// order, not submission order — that is what the correlation ids are
 /// for, and it keeps an admission rejection (or a fast job) from
-/// queueing behind a slow one.
+/// queueing behind a slow one, or behind a response held back by an
+/// injected `Slow` fault.
 enum WriterItem {
-    /// A finished outcome: respond now.
-    Ready(ResponseFrame),
+    /// A finished outcome: respond once the injected `slow` delay, if
+    /// any, has passed.
+    Ready {
+        frame: ResponseFrame,
+        slow: Option<Duration>,
+    },
     /// A protocol failure: respond (typed), then close the connection.
     Fatal(ResponseFrame),
 }
@@ -81,16 +113,25 @@ struct ServerShared {
     injector: Arc<dyn FaultInjector>,
     stopping: AtomicBool,
     max_frame_bytes: usize,
-    /// Live connection streams, for forced close on shutdown.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A handle on each live connection's socket, by connection number,
+    /// for shutdown to close. Each connection removes its own entry when
+    /// it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled whenever a connection removes its entry.
+    conn_closed: Condvar,
 }
 
 impl ServerShared {
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+    fn lock_conns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
         self.conns.lock().unwrap_or_else(|poisoned| {
             self.conns.clear_poison();
             poisoned.into_inner()
         })
+    }
+
+    fn deregister(&self, id: u64) {
+        self.lock_conns().remove(&id);
+        self.conn_closed.notify_all();
     }
 }
 
@@ -139,7 +180,8 @@ impl NetServer {
             injector,
             stopping: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            conn_closed: Condvar::new(),
         });
         let acceptor = {
             let shared = shared.clone();
@@ -165,56 +207,63 @@ impl NetServer {
         self.shared.coalescer.stats()
     }
 
-    /// Stops accepting, closes live connections, joins the acceptor,
-    /// and drains the daemon. Returns the final counters.
+    /// Stops accepting, answers every queued request with a typed
+    /// `ShuttingDown` frame, flushes and closes live connections, joins
+    /// every thread, and drains the daemon. Returns the final counters.
     pub fn shutdown(mut self) -> DaemonStats {
         self.stop_network();
-        // The server owns its coalescer solely through `shared`; once
-        // the acceptor and connections are joined, this is the only
-        // strong reference left.
-        let shared = std::mem::replace(
-            &mut self.shared,
-            Arc::new(ServerShared {
-                coalescer: Coalescer::new(Daemon::start(DaemonConfig {
-                    workers: 0,
-                    queue_capacity: 1,
-                    ..DaemonConfig::default()
-                })),
-                injector: Arc::new(NoFaults),
-                stopping: AtomicBool::new(true),
-                max_frame_bytes: MAX_FRAME_BYTES,
-                conns: Mutex::new(Vec::new()),
-            }),
-        );
+        let shared = self.shared.clone();
+        // The network is already down, so `Drop` has nothing left to do.
+        // Every server thread has been joined: after it, `shared` is the
+        // only strong reference left.
+        drop(self);
         match Arc::try_unwrap(shared) {
             Ok(inner) => inner.coalescer.shutdown(),
-            Err(shared) => {
-                // A connection thread is still winding down; its arc
-                // clone dies with it. Snapshot stats without draining.
-                shared.coalescer.stats()
-            }
+            Err(shared) => shared.coalescer.stats(),
         }
     }
 
-    /// Signals stop, unblocks `accept`, closes live connections, joins
-    /// the acceptor (and through it every connection thread).
+    /// Signals stop, unblocks `accept`, ends live connections, and joins
+    /// the acceptor (and through it every connection thread). Runs once;
+    /// later calls return at once.
     fn stop_network(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
         self.shared.stopping.store(true, Ordering::SeqCst);
-        // Resolve every admitted ticket before joining anything: the
-        // per-request redeemer threads block on their tickets, and the
-        // writer threads (joined via the connection threads, joined via
-        // the acceptor) wait for the redeemers.
+        // Resolve every queued ticket first: the completion hooks queue
+        // the answers on their connections' writers, and no connection
+        // can end while one of its hooks is still pending.
         self.shared.coalescer.daemon().begin_shutdown();
         self.shared.coalescer.daemon().fail_stranded();
         // `accept()` has no native wakeup: a throwaway connection to
         // ourselves gets it to return, at which point it sees the flag.
         let _ = TcpStream::connect(self.local_addr);
-        for conn in self.shared.lock_conns().drain(..) {
+        // Close only the read half: each reader sees EOF and exits, and
+        // each writer still sends every answer queued for it before it
+        // closes the socket. A writer whose peer stopped reading blocks
+        // in its send, so whatever is still open after the grace is
+        // closed outright, which fails that send.
+        let grace_ends = Instant::now() + SHUTDOWN_WRITE_GRACE;
+        let mut conns = self.shared.lock_conns();
+        for conn in conns.values() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        while !conns.is_empty() {
+            let left = grace_ends.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            conns = match self.shared.conn_closed.wait_timeout(conns, left) {
+                Ok((conns, _)) => conns,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
+        for conn in conns.values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        drop(conns);
+        let _ = acceptor.join();
     }
 }
 
@@ -230,24 +279,35 @@ impl Drop for NetServer {
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
+    for id in 0u64.. {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(_) if shared.stopping.load(Ordering::SeqCst) => break,
             Err(_) => continue,
         };
-        if shared.stopping.load(Ordering::SeqCst) {
-            break; // the wakeup connection itself lands here
-        }
-        if let Ok(registered) = stream.try_clone() {
-            shared.lock_conns().push(registered);
-        }
-        let shared = shared.clone();
-        if let Ok(handle) = std::thread::Builder::new()
-            .name("syncircuit-net-conn".to_string())
-            .spawn(move || serve_connection(stream, &shared))
+        let _ = stream.set_nodelay(true);
         {
-            workers.push(handle);
+            // Checked under the registry lock, so shutdown either sees
+            // this connection registered or this loop sees the flag.
+            let mut conns = shared.lock_conns();
+            if shared.stopping.load(Ordering::SeqCst) {
+                break; // the wakeup connection itself lands here
+            }
+            let Ok(registered) = stream.try_clone() else {
+                continue; // refused: shutdown could not close it
+            };
+            conns.insert(id, registered);
+        }
+        let conn_shared = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name("syncircuit-net-conn".to_string())
+            .spawn(move || {
+                serve_connection(stream, &conn_shared);
+                conn_shared.deregister(id);
+            });
+        match spawned {
+            Ok(handle) => workers.push(handle),
+            Err(_) => shared.deregister(id),
         }
         workers.retain(|h| !h.is_finished());
     }
@@ -256,52 +316,52 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Runs one connection: this thread reads and admits, a redeemer
-/// thread per admitted request waits out its ticket, and one writer
-/// thread serializes the response frames. The writer exits when every
-/// sender — reader and redeemers alike — is done, so joining it drains
+/// Runs one connection: this thread reads and admits, and one writer
+/// thread sends the response frames that the admitted requests'
+/// completion hooks queue for it. The writer exits once the reader and
+/// every pending hook have dropped their senders, so joining it drains
 /// the connection. Returning closes both halves.
-fn serve_connection(stream: TcpStream, shared: &Arc<ServerShared>) {
+fn serve_connection(stream: TcpStream, shared: &ServerShared) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let (tx, rx) = mpsc::channel::<WriterItem>();
-    let writer = {
-        let shared = shared.clone();
-        std::thread::Builder::new()
-            .name("syncircuit-net-writer".to_string())
-            .spawn(move || write_loop(write_half, &rx, &shared))
-    };
+    let max_frame_bytes = shared.max_frame_bytes;
+    let writer = std::thread::Builder::new()
+        .name("syncircuit-net-writer".to_string())
+        .spawn(move || write_loop(write_half, &rx, max_frame_bytes));
     let Ok(writer) = writer else {
         return;
     };
     read_loop(stream, &tx, shared);
-    drop(tx); // writer drains redeemers still in flight, then exits
+    drop(tx); // the writer drains the hooks still pending, then exits
     let _ = writer.join();
 }
 
-/// Redeems one admitted ticket and forwards the finished frame. A
-/// failed send means the connection died first; dropping the outcome
-/// is correct (the daemon already resolved the job).
-fn redeem_and_send(
+/// Redeems an admitted ticket through a completion hook that queues its
+/// response on the connection's writer. A failed send means the
+/// connection died first; dropping the outcome is correct (the daemon
+/// already resolved the job).
+fn respond_on_completion(
     id: u64,
     ticket: CoalesceTicket,
-    slow: Option<std::time::Duration>,
+    slow: Option<Duration>,
     tx: &mpsc::Sender<WriterItem>,
 ) {
-    let body = match ticket.wait() {
-        Ok(design) => ResponseBody::Ok(Box::new(design)),
-        Err(e) => ResponseBody::Err(e),
-    };
-    if let Some(delay) = slow {
-        std::thread::sleep(delay);
-    }
-    let _ = tx.send(WriterItem::Ready(ResponseFrame { id, body }));
+    let tx = tx.clone();
+    ticket.on_complete(move |outcome| {
+        let body = match outcome {
+            Ok(design) => ResponseBody::Ok(Box::new(design)),
+            Err(e) => ResponseBody::Err(e),
+        };
+        let frame = ResponseFrame { id, body };
+        let _ = tx.send(WriterItem::Ready { frame, slow });
+    });
 }
 
 /// Decodes frames and admits them until EOF, protocol failure, or an
 /// injected connection drop.
-fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Arc<ServerShared>) {
+fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &ServerShared) {
     loop {
         let payload = match read_frame(&mut stream, shared.max_frame_bytes) {
             Ok(Some(payload)) => payload,
@@ -331,7 +391,7 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Arc<
         };
         // The chaos seam: drop hangs up before admission (so the
         // client sees a clean close, not a stuck request); slow tags
-        // the response write.
+        // the response for a delayed write.
         let slow = match shared.injector.connection(frame.request.seed().unwrap_or(0)) {
             Some(ConnFault::Drop) => return,
             Some(ConnFault::Slow(delay)) => Some(delay),
@@ -343,24 +403,15 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Arc<
             .coalescer
             .submit(&frame.tenant, &frame.artifact, frame.request)
         {
-            Ok(ticket) => {
-                let id = frame.id;
-                let tx = tx.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("syncircuit-net-redeem".to_string())
-                    .spawn(move || redeem_and_send(id, ticket, slow, &tx));
-                if spawned.is_err() {
-                    // Thread exhaustion. The consumed ticket drops (the
-                    // daemon resolves the job regardless); close the
-                    // connection rather than leave the id unanswered.
-                    return;
-                }
-            }
+            Ok(ticket) => respond_on_completion(frame.id, ticket, slow, tx),
             Err(e) => {
-                let rejected = WriterItem::Ready(ResponseFrame {
-                    id: frame.id,
-                    body: ResponseBody::Err(e),
-                });
+                let rejected = WriterItem::Ready {
+                    frame: ResponseFrame {
+                        id: frame.id,
+                        body: ResponseBody::Err(e),
+                    },
+                    slow: None,
+                };
                 if tx.send(rejected).is_err() {
                     return; // writer gone (socket dead)
                 }
@@ -369,29 +420,182 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Arc<
     }
 }
 
-/// Writes response frames in arrival (= completion) order. On a write
-/// failure the loop keeps draining so redeemer sends never error, but
-/// writes nothing further — the daemon resolves every admitted slot
-/// regardless, so nothing strands.
-fn write_loop(
-    mut stream: TcpStream,
-    rx: &mpsc::Receiver<WriterItem>,
-    shared: &Arc<ServerShared>,
-) {
-    let mut dead = false;
-    while let Ok(item) = rx.recv() {
-        if dead {
+/// Writes response frames in arrival (= completion) order. A frame an
+/// injected `Slow` fault delayed is held aside until it is due, so it
+/// holds back no other response. The loop ends once every sender is
+/// gone and every held frame is out, so joining the writer means the
+/// connection has no hook pending. After a write failure it still
+/// drains, but writes nothing further.
+fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>, max_frame_bytes: usize) {
+    // Delayed frames by due time; equal times keep their arrival order.
+    let mut held: VecDeque<(Instant, ResponseFrame)> = VecDeque::new();
+    let mut live = true;
+    loop {
+        while live && held.front().is_some_and(|(due, _)| *due <= Instant::now()) {
+            let (_, frame) = held.pop_front().expect("a held frame is due");
+            live = send(&mut stream, &frame, max_frame_bytes);
+        }
+        if !live {
+            held.clear();
+        }
+        let next = match held.front() {
+            Some((due, _)) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let item = match next {
+            Ok(item) => item,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => match held.front() {
+                Some((due, _)) => {
+                    std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                    continue;
+                }
+                None => break,
+            },
+        };
+        if !live {
             continue;
         }
-        let (frame, fatal) = match item {
-            WriterItem::Ready(frame) => (frame, false),
-            WriterItem::Fatal(frame) => (frame, true),
-        };
-        let payload = encode_response(&frame);
-        if write_frame(&mut stream, &payload, shared.max_frame_bytes).is_err() || fatal {
-            let _ = stream.shutdown(Shutdown::Both);
-            dead = true;
+        match item {
+            WriterItem::Ready {
+                frame,
+                slow: Some(delay),
+            } => {
+                let due = Instant::now() + delay;
+                let at = held.partition_point(|(held_due, _)| *held_due <= due);
+                held.insert(at, (due, frame));
+            }
+            WriterItem::Ready { frame, slow: None } => {
+                live = send(&mut stream, &frame, max_frame_bytes);
+            }
+            WriterItem::Fatal(frame) => {
+                send(&mut stream, &frame, max_frame_bytes);
+                let _ = stream.shutdown(Shutdown::Both);
+                live = false;
+            }
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Sends one response frame. On failure it closes the socket, so the
+/// reader stops too, and returns `false`.
+fn send(stream: &mut TcpStream, frame: &ResponseFrame, max_frame_bytes: usize) -> bool {
+    let sent = write_frame(stream, &encode_response(frame), max_frame_bytes).is_ok();
+    if !sent {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    sent
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// Accepted sockets run with `TCP_NODELAY`, so a response frame goes
+    /// out at once instead of waiting out the peer's delayed ACK.
+    #[test]
+    fn accepted_streams_are_no_delay() {
+        let srv = NetServer::bind(
+            "127.0.0.1:0",
+            NetServerConfig {
+                daemon: DaemonConfig {
+                    workers: 0,
+                    queue_capacity: 1,
+                    ..DaemonConfig::default()
+                },
+                ..NetServerConfig::default()
+            },
+        )
+        .expect("bind ephemeral port");
+        let client = TcpStream::connect(srv.local_addr()).expect("connect");
+        let give_up = Instant::now() + Duration::from_secs(30);
+        let flags = loop {
+            let flags: Vec<bool> = srv
+                .shared
+                .lock_conns()
+                .values()
+                .map(|conn| conn.nodelay().expect("read TCP_NODELAY"))
+                .collect();
+            if !flags.is_empty() {
+                break flags;
+            }
+            assert!(
+                Instant::now() < give_up,
+                "the connection was never accepted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(flags, [true]);
+        drop(client);
+        srv.shutdown();
+    }
+
+    /// Slows the response to every odd-seeded request by `DELAY`.
+    #[derive(Debug)]
+    struct SlowOddSeeds;
+
+    const DELAY: Duration = Duration::from_millis(600);
+
+    impl FaultInjector for SlowOddSeeds {
+        fn connection(&self, seed: u64) -> Option<ConnFault> {
+            (seed % 2 == 1).then_some(ConnFault::Slow(DELAY))
+        }
+    }
+
+    fn expect_expired(outcome: Result<syncircuit_core::Generated, crate::ClientError>) {
+        match outcome {
+            Err(crate::ClientError::Serve(crate::ServeError::DeadlineExceeded)) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+
+    /// A `Slow` connection fault holds back only its own response: the
+    /// answer leaves the writer a full delay after its request arrived,
+    /// and a later request on the same connection is answered in the
+    /// meantime.
+    #[test]
+    fn slow_faults_delay_only_their_own_response() {
+        let srv = NetServer::bind_with_faults(
+            "127.0.0.1:0",
+            NetServerConfig {
+                daemon: DaemonConfig {
+                    workers: 1,
+                    queue_capacity: 4,
+                    ..DaemonConfig::default()
+                },
+                ..NetServerConfig::default()
+            },
+            Arc::new(SlowOddSeeds),
+        )
+        .expect("bind ephemeral port");
+        let mut client = crate::NetClient::connect(srv.local_addr()).expect("connect");
+        // A zero budget resolves on the worker without touching a model.
+        let expiring = |seed| {
+            syncircuit_core::GenRequest::nodes(8)
+                .seeded(seed)
+                .deadline(Duration::ZERO)
+        };
+        let start = Instant::now();
+        let slow = client
+            .submit("t", "/never/read.json", expiring(1))
+            .expect("submit");
+        let fast = client
+            .submit("t", "/never/read.json", expiring(2))
+            .expect("submit");
+        expect_expired(client.wait(fast));
+        let fast_at = start.elapsed();
+        assert!(
+            fast_at < DELAY,
+            "the unslowed answer arrived after {fast_at:?}, behind the slowed one"
+        );
+        expect_expired(client.wait(slow));
+        let slow_at = start.elapsed();
+        assert!(
+            slow_at >= DELAY,
+            "the slowed answer arrived after only {slow_at:?}"
+        );
+        srv.shutdown();
+    }
 }

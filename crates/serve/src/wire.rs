@@ -132,6 +132,10 @@ impl From<std::io::Error> for WireError {
 
 /// Writes one length-prefixed frame.
 ///
+/// The prefix and payload go out in a single `write_all`. Sent as two
+/// writes, the payload would sit behind the prefix in Nagle's buffer
+/// until the peer's delayed ACK, costing a whole ACK timeout per frame.
+///
 /// # Errors
 ///
 /// [`WireError::Oversized`] when the payload exceeds `max` (nothing is
@@ -143,8 +147,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> Result<(),
             max,
         });
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -854,6 +860,43 @@ mod tests {
             Err(WireError::Oversized { max: 1024, .. }) => {}
             other => panic!("expected Oversized, got {other:?}"),
         }
+    }
+
+    /// A frame is one `write` call on the sink, so the prefix can never
+    /// be sent on its own and stall in Nagle's buffer behind the
+    /// payload.
+    #[test]
+    fn each_frame_is_one_write() {
+        #[derive(Default)]
+        struct CountingSink {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingSink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = CountingSink::default();
+        for (k, payload) in [&b"hello"[..], b"", &[7u8; 5000]].into_iter().enumerate() {
+            write_frame(&mut sink, payload, MAX_FRAME_BYTES).unwrap();
+            assert_eq!(sink.writes, k + 1, "frame {k} took more than one write");
+        }
+        let mut r = std::io::Cursor::new(sink.bytes);
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
+            b"hello"
+        );
+        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(), b"");
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
+            vec![7u8; 5000]
+        );
     }
 
     #[test]

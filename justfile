@@ -48,11 +48,14 @@ chaos-smoke:
 
 # network smoke: ~100 mixed-tenant requests plus a coalesced-duplicate
 # burst over real TCP (one pipelined connection), every response
-# byte-identical to direct generation and coalesce hits > 0 — then the
-# same trace under seeded connection drops/slow writes (--chaos --net),
-# where nothing may strand or hang
+# byte-identical to direct generation and coalesce hits > 0 — at window
+# 64, then at window 1, whose printed p50 is per-request service latency
+# (a socket stall that queue depth hides at window 64 shows here) — then
+# the same trace under seeded connection drops/slow writes (--chaos
+# --net), where nothing may strand or hang
 net-smoke:
     cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 64 --queue 1024
+    cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 1 --queue 1024
     cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
 # perf gate: fail when any previously-recorded benchmark's `current`

@@ -78,6 +78,38 @@ fn phase3_improves_or_preserves_scpr() {
     );
 }
 
+/// A denoiser as wide as `PipelineConfig::standard()`'s (hidden 48)
+/// trains and generates: no kernel limit may sit just past the tiny
+/// widths the rest of the suite uses.
+#[test]
+fn standard_width_model_fits_and_generates() {
+    let corpus: Vec<_> = syncircuit::datasets::corpus()
+        .into_iter()
+        .take(3)
+        .map(|d| d.graph)
+        .collect();
+    let hidden = PipelineConfig::standard().diffusion().hidden;
+    assert_eq!(hidden, 48);
+    let config = PipelineConfig::builder()
+        .diffusion(syncircuit::core::DiffusionConfig {
+            hidden,
+            ..syncircuit::core::DiffusionConfig::tiny()
+        })
+        .seed(5)
+        .build()
+        .expect("valid configuration");
+    let model = SynCircuit::fit(&corpus, config).expect("corpus is non-empty");
+    let generated = model
+        .generate_one(&GenRequest::nodes(24).seeded(1))
+        .expect("generation");
+    assert!(
+        generated.graph.is_valid(),
+        "{:?}",
+        generated.graph.validate()
+    );
+    assert_eq!(generated.graph.node_count(), 24);
+}
+
 #[test]
 fn generation_scales_with_node_budget() {
     let model = trained_model(3);
