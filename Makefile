@@ -1,6 +1,6 @@
 # Mirror of the justfile for environments without `just`.
 
-.PHONY: build test lint fmt-check doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke bench-json perf-check bench-all determinism stress ci
+.PHONY: build test lint fmt-check doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke perfbench-smoke bench-json perf-check bench-all determinism stress ci
 
 build:
 	cargo build --release
@@ -34,6 +34,15 @@ net-smoke:
 	cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 1 --queue 1024
 	cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
+perfbench-smoke:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+	set -e; for w in gen-full gen-sample serve-tcp; do \
+		last=$$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+			--workload "$$w" --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,'; \
+	done
+
 bench-json:
 	BENCH_JSON=/tmp/syncircuit-bench-current.json cargo bench -p syncircuit-bench --bench micro
 	cargo run --release -p syncircuit-bench --bin load-gen -- --json /tmp/syncircuit-serve-load.json
@@ -64,4 +73,4 @@ stress:
 	diff /tmp/syncircuit-rel1.txt /tmp/syncircuit-rel2.txt
 	@echo "release determinism: two runs identical"
 
-ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke stress
+ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke perfbench-smoke stress

@@ -36,6 +36,11 @@ const IMPROVEMENT_FLOORS: &[(&str, f64)] = &[
     // Batched decoder-head scoring through the panel-packed
     // shared-suffix kernels (measured 1.5–1.6× on the CI container).
     ("diffusion_sample_144_nodes", 1.5),
+    // Cone-cache misses synthesized in place on reusable scratch, with
+    // word-hashed CSE keys (medians of nine runs measured 3.6× and 3.4×
+    // over the baseline; the floors sit at about three quarters of that).
+    ("optimize_registers_oc_fifo_incremental", 2.7),
+    ("batch_8_requests_private_cone_cache", 2.5),
 ];
 
 fn read_object(path: &str) -> Option<Vec<(String, Value)>> {

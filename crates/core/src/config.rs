@@ -26,6 +26,7 @@ use crate::refine::RefineConfig;
 use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
+use syncircuit_synth::incremental::MAX_SHARD_COUNT;
 
 /// Reward oracle choice for Phase 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,7 +175,8 @@ impl PipelineConfig {
 
     /// Lock-stripe count of the shared cone-synthesis cache (`0` ⇒ the
     /// library default, currently 16; values round up to a power of
-    /// two at cache construction). See
+    /// two at cache construction, and validation rejects counts above
+    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`]). See
     /// [`syncircuit_synth::SharedConeSynthCache`].
     pub fn cone_cache_shards(&self) -> usize {
         self.cone_cache_shards
@@ -219,6 +221,9 @@ impl PipelineConfig {
         }
         if let RewardKind::Discriminator { epochs: 0 } = self.reward {
             return Err(ConfigError::ZeroDiscriminatorEpochs);
+        }
+        if self.cone_cache_shards > MAX_SHARD_COUNT {
+            return Err(ConfigError::TooManyConeCacheShards(self.cone_cache_shards));
         }
         if self.optimize_redundancy {
             self.validate_phase3()?;
@@ -330,7 +335,9 @@ impl PipelineConfigBuilder {
     }
 
     /// Sets the lock-stripe count of the shared cone-synthesis cache
-    /// (`0` ⇒ the library default; rounded up to a power of two).
+    /// (`0` ⇒ the library default; rounded up to a power of two; at most
+    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`], or
+    /// [`build`](PipelineConfigBuilder::build) fails).
     ///
     /// Operational knob: stripes only trade lock contention against
     /// memory — every count produces byte-identical generation output —
@@ -387,6 +394,9 @@ pub enum ConfigError {
     ZeroSparseCandidates,
     /// The discriminator reward needs at least one training epoch.
     ZeroDiscriminatorEpochs,
+    /// The cone cache is asked for more lock stripes than
+    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`].
+    TooManyConeCacheShards(usize),
     /// Phase 3 is enabled with zero simulations per cone.
     ZeroSimulations,
     /// Phase 3 is enabled with zero rollout depth.
@@ -424,6 +434,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDiscriminatorEpochs => {
                 write!(f, "discriminator reward needs at least one training epoch")
             }
+            ConfigError::TooManyConeCacheShards(n) => write!(
+                f,
+                "cone cache asks for {n} lock stripes, more than the {MAX_SHARD_COUNT} allowed"
+            ),
             ConfigError::ZeroSimulations => {
                 write!(f, "Phase 3 is enabled with zero MCTS simulations")
             }
@@ -555,6 +569,24 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.cone_cache_shards(), 8);
+    }
+
+    #[test]
+    fn rejects_stripe_counts_past_the_cap() {
+        let at_cap = PipelineConfig::builder()
+            .cone_cache_shards(MAX_SHARD_COUNT)
+            .build()
+            .unwrap();
+        assert_eq!(at_cap.cone_cache_shards(), MAX_SHARD_COUNT);
+        for shards in [MAX_SHARD_COUNT + 1, 1 << 40, usize::MAX] {
+            assert_eq!(
+                PipelineConfig::builder()
+                    .cone_cache_shards(shards)
+                    .build()
+                    .unwrap_err(),
+                ConfigError::TooManyConeCacheShards(shards)
+            );
+        }
     }
 
     #[test]

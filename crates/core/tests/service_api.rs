@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::OnceLock;
 use syncircuit_core::{
-    GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit,
+    ConeSelection, GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit,
 };
 use syncircuit_graph::fingerprint::{splitmix64, zobrist_fingerprint};
 use syncircuit_graph::testing::random_circuit_with_size;
@@ -155,17 +155,82 @@ fn ablation_shape_still_skips_phases() {
     assert_eq!(out.gini_edges, 0, "Phase 1 skipped");
 }
 
-/// Regeneration helper: prints the `RECORDED_DIGESTS` block.
+/// The same corpus and seed with Phase 3 on the incremental cone reward
+/// over every register cone, so each request runs the cone cache's miss
+/// path (per-cone synthesis) on every cone it has not seen before.
+fn incremental_model() -> &'static SynCircuit {
+    static MODEL: OnceLock<SynCircuit> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let cfg = PipelineConfig::builder()
+            .seed(11)
+            .reward(RewardKind::IncrementalCone)
+            .cone_selection(ConeSelection::All)
+            .build()
+            .expect("valid configuration");
+        SynCircuit::fit(&corpus(), cfg).expect("corpus is non-empty")
+    })
+}
+
+/// Requests for [`INCREMENTAL_DIGESTS`].
+fn incremental_shapes() -> Vec<(&'static str, GenRequest)> {
+    vec![
+        ("nodes(30)", GenRequest::nodes(30)),
+        ("nodes(26).seeded(5)", GenRequest::nodes(26).seeded(5)),
+        (
+            "nodes(40).seeded(0xDEAD_BEEF)",
+            GenRequest::nodes(40).seeded(0xDEAD_BEEF),
+        ),
+        ("nodes(48).seeded(17)", GenRequest::nodes(48).seeded(17)),
+    ]
+}
+
+/// Expected digests for [`incremental_shapes`], in order. Recorded with
+/// the standalone-cone-circuit miss path, so they pin the in-place one
+/// to the same bytes.
+const INCREMENTAL_DIGESTS: [u64; 4] = [
+    0xF277_B3EC_5ACB_3CAE, // nodes(30)
+    0x6332_C843_BD30_02AA, // nodes(26).seeded(5)
+    0x9E2F_39A3_CFE2_F722, // nodes(40).seeded(0xDEAD_BEEF)
+    0xC0CE_5285_4B16_17C1, // nodes(48).seeded(17)
+];
+
 #[test]
-#[ignore = "run manually to refresh RECORDED_DIGESTS"]
-fn print_recorded_expectations() {
-    let m = model();
-    println!("const RECORDED_DIGESTS: [u64; {}] = [", recorded_shapes().len());
-    for (label, req) in recorded_shapes() {
-        let d = digest(&m.generate_one(&req).unwrap());
-        println!("    {d:#018X}, // {label}");
+fn incremental_reward_matches_recorded_expectations() {
+    let m = incremental_model();
+    for ((label, req), &want) in incremental_shapes().iter().zip(&INCREMENTAL_DIGESTS) {
+        let out = m.generate_one(req).unwrap();
+        assert!(!out.mcts.is_empty(), "{label}: Phase 3 optimized no cone");
+        let got = digest(&out);
+        assert_eq!(
+            got, want,
+            "{label}: digest {got:#018X} != recorded {want:#018X} — \
+             the incremental-cone generation stream drifted"
+        );
     }
-    println!("];");
+    let misses: u64 = m.cone_cache_stats().iter().map(|s| s.misses).sum();
+    assert!(misses > 0, "the cone cache synthesized no cone");
+}
+
+/// Regeneration helper: prints the `RECORDED_DIGESTS` and
+/// `INCREMENTAL_DIGESTS` blocks.
+#[test]
+#[ignore = "run manually to refresh RECORDED_DIGESTS and INCREMENTAL_DIGESTS"]
+fn print_recorded_expectations() {
+    for (name, m, shapes) in [
+        ("RECORDED_DIGESTS", model(), recorded_shapes()),
+        (
+            "INCREMENTAL_DIGESTS",
+            incremental_model(),
+            incremental_shapes(),
+        ),
+    ] {
+        println!("const {name}: [u64; {}] = [", shapes.len());
+        for (label, req) in shapes {
+            let d = digest(&m.generate_one(&req).unwrap());
+            println!("    {d:#018X}, // {label}");
+        }
+        println!("];");
+    }
 }
 
 // --- 2. parallel batch ≡ sequential -----------------------------------

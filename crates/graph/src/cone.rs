@@ -157,6 +157,10 @@ pub fn cone_circuit(g: &CircuitGraph, cone: &DrivingCone) -> ConeCircuit {
 /// (e.g. [`NodeType::Output`]) is already an observation port and is
 /// kept as-is; any other apex (registers, combinational nodes) survives
 /// and drives a fresh [`NodeType::Output`] port.
+///
+/// The node order is boundary, members, apex, then the port. The cone
+/// cache of `syncircuit-synth` lays a missed cone out in exactly this
+/// order without building the circuit, and is tested against it.
 pub fn cone_circuit_parts(
     g: &CircuitGraph,
     apex: NodeId,

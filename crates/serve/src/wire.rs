@@ -541,6 +541,10 @@ fn encode_config_error(e: &ConfigError) -> Value {
         ConfigError::BadGradClip(x) => tag("bad_grad_clip", vec![("bits".to_string(), f32_bits(*x))]),
         ConfigError::ZeroSparseCandidates => tag("zero_sparse_candidates", vec![]),
         ConfigError::ZeroDiscriminatorEpochs => tag("zero_discriminator_epochs", vec![]),
+        ConfigError::TooManyConeCacheShards(n) => tag(
+            "too_many_cone_cache_shards",
+            vec![("shards".to_string(), n.serialize())],
+        ),
         ConfigError::ZeroSimulations => tag("zero_simulations", vec![]),
         ConfigError::ZeroRolloutDepth => tag("zero_rollout_depth", vec![]),
         ConfigError::ZeroActionsPerExpansion => tag("zero_actions_per_expansion", vec![]),
@@ -563,6 +567,9 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
         "bad_grad_clip" => ConfigError::BadGradClip(f32_field(value, "bits")?),
         "zero_sparse_candidates" => ConfigError::ZeroSparseCandidates,
         "zero_discriminator_epochs" => ConfigError::ZeroDiscriminatorEpochs,
+        "too_many_cone_cache_shards" => {
+            ConfigError::TooManyConeCacheShards(narrowed_field(value, "shards")?)
+        }
         "zero_simulations" => ConfigError::ZeroSimulations,
         "zero_rollout_depth" => ConfigError::ZeroRolloutDepth,
         "zero_actions_per_expansion" => ConfigError::ZeroActionsPerExpansion,
@@ -697,6 +704,7 @@ mod tests {
             ConfigError::BadGradClip(0.0),
             ConfigError::ZeroSparseCandidates,
             ConfigError::ZeroDiscriminatorEpochs,
+            ConfigError::TooManyConeCacheShards(usize::MAX),
             ConfigError::ZeroSimulations,
             ConfigError::ZeroRolloutDepth,
             ConfigError::ZeroActionsPerExpansion,

@@ -26,8 +26,13 @@
 //! run regardless of scheduling; only the hit/miss counters are
 //! schedule-dependent.
 //!
-//! Standalone cone circuits are only materialized on cache misses, and
-//! synthesis runs *outside* the shard lock.
+//! A cache miss builds no standalone cone circuit: it pushes the cone's
+//! boundary, members and apex straight from the host graph into the
+//! thread's reusable synthesis scratch and runs the one fixpoint core
+//! of [`crate::passes`] on it, *outside* the shard lock. The flat
+//! netlist has the node order, parent order and area-summation order of
+//! the circuit `syncircuit_graph::cone::cone_circuit_parts` would build,
+//! so the area is the same bits (tested against that circuit).
 //!
 //! Long-lived serving processes bound the table with a per-shard entry
 //! capacity (CLOCK / second-chance eviction, see
@@ -53,13 +58,13 @@
 //! node_count`, matching the whole-design PCS normalization.
 
 use crate::area::CellLibrary;
-use crate::passes::optimized_area;
+use crate::passes::{with_scratch, SynthScratch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use syncircuit_graph::cone::{cone_circuit_parts, fanin_cone_into, ConeScratch};
+use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
 use syncircuit_graph::fingerprint::splitmix64;
-use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
+use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
 /// Aggregate cache hit/miss/eviction counters of a cone-synthesis cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -154,6 +159,43 @@ impl KeyScratch {
         }
         h
     }
+
+    /// Loads the cone just keyed by [`KeyScratch::cone_key`] (whose
+    /// cone-local ids it reuses) into `synth` as a flat netlist, node for
+    /// node and slot for slot the circuit
+    /// `syncircuit_graph::cone::cone_circuit_parts` builds: boundary
+    /// constants keep their value (masked to their width) and other
+    /// boundary nodes become inputs; members and the apex follow with
+    /// cone-local parents; a non-sink apex then drives a fresh output
+    /// port.
+    fn load_cone(
+        &self,
+        g: &CircuitGraph,
+        boundary: &[NodeId],
+        members: &[NodeId],
+        apex: NodeId,
+        synth: &mut SynthScratch,
+    ) {
+        synth.clear();
+        for &b in boundary {
+            let node = g.node(b);
+            let w = node.width();
+            let leaf = match node.ty() {
+                NodeType::Const => Node::with_aux(NodeType::Const, w, node.aux() & mask(w)),
+                _ => Node::new(NodeType::Input, w),
+            };
+            synth.push(leaf, []);
+        }
+        for &m in members.iter().chain(std::iter::once(&apex)) {
+            let local = g.parents(m).iter().map(|p| self.local_id[p.index()] as usize);
+            synth.push(*g.node(m), local);
+        }
+        let apex_node = g.node(apex);
+        if !apex_node.ty().is_sink() {
+            let port = Node::new(NodeType::Output, apex_node.width());
+            synth.push(port, [boundary.len() + members.len()]);
+        }
+    }
 }
 
 /// Tag-stamped output-reachability mask (reverse BFS from all primary
@@ -204,6 +246,10 @@ impl ObservedScratch {
 
 /// Default stripe count of a [`SharedConeSynthCache`].
 pub const DEFAULT_SHARD_COUNT: usize = 16;
+
+/// Most stripes a [`SharedConeSynthCache`] builds; larger requests are
+/// clamped to it.
+pub const MAX_SHARD_COUNT: usize = 1 << 16;
 
 /// One memoized cone entry plus its CLOCK reference bit.
 #[derive(Debug)]
@@ -327,7 +373,7 @@ impl Shard {
 /// computes identical bits, and publishing keeps the first.
 ///
 /// Workers never hold a shard lock while synthesizing — a miss releases
-/// the lock, synthesizes the cone standalone, and re-locks to publish.
+/// the lock, synthesizes the cone in place, and re-locks to publish.
 ///
 /// # Bounding
 ///
@@ -377,22 +423,24 @@ impl SharedConeSynthCache {
     }
 
     /// Shared cache with an explicit stripe count (rounded up to the
-    /// next power of two; `0` means [`DEFAULT_SHARD_COUNT`]), unbounded.
+    /// next power of two and clamped to [`MAX_SHARD_COUNT`]; `0` means
+    /// [`DEFAULT_SHARD_COUNT`]), unbounded.
     pub fn with_shards(lib: CellLibrary, shards: usize) -> Self {
         Self::with_shards_and_capacity(lib, shards, 0)
     }
 
-    /// Shared cache with an explicit stripe count and a per-shard entry
-    /// capacity. `capacity == 0` means unbounded; otherwise each shard
-    /// holds at most `capacity` memoized cones and further inserts evict
-    /// a CLOCK / second-chance victim. Bounding never changes returned
-    /// areas (the table memoizes a pure function of the key) — it only
-    /// trades recall for a residency ceiling of
+    /// Shared cache with an explicit stripe count (as in
+    /// [`with_shards`](SharedConeSynthCache::with_shards)) and a
+    /// per-shard entry capacity. `capacity == 0` means unbounded;
+    /// otherwise each shard holds at most `capacity` memoized cones and
+    /// further inserts evict a CLOCK / second-chance victim. Bounding
+    /// never changes returned areas (the table memoizes a pure function
+    /// of the key) — it only trades recall for a residency ceiling of
     /// `shards × capacity` entries.
     pub fn with_shards_and_capacity(lib: CellLibrary, shards: usize, capacity: usize) -> Self {
         let count = match shards {
             0 => DEFAULT_SHARD_COUNT,
-            n => n.next_power_of_two(),
+            n => n.min(MAX_SHARD_COUNT).next_power_of_two(),
         };
         SharedConeSynthCache {
             lib,
@@ -505,11 +553,11 @@ impl SharedConeSynthCache {
 /// are allocation-free and scratch never crosses threads.
 ///
 /// Keys are structural fingerprints of the cone — hashed *in the host
-/// graph* (boundary kinds, member attributes, cone-local wiring), so a
-/// warm query never materializes a cone circuit; the standalone circuit
-/// is only built on a cache miss, to be synthesized. Identical cones —
-/// across queries, registers, requests, workers, or even designs —
-/// share one synthesis result.
+/// graph* (boundary kinds, member attributes, cone-local wiring). A miss
+/// synthesizes the cone in place from the host graph as well, on the
+/// thread's synthesis scratch, so no query ever builds a cone circuit.
+/// Identical cones — across queries, registers, requests, workers, or
+/// even designs — share one synthesis result.
 ///
 /// A private evaluator ([`ConeSynthCache::new`]) owns a fresh shared
 /// table; fan-out callers clone one `Arc` into
@@ -589,14 +637,18 @@ impl ConeSynthCache {
         area / n as f64
     }
 
-    /// Memoized post-synthesis area of the fan-in cone of `apex`; the
-    /// standalone cone circuit is materialized only when the key is new.
+    /// Memoized post-synthesis area of the fan-in cone of `apex`. A new
+    /// key synthesizes the cone in place, loaded from the host graph
+    /// into this thread's synthesis scratch.
     fn cone_area(&mut self, g: &CircuitGraph, apex: NodeId) -> f64 {
         let (members, boundary) = fanin_cone_into(g, apex, &mut self.cone);
         let key = self.key.cone_key(g, boundary, members, apex);
+        let local = &self.key;
         self.shared.area_or_insert(key, |lib| {
-            let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
-            optimized_area(&circuit, lib)
+            with_scratch(|synth| {
+                local.load_cone(g, boundary, members, apex, synth);
+                synth.area(lib)
+            })
         })
     }
 }
@@ -798,6 +850,116 @@ mod tests {
             SharedConeSynthCache::with_shards(CellLibrary::default(), 8).shard_count(),
             8
         );
+    }
+
+    #[test]
+    fn shard_count_is_clamped() {
+        // A stripe count past the cap builds the cap, not an overflow or
+        // an empty stripe array, and the cache still answers.
+        let shared = Arc::new(SharedConeSynthCache::with_shards(
+            CellLibrary::default(),
+            usize::MAX,
+        ));
+        assert_eq!(shared.shard_count(), MAX_SHARD_COUNT);
+        let mut private = ConeSynthCache::new();
+        let mut ev = ConeSynthCache::with_shared(shared.clone());
+        let (alive, _) = alive_and_dead();
+        assert_eq!(ev.pcs(&alive).to_bits(), private.pcs(&alive).to_bits());
+        assert!(shared.entries() > 0);
+        assert_eq!(
+            SharedConeSynthCache::with_shards(CellLibrary::default(), MAX_SHARD_COUNT + 1)
+                .shard_count(),
+            MAX_SHARD_COUNT
+        );
+    }
+
+    /// Loads every register and output cone of `g` in place and checks
+    /// the flat netlist and its area against the standalone cone
+    /// circuit. Returns which of (self-feeding register, constant
+    /// boundary, bit-select member, sink apex) the cones covered.
+    fn check_in_place_cones(
+        g: &CircuitGraph,
+        lib: &CellLibrary,
+        key: &mut KeyScratch,
+        cone: &mut ConeScratch,
+        synth: &mut SynthScratch,
+    ) -> [bool; 4] {
+        use crate::passes::optimized_area;
+        use syncircuit_graph::cone::cone_circuit_parts;
+        let mut covered = [false; 4];
+        for (apex, node) in g.iter() {
+            if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
+                continue;
+            }
+            let (members, boundary) = fanin_cone_into(g, apex, cone);
+            key.cone_key(g, boundary, members, apex);
+            key.load_cone(g, boundary, members, apex, synth);
+            let oracle = cone_circuit_parts(g, apex, members, boundary).circuit;
+            assert_eq!(synth.len(), oracle.node_count(), "{}: node count", g.name());
+            for (id, want) in oracle.iter() {
+                let (got, parents) = synth.node(id.index());
+                assert_eq!(got, *want, "{}: node {id} of the {apex} cone", g.name());
+                let want_parents: Vec<usize> =
+                    oracle.parents(id).iter().map(|p| p.index()).collect();
+                assert_eq!(
+                    parents,
+                    want_parents.as_slice(),
+                    "{}: parents of {id}",
+                    g.name()
+                );
+            }
+            let in_place = synth.area(lib);
+            let standalone = optimized_area(&oracle, lib);
+            assert_eq!(
+                in_place.to_bits(),
+                standalone.to_bits(),
+                "{}: area of the {apex} cone",
+                g.name()
+            );
+            let self_feeding =
+                node.ty() == NodeType::Reg && members.iter().any(|&m| g.parents(m).contains(&apex));
+            covered[0] |= self_feeding || g.parents(apex).contains(&apex);
+            covered[1] |= boundary.iter().any(|&b| g.ty(b) == NodeType::Const);
+            covered[2] |= members.iter().any(|&m| g.ty(m) == NodeType::BitSelect);
+            covered[3] |= node.ty().is_sink();
+        }
+        covered
+    }
+
+    #[test]
+    fn in_place_miss_path_matches_standalone_cone_circuits() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use syncircuit_graph::testing::random_circuit_with_size;
+        let lib = CellLibrary::default();
+        let mut key = KeyScratch::default();
+        let mut cone = ConeScratch::new();
+        let mut synth = SynthScratch::default();
+
+        // A self-feeding counter behind a constant that needs masking
+        // (pushed unmasked; `cone_circuit_parts` masks it).
+        let mut g = CircuitGraph::new("masked_counter");
+        let c = g.push_node(Node::with_aux(NodeType::Const, 4, 0xFF));
+        let r = g.add_node(NodeType::Reg, 4);
+        let s = g.add_node(NodeType::Add, 4);
+        let b = g.add_bit_select(2, 1);
+        let o = g.add_node(NodeType::Output, 2);
+        g.set_parents(s, &[r, c]).unwrap();
+        g.set_parents(r, &[s]).unwrap();
+        g.set_parents(b, &[r]).unwrap();
+        g.set_parents(o, &[b]).unwrap();
+        let covered = check_in_place_cones(&g, &lib, &mut key, &mut cone, &mut synth);
+        assert_eq!(covered, [true; 4]);
+
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        let mut covered = [false; 4];
+        for k in 0..300 {
+            let g = random_circuit_with_size(&mut rng, 6 + k % 70);
+            let c = check_in_place_cones(&g, &lib, &mut key, &mut cone, &mut synth);
+            for (all, one) in covered.iter_mut().zip(c) {
+                *all |= one;
+            }
+        }
+        assert_eq!(covered, [true; 4], "random circuits cover every cone shape");
     }
 
     /// A chain of `len` NOT gates feeding a register: every length is a

@@ -6,6 +6,18 @@
 //! graph. These are exactly the mechanisms that make redundant synthetic
 //! circuits collapse during real synthesis (the paper's SCPR story, §VI).
 //!
+//! # One fixpoint core
+//!
+//! Every entry point runs the same core on a crate-private
+//! `SynthScratch`: a flat netlist (nodes plus at most three parent slots
+//! each), the replacement links the passes write, the liveness marks
+//! and the CSE table. [`optimize_with`] and [`optimized_area`] load it
+//! from a [`CircuitGraph`]; the cone cache's miss path
+//! ([`crate::incremental`]) pushes a cone straight from its host graph,
+//! with no standalone cone circuit in between. Each thread keeps one
+//! scratch whose buffers keep their capacity between runs, so a warm
+//! synthesis allocates nothing.
+//!
 //! # Sequential constant propagation
 //!
 //! A register whose D input is tied to a constant is replaced by that
@@ -16,7 +28,9 @@
 //! property tests account for.
 
 use crate::area::{area_of_graph, gate_count, CellLibrary};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use syncircuit_graph::interp::eval_op;
 use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
@@ -75,16 +89,6 @@ struct Slots {
 }
 
 impl Slots {
-    fn from_ids(ids: &[NodeId]) -> Slots {
-        debug_assert!(ids.len() <= 3, "node arity exceeds Mux");
-        let mut s = Slots::default();
-        for &id in ids {
-            s.p[s.len as usize] = id.index();
-            s.len += 1;
-        }
-        s
-    }
-
     #[inline]
     fn as_slice(&self) -> &[usize] {
         &self.p[..self.len as usize]
@@ -101,56 +105,147 @@ impl Slots {
     }
 }
 
-/// Runs the fold/CSE fixpoint, returning the final working state.
-fn run_fixpoint(g: &CircuitGraph) -> (Vec<Node>, Vec<Slots>, Vec<Option<usize>>) {
-    debug_assert!(g.is_valid(), "optimize requires a valid graph");
-    let n = g.node_count();
-    let mut nodes: Vec<Node> = g.iter().map(|(_, node)| *node).collect();
-    let mut parents: Vec<Slots> = (0..n)
-        .map(|i| Slots::from_ids(g.parents(NodeId::new(i))))
-        .collect();
-    let mut repl: Vec<Option<usize>> = vec![None; n];
-
-    let mut rounds = 0usize;
-    let mut cse_seen = CseMap::new();
-    loop {
-        let mut changed = false;
-        changed |= fold_and_simplify(&mut nodes, &mut parents, &mut repl);
-        changed |= cse(&nodes, &parents, &mut repl, &mut cse_seen);
-        rounds += 1;
-        if !changed || rounds > n + 4 {
-            break;
-        }
-    }
-    (nodes, parents, repl)
+/// The working state of one synthesis run, reused across runs: the flat
+/// netlist the passes rewrite in place, the replacement links, the
+/// liveness marks and stack, and the CSE table.
+///
+/// Load a netlist with [`clear`](SynthScratch::clear) and
+/// [`push`](SynthScratch::push) (or from a graph), then run the core
+/// once with [`area`](SynthScratch::area) or through [`optimize_with`].
+/// Parents are netlist indices and may point forward, as graph parents
+/// may; the loaded netlist must be a valid circuit (correct arities, no
+/// combinational loops).
+#[derive(Debug, Default)]
+pub(crate) struct SynthScratch {
+    nodes: Vec<Node>,
+    parents: Vec<Slots>,
+    repl: Vec<Option<usize>>,
+    live: Vec<bool>,
+    stack: Vec<usize>,
+    cse: CseMap,
 }
 
-/// Liveness: reverse reachability from outputs over resolved parents.
-fn liveness(nodes: &[Node], parents: &[Slots], repl: &[Option<usize>]) -> Vec<bool> {
-    let n = nodes.len();
-    let mut live = vec![false; n];
-    let mut stack: Vec<usize> = (0..n)
-        .filter(|&u| repl[u].is_none() && nodes[u].ty() == NodeType::Output)
-        .collect();
-    for &s in &stack {
-        live[s] = true;
+thread_local! {
+    static SCRATCH: RefCell<SynthScratch> = RefCell::new(SynthScratch::default());
+}
+
+/// Runs `f` on this thread's synthesis scratch. `f` must not synthesize
+/// again itself: the scratch is borrowed for the whole call.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SynthScratch) -> R) -> R {
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+impl SynthScratch {
+    /// Empties the netlist, keeping every buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.parents.clear();
     }
-    while let Some(u) = stack.pop() {
-        for &p in parents[u].as_slice() {
-            let p = resolve(repl, p);
-            if !live[p] {
-                live[p] = true;
-                stack.push(p);
+
+    /// Appends `node`, wired to the netlist nodes `parents` (at most
+    /// three, in slot order).
+    pub(crate) fn push(&mut self, node: Node, parents: impl IntoIterator<Item = usize>) {
+        let mut slots = Slots::default();
+        for p in parents {
+            debug_assert!(slots.len() < 3, "node arity exceeds Mux");
+            slots.p[slots.len()] = p;
+            slots.len += 1;
+        }
+        self.nodes.push(node);
+        self.parents.push(slots);
+    }
+
+    /// Loads `g` node for node, parents in slot order.
+    fn load(&mut self, g: &CircuitGraph) {
+        debug_assert!(g.is_valid(), "optimize requires a valid graph");
+        self.clear();
+        for (id, node) in g.iter() {
+            self.push(*node, g.parents(id).iter().map(|p| p.index()));
+        }
+    }
+
+    /// Runs the fold/CSE fixpoint on the loaded netlist, then marks the
+    /// nodes live outputs still reach.
+    fn run(&mut self) {
+        let n = self.nodes.len();
+        self.repl.clear();
+        self.repl.resize(n, None);
+        let mut rounds = 0usize;
+        loop {
+            let mut changed = false;
+            changed |= fold_and_simplify(&mut self.nodes, &mut self.parents, &mut self.repl);
+            changed |= cse(&self.nodes, &self.parents, &mut self.repl, &mut self.cse);
+            rounds += 1;
+            if !changed || rounds > n + 4 {
+                break;
+            }
+        }
+        self.mark_live();
+    }
+
+    /// Liveness: reverse reachability from outputs over resolved parents.
+    fn mark_live(&mut self) {
+        let (nodes, parents, repl) = (&self.nodes, &self.parents, &self.repl);
+        self.live.clear();
+        self.live.resize(nodes.len(), false);
+        self.stack.clear();
+        for u in 0..nodes.len() {
+            if repl[u].is_none() && nodes[u].ty() == NodeType::Output {
+                self.live[u] = true;
+                self.stack.push(u);
+            }
+        }
+        while let Some(u) = self.stack.pop() {
+            for &p in parents[u].as_slice() {
+                let p = resolve(repl, p);
+                if !self.live[p] {
+                    self.live[p] = true;
+                    self.stack.push(p);
+                }
             }
         }
     }
-    live
+
+    /// Whether node `u` survives synthesis (live and not replaced);
+    /// valid after [`run`](SynthScratch::run).
+    #[inline]
+    fn survives(&self, u: usize) -> bool {
+        self.live[u] && self.repl[u].is_none()
+    }
+
+    /// Synthesizes the loaded netlist and returns its post-synthesis
+    /// cell area, summed over the surviving nodes in netlist order.
+    pub(crate) fn area(&mut self, lib: &CellLibrary) -> f64 {
+        self.run();
+        let mut area = 0.0;
+        for u in 0..self.nodes.len() {
+            if self.survives(u) {
+                area += lib.node_area(&self.nodes[u]);
+            }
+        }
+        area
+    }
+
+    /// The loaded netlist's node `u` and its parents' indices.
+    #[cfg(test)]
+    pub(crate) fn node(&self, u: usize) -> (Node, &[usize]) {
+        (self.nodes[u], self.parents[u].as_slice())
+    }
+
+    /// Number of nodes loaded.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
 }
 
 /// Runs the full optimization pipeline with an explicit cell library.
 pub fn optimize_with(g: &CircuitGraph, lib: &CellLibrary) -> SynthResult {
-    let (nodes, parents, repl) = run_fixpoint(g);
-    compact(g, &nodes, &parents, &repl, lib)
+    with_scratch(|s| {
+        s.load(g);
+        s.run();
+        compact(g, s, lib)
+    })
 }
 
 /// Post-synthesis circuit size of `g` without materializing the
@@ -170,15 +265,10 @@ pub fn pcs_with(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
 /// Post-synthesis cell area of `g` without materializing the netlist;
 /// bit-identical to `optimize_with(g, lib).stats.area_after`.
 pub fn optimized_area(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
-    let (nodes, parents, repl) = run_fixpoint(g);
-    let live = liveness(&nodes, &parents, &repl);
-    let mut area = 0.0;
-    for u in 0..nodes.len() {
-        if live[u] && repl[u].is_none() {
-            area += lib.node_area(&nodes[u]);
-        }
-    }
-    area
+    with_scratch(|s| {
+        s.load(g);
+        s.area(lib)
+    })
 }
 
 fn resolve(repl: &[Option<usize>], mut u: usize) -> usize {
@@ -387,18 +477,66 @@ fn all_ones_side(const_vals: &[Option<u64>], w: u32) -> Option<usize> {
         .position(|&v| v.is_some_and(|x| x & mask(w) == mask(w)))
 }
 
+/// A node's identity for CSE: type, width, aux and resolved parents
+/// (arity ≤ 3, padded with `usize::MAX` and disambiguated by `len`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct CseKey {
+    ty: NodeType,
+    width: u32,
+    aux: u64,
+    ps: [usize; 3],
+    len: u8,
+}
+
+impl Hash for CseKey {
+    /// Three mixed words; equality still compares every field.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(
+            self.ty.category() as u64 | u64::from(self.width) << 8 | u64::from(self.len) << 40,
+        );
+        state.write_u64(self.aux);
+        state.write_u64(
+            self.ps[0] as u64
+                ^ (self.ps[1] as u64).rotate_left(21)
+                ^ (self.ps[2] as u64).rotate_left(42),
+        );
+    }
+}
+
+/// Multiply-rotate hasher for [`CseKey`] words. Which node CSE keeps is
+/// decided by index order, never by the hash, so the hasher only sets
+/// the speed. It does not resist crafted collisions: such a netlist
+/// would slow CSE down without changing its result.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    /// The multiply mixes upwards; the rotate brings its well-mixed high
+    /// bits down to the low bits the table indexes by.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type CseMap = HashMap<CseKey, usize, BuildHasherDefault<WordHasher>>;
+
 /// Common-subexpression elimination. Inputs and outputs never merge;
 /// constants, combinational nodes and registers with identical
-/// (type, width, aux, parents) do. Commutative operators sort their
-/// parent pair before keying.
-///
-/// Keys are `Copy` stack tuples (arity ≤ 3, padded with `usize::MAX`
-/// and disambiguated by the explicit length), so the per-node `Vec`
-/// key allocations of the original implementation are gone; the map
-/// itself is caller-owned scratch reused across fixpoint rounds.
-type CseKey = (NodeType, u32, u64, [usize; 3], u8);
-type CseMap = HashMap<CseKey, usize>;
-
+/// (type, width, aux, parents) do, onto the first such node in index
+/// order. Commutative operators sort their parent pair before keying.
+/// The table is scratch reused across rounds and runs.
 fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut CseMap) -> bool {
     seen.clear();
     let mut changed = false;
@@ -421,7 +559,13 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
         ) {
             ps[..len].sort_unstable();
         }
-        let key = (ty, nodes[u].width(), nodes[u].aux(), ps, len as u8);
+        let key = CseKey {
+            ty,
+            width: nodes[u].width(),
+            aux: nodes[u].aux(),
+            ps,
+            len: len as u8,
+        };
         match seen.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let canon = *e.get();
@@ -438,30 +582,23 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
     changed
 }
 
-/// Dead-code elimination + compaction into a fresh graph.
-fn compact(
-    original: &CircuitGraph,
-    nodes: &[Node],
-    parents: &[Slots],
-    repl: &[Option<usize>],
-    lib: &CellLibrary,
-) -> SynthResult {
-    let n = nodes.len();
-    let live = liveness(nodes, parents, repl);
-
+/// Dead-code elimination + compaction of a synthesized scratch into a
+/// fresh graph.
+fn compact(original: &CircuitGraph, s: &SynthScratch, lib: &CellLibrary) -> SynthResult {
+    let n = s.nodes.len();
     let mut netlist = CircuitGraph::new(original.name());
     let mut old_to_new: Vec<Option<NodeId>> = vec![None; n];
-    for u in 0..n {
-        if live[u] && repl[u].is_none() {
-            old_to_new[u] = Some(netlist.push_node(nodes[u]));
+    for (u, new) in old_to_new.iter_mut().enumerate() {
+        if s.survives(u) {
+            *new = Some(netlist.push_node(s.nodes[u]));
         }
     }
     let mut buf = [NodeId::new(0); 3];
     for u in 0..n {
         let Some(new_id) = old_to_new[u] else { continue };
-        let k = parents[u].len();
-        for (slot, &p) in parents[u].as_slice().iter().enumerate() {
-            buf[slot] = old_to_new[resolve(repl, p)].expect("live node's parent must be live");
+        let k = s.parents[u].len();
+        for (slot, &p) in s.parents[u].as_slice().iter().enumerate() {
+            buf[slot] = old_to_new[resolve(&s.repl, p)].expect("live node's parent must be live");
         }
         netlist.set_parents_unchecked(new_id, &buf[..k]);
     }
@@ -469,7 +606,7 @@ fn compact(
     let mut reg_map = HashMap::new();
     for (id, node) in original.iter() {
         if node.ty().is_register() {
-            let r = resolve(repl, id.index());
+            let r = resolve(&s.repl, id.index());
             if let Some(new_id) = old_to_new[r] {
                 if netlist.ty(new_id).is_register() {
                     reg_map.insert(id, new_id);

@@ -58,6 +58,20 @@ net-smoke:
     cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 1 --queue 1024
     cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
+# benchmark smoke: perfbench's unit tests, then one short untraced run
+# per workload; each run's last line must report `"correct": true` and
+# `"failed": 0` (no timing is checked)
+perfbench-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    for w in gen-full gen-sample serve-tcp; do
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        echo "$w: $last"
+        echo "$last" | grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,'
+    done
+
 # perf gate: fail when any previously-recorded benchmark's `current`
 # exceeds 1.3x its recorded baseline in BENCH_phase3.json (CI runs
 # this warn-only after bench-smoke refreshes the trajectory)
@@ -103,4 +117,4 @@ stress:
     @echo "release determinism: two runs identical"
 
 # everything CI checks, in CI order
-ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke stress
+ci: build test lint doc example-smoke serve-smoke chaos-smoke net-smoke perfbench-smoke stress
