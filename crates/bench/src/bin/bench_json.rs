@@ -13,16 +13,20 @@
 //!   trajectory file keeps a `baseline` section (seeded from the first
 //!   recorded run and preserved afterwards — new benches are added to
 //!   it on first sight), the freshest `current` section, and the
-//!   derived `speedup` (baseline / current) per bench. `just
+//!   derived `speedup` (baseline / current) per bench. It also
+//!   records `src_loc`, the tree's non-test Rust line count (see
+//!   [`src_loc`]), so code size has a trend line next to speed. `just
 //!   bench-json` wires the steps together.
 //! - `bench-json --check <trajectory.json>` — perf gate (`just
 //!   perf-check`): fails when any previously-recorded benchmark's
 //!   `current` exceeds `1.3 ×` its recorded `baseline`, or when a
 //!   bench listed in [`IMPROVEMENT_FLOORS`] no longer shows its landed
 //!   speedup over the baseline (CI runs it warn-only for now;
-//!   single-core CI noise makes a hard gate premature).
+//!   single-core CI noise makes a hard gate premature). It prints the
+//!   recorded `src_loc` but does not gate on it.
 
 use serde_json::Value;
+use std::path::Path;
 use std::process::ExitCode;
 
 /// A benchmark regresses when `current > baseline × REGRESSION_LIMIT`.
@@ -62,6 +66,32 @@ fn as_ns(v: &Value) -> Option<f64> {
         Value::Float(f) => Some(*f),
         _ => None,
     }
+}
+
+/// Non-test Rust lines of the tree rooted at `root`: every `.rs` file
+/// under `src/` and `crates/*/src/`, each cut at its first column-0
+/// `#[cfg(test)]` (in this tree every such line opens `mod tests`).
+fn src_loc(root: &Path) -> std::io::Result<usize> {
+    let mut dirs = vec![root.join("src")];
+    for krate in std::fs::read_dir(root.join("crates"))? {
+        dirs.push(krate?.path().join("src"));
+    }
+    let mut lines = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path)?;
+                lines += text
+                    .lines()
+                    .take_while(|l| !l.starts_with("#[cfg(test)]"))
+                    .count();
+            }
+        }
+    }
+    Ok(lines)
 }
 
 /// `--check` mode: compares every bench's `current` against its
@@ -118,6 +148,9 @@ fn check(path: &str) -> ExitCode {
                 base / cur
             );
         }
+    }
+    if let Some(loc) = get(&fields, "src_loc").and_then(as_ns) {
+        println!("src_loc: {loc} non-test Rust lines (recorded, not gated)");
     }
     if regressions > 0 {
         eprintln!("{regressions} perf-gate failure(s) across {audited} audited benchmarks (limit {REGRESSION_LIMIT}x)");
@@ -176,11 +209,28 @@ fn main() -> ExitCode {
         }
     }
 
+    // The trajectory file sits at the root of the tree it measures.
+    let root = match Path::new(&trajectory).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let loc = match src_loc(root) {
+        Ok(loc) => loc,
+        Err(e) => {
+            eprintln!(
+                "error: cannot count source lines under {}: {e}",
+                root.display()
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+
     let doc = Value::Object(vec![
         (
             "unit".to_string(),
             Value::Str("mean ns/iter (criterion shim, sample_size 10)".to_string()),
         ),
+        ("src_loc".to_string(), Value::UInt(loc as u64)),
         ("baseline".to_string(), Value::Object(baseline)),
         ("current".to_string(), Value::Object(current)),
         ("speedup".to_string(), Value::Object(speedup)),

@@ -9,6 +9,7 @@
 //! the real format: format marker, version gate, JSON parse, field
 //! extraction, shape validation.
 
+use serde_json::Value;
 use std::path::PathBuf;
 use syncircuit_core::{Error, SynCircuit};
 
@@ -110,4 +111,60 @@ fn byte_flips_never_panic_and_fail_typed() {
          (accepted {accepted})"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The named field of a JSON object, mutably.
+fn field_mut<'a>(value: &'a mut Value, name: &str) -> &'a mut Value {
+    match value {
+        Value::Object(fields) => {
+            &mut fields
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .unwrap_or_else(|| panic!("artifact has a `{name}` field"))
+                .1
+        }
+        other => panic!("expected an object holding `{name}`, got {other:?}"),
+    }
+}
+
+/// A matrix whose `data` length disagrees with its declared `rows ×
+/// cols` must fail to load with a typed error. Unchecked, a short
+/// weight served from zero padding, a short bias panicked in
+/// `generate_one`, and a long weight panicked while packing on load.
+#[test]
+fn matrices_with_wrong_data_lengths_fail_typed() {
+    let raw: Value = serde_json::from_str(&fixture_text()).expect("fixture parses");
+    // (parameter index, declared shape, data length to store)
+    for (index, shape, len) in [
+        (0usize, (19u64, 8u64), 10usize),
+        (1, (1, 8), 3),
+        (0, (19, 8), 304),
+    ] {
+        let mut artifact = raw.clone();
+        let Value::Array(mats) = field_mut(
+            field_mut(field_mut(&mut artifact, "diffusion"), "params"),
+            "mats",
+        ) else {
+            panic!("parameters are an array");
+        };
+        let m = &mut mats[index];
+        let declared = (field_mut(m, "rows").clone(), field_mut(m, "cols").clone());
+        assert_eq!(
+            declared,
+            (Value::UInt(shape.0), Value::UInt(shape.1)),
+            "fixture layout moved"
+        );
+        let Value::Array(data) = field_mut(m, "data") else {
+            panic!("matrix data is an array");
+        };
+        *data = data.iter().cycle().take(len).cloned().collect();
+        let text = serde_json::to_string(&artifact).expect("artifact renders");
+        match SynCircuit::from_json(&text) {
+            Err(Error::Persist(_)) => {}
+            Err(other) => {
+                panic!("parameter {index} with {len} values: non-persist error {other:?}")
+            }
+            Ok(_) => panic!("parameter {index} with {len} values must not load"),
+        }
+    }
 }

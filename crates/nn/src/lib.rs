@@ -6,7 +6,8 @@
 //! machinery from scratch, with no external ML dependencies:
 //!
 //! - [`Matrix`] — dense row-major `f32` matrices, with a panel-packed
-//!   weight layout ([`PackedB`]) and SIMD-dispatched serving kernels
+//!   weight layout ([`PackedB`]) and one safe serving kernel, compiled
+//!   per SIMD tier (portable, AVX2, AVX-512F) and picked at runtime
 //! - [`Tape`] — reverse-mode automatic differentiation over matrix ops
 //! - [`Infer`] / [`InferScratch`] — forward-only inference engine with
 //!   reusable scratch buffers, bit-identical to the tape's forward pass

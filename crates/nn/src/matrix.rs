@@ -1,21 +1,21 @@
 //! Dense row-major `f32` matrices.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Output-column tile width shared by [`Matrix::matmul_into`] and the
 /// packed-B kernel: 16 `f32`s = 64 bytes = one cache line, so each
 /// panel row of a [`PackedB`] is exactly one line and the accumulator
-/// tile fits in two 256-bit vector registers.
+/// tile fits in one 512-bit or two 256-bit vector registers.
 const TILE: usize = 16;
 
 /// Writeback of one tile accumulator: broadcast bias add, optional
 /// ReLU, then the copy of the tile's live lanes. Each step is the
 /// identical per-element operation the unfused op sequence performs,
 /// in the same order, so fusing changes no bits. (Shared-suffix adds
-/// happen inside the panel kernels, while the accumulators are still
-/// in registers.)
+/// happen inside the row kernel, while the accumulators are still in
+/// registers.)
 #[inline(always)]
 fn finish_tile_row(
     acc: &mut [f32; TILE],
@@ -39,7 +39,7 @@ fn finish_tile_row(
 }
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -272,14 +272,14 @@ impl Matrix {
     /// nothing **even when the matching `rhs` entry is `NaN` or `±∞`**
     /// — IEEE would give `0.0 × NaN = NaN` and `0.0 × ∞ = NaN`. This
     /// divergence is observable, load-bearing, and locked by a
-    /// regression test (`zero_skip_masks_nonfinite_rhs`): the whole
-    /// repo's determinism story is that every matmul path (tape, tiled,
-    /// `d == 1` dot, packed/SIMD) performs the *same* per-element
-    /// operation sequence, and the skip is part of that sequence. A
+    /// regression test (`zero_skip_masks_nonfinite_rhs`): every matmul
+    /// path (tape, tiled, `d == 1` dot, packed) must produce the same
+    /// bits, and the skip is part of the result they agree on. A
     /// non-zero `a` against a non-finite `rhs` still propagates
     /// NaN/∞ normally, and a `NaN` in `a` is *not* skipped (`NaN ==
     /// 0.0` is false). [`Matrix::matmul_packed_into`] reproduces the
-    /// skip bit-for-bit via lane masking — see [`PackedB`].
+    /// skip bit for bit, without a branch when the weights are finite
+    /// — see [`PackedB`].
     ///
     /// # Panics
     ///
@@ -368,47 +368,41 @@ impl Matrix {
         let tiles = self.cols.div_ceil(TILE);
         packed.rows = self.rows;
         packed.cols = self.cols;
-        let n = tiles * self.rows * TILE;
+        packed.finite = self.data.iter().all(|x| x.is_finite());
         packed.data.clear();
-        packed.data.resize(n, 0.0);
+        packed.data.resize(tiles * self.rows, [0.0; TILE]);
         for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
             for (t, chunk) in row.chunks(TILE).enumerate() {
-                let base = (t * self.rows + r) * TILE;
-                packed.data[base..base + chunk.len()].copy_from_slice(chunk);
+                packed.data[t * self.rows + r][..chunk.len()].copy_from_slice(chunk);
             }
         }
     }
 
     /// Writes `self × rhs` into `out`, bit-identical to
     /// [`Matrix::matmul_into`] with the unpacked `rhs`, using the
-    /// panel-major [`PackedB`] layout and a branch-free zero-skip.
+    /// panel-major [`PackedB`] layout.
     ///
     /// Two things make the naive kernel slow on serving activations:
     /// `rhs` rows are strided (one cache line per `k` touches `d`
     /// columns), and the `a == 0.0` skip — hit 25–50% of the time on
     /// post-ReLU data — is an unpredictable branch. The packed layout
-    /// makes every panel read sequential, and the skip becomes a lane
-    /// mask: each contribution is `(a × r) & keep` where `keep` is
-    /// all-ones unless `a == ±0.0`. Masking is bit-identical to
-    /// skipping because the accumulator can never hold `-0.0` (it
-    /// starts at `+0.0`; round-to-nearest addition only produces
-    /// `-0.0` from `(-0.0) + (-0.0)`, and a masked term is `+0.0`), so
-    /// adding the masked `+0.0` leaves every accumulator bit pattern
-    /// unchanged, while a `NaN` `a` keeps its lanes (`NEQ_UQ` compare /
-    /// exponent+mantissa test are true for NaN) exactly like the
-    /// branchy skip. Proven per-op against [`Matrix::matmul_into`]
+    /// makes every panel read sequential, and for finite weights the
+    /// skip needs no branch at all (see [`PackedB`]), so each lane is a
+    /// plain multiply and add. Proven against [`Matrix::matmul_into`]
     /// across ragged shapes and non-finite inputs in the test suite.
     ///
-    /// Dispatches to an AVX-512 or AVX2 kernel when the CPU supports
-    /// one (detected once at runtime); the portable fallback performs
-    /// the same per-lane operation sequence, so results do not depend
-    /// on the dispatch choice.
+    /// One safe kernel body is compiled once per SIMD tier (portable,
+    /// AVX2, AVX-512F), and the widest tier the CPU supports runs
+    /// (detected at runtime). Every tier and row blocking performs the
+    /// same per-lane operation sequence, and Rust never fuses a multiply
+    /// and an add into an FMA, so results do not depend on the choice;
+    /// the unit tests run every tier the host supports.
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul_packed_into(&self, rhs: &PackedB, out: &mut Matrix) {
-        self.matmul_packed_impl(rhs, None, None, false, out);
+        self.matmul_packed_impl(rhs, None, &[], false, out);
     }
 
     /// `self × rhs + bias` (bias broadcast to every row), fused into the
@@ -431,7 +425,7 @@ impl Matrix {
             bias.rows,
             bias.cols
         );
-        self.matmul_packed_impl(rhs, Some(&bias.data), None, false, out);
+        self.matmul_packed_impl(rhs, Some(&bias.data), &[], false, out);
     }
 
     /// `[self | 1⊗suffix] × rhs + bias` (then optionally ReLU), where
@@ -443,12 +437,12 @@ impl Matrix {
     ///
     /// Bit-identical to building the concatenated matrix and calling
     /// [`Matrix::matmul_packed_bias_into`] (plus a ReLU pass when
-    /// `relu`): the suffix contributions `(suffix[j] × rhs[k+j][c]) &
-    /// keep` are the same masked products the full kernel would form —
-    /// they are row-invariant, so they are computed once per column
-    /// tile and then added to each row's accumulator in the same
-    /// ascending-`k` order the full kernel uses. The fused ReLU applies
-    /// the identical `max(x, 0.0)` to the identical writeback values.
+    /// `relu`): the suffix products `suffix[j] × rhs[k+j][c]` are
+    /// row-invariant, so they are formed once per column tile (zero
+    /// `suffix[j]` skipped, as the full kernel skips them) and then
+    /// added to each row's accumulator in the same ascending-`k` order
+    /// the full kernel uses. The fused ReLU applies the identical
+    /// `max(x, 0.0)` to the identical writeback values.
     ///
     /// # Panics
     ///
@@ -470,200 +464,39 @@ impl Matrix {
             bias.rows,
             bias.cols
         );
-        self.matmul_packed_impl(rhs, Some(&bias.data), Some(suffix), relu, out);
+        self.matmul_packed_impl(rhs, Some(&bias.data), suffix, relu, out);
     }
 
     fn matmul_packed_impl(
         &self,
         rhs: &PackedB,
         bias: Option<&[f32]>,
-        suffix: Option<&[f32]>,
+        suffix: &[f32],
         relu: bool,
         out: &mut Matrix,
     ) {
-        let s_len = suffix.map_or(0, <[f32]>::len);
         assert_eq!(
-            self.cols + s_len,
+            self.cols + suffix.len(),
             rhs.rows,
             "matmul shape mismatch: {}x{} (+{} shared) × {}x{} (packed)",
             self.rows,
             self.cols,
-            s_len,
+            suffix.len(),
             rhs.rows,
             rhs.cols
         );
         out.reset_shape_any(self.rows, rhs.cols);
-        let d = rhs.cols;
-        if d == 0 {
-            return;
-        }
-        if self.cols + s_len == 0 {
-            match bias {
-                Some(b) => {
-                    for orow in out.data.chunks_exact_mut(d) {
-                        for (o, &bv) in orow.iter_mut().zip(b) {
-                            *o = if relu { bv.max(0.0) } else { bv };
-                        }
-                    }
-                }
-                None => out.data.fill(0.0),
-            }
-            return;
-        }
-        let k = self.cols;
-        if d == 1 {
-            // Column output: branch-free dot products, four rows at a
-            // time — four independent accumulator chains hide the
-            // FP-add latency the single chain of a plain dot serializes
-            // on. Same per-element masked-add sequence as the tiled
-            // kernel below, so results match `matmul_into`'s `d == 1`
-            // zero-skip dot bit for bit.
-            let b0 = bias.map_or(0.0, |b| b[0]);
-            // Shared-suffix contributions: row-invariant masked
-            // products, computed once and added after each row's own
-            // terms — the same values in the same `k` order the
-            // concatenated dot would produce.
-            let ps: Vec<f32> = suffix
-                .unwrap_or_default()
-                .iter()
-                .enumerate()
-                .map(|(j, &sv)| {
-                    let rv = rhs.data[(k + j) * TILE];
-                    let keep = (((sv.to_bits() << 1) != 0) as u32).wrapping_neg();
-                    f32::from_bits((sv * rv).to_bits() & keep)
-                })
-                .collect();
-            let prefix = &rhs.data[..k * TILE];
-            let tier = simd_tier();
-            let mut r = 0usize;
-            while r + 4 <= self.rows {
-                let quad = &self.data[r * k..(r + 4) * k];
-                let mut s = [0.0f32; 4];
-                #[cfg(target_arch = "x86_64")]
-                let done = if tier == SimdTier::Avx512 {
-                    // SAFETY: tier is Avx512 only after runtime detection.
-                    unsafe { packed_dot4_avx512(quad, k, prefix, &mut s) };
-                    true
-                } else {
-                    false
-                };
-                #[cfg(not(target_arch = "x86_64"))]
-                let done = false;
-                if !done {
-                    for (kk, col) in prefix.chunks_exact(TILE).enumerate() {
-                        let bv = col[0];
-                        for (i, si) in s.iter_mut().enumerate() {
-                            let a = quad[i * k + kk];
-                            let keep = (((a.to_bits() << 1) != 0) as u32).wrapping_neg();
-                            *si += f32::from_bits((a * bv).to_bits() & std::hint::black_box(keep));
-                        }
-                    }
-                }
-                for si in &mut s {
-                    for &p in &ps {
-                        *si += p;
-                    }
-                    if bias.is_some() {
-                        *si += b0;
-                    }
-                    if relu {
-                        *si = si.max(0.0);
-                    }
-                }
-                out.data[r..r + 4].copy_from_slice(&s);
-                r += 4;
-            }
-            while r < self.rows {
-                let arow = &self.data[r * k..(r + 1) * k];
-                let mut s = 0.0f32;
-                for (&a, col) in arow.iter().zip(prefix.chunks_exact(TILE)) {
-                    let keep = (((a.to_bits() << 1) != 0) as u32).wrapping_neg();
-                    s += f32::from_bits((a * col[0]).to_bits() & std::hint::black_box(keep));
-                }
-                for &p in &ps {
-                    s += p;
-                }
-                if bias.is_some() {
-                    s += b0;
-                }
-                if relu {
-                    s = s.max(0.0);
-                }
-                out.data[r] = s;
-                r += 1;
-            }
-            return;
-        }
-        let tier = simd_tier();
-        let panel_len = rhs.rows * TILE;
-        let tiles = d.div_ceil(TILE);
-        let mut sprod = vec![[0.0f32; TILE]; s_len];
-        for tile in 0..tiles {
-            let panel = &rhs.data[tile * panel_len..(tile + 1) * panel_len];
-            let lo = tile * TILE;
-            let w = (d - lo).min(TILE);
-            let btile: [f32; TILE] = match bias {
-                Some(b) => {
-                    let mut t = [0.0f32; TILE];
-                    t[..w].copy_from_slice(&b[lo..lo + w]);
-                    t
-                }
-                None => [0.0f32; TILE],
-            };
-            let add_bias = bias.is_some();
-            // Shared-suffix contributions for this tile: the masked
-            // products are row-invariant, so they are formed once here
-            // and each row just adds them (same bits, same ascending-`k`
-            // order as the concatenated kernel would produce).
-            if let Some(sfx) = suffix {
-                for (j, &sv) in sfx.iter().enumerate() {
-                    let srow = &panel[(k + j) * TILE..(k + j + 1) * TILE];
-                    let keep = (((sv.to_bits() << 1) != 0) as u32).wrapping_neg();
-                    for (dst, &rv) in sprod[j].iter_mut().zip(srow) {
-                        *dst = f32::from_bits((sv * rv).to_bits() & keep);
-                    }
-                }
-            }
-            let spro = &sprod[..];
-            let prefix_panel = &panel[..k * TILE];
-            // Several A-rows per pass: independent vector accumulator
-            // chains keep the FP adders busy instead of serializing on
-            // one chain's latency. Each row's per-lane sequence is
-            // unchanged, so blocking cannot change bits. AVX-512 holds
-            // the whole tile in one register, so eight rows fit.
-            let mut r = 0usize;
-            #[cfg(target_arch = "x86_64")]
-            if tier == SimdTier::Avx512 {
-                while r + 8 <= self.rows {
-                    let rows = &self.data[r * k..(r + 8) * k];
-                    let mut acc = [[0.0f32; TILE]; 8];
-                    // SAFETY: tier is Avx512 only after runtime detection.
-                    unsafe { packed_panel8_avx512(rows, k, prefix_panel, spro, &mut acc) };
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        let at = (r + i) * d + lo;
-                        finish_tile_row(a, &btile, add_bias, relu, &mut out.data[at..at + w]);
-                    }
-                    r += 8;
-                }
-            }
-            while r + 4 <= self.rows {
-                let rows = &self.data[r * k..(r + 4) * k];
-                let mut acc = [[0.0f32; TILE]; 4];
-                packed_panel4(rows, k, prefix_panel, spro, &mut acc, tier);
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let at = (r + i) * d + lo;
-                    finish_tile_row(a, &btile, add_bias, relu, &mut out.data[at..at + w]);
-                }
-                r += 4;
-            }
-            while r < self.rows {
-                let arow = &self.data[r * k..(r + 1) * k];
-                let mut acc = [0.0f32; TILE];
-                packed_panel(arow, prefix_panel, spro, &mut acc, tier);
-                let at = r * d + lo;
-                finish_tile_row(&mut acc, &btile, add_bias, relu, &mut out.data[at..at + w]);
-                r += 1;
-            }
+        let job = Job {
+            a: self,
+            suffix,
+            rhs,
+            bias,
+            relu,
+        };
+        if rhs.finite {
+            packed_product::<false>(&job, &mut out.data);
+        } else {
+            packed_product::<true>(&job, &mut out.data);
         }
     }
 
@@ -690,10 +523,43 @@ impl Matrix {
     }
 }
 
+impl Deserialize for Matrix {
+    /// Rejects a `data` length other than `rows × cols`, so a malformed
+    /// artifact fails to load instead of panicking (or computing on
+    /// zero padding) once it serves.
+    fn deserialize(value: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| DeError(format!("missing field `{name}` in Matrix")))
+        };
+        let rows = usize::deserialize(field("rows")?)?;
+        let cols = usize::deserialize(field("cols")?)?;
+        let data = Vec::<f32>::deserialize(field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError(format!(
+                "matrix data length {} != {rows}x{cols}",
+                data.len()
+            )));
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
 /// A weight matrix repacked for [`Matrix::matmul_packed_into`]:
 /// panel-major, 16-wide zero-padded column tiles (one cache line per
 /// panel row), so the kernel streams each panel sequentially instead of
 /// striding across `B`'s rows.
+///
+/// Packing also records whether every weight is finite. For finite
+/// weights the product needs no zero skip at all: a `±0.0` entry of
+/// `A` adds `±0.0`, which never changes an accumulator's bits.
+/// An accumulator starts at `+0.0`, and round-to-nearest addition gives
+/// `-0.0` only from `(-0.0) + (-0.0)`, so it never holds `-0.0`; every
+/// other value is unchanged by adding `±0.0`. Against a `NaN` or `±∞`
+/// weight a zero entry would form `NaN`, so a matrix with one is
+/// multiplied by a second instantiation of the same kernel that skips
+/// zero entries with a branch, as [`Matrix::matmul_into`] does.
 ///
 /// A `PackedB` is a pure function of the source matrix — repack after
 /// any weight change. It is a serving-side acceleration structure and
@@ -703,7 +569,8 @@ impl Matrix {
 pub struct PackedB {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    finite: bool,
+    data: Vec<[f32; TILE]>,
 }
 
 impl PackedB {
@@ -720,380 +587,204 @@ impl PackedB {
     }
 }
 
-/// SIMD tiers the packed kernels dispatch across, detected at runtime.
-/// Every tier performs the identical per-lane, per-row operation
-/// sequence, so the dispatch choice never changes output bits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SimdTier {
-    Portable,
-    Avx2,
-    Avx512,
+/// One packed product: `[a | 1⊗suffix] × rhs`, plus the optional bias
+/// and ReLU, written row-major into an output slice.
+struct Job<'a> {
+    a: &'a Matrix,
+    suffix: &'a [f32],
+    rhs: &'a PackedB,
+    bias: Option<&'a [f32]>,
+    relu: bool,
 }
 
-/// Runtime SIMD tier (detection is cached by the std macro).
-#[inline]
-fn simd_tier() -> SimdTier {
+/// Runs `job` on the row kernels of the widest SIMD tier this CPU
+/// supports. `SKIP` selects the zero-skipping instantiation, which the
+/// weights need when they are not all finite (see [`PackedB`]).
+fn packed_product<const SKIP: bool>(job: &Job<'_>, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         if std::is_x86_feature_detected!("avx512f") {
-            SimdTier::Avx512
-        } else if std::is_x86_feature_detected!("avx2") {
-            SimdTier::Avx2
-        } else {
-            SimdTier::Portable
+            // SAFETY: the CPU supports AVX-512F, checked just above.
+            return unsafe { tiles_avx512f::<SKIP>(job, out) };
+        }
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { tiles_avx2::<SKIP>(job, out) };
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        SimdTier::Portable
-    }
+    tiles_portable::<SKIP>(job, out);
 }
 
-/// Accumulates one A-row against one packed panel into `acc`,
-/// dispatching on the (caller-detected) SIMD tier. All kernels perform
-/// the identical per-lane operation sequence: for each `k` in ascending
-/// order, `acc[l] += (a[k] × panel[k][l]) & keep(a[k])`, followed by
-/// the shared-suffix product rows of `sprod` (empty when the op has no
-/// suffix), added in ascending suffix order — the continuation of the
-/// same `k` sequence the concatenated kernel would run.
-#[inline]
-fn packed_panel(arow: &[f32], panel: &[f32], sprod: &[[f32; TILE]], acc: &mut [f32; TILE], tier: SimdTier) {
-    #[cfg(target_arch = "x86_64")]
-    match tier {
-        // SAFETY: each tier is only selected after runtime detection.
-        SimdTier::Avx512 => {
-            unsafe { packed_panel_avx512(arow, panel, sprod, acc) };
-            return;
-        }
-        SimdTier::Avx2 => {
-            unsafe { packed_panel_avx2(arow, panel, sprod, acc) };
-            return;
-        }
-        SimdTier::Portable => {}
-    }
-    let _ = tier;
-    packed_panel_portable(arow, panel, sprod, acc);
-}
-
-/// Portable branch-free kernel. `keep` is all-ones unless `a` is `±0.0`
-/// (exponent and mantissa bits all zero — true for both signed zeros,
-/// false for NaN/∞/denormals), so `(a × r) & keep` contributes the
-/// masked `+0.0` exactly where the branchy skip contributes nothing.
-/// The `black_box` pins the mask in place: without it LLVM proves
-/// `keep ∈ {0, !0}` and un-switches the select back into the very
-/// branch this kernel exists to avoid.
-fn packed_panel_portable(arow: &[f32], panel: &[f32], sprod: &[[f32; TILE]], acc: &mut [f32; TILE]) {
-    for (&a, row) in arow.iter().zip(panel.chunks_exact(TILE)) {
-        let keep = std::hint::black_box((((a.to_bits() << 1) != 0) as u32).wrapping_neg());
-        for (ac, &r) in acc.iter_mut().zip(row) {
-            *ac += f32::from_bits((a * r).to_bits() & keep);
-        }
-    }
-    for row in sprod {
-        for (ac, &p) in acc.iter_mut().zip(row) {
-            *ac += p;
-        }
-    }
-}
-
-/// AVX2 kernel: two 8-lane accumulators cover the 16-lane tile; the
-/// zero-skip is the `NEQ_UQ` compare mask (unordered-or-not-equal, so
-/// NaN `a` keeps its lanes like the branchy skip). Lane `l`'s additions
-/// happen in the same ascending-`k` order as the scalar loop and lanes
-/// never mix, so results are bit-identical to the portable kernel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn packed_panel_avx2(arow: &[f32], panel: &[f32], sprod: &[[f32; TILE]], acc: &mut [f32; TILE]) {
-    use std::arch::x86_64::*;
-    let zero = _mm256_setzero_ps();
-    let mut acc0 = _mm256_loadu_ps(acc.as_ptr());
-    let mut acc1 = _mm256_loadu_ps(acc.as_ptr().add(8));
-    for (&a, row) in arow.iter().zip(panel.chunks_exact(TILE)) {
-        let av = _mm256_set1_ps(a);
-        let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero);
-        let r0 = _mm256_loadu_ps(row.as_ptr());
-        let r1 = _mm256_loadu_ps(row.as_ptr().add(8));
-        acc0 = _mm256_add_ps(acc0, _mm256_and_ps(_mm256_mul_ps(av, r0), keep));
-        acc1 = _mm256_add_ps(acc1, _mm256_and_ps(_mm256_mul_ps(av, r1), keep));
-    }
-    for row in sprod {
-        acc0 = _mm256_add_ps(acc0, _mm256_loadu_ps(row.as_ptr()));
-        acc1 = _mm256_add_ps(acc1, _mm256_loadu_ps(row.as_ptr().add(8)));
-    }
-    _mm256_storeu_ps(acc.as_mut_ptr(), acc0);
-    _mm256_storeu_ps(acc.as_mut_ptr().add(8), acc1);
-}
-
-/// Four-row variant of [`packed_panel`]: `rows` holds four consecutive
-/// A-rows of length `k`, `acc` one tile accumulator per row. Each row's
-/// per-lane operation sequence is exactly [`packed_panel`]'s; only the
-/// interleaving across (independent) rows differs, so results are
-/// bit-identical while eight accumulator chains hide the FP-add
-/// latency a single chain serializes on.
-#[inline]
-fn packed_panel4(
-    rows: &[f32],
-    k: usize,
-    panel: &[f32],
-    sprod: &[[f32; TILE]],
-    acc: &mut [[f32; TILE]; 4],
-    tier: SimdTier,
-) {
-    #[cfg(target_arch = "x86_64")]
-    match tier {
-        // SAFETY: each tier is only selected after runtime detection.
-        SimdTier::Avx512 => {
-            unsafe { packed_panel4_avx512(rows, k, panel, sprod, acc) };
-            return;
-        }
-        SimdTier::Avx2 => {
-            unsafe { packed_panel4_avx2(rows, k, panel, sprod, acc) };
-            return;
-        }
-        SimdTier::Portable => {}
-    }
-    let _ = tier;
-    for (i, a) in acc.iter_mut().enumerate() {
-        packed_panel_portable(&rows[i * k..(i + 1) * k], panel, sprod, a);
-    }
-}
-
-/// AVX2 four-row kernel (see [`packed_panel4`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn packed_panel4_avx2(
-    rows: &[f32],
-    k: usize,
-    panel: &[f32],
-    sprod: &[[f32; TILE]],
-    acc: &mut [[f32; TILE]; 4],
-) {
-    use std::arch::x86_64::*;
-    let zero = _mm256_setzero_ps();
-    let mut a00 = _mm256_loadu_ps(acc[0].as_ptr());
-    let mut a01 = _mm256_loadu_ps(acc[0].as_ptr().add(8));
-    let mut a10 = _mm256_loadu_ps(acc[1].as_ptr());
-    let mut a11 = _mm256_loadu_ps(acc[1].as_ptr().add(8));
-    let mut a20 = _mm256_loadu_ps(acc[2].as_ptr());
-    let mut a21 = _mm256_loadu_ps(acc[2].as_ptr().add(8));
-    let mut a30 = _mm256_loadu_ps(acc[3].as_ptr());
-    let mut a31 = _mm256_loadu_ps(acc[3].as_ptr().add(8));
-    for (kk, row) in panel.chunks_exact(TILE).enumerate() {
-        let r0 = _mm256_loadu_ps(row.as_ptr());
-        let r1 = _mm256_loadu_ps(row.as_ptr().add(8));
-        macro_rules! row_step {
-            ($i:literal, $lo:ident, $hi:ident) => {
-                let av = _mm256_set1_ps(*rows.get_unchecked($i * k + kk));
-                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero);
-                $lo = _mm256_add_ps($lo, _mm256_and_ps(_mm256_mul_ps(av, r0), keep));
-                $hi = _mm256_add_ps($hi, _mm256_and_ps(_mm256_mul_ps(av, r1), keep));
-            };
-        }
-        row_step!(0, a00, a01);
-        row_step!(1, a10, a11);
-        row_step!(2, a20, a21);
-        row_step!(3, a30, a31);
-    }
-    for row in sprod {
-        let p0 = _mm256_loadu_ps(row.as_ptr());
-        let p1 = _mm256_loadu_ps(row.as_ptr().add(8));
-        a00 = _mm256_add_ps(a00, p0);
-        a01 = _mm256_add_ps(a01, p1);
-        a10 = _mm256_add_ps(a10, p0);
-        a11 = _mm256_add_ps(a11, p1);
-        a20 = _mm256_add_ps(a20, p0);
-        a21 = _mm256_add_ps(a21, p1);
-        a30 = _mm256_add_ps(a30, p0);
-        a31 = _mm256_add_ps(a31, p1);
-    }
-    _mm256_storeu_ps(acc[0].as_mut_ptr(), a00);
-    _mm256_storeu_ps(acc[0].as_mut_ptr().add(8), a01);
-    _mm256_storeu_ps(acc[1].as_mut_ptr(), a10);
-    _mm256_storeu_ps(acc[1].as_mut_ptr().add(8), a11);
-    _mm256_storeu_ps(acc[2].as_mut_ptr(), a20);
-    _mm256_storeu_ps(acc[2].as_mut_ptr().add(8), a21);
-    _mm256_storeu_ps(acc[3].as_mut_ptr(), a30);
-    _mm256_storeu_ps(acc[3].as_mut_ptr().add(8), a31);
-}
-
-/// Zero-skip k-mask for broadcast scalar `a`: all lanes kept unless
-/// `a` is `±0.0` (shifting out the sign bit leaves zero only for the
-/// two signed zeros — NaN/∞/denormals keep their lanes, matching the
-/// branchy skip). Computed on the scalar integer ports so the FP ports
-/// only see the multiply and add; the `black_box` stops LLVM from
-/// un-switching the mask back into the branch this avoids.
-#[cfg(target_arch = "x86_64")]
+/// The tile loop of a packed product. For each 16-column tile it forms
+/// the shared-suffix products once, runs `block` over the rows `R` at a
+/// time and `one` over the rest, and writes each accumulator back
+/// through [`finish_tile_row`]. `block` and `one` are one tier's
+/// instantiations of [`rows_body`]; row blocking only interleaves
+/// independent rows, so it never changes bits. Inlined into each
+/// tier's entry point, so the writeback compiles for that tier too.
 #[inline(always)]
-fn keep_mask16(a: f32) -> u16 {
-    ((a.to_bits() << 1 != 0) as u16).wrapping_neg()
-}
-
-/// AVX-512 kernel: the whole 16-lane tile fits one register. The
-/// zero-skip is a k-mask ([`keep_mask16`]) and the masked lanes of
-/// `maskz_mul` are forced to `+0.0` — exactly the `and`-masked
-/// product the AVX2/portable kernels add, so results are bit-identical
-/// (a plain multiply then add per lane, in the same ascending-`k`
-/// order; no FMA, which would skip the intermediate rounding).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn packed_panel_avx512(arow: &[f32], panel: &[f32], sprod: &[[f32; TILE]], acc: &mut [f32; TILE]) {
-    use std::arch::x86_64::*;
-    let mut a0 = _mm512_loadu_ps(acc.as_ptr());
-    for (&a, row) in arow.iter().zip(panel.chunks_exact(TILE)) {
-        let av = _mm512_set1_ps(a);
-        let keep = keep_mask16(a);
-        let r0 = _mm512_loadu_ps(row.as_ptr());
-        a0 = _mm512_add_ps(a0, _mm512_maskz_mul_ps(keep, av, r0));
-    }
-    for row in sprod {
-        a0 = _mm512_add_ps(a0, _mm512_loadu_ps(row.as_ptr()));
-    }
-    _mm512_storeu_ps(acc.as_mut_ptr(), a0);
-}
-
-/// AVX-512 four-row kernel (see [`packed_panel4`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn packed_panel4_avx512(
-    rows: &[f32],
-    k: usize,
-    panel: &[f32],
-    sprod: &[[f32; TILE]],
-    acc: &mut [[f32; TILE]; 4],
+fn packed_tiles<const R: usize>(
+    job: &Job<'_>,
+    out: &mut [f32],
+    block: impl Fn([&[f32]; R], &[[f32; TILE]], &[[f32; TILE]]) -> [[f32; TILE]; R],
+    one: impl Fn([&[f32]; 1], &[[f32; TILE]], &[[f32; TILE]]) -> [[f32; TILE]; 1],
 ) {
-    use std::arch::x86_64::*;
-    let mut a0 = _mm512_loadu_ps(acc[0].as_ptr());
-    let mut a1 = _mm512_loadu_ps(acc[1].as_ptr());
-    let mut a2 = _mm512_loadu_ps(acc[2].as_ptr());
-    let mut a3 = _mm512_loadu_ps(acc[3].as_ptr());
-    for (kk, row) in panel.chunks_exact(TILE).enumerate() {
-        let r0 = _mm512_loadu_ps(row.as_ptr());
-        macro_rules! row_step {
-            ($i:literal, $a:ident) => {
-                let a = *rows.get_unchecked($i * k + kk);
-                let av = _mm512_set1_ps(a);
-                let keep = keep_mask16(a);
-                $a = _mm512_add_ps($a, _mm512_maskz_mul_ps(keep, av, r0));
-            };
+    let Job {
+        a,
+        suffix,
+        rhs,
+        bias,
+        relu,
+    } = *job;
+    let (m, k, d) = (a.rows, a.cols, rhs.cols);
+    let row = |r: usize| &a.data[r * k..][..k];
+    let mut sprod: Vec<[f32; TILE]> = Vec::with_capacity(suffix.len());
+    for tile in 0..d.div_ceil(TILE) {
+        let (panel, shared) = rhs.data[tile * rhs.rows..][..rhs.rows].split_at(k);
+        // The suffix products are the same for every row, so they are
+        // formed once per tile; zero entries are skipped as in
+        // `matmul_into`.
+        sprod.clear();
+        sprod.extend(
+            suffix
+                .iter()
+                .zip(shared)
+                .filter(|&(&s, _)| s != 0.0)
+                .map(|(&s, w)| w.map(|w| s * w)),
+        );
+        let lo = tile * TILE;
+        let w = (d - lo).min(TILE);
+        let mut btile = [0.0f32; TILE];
+        if let Some(b) = bias {
+            btile[..w].copy_from_slice(&b[lo..lo + w]);
         }
-        row_step!(0, a0);
-        row_step!(1, a1);
-        row_step!(2, a2);
-        row_step!(3, a3);
+        let mut finish = |r: usize, acc: &mut [f32; TILE]| {
+            finish_tile_row(
+                acc,
+                &btile,
+                bias.is_some(),
+                relu,
+                &mut out[r * d + lo..][..w],
+            );
+        };
+        let mut r = 0;
+        while r + R <= m {
+            let acc = block(std::array::from_fn(|i| row(r + i)), panel, &sprod);
+            for (i, mut acc) in acc.into_iter().enumerate() {
+                finish(r + i, &mut acc);
+            }
+            r += R;
+        }
+        for r in r..m {
+            let [mut acc] = one([row(r)], panel, &sprod);
+            finish(r, &mut acc);
+        }
     }
-    for row in sprod {
-        let p = _mm512_loadu_ps(row.as_ptr());
-        a0 = _mm512_add_ps(a0, p);
-        a1 = _mm512_add_ps(a1, p);
-        a2 = _mm512_add_ps(a2, p);
-        a3 = _mm512_add_ps(a3, p);
-    }
-    _mm512_storeu_ps(acc[0].as_mut_ptr(), a0);
-    _mm512_storeu_ps(acc[1].as_mut_ptr(), a1);
-    _mm512_storeu_ps(acc[2].as_mut_ptr(), a2);
-    _mm512_storeu_ps(acc[3].as_mut_ptr(), a3);
 }
 
-/// AVX-512 four-row dot kernel for `d == 1` (column outputs): four
-/// scalar accumulator chains, one per A-row, with the zero-skip as a
-/// one-bit write-mask on `maskz_mul_ss` — lane 0 becomes the masked
-/// product (`+0.0` when `a` is `±0.0`, the product otherwise), then a
-/// plain scalar add, which is the identical per-element operation
-/// sequence as the portable dot, so bits are unchanged. Keeping the
-/// mask in the k-register domain avoids the store/reload the portable
-/// kernel needs to pin its integer mask.
+/// The one row kernel: accumulates `R` rows of `A` against a panel in
+/// ascending `k`, one plain multiply and add per lane, then adds the
+/// shared-suffix products in order. With `SKIP`, zero entries of `A`
+/// are skipped with a branch (for weights that are not all finite; see
+/// [`PackedB`]).
 ///
-/// `rhs` is the packed panel; only lane 0 of each `TILE`-wide row is
-/// read (`B`'s single column).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn packed_dot4_avx512(quad: &[f32], k: usize, rhs: &[f32], s: &mut [f32; 4]) {
-    use std::arch::x86_64::*;
-    let mut s0 = _mm_set_ss(s[0]);
-    let mut s1 = _mm_set_ss(s[1]);
-    let mut s2 = _mm_set_ss(s[2]);
-    let mut s3 = _mm_set_ss(s[3]);
-    for (kk, col) in rhs.chunks_exact(TILE).enumerate() {
-        let bv = _mm_set_ss(col[0]);
-        macro_rules! row_step {
-            ($i:literal, $s:ident) => {
-                let a = *quad.get_unchecked($i * k + kk);
-                let keep = (a.to_bits() << 1 != 0) as __mmask8;
-                $s = _mm_add_ss($s, _mm_maskz_mul_ss(keep, _mm_set_ss(a), bv));
-            };
+/// Each tier compiles this body in an out-of-line wrapper. Inlined
+/// into the tile loop, LLVM stops unrolling the row loop and leaves the
+/// accumulators in memory; out of line, they stay in vector registers.
+#[inline(always)]
+fn rows_body<const R: usize, const SKIP: bool>(
+    rows: [&[f32]; R],
+    panel: &[[f32; TILE]],
+    sprod: &[[f32; TILE]],
+) -> [[f32; TILE]; R] {
+    // Rows as long as the panel: one bounds check per step covers all.
+    let rows = rows.map(|row| &row[..panel.len()]);
+    let mut acc = [[0.0f32; TILE]; R];
+    for (kk, w) in panel.iter().enumerate() {
+        for (acc, row) in acc.iter_mut().zip(rows) {
+            let a = row[kk];
+            if SKIP && a == 0.0 {
+                continue;
+            }
+            for (x, &w) in acc.iter_mut().zip(w) {
+                *x += a * w;
+            }
         }
-        row_step!(0, s0);
-        row_step!(1, s1);
-        row_step!(2, s2);
-        row_step!(3, s3);
     }
-    s[0] = _mm_cvtss_f32(s0);
-    s[1] = _mm_cvtss_f32(s1);
-    s[2] = _mm_cvtss_f32(s2);
-    s[3] = _mm_cvtss_f32(s3);
+    // Accumulator by accumulator: with the loops the other way round,
+    // LLVM vectorizes across rows, and the AVX-512F build gathers and
+    // scatters the accumulators through memory.
+    for acc in &mut acc {
+        for p in sprod {
+            for (x, &p) in acc.iter_mut().zip(p) {
+                *x += p;
+            }
+        }
+    }
+    acc
 }
 
-/// AVX-512 eight-row kernel: eight one-register accumulator chains —
-/// enough independent adds in flight to cover the FP-add latency that
-/// narrower blockings leave on the table. Row interleaving never mixes
-/// lanes or reorders a row's `k` sequence, so bits are unchanged (see
-/// [`packed_panel4`]).
+/// [`rows_body`] for the build's baseline target.
+#[inline(never)]
+fn rows_portable<const R: usize, const SKIP: bool>(
+    rows: [&[f32]; R],
+    panel: &[[f32; TILE]],
+    sprod: &[[f32; TILE]],
+) -> [[f32; TILE]; R] {
+    rows_body::<R, SKIP>(rows, panel, sprod)
+}
+
+/// [`rows_body`] for AVX2: a tile row spans two 8-lane registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn rows_avx2<const R: usize, const SKIP: bool>(
+    rows: [&[f32]; R],
+    panel: &[[f32; TILE]],
+    sprod: &[[f32; TILE]],
+) -> [[f32; TILE]; R] {
+    rows_body::<R, SKIP>(rows, panel, sprod)
+}
+
+/// [`rows_body`] for AVX-512F: a tile row fits one 16-lane register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn packed_panel8_avx512(
-    rows: &[f32],
-    k: usize,
-    panel: &[f32],
+#[inline(never)]
+fn rows_avx512f<const R: usize, const SKIP: bool>(
+    rows: [&[f32]; R],
+    panel: &[[f32; TILE]],
     sprod: &[[f32; TILE]],
-    acc: &mut [[f32; TILE]; 8],
-) {
-    use std::arch::x86_64::*;
-    let mut a0 = _mm512_loadu_ps(acc[0].as_ptr());
-    let mut a1 = _mm512_loadu_ps(acc[1].as_ptr());
-    let mut a2 = _mm512_loadu_ps(acc[2].as_ptr());
-    let mut a3 = _mm512_loadu_ps(acc[3].as_ptr());
-    let mut a4 = _mm512_loadu_ps(acc[4].as_ptr());
-    let mut a5 = _mm512_loadu_ps(acc[5].as_ptr());
-    let mut a6 = _mm512_loadu_ps(acc[6].as_ptr());
-    let mut a7 = _mm512_loadu_ps(acc[7].as_ptr());
-    for (kk, row) in panel.chunks_exact(TILE).enumerate() {
-        let r0 = _mm512_loadu_ps(row.as_ptr());
-        macro_rules! row_step {
-            ($i:literal, $a:ident) => {
-                let a = *rows.get_unchecked($i * k + kk);
-                let av = _mm512_set1_ps(a);
-                let keep = keep_mask16(a);
-                $a = _mm512_add_ps($a, _mm512_maskz_mul_ps(keep, av, r0));
-            };
-        }
-        row_step!(0, a0);
-        row_step!(1, a1);
-        row_step!(2, a2);
-        row_step!(3, a3);
-        row_step!(4, a4);
-        row_step!(5, a5);
-        row_step!(6, a6);
-        row_step!(7, a7);
-    }
-    for row in sprod {
-        let p = _mm512_loadu_ps(row.as_ptr());
-        a0 = _mm512_add_ps(a0, p);
-        a1 = _mm512_add_ps(a1, p);
-        a2 = _mm512_add_ps(a2, p);
-        a3 = _mm512_add_ps(a3, p);
-        a4 = _mm512_add_ps(a4, p);
-        a5 = _mm512_add_ps(a5, p);
-        a6 = _mm512_add_ps(a6, p);
-        a7 = _mm512_add_ps(a7, p);
-    }
-    _mm512_storeu_ps(acc[0].as_mut_ptr(), a0);
-    _mm512_storeu_ps(acc[1].as_mut_ptr(), a1);
-    _mm512_storeu_ps(acc[2].as_mut_ptr(), a2);
-    _mm512_storeu_ps(acc[3].as_mut_ptr(), a3);
-    _mm512_storeu_ps(acc[4].as_mut_ptr(), a4);
-    _mm512_storeu_ps(acc[5].as_mut_ptr(), a5);
-    _mm512_storeu_ps(acc[6].as_mut_ptr(), a6);
-    _mm512_storeu_ps(acc[7].as_mut_ptr(), a7);
+) -> [[f32; TILE]; R] {
+    rows_body::<R, SKIP>(rows, panel, sprod)
+}
+
+/// The portable tier: four-row blocks.
+fn tiles_portable<const SKIP: bool>(job: &Job<'_>, out: &mut [f32]) {
+    packed_tiles(job, out, rows_portable::<4, SKIP>, rows_portable::<1, SKIP>);
+}
+
+/// The AVX2 tier: four-row blocks keep eight accumulators in registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tiles_avx2<const SKIP: bool>(job: &Job<'_>, out: &mut [f32]) {
+    packed_tiles(
+        job,
+        out,
+        |r, p, s| rows_avx2::<4, SKIP>(r, p, s),
+        |r, p, s| rows_avx2::<1, SKIP>(r, p, s),
+    );
+}
+
+/// The AVX-512F tier: eight-row blocks, one register per accumulator.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tiles_avx512f<const SKIP: bool>(job: &Job<'_>, out: &mut [f32]) {
+    packed_tiles(
+        job,
+        out,
+        |r, p, s| rows_avx512f::<8, SKIP>(r, p, s),
+        |r, p, s| rows_avx512f::<1, SKIP>(r, p, s),
+    );
 }
 
 #[cfg(test)]
@@ -1156,6 +847,15 @@ mod tests {
         let s = serde_json::to_string(&a).unwrap();
         let b: Matrix = serde_json::from_str(&s).unwrap();
         assert_eq!(a, b);
+        // A data length other than rows × cols (or an overflowing
+        // product) is rejected.
+        for bad in [
+            r#"{"rows":1,"cols":2,"data":[1.5]}"#,
+            r#"{"rows":1,"cols":2,"data":[1.5,2.5,3.5]}"#,
+            r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Matrix>(bad).is_err(), "{bad}");
+        }
     }
 
     fn bits(m: &Matrix) -> Vec<u32> {
@@ -1172,6 +872,67 @@ mod tests {
             }
         }
         m
+    }
+
+    /// One tier's whole packed product.
+    type Tiles = unsafe fn(&Job<'_>, &mut [f32]);
+
+    /// Every packed-product instantiation this host can run, by name:
+    /// each SIMD tier the CPU supports, with the zero-skipping kernel
+    /// (`skip` true, valid for any weights) and the plain one (finite
+    /// weights only).
+    fn instantiations() -> Vec<(&'static str, bool, Tiles)> {
+        let mut all: Vec<(&'static str, bool, Tiles)> = vec![
+            ("portable/skip", true, tiles_portable::<true>),
+            ("portable", false, tiles_portable::<false>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx2") {
+                all.push(("avx2/skip", true, tiles_avx2::<true>));
+                all.push(("avx2", false, tiles_avx2::<false>));
+            }
+            if std::is_x86_feature_detected!("avx512f") {
+                all.push(("avx512f/skip", true, tiles_avx512f::<true>));
+                all.push(("avx512f", false, tiles_avx512f::<false>));
+            }
+        }
+        all
+    }
+
+    /// Asserts that every instantiation valid for `rhs` computes `want`
+    /// bit for bit: the battery behind the packed tests, so each tier
+    /// the host supports is proven, not only the one dispatch picks.
+    fn assert_every_tier(want: &Matrix, job: Job<'_>, context: &str) {
+        for (name, skip, tiles) in instantiations() {
+            if !skip && !job.rhs.finite {
+                continue;
+            }
+            let mut out = vec![f32::NAN; job.a.rows * job.rhs.cols];
+            // SAFETY: `instantiations` lists a tier only when the CPU
+            // supports it.
+            unsafe { tiles(&job, &mut out) };
+            let got: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(bits(want), got, "{name}: {context}");
+        }
+    }
+
+    /// Without the plain kernel on finite weights and every detected
+    /// tier, the battery would prove less than it claims.
+    #[test]
+    fn battery_runs_every_detected_tier() {
+        let names: Vec<&str> = instantiations().iter().map(|t| t.0).collect();
+        eprintln!("packed kernels under test: {names:?}");
+        assert!(names.contains(&"portable") && names.contains(&"portable/skip"));
+        #[cfg(target_arch = "x86_64")]
+        for (feature, detected) in [
+            ("avx2", std::is_x86_feature_detected!("avx2")),
+            ("avx512f", std::is_x86_feature_detected!("avx512f")),
+        ] {
+            assert_eq!(names.contains(&feature), detected, "{feature}");
+        }
+        assert!(Matrix::zeros(2, 2).pack_b().finite);
+        assert!(!Matrix::full(2, 2, f32::INFINITY).pack_b().finite);
     }
 
     /// Locks the deliberate IEEE divergence documented on
@@ -1196,9 +957,18 @@ mod tests {
         assert!(naive.row(2).iter().all(|x| x.is_nan()));
         // Row 3: -0.0 skips like +0.0.
         assert_eq!(naive.row(3)[0], 15.0);
+        let packed = b.pack_b();
         let mut packed_out = Matrix::zeros(0, 0);
-        a.matmul_packed_into(&b.pack_b(), &mut packed_out);
+        a.matmul_packed_into(&packed, &mut packed_out);
         assert_eq!(bits(&naive), bits(&packed_out));
+        let job = Job {
+            a: &a,
+            suffix: &[],
+            rhs: &packed,
+            bias: None,
+            relu: false,
+        };
+        assert_every_tier(&naive, job, "non-finite weights");
     }
 
     /// Packed-B ≡ naive, bit-for-bit, across ragged shapes including
@@ -1234,6 +1004,14 @@ mod tests {
             a.matmul_packed_into(&packed, &mut warm);
             assert_eq!(bits(&naive), bits(&cold), "cold {m}x{k}x{n}");
             assert_eq!(bits(&naive), bits(&warm), "warm {m}x{k}x{n}");
+            let job = Job {
+                a: &a,
+                suffix: &[],
+                rhs: &packed,
+                bias: None,
+                relu: false,
+            };
+            assert_every_tier(&naive, job, &format!("{m}x{k}x{n}"));
         }
     }
 
@@ -1277,13 +1055,22 @@ mod tests {
             }
             let mut got = Matrix::zeros(0, 0);
             a.matmul_packed_cat_bias_into(sfx.data(), &packed, &bias, relu, &mut got);
-            assert_eq!(bits(&want), bits(&got), "{m}x{kp}+{s}x{d} relu={relu}");
+            let context = format!("{m}x{kp}+{s}x{d} relu={relu}");
+            assert_eq!(bits(&want), bits(&got), "{context}");
+            let job = Job {
+                a: &a,
+                suffix: sfx.data(),
+                rhs: &packed,
+                bias: Some(bias.data()),
+                relu,
+            };
+            assert_every_tier(&want, job, &context);
         }
     }
 
     /// The shared-suffix fused op reproduces the materialized pipeline
     /// bit for bit across ragged shapes, empty prefixes/suffixes and
-    /// `d == 1` column outputs.
+    /// `d == 1` column outputs, on every tier.
     #[test]
     fn packed_cat_suffix_matches_materialized() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -1305,8 +1092,8 @@ mod tests {
 
     /// The suffix is the denoiser's hidden width, so every width a
     /// config can ask for must work — `standard()` (48) and `paper()`
-    /// (256) included — on the column path and the tiled path, with
-    /// enough rows to reach the 8-, 4- and 1-row kernels.
+    /// (256) included — for one-column and wider outputs, with enough
+    /// rows to reach the 8-, 4- and 1-row kernels.
     #[test]
     fn packed_cat_suffix_any_width_matches_materialized() {
         let mut rng = StdRng::seed_from_u64(19);
@@ -1330,6 +1117,15 @@ mod tests {
         let a = sparse_randn(6, 4, &mut rng);
         let mut out = Matrix::zeros(0, 0);
         a.matmul_packed_into(&packed, &mut out);
-        assert_eq!(bits(&a.matmul(&small)), bits(&out));
+        let want = a.matmul(&small);
+        assert_eq!(bits(&want), bits(&out));
+        let job = Job {
+            a: &a,
+            suffix: &[],
+            rhs: &packed,
+            bias: None,
+            relu: false,
+        };
+        assert_every_tier(&want, job, "repacked");
     }
 }
