@@ -1,75 +1,79 @@
-//! Load generator for the serving daemon: replays a mixed-tenant
-//! request trace at a configurable in-flight window and reports
-//! latency percentiles and throughput.
-//!
-//! The harness trains one tiny model per tenant, saves the artifacts,
-//! starts a [`Daemon`] whose registry budget is (by default) half the
-//! tenant fleet — so sustained traffic continuously evicts and reloads
-//! models — and then pushes requests through a sliding window of
-//! outstanding tickets. It fails loudly on *any* serving error: under
-//! correct admission sizing (window ≤ queue capacity) the daemon must
-//! absorb the whole trace.
+//! Load generator for the serving stack: replays a mixed-tenant request
+//! trace through the daemon, in process or over TCP, with or without a
+//! seeded fault plan, and checks every answer against its plan.
 //!
 //! ```text
-//! load-gen [--requests N] [--tenants T] [--workers W] [--queue CAP]
-//!          [--max-resident M] [--inflight K] [--nodes SIZE] [--json OUT]
-//!          [--chaos SEED] [--net [ADDR]]
+//! load-gen [--requests N] [--tenants T] [--workers W] [--max-resident M]
+//!          [--inflight K] [--nodes SIZE] [--json OUT] [--chaos SEED]
+//!          [--net [ADDR]]
 //! ```
 //!
-//! Defaults replay 1000 requests across 4 tenants with 1000 requests
-//! in flight against a 2-model registry budget. `--json OUT` writes a
-//! flat `{"bench": ns}` object compatible with the `bench-json`
-//! trajectory merge (`just bench-json` feeds it into
-//! `BENCH_phase3.json`). `just serve-smoke` runs a downsized trace as
-//! a CI gate.
+//! The harness trains one tiny model per tenant and saves the artifacts.
+//! It serves the trace through one of two transports: a [`Coalescer`]
+//! over a [`Daemon`] in this process, or, with `--net [ADDR]` (default
+//! `127.0.0.1:0`), a [`NetServer`] reached through [`NetClient`]s. The
+//! registry budget (`--max-resident`, by default half the default fleet)
+//! keeps traffic evicting and reloading models.
 //!
-//! `--chaos SEED` switches to the deterministic fault-injection
-//! harness: the trace replays through a daemon wired to a seeded
-//! [`FaultPlan`] (IO errors, slow loads, corrupt artifact bytes,
-//! worker panics) plus deterministically expiring zero-deadline
-//! requests, and every outcome is checked against the plan's pure
-//! prediction — no hangs, no leaked tickets, typed errors exactly
-//! where scheduled, and byte-identical designs everywhere else.
-//! `just chaos-smoke` runs it as a CI gate.
+//! Every request has a plan, fixed before anything is served. Without a
+//! fault plan it is whatever direct generation from a freshly loaded
+//! model returns: the same design, byte for byte, or the same typed
+//! error. `--chaos SEED` serves the trace under a seeded [`FaultPlan`]:
+//! IO errors, slow and corrupt artifact reads and worker panics, plus
+//! connection drops and slowed writes over TCP. Every 13th request also
+//! carries a zero deadline. The planner applies the server's own order
+//! of checks: connection drop, then deadline, then
+//! [`FaultPlan::predict`]. A request that must fail its artifact read
+//! gets a private copy of the artifact, so registry residency cannot
+//! mask the fault at any worker count.
 //!
-//! `--net [ADDR]` (default `127.0.0.1:0`) replays the trace over real
-//! TCP: a [`NetServer`] is bound, the trace is pipelined over one
-//! [`NetClient`] connection, every response is checked byte-for-byte
-//! against direct in-process generation, and a burst of identical
-//! seeded duplicates must coalesce onto one execution (`coalesce_hits
-//! > 0`) while still answering byte-identically. With `--json OUT`
-//! the wire latencies land as `serve_net_{p50,p99,mean}_ns`.
-//! Combined `--chaos SEED --net` switches the plan to
-//! [`FaultPlan::seeded_with_conn_faults`] and drives one connection
-//! per request: seeds scheduled for a connection drop must see a
-//! clean close (never a hang), slowed writes must still answer, and
-//! every other outcome must match the plan exactly as in the
-//! in-process chaos run. `just net-smoke` runs both as a CI gate.
+//! Request `k` has seed `k + 1`. Requests go out through one sliding
+//! window of `--inflight` outstanding submissions. Over TCP they share
+//! one pipelined connection, except under a fault plan, where each
+//! request opens its own so that a scheduled drop severs exactly one
+//! exchange. A fault-free run ends with a burst: one long filler per
+//! worker, then identical seeded duplicates in the same tenant lane,
+//! which must coalesce onto one execution.
+//!
+//! The run fails on an answer that differs from its plan, a job left
+//! queued at shutdown, a rejected submission, serving counters that
+//! disagree with the plan, a burst without coalesce hits, an in-process
+//! registry budget that forced no evictions, or a fault plan that
+//! injected too little. The queue holds `max(inflight, workers + 8)`
+//! jobs, so a correct run is never `Overloaded`. `--json OUT` writes
+//! the latency percentiles as `serve_load_{p50,p99,mean}_ns` in process
+//! or `serve_net_*` over TCP, for the `bench-json` trajectory merge.
+//! `just serve-smoke`, `just chaos-smoke` and `just net-smoke` run it as
+//! CI gates.
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::fmt::Debug;
+use std::net::SocketAddr;
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use syncircuit_core::{GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit};
+use syncircuit_core::{
+    Error as CoreError, GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit,
+};
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_serve::{
-    silence_injected_panics, ClientError, ConnFault, Daemon, DaemonConfig, FaultPlan, NetClient,
-    NetServer, NetServerConfig, Predicted, QuarantinePolicy, RegistryBudget, RetryPolicy,
-    ServeError, Ticket,
+    silence_injected_panics, ClientError, CoalesceTicket, Coalescer, ConnFault, Daemon,
+    DaemonConfig, DaemonStats, FaultInjector, FaultPlan, NetClient, NetServer, NetServerConfig,
+    NoFaults, Predicted, QuarantinePolicy, RegistryBudget, RegistryStats, RetryPolicy, ServeError,
 };
 
 struct Args {
     requests: usize,
     tenants: usize,
     workers: usize,
-    queue: usize,
     max_resident: usize,
     inflight: usize,
     nodes: usize,
     json: Option<String>,
     chaos: Option<u64>,
-    /// Bind address for the TCP replay modes (`--net [ADDR]`).
+    /// Bind address of the TCP transport (`--net [ADDR]`).
     net: Option<String>,
 }
 
@@ -79,7 +83,6 @@ impl Args {
             requests: 1000,
             tenants: 4,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            queue: 2048,
             max_resident: 2,
             inflight: 1000,
             nodes: 16,
@@ -98,15 +101,11 @@ impl Args {
                 });
                 continue;
             }
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
+            let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
             match flag.as_str() {
                 "--requests" => args.requests = parse(&flag, &value()?)?,
                 "--tenants" => args.tenants = parse(&flag, &value()?)?,
                 "--workers" => args.workers = parse(&flag, &value()?)?,
-                "--queue" => args.queue = parse(&flag, &value()?)?,
                 "--max-resident" => args.max_resident = parse(&flag, &value()?)?,
                 "--inflight" => args.inflight = parse(&flag, &value()?)?,
                 "--nodes" => args.nodes = parse(&flag, &value()?)?,
@@ -121,11 +120,10 @@ impl Args {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if args.tenants == 0 || args.requests == 0 {
-            return Err("--tenants and --requests must be positive".to_string());
-        }
-        if args.inflight == 0 || args.inflight > args.queue {
-            return Err("--inflight must be in 1..=queue capacity".to_string());
+        if args.requests == 0 || args.tenants == 0 || args.workers == 0 || args.inflight == 0 {
+            return Err(
+                "--requests, --tenants, --workers and --inflight must be positive".to_string(),
+            );
         }
         Ok(args)
     }
@@ -137,7 +135,7 @@ fn parse(flag: &str, text: &str) -> Result<usize, String> {
 }
 
 /// Trains and saves one tiny artifact per tenant under a temp dir.
-fn train_fleet(dir: &std::path::Path, tenants: usize) -> Vec<String> {
+fn train_fleet(dir: &Path, tenants: usize) -> Vec<String> {
     (0..tenants as u64)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(1000 + t);
@@ -172,223 +170,125 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// What the chaos harness expects one request's ticket to resolve to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Expected {
-    /// Completes; the design must be byte-identical to the fault-free
-    /// reference.
-    Ok,
+/// Upper bound on any single wait: an answer still missing after this
+/// long counts as a hang, the failure mode the harness exists to rule
+/// out.
+const HANG_GUARD: Duration = Duration::from_secs(60);
+
+/// Identical duplicates in the coalescing burst.
+const DUPS: usize = 8;
+
+/// Fast retries, so that an exhausted IO budget resolves quickly.
+/// Without faults no read is ever retried.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 3,
+    base_delay: Duration::from_micros(200),
+    max_delay: Duration::from_millis(2),
+};
+
+/// What one request must resolve to, fixed before anything is served.
+#[derive(Clone, Debug)]
+enum Plan {
+    /// Exactly what direct generation from a freshly loaded model
+    /// returns: the same design, or the same typed model error.
+    Answer(Result<Box<Generated>, CoreError>),
+    /// The server hangs up before admission.
+    Dropped,
     /// Shed with `DeadlineExceeded` (zero time budget).
     Deadline,
-    /// Fails with `WorkerPanicked` (injected panic, isolated).
+    /// Failed with `WorkerPanicked` (an injected panic, isolated).
     Panicked,
-    /// Fails with a typed `Model` persistence error (corrupt bytes or
-    /// exhausted IO retries).
+    /// Failed with a typed model error (corrupt bytes or exhausted IO
+    /// retries).
     ModelError,
 }
 
-/// Upper bound on any single ticket wait in the chaos run: a ticket
-/// still unresolved after this long counts as a hang, which is exactly
-/// the failure mode the harness exists to rule out.
-const HANG_GUARD: Duration = Duration::from_secs(60);
-
-/// Deterministic fault-injection run (`--chaos SEED`, see module docs).
-fn run_chaos(args: &Args, chaos_seed: u64, dir: &std::path::Path) -> Result<(), String> {
-    silence_injected_panics();
-    let retry = RetryPolicy {
-        max_attempts: 3,
-        base_delay: Duration::from_micros(200),
-        max_delay: Duration::from_millis(2),
-    };
-    let plan = std::sync::Arc::new(FaultPlan::seeded(chaos_seed));
-
-    eprintln!(
-        "load-gen: chaos seed {chaos_seed}: training {} tenant model(s)...",
-        args.tenants
-    );
-    let fleet = train_fleet(dir, args.tenants);
-    let models: Vec<SynCircuit> = fleet
-        .iter()
-        .map(|p| SynCircuit::load(p).expect("load tenant artifact"))
-        .collect();
-
-    // Plan the trace. Request seeds are 1..=N (0 is the unseeded
-    // sentinel). Every 13th request carries a zero deadline and must
-    // expire; must-fail read faults (corrupt bytes, exhausted IO) get a
-    // private copy of their tenant's artifact, so registry residency
-    // can never mask the scheduled fault — at any worker count.
-    struct Planned {
-        seed: u64,
-        tenant: usize,
-        path: String,
-        request: GenRequest,
-        expected: Expected,
+impl Plan {
+    /// Plans what direct generation from `model` returns.
+    fn direct(model: &SynCircuit, request: &GenRequest) -> Plan {
+        Plan::Answer(model.generate_one(request).map(Box::new))
     }
-    let mut trace: Vec<Planned> = Vec::with_capacity(args.requests);
+}
+
+/// One request and its plan.
+#[derive(Clone)]
+struct Planned {
+    tenant: usize,
+    artifact: String,
+    request: GenRequest,
+    plan: Plan,
+}
+
+impl Planned {
+    fn seed(&self) -> u64 {
+        self.request
+            .seed()
+            .expect("every planned request is seeded")
+    }
+}
+
+/// Plans the trace: request `k` has seed `k + 1` and goes to tenant
+/// `k % tenants`.
+fn plan_trace(
+    args: &Args,
+    fleet: &[String],
+    models: &[SynCircuit],
+    faults: Option<&FaultPlan>,
+    dir: &Path,
+) -> Result<Vec<Planned>, String> {
+    let mut trace = Vec::with_capacity(args.requests);
     for k in 0..args.requests as u64 {
         let seed = k + 1;
         let tenant = (k % args.tenants as u64) as usize;
         let mut request = GenRequest::nodes(args.nodes + (k % 5) as usize).seeded(seed);
-        let predicted = plan.predict(seed, retry.max_attempts);
-        let zero_deadline = k % 13 == 5;
-        let (expected, path) = if zero_deadline {
-            // Deadline expiry is checked before the job runs, so it
-            // wins over any predicted fault.
-            request = request.deadline(Duration::ZERO);
-            (Expected::Deadline, fleet[tenant].clone())
-        } else {
-            match predicted {
-                Predicted::Ok { .. } => (Expected::Ok, fleet[tenant].clone()),
-                Predicted::Panic => (Expected::Panicked, fleet[tenant].clone()),
-                Predicted::Corrupt | Predicted::IoExhausted => {
-                    let private = dir.join(format!("chaos_{k}.json"));
-                    std::fs::copy(&fleet[tenant], &private)
-                        .map_err(|e| format!("{}: {e}", private.display()))?;
-                    (Expected::ModelError, private.display().to_string())
-                }
+        let mut artifact = fleet[tenant].clone();
+        let plan = match faults {
+            None => Plan::direct(&models[tenant], &request),
+            Some(faults) if faults.decide_conn(seed) == Some(ConnFault::Drop) => Plan::Dropped,
+            Some(_) if k % 13 == 5 => {
+                request = request.deadline(Duration::ZERO);
+                Plan::Deadline
             }
+            Some(faults) => match faults.predict(seed, RETRY.max_attempts) {
+                Predicted::Ok { .. } => Plan::direct(&models[tenant], &request),
+                Predicted::Panic => Plan::Panicked,
+                Predicted::Corrupt | Predicted::IoExhausted => {
+                    let private = dir.join(format!("private_{k}.json"));
+                    std::fs::copy(&artifact, &private)
+                        .map_err(|e| format!("{}: {e}", private.display()))?;
+                    artifact = private.display().to_string();
+                    Plan::ModelError
+                }
+            },
         };
         trace.push(Planned {
-            seed,
             tenant,
-            path,
+            artifact,
             request,
-            expected,
+            plan,
         });
     }
+    Ok(trace)
+}
 
-    // Fault-free reference: generate each surviving request directly
-    // from a freshly loaded model. Generation can fail legitimately
-    // (e.g. a refinement dead-end for one (nodes, seed) combo) — that
-    // failure is itself deterministic, so the chaos run must reproduce
-    // it exactly, error for error, bytes for bytes.
-    type Reference = Result<syncircuit_core::Generated, syncircuit_core::Error>;
-    let reference: Vec<Option<Reference>> = trace
-        .iter()
-        .map(|p| (p.expected == Expected::Ok).then(|| models[p.tenant].generate_one(&p.request)))
+/// Plans the coalescing burst: one filler per worker, then [`DUPS`]
+/// identical requests, all in one tenant's lane. A lane is FIFO, so the
+/// duplicates' leader waits behind the fillers (eight times the trace's
+/// node count, so they run long) while its followers are admitted.
+fn plan_burst(args: &Args, fleet: &[String], models: &[SynCircuit]) -> Vec<Planned> {
+    let tenant = 1 % args.tenants;
+    let planned = |request: GenRequest| Planned {
+        tenant,
+        artifact: fleet[tenant].clone(),
+        plan: Plan::direct(&models[tenant], &request),
+        request,
+    };
+    let mut burst: Vec<Planned> = (0..args.workers as u64)
+        .map(|w| planned(GenRequest::nodes(8 * args.nodes).seeded(u64::MAX - 10 - w)))
         .collect();
-
-    let daemon = Daemon::start_with_faults(
-        DaemonConfig {
-            workers: args.workers,
-            queue_capacity: args.queue.max(args.requests),
-            budget: RegistryBudget::max_models(args.max_resident),
-            retry,
-            quarantine: QuarantinePolicy::disabled(),
-        },
-        plan.clone(),
-    );
-    eprintln!(
-        "load-gen: chaos: replaying {} requests, {} tenants, {} workers, {} private artifacts",
-        args.requests,
-        args.tenants,
-        args.workers,
-        trace.iter().filter(|p| p.expected == Expected::ModelError).count()
-    );
-
-    let started = Instant::now();
-    let tickets: Vec<Ticket> = trace
-        .iter()
-        .map(|p| {
-            daemon
-                .submit(&format!("tenant-{}", p.tenant), &p.path, p.request.clone())
-                .map_err(|e| format!("admission failed for seed {}: {e}", p.seed))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut mismatches = 0usize;
-    for (k, (planned, ticket)) in trace.iter().zip(tickets).enumerate() {
-        let outcome = ticket
-            .wait_timeout(HANG_GUARD)
-            .map_err(|_| format!("HANG: seed {} unresolved after {HANG_GUARD:?}", planned.seed))?;
-        let verdict = match (planned.expected, &outcome) {
-            (Expected::Ok, got) => {
-                match (reference[k].as_ref().expect("reference exists for Ok"), got) {
-                    (Ok(reference), Ok(gen)) if gen.graph == reference.graph => Ok(()),
-                    (Ok(_), Ok(_)) => Err("design differs from fault-free reference".to_string()),
-                    (Err(expected), Err(ServeError::Model(e))) if e == expected => Ok(()),
-                    (expected, got) => {
-                        let show = |r: &dyn std::fmt::Debug| format!("{r:?}");
-                        Err(format!(
-                            "fault-free outcome not reproduced: reference {}, served {}",
-                            show(&expected.as_ref().map(|_| "Ok")),
-                            show(&got.as_ref().map(|_| "Ok"))
-                        ))
-                    }
-                }
-            }
-            (Expected::Deadline, Err(ServeError::DeadlineExceeded)) => Ok(()),
-            (Expected::Panicked, Err(ServeError::WorkerPanicked { .. })) => Ok(()),
-            (Expected::ModelError, Err(ServeError::Model(_))) => Ok(()),
-            (expected, got) => {
-                let got = match got {
-                    Ok(_) => "Ok".to_string(),
-                    Err(e) => format!("{e:?}"),
-                };
-                Err(format!("expected {expected:?}, got {got}"))
-            }
-        };
-        if let Err(why) = verdict {
-            eprintln!("load-gen: chaos: seed {} MISMATCH: {why}", planned.seed);
-            mismatches += 1;
-        }
-    }
-    let wall = started.elapsed();
-
-    let registry = daemon.registry().stats();
-    let stats = daemon.shutdown();
-    let counts = plan.counts();
-
-    let expected_expired = trace.iter().filter(|p| p.expected == Expected::Deadline).count() as u64;
-    let expected_panics = trace.iter().filter(|p| p.expected == Expected::Panicked).count() as u64;
-
-    println!(
-        "load-gen: chaos seed {chaos_seed}: {} requests in {:.2}s, {} workers",
-        args.requests,
-        wall.as_secs_f64(),
-        args.workers
-    );
-    println!(
-        "  injected: {} io errors, {} slow reads, {} corrupt reads, {} panics",
-        counts.io_errors, counts.slow_reads, counts.corrupt_reads, counts.panics
-    );
-    println!(
-        "  daemon: {} served, {} expired, {} panicked, {} queued at shutdown",
-        stats.served, stats.expired, stats.panicked, stats.queued
-    );
-    println!(
-        "  registry: {} loads, {} load failures, {} hits, {} evictions",
-        registry.loads, registry.load_failures, registry.hits, registry.evictions
-    );
-
-    if mismatches > 0 {
-        return Err(format!("{mismatches} outcome(s) diverged from the fault plan"));
-    }
-    if counts.total() == 0 || counts.io_errors == 0 || counts.corrupt_reads == 0 || counts.panics == 0
-    {
-        return Err(format!(
-            "fault plan injected too little to prove anything: {counts:?} \
-             (raise --requests or change the seed)"
-        ));
-    }
-    if stats.queued != 0 {
-        return Err(format!("{} job(s) leaked past shutdown", stats.queued));
-    }
-    if stats.served != args.requests as u64 {
-        return Err(format!(
-            "daemon resolved {} of {} requests",
-            stats.served, args.requests
-        ));
-    }
-    if stats.expired != expected_expired || stats.panicked != expected_panics {
-        return Err(format!(
-            "counters diverged from the plan: expired {} (want {expected_expired}), \
-             panicked {} (want {expected_panics})",
-            stats.expired, stats.panicked
-        ));
-    }
-    println!("  chaos: all outcomes matched the plan; surviving designs byte-identical");
-    Ok(())
+    let dup = planned(GenRequest::nodes(args.nodes).seeded(u64::MAX - 1));
+    burst.extend(std::iter::repeat_n(dup, DUPS));
+    burst
 }
 
 /// Bit-exact equality of two generated designs (graphs, Gini edge
@@ -406,239 +306,173 @@ fn generated_identical(a: &Generated, b: &Generated) -> bool {
         })
 }
 
-/// TCP replay (`--net [ADDR]`, see module docs): the mixed-tenant
-/// trace pipelined over one wire connection, byte-checked against
-/// direct generation, followed by a coalesced-duplicate burst.
-fn run_net(args: &Args, addr: &str, dir: &std::path::Path) -> Result<(), String> {
-    eprintln!(
-        "load-gen: net: training {} tenant model(s)...",
-        args.tenants
-    );
-    let fleet = train_fleet(dir, args.tenants);
-    let models: Vec<SynCircuit> = fleet
-        .iter()
-        .map(|p| SynCircuit::load(p).expect("load tenant artifact"))
-        .collect();
+/// How a request resolved, on either transport.
+type Outcome = Result<Generated, ClientError>;
 
-    let srv = NetServer::bind(
-        addr,
-        NetServerConfig {
-            daemon: DaemonConfig {
-                workers: args.workers,
-                queue_capacity: args.queue,
-                budget: RegistryBudget::max_models(args.max_resident),
-                ..DaemonConfig::default()
-            },
-            ..NetServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("bind {addr}: {e}"))?;
-    let mut client =
-        NetClient::connect(srv.local_addr()).map_err(|e| format!("connect: {e}"))?;
-    client
-        .set_read_timeout(Some(HANG_GUARD))
-        .map_err(|e| format!("set read timeout: {e}"))?;
-    eprintln!(
-        "load-gen: net: serving on {}, replaying {} requests, {} tenants, {} workers, window {}",
-        srv.local_addr(),
-        args.requests,
-        args.tenants,
-        args.workers,
-        args.inflight
-    );
-
-    let request_for = |k: u64| GenRequest::nodes(args.nodes + (k % 5) as usize).seeded(k);
-
-    // Sliding window over one pipelined connection, redeemed FIFO by
-    // correlation id; every design is kept for the identity pass.
-    let mut window: VecDeque<(Instant, u64, u64)> = VecDeque::with_capacity(args.inflight);
-    let mut latencies: Vec<Duration> = Vec::with_capacity(args.requests);
-    let mut results: Vec<Option<Generated>> = (0..args.requests).map(|_| None).collect();
-    let started = Instant::now();
-    for k in 0..args.requests as u64 {
-        if window.len() == args.inflight {
-            let (submitted, id, done) = window.pop_front().expect("window is non-empty");
-            let design = client
-                .wait(id)
-                .map_err(|e| format!("request {done} failed over the wire: {e}"))?;
-            latencies.push(submitted.elapsed());
-            results[done as usize] = Some(design);
-        }
-        let tenant = (k % args.tenants as u64) as usize;
-        let id = client
-            .submit(&format!("tenant-{tenant}"), &fleet[tenant], request_for(k))
-            .map_err(|e| format!("submission {k} failed: {e}"))?;
-        window.push_back((Instant::now(), id, k));
+fn describe<T, E: Debug>(outcome: &Result<T, E>) -> String {
+    match outcome {
+        Ok(_) => "a design".to_string(),
+        Err(e) => format!("{e:?}"),
     }
-    for (submitted, id, done) in window {
-        let design = client
-            .wait(id)
-            .map_err(|e| format!("request {done} failed over the wire: {e}"))?;
+}
+
+/// Checks one answer against its plan.
+fn verdict(plan: &Plan, got: &Outcome) -> Result<(), String> {
+    match (plan, got) {
+        (Plan::Answer(Ok(want)), Ok(design)) if generated_identical(design, want) => Ok(()),
+        (Plan::Answer(Err(want)), Err(ClientError::Serve(ServeError::Model(e)))) if e == want => {
+            Ok(())
+        }
+        // A dropped connection closes cleanly, or resets when the
+        // kernel tears the socket down first.
+        (Plan::Dropped, Err(ClientError::Disconnected | ClientError::Io(_)))
+        | (Plan::Deadline, Err(ClientError::Serve(ServeError::DeadlineExceeded)))
+        | (Plan::Panicked, Err(ClientError::Serve(ServeError::WorkerPanicked { .. })))
+        | (Plan::ModelError, Err(ClientError::Serve(ServeError::Model(_)))) => Ok(()),
+        (Plan::Answer(Ok(_)), Ok(_)) => {
+            Err("the design differs from direct generation".to_string())
+        }
+        (Plan::Answer(want), got) => {
+            Err(format!("planned {}, got {}", describe(want), describe(got)))
+        }
+        (plan, got) => Err(format!("planned {plan:?}, got {}", describe(got))),
+    }
+}
+
+/// Where requests are served.
+enum Transport {
+    /// A coalescer over a daemon, in this process.
+    Local(Coalescer),
+    /// A TCP server, with one pipelined connection, or none when every
+    /// request opens its own.
+    Net {
+        server: NetServer,
+        shared: Option<NetClient>,
+    },
+}
+
+/// A submitted request, redeemed by [`Transport::wait`].
+enum Pending {
+    Local(CoalesceTicket),
+    /// A correlation id on the shared connection.
+    Shared(u64),
+    /// A request on a connection of its own.
+    Own(NetClient, u64),
+}
+
+fn connect(addr: SocketAddr) -> Result<NetClient, ClientError> {
+    let mut client = NetClient::connect(addr)?;
+    client.set_read_timeout(Some(HANG_GUARD))?;
+    Ok(client)
+}
+
+impl Transport {
+    fn submit(&mut self, planned: &Planned) -> Result<Pending, ClientError> {
+        let tenant = format!("tenant-{}", planned.tenant);
+        let (artifact, request) = (&planned.artifact, planned.request.clone());
+        Ok(match self {
+            Transport::Local(coalescer) => Pending::Local(
+                coalescer
+                    .submit(&tenant, artifact, request)
+                    .map_err(ClientError::Serve)?,
+            ),
+            Transport::Net {
+                shared: Some(client),
+                ..
+            } => Pending::Shared(client.submit(&tenant, artifact, request)?),
+            Transport::Net { server, .. } => {
+                let mut client = connect(server.local_addr())?;
+                let id = client.submit(&tenant, artifact, request)?;
+                Pending::Own(client, id)
+            }
+        })
+    }
+
+    /// Blocks for the answer. A hang surfaces as an IO error after
+    /// [`HANG_GUARD`], as a socket read timeout does over TCP.
+    fn wait(&mut self, pending: Pending) -> Outcome {
+        match (pending, self) {
+            (Pending::Local(ticket), _) => match ticket.wait_timeout(HANG_GUARD) {
+                Ok(outcome) => outcome.map_err(ClientError::Serve),
+                Err(_) => Err(ClientError::Io(format!("no answer after {HANG_GUARD:?}"))),
+            },
+            (Pending::Own(mut client, id), _) => client.wait(id),
+            (
+                Pending::Shared(id),
+                Transport::Net {
+                    shared: Some(client),
+                    ..
+                },
+            ) => client.wait(id),
+            (Pending::Shared(_), _) => unreachable!("a shared id needs the shared connection"),
+        }
+    }
+
+    /// Drains the server and returns its counters, with the registry's
+    /// in process (`NetServer` exposes none).
+    fn shutdown(self) -> (DaemonStats, Option<RegistryStats>) {
+        match self {
+            Transport::Local(coalescer) => {
+                let registry = coalescer.daemon().registry().stats();
+                (coalescer.shutdown(), Some(registry))
+            }
+            Transport::Net { server, shared } => {
+                drop(shared);
+                (server.shutdown(), None)
+            }
+        }
+    }
+}
+
+/// Serves `trace` through a sliding window of `inflight` outstanding
+/// requests, redeemed in submission order. Returns every request's
+/// latency and the number of answers that differ from their plan.
+fn replay(
+    transport: &mut Transport,
+    trace: &[Planned],
+    inflight: usize,
+) -> Result<(Vec<Duration>, usize), String> {
+    let mut unsent = trace.iter();
+    let mut window = VecDeque::with_capacity(inflight.min(trace.len()));
+    let mut latencies = Vec::with_capacity(trace.len());
+    let mut mismatches = 0;
+    loop {
+        while window.len() < inflight {
+            let Some(planned) = unsent.next() else { break };
+            let pending = transport
+                .submit(planned)
+                .map_err(|e| format!("submitting seed {}: {e}", planned.seed()))?;
+            window.push_back((planned, Instant::now(), pending));
+        }
+        let Some((planned, submitted, pending)) = window.pop_front() else {
+            break;
+        };
+        let outcome = transport.wait(pending);
         latencies.push(submitted.elapsed());
-        results[done as usize] = Some(design);
-    }
-    let wall = started.elapsed();
-
-    // Byte-identity with the in-process path: each wire response must
-    // equal direct generation from a freshly loaded model.
-    let mut mismatches = 0usize;
-    for k in 0..args.requests as u64 {
-        let tenant = (k % args.tenants as u64) as usize;
-        let reference = models[tenant]
-            .generate_one(&request_for(k))
-            .map_err(|e| format!("direct generation failed for request {k}: {e}"))?;
-        let served = results[k as usize].as_ref().expect("every request redeemed");
-        if !generated_identical(served, &reference) {
-            eprintln!("load-gen: net: request {k} diverged from direct generation");
+        if let Err(why) = verdict(&planned.plan, &outcome) {
+            eprintln!("load-gen: seed {} MISMATCH: {why}", planned.seed());
             mismatches += 1;
         }
     }
+    Ok((latencies, mismatches))
+}
 
-    // Coalesced-duplicate burst: fillers occupy every worker so the
-    // duplicate leader queues; the identical submissions behind it
-    // must attach to its in-flight execution, not run again.
-    const DUPS: usize = 8;
-    let dup_tenant = 1 % args.tenants;
-    let dup_request = GenRequest::nodes(args.nodes).seeded(u64::MAX - 1);
-    let mut burst_ids: Vec<u64> = Vec::new();
-    for w in 0..args.workers.max(1) as u64 {
-        let filler = GenRequest::nodes(args.nodes + 4).seeded(u64::MAX - 10 - w);
-        burst_ids.push(
-            client
-                .submit("tenant-0", &fleet[0], filler)
-                .map_err(|e| format!("filler submission failed: {e}"))?,
-        );
-    }
-    let dup_ids: Vec<u64> = (0..DUPS)
-        .map(|_| {
-            client.submit(
-                &format!("tenant-{dup_tenant}"),
-                &fleet[dup_tenant],
-                dup_request.clone(),
-            )
+fn run(args: &Args, dir: &Path) -> Result<(), String> {
+    let faults = args.chaos.map(|seed| {
+        Arc::new(match args.net {
+            Some(_) => FaultPlan::seeded_with_conn_faults(seed),
+            None => FaultPlan::seeded(seed),
         })
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("duplicate submission failed: {e}"))?;
-    let burst_total = burst_ids.len() + dup_ids.len();
-    for id in burst_ids {
-        client
-            .wait(id)
-            .map_err(|e| format!("filler failed over the wire: {e}"))?;
-    }
-    let dup_reference = models[dup_tenant]
-        .generate_one(&dup_request)
-        .map_err(|e| format!("direct generation of the duplicate failed: {e}"))?;
-    for id in dup_ids {
-        let design = client
-            .wait(id)
-            .map_err(|e| format!("duplicate failed over the wire: {e}"))?;
-        if !generated_identical(&design, &dup_reference) {
-            eprintln!("load-gen: net: a coalesced duplicate diverged from direct generation");
-            mismatches += 1;
-        }
-    }
-
-    drop(client);
-    let stats = srv.shutdown();
-
-    latencies.sort_unstable();
-    let p50 = percentile(&latencies, 0.50);
-    let p99 = percentile(&latencies, 0.99);
-    let mean_ns =
-        latencies.iter().map(Duration::as_nanos).sum::<u128>() / latencies.len() as u128;
-    let throughput = args.requests as f64 / wall.as_secs_f64();
-
-    println!(
-        "load-gen: net: {} requests in {:.2}s ({throughput:.0} req/s) over one connection",
-        args.requests,
-        wall.as_secs_f64()
-    );
-    println!(
-        "  wire latency p50 {:.2}ms  p99 {:.2}ms  mean {:.2}ms",
-        p50.as_secs_f64() * 1e3,
-        p99.as_secs_f64() * 1e3,
-        mean_ns as f64 / 1e6
-    );
-    println!(
-        "  daemon: {} served, {} rejected, {} coalesce hits, {} misses, {} queued at shutdown",
-        stats.served, stats.rejected, stats.coalesce_hits, stats.coalesce_misses, stats.queued
-    );
-
-    if mismatches > 0 {
-        return Err(format!(
-            "{mismatches} wire response(s) diverged from direct generation"
-        ));
-    }
-    if stats.rejected != 0 {
-        return Err(format!("{} submissions were rejected", stats.rejected));
-    }
-    if stats.coalesce_hits == 0 {
-        return Err("the duplicate burst produced no coalesce hits".to_string());
-    }
-    let total = (args.requests + burst_total) as u64;
-    if stats.served + stats.coalesce_hits != total {
-        return Err(format!(
-            "accounting is off: {} served + {} hits != {total} submissions",
-            stats.served, stats.coalesce_hits
-        ));
-    }
-    if stats.queued != 0 {
-        return Err(format!("{} job(s) leaked past shutdown", stats.queued));
-    }
-
-    if let Some(path) = &args.json {
-        let doc = serde_json::Value::Object(vec![
-            (
-                "serve_net_p50_ns".to_string(),
-                serde_json::Value::UInt(p50.as_nanos() as u64),
-            ),
-            (
-                "serve_net_p99_ns".to_string(),
-                serde_json::Value::UInt(p99.as_nanos() as u64),
-            ),
-            (
-                "serve_net_mean_ns".to_string(),
-                serde_json::Value::UInt(mean_ns as u64),
-            ),
-        ]);
-        let text = serde_json::to_string_pretty(&doc).map_err(|e| format!("{e}"))?;
-        std::fs::write(path, text + "\n").map_err(|e| format!("{path}: {e}"))?;
-        println!("  wrote {path}");
-    }
-    println!("  net: every wire response byte-identical to direct generation; duplicates coalesced");
-    Ok(())
-}
-
-/// What the wire chaos harness expects one request to resolve to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum NetExpected {
-    /// The connection is dropped before admission: a clean close (or
-    /// reset), never a hang.
-    Dropped,
-    /// As [`Expected::Ok`]: byte-identical to the fault-free reference.
-    Ok,
-    /// As [`Expected::Deadline`].
-    Deadline,
-    /// As [`Expected::Panicked`].
-    Panicked,
-    /// As [`Expected::ModelError`].
-    ModelError,
-}
-
-/// Deterministic fault injection over the wire (`--chaos SEED --net`):
-/// one connection per request so a scheduled connection drop severs
-/// exactly one exchange, every outcome checked against the plan.
-fn run_chaos_net(args: &Args, chaos_seed: u64, addr: &str, dir: &std::path::Path) -> Result<(), String> {
+    });
     silence_injected_panics();
-    let retry = RetryPolicy {
-        max_attempts: 3,
-        base_delay: Duration::from_micros(200),
-        max_delay: Duration::from_millis(2),
+    let (transport_name, json_prefix) = match args.net {
+        Some(_) => ("net", "serve_net"),
+        None => ("in-process", "serve_load"),
     };
-    let plan = std::sync::Arc::new(FaultPlan::seeded_with_conn_faults(chaos_seed));
-
+    let chaos = args.chaos.map(|seed| format!(" chaos seed {seed}"));
+    let mode = format!("{transport_name}{}", chaos.unwrap_or_default());
     eprintln!(
-        "load-gen: chaos+net seed {chaos_seed}: training {} tenant model(s)...",
+        "load-gen: {mode}: training {} tenant model(s)...",
         args.tenants
     );
     let fleet = train_fleet(dir, args.tenants);
@@ -646,302 +480,174 @@ fn run_chaos_net(args: &Args, chaos_seed: u64, addr: &str, dir: &std::path::Path
         .iter()
         .map(|p| SynCircuit::load(p).expect("load tenant artifact"))
         .collect();
-
-    // Plan the trace. The connection verdict is consulted first (the
-    // server hangs up before admission on a drop), then the deadline,
-    // then the artifact-read/worker prediction — mirroring the server's
-    // own order of checks.
-    struct Planned {
-        seed: u64,
-        tenant: usize,
-        path: String,
-        request: GenRequest,
-        expected: NetExpected,
-    }
-    let mut trace: Vec<Planned> = Vec::with_capacity(args.requests);
-    for k in 0..args.requests as u64 {
-        let seed = k + 1;
-        let tenant = (k % args.tenants as u64) as usize;
-        let mut request = GenRequest::nodes(args.nodes + (k % 5) as usize).seeded(seed);
-        let zero_deadline = k % 13 == 5;
-        let (expected, path) = if matches!(plan.decide_conn(seed), Some(ConnFault::Drop)) {
-            (NetExpected::Dropped, fleet[tenant].clone())
-        } else if zero_deadline {
-            request = request.deadline(Duration::ZERO);
-            (NetExpected::Deadline, fleet[tenant].clone())
-        } else {
-            match plan.predict(seed, retry.max_attempts) {
-                Predicted::Ok { .. } => (NetExpected::Ok, fleet[tenant].clone()),
-                Predicted::Panic => (NetExpected::Panicked, fleet[tenant].clone()),
-                Predicted::Corrupt | Predicted::IoExhausted => {
-                    let private = dir.join(format!("chaos_net_{k}.json"));
-                    std::fs::copy(&fleet[tenant], &private)
-                        .map_err(|e| format!("{}: {e}", private.display()))?;
-                    (NetExpected::ModelError, private.display().to_string())
-                }
-            }
-        };
-        trace.push(Planned {
-            seed,
-            tenant,
-            path,
-            request,
-            expected,
-        });
-    }
-
-    type Reference = Result<Generated, syncircuit_core::Error>;
-    let reference: Vec<Option<Reference>> = trace
-        .iter()
-        .map(|p| {
-            (p.expected == NetExpected::Ok).then(|| models[p.tenant].generate_one(&p.request))
-        })
-        .collect();
-
-    let srv = NetServer::bind_with_faults(
-        addr,
-        NetServerConfig {
-            daemon: DaemonConfig {
-                workers: args.workers,
-                queue_capacity: args.queue.max(args.requests),
-                budget: RegistryBudget::max_models(args.max_resident),
-                retry,
-                quarantine: QuarantinePolicy::disabled(),
-            },
-            ..NetServerConfig::default()
-        },
-        plan.clone(),
-    )
-    .map_err(|e| format!("bind {addr}: {e}"))?;
-    eprintln!(
-        "load-gen: chaos+net: serving on {}, {} requests ({} scheduled drops), {} workers",
-        srv.local_addr(),
-        args.requests,
-        trace.iter().filter(|p| p.expected == NetExpected::Dropped).count(),
-        args.workers
-    );
-
-    let started = Instant::now();
-    let mut mismatches = 0usize;
-    for (k, planned) in trace.iter().enumerate() {
-        let mut client =
-            NetClient::connect(srv.local_addr()).map_err(|e| format!("connect: {e}"))?;
-        client
-            .set_read_timeout(Some(HANG_GUARD))
-            .map_err(|e| format!("set read timeout: {e}"))?;
-        let outcome = client.call(
-            &format!("tenant-{}", planned.tenant),
-            &planned.path,
-            planned.request.clone(),
-        );
-        let verdict: Result<(), String> = match (planned.expected, &outcome) {
-            // A dropped connection surfaces as a clean close — or as a
-            // reset if the kernel tears the socket down first. Both are
-            // immediate; a hang would trip the read timeout instead.
-            (NetExpected::Dropped, Err(ClientError::Disconnected | ClientError::Io(_))) => Ok(()),
-            (NetExpected::Deadline, Err(ClientError::Serve(ServeError::DeadlineExceeded))) => {
-                Ok(())
-            }
-            (NetExpected::Panicked, Err(ClientError::Serve(ServeError::WorkerPanicked { .. }))) => {
-                Ok(())
-            }
-            (NetExpected::ModelError, Err(ClientError::Serve(ServeError::Model(_)))) => Ok(()),
-            (NetExpected::Ok, got) => {
-                match (reference[k].as_ref().expect("reference exists for Ok"), got) {
-                    (Ok(reference), Ok(gen)) if generated_identical(gen, reference) => Ok(()),
-                    (Ok(_), Ok(_)) => Err("design differs from fault-free reference".to_string()),
-                    (Err(expected), Err(ClientError::Serve(ServeError::Model(e))))
-                        if e == expected =>
-                    {
-                        Ok(())
-                    }
-                    (_, got) => Err(format!(
-                        "fault-free outcome not reproduced over the wire: {:?}",
-                        got.as_ref().map(|_| "Ok")
-                    )),
-                }
-            }
-            (expected, got) => {
-                let got = match got {
-                    Ok(_) => "Ok".to_string(),
-                    Err(e) => format!("{e:?}"),
-                };
-                Err(format!("expected {expected:?}, got {got}"))
-            }
-        };
-        if let Err(why) = verdict {
-            eprintln!("load-gen: chaos+net: seed {} MISMATCH: {why}", planned.seed);
-            mismatches += 1;
-        }
-    }
-    let wall = started.elapsed();
-
-    let counts = plan.counts();
-    let stats = srv.shutdown();
-
-    println!(
-        "load-gen: chaos+net seed {chaos_seed}: {} requests in {:.2}s, {} workers",
-        args.requests,
-        wall.as_secs_f64(),
-        args.workers
-    );
-    println!(
-        "  injected: {} conn drops, {} slowed writes, {} io errors, {} corrupt reads, {} panics",
-        counts.conn_drops, counts.conn_slows, counts.io_errors, counts.corrupt_reads, counts.panics
-    );
-    println!(
-        "  daemon: {} served, {} expired, {} panicked, {} coalesce misses, {} queued at shutdown",
-        stats.served, stats.expired, stats.panicked, stats.coalesce_misses, stats.queued
-    );
-
-    if mismatches > 0 {
-        return Err(format!("{mismatches} outcome(s) diverged from the fault plan"));
-    }
-    if counts.conn_drops == 0 || counts.conn_slows == 0 {
-        return Err(format!(
-            "the wire seam injected too little to prove anything: {counts:?} \
-             (raise --requests or change the seed)"
-        ));
-    }
-    if stats.queued != 0 {
-        return Err(format!("{} job(s) leaked past shutdown", stats.queued));
-    }
-    println!("  chaos+net: every wire outcome matched the plan; nothing hung or stranded");
-    Ok(())
-}
-
-fn run() -> Result<(), String> {
-    let args = Args::parse()?;
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "syncircuit-load-gen-{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-
-    let result = match (args.chaos, args.net.clone()) {
-        (Some(chaos_seed), Some(addr)) => Some(run_chaos_net(&args, chaos_seed, &addr, &dir)),
-        (Some(chaos_seed), None) => Some(run_chaos(&args, chaos_seed, &dir)),
-        (None, Some(addr)) => Some(run_net(&args, &addr, &dir)),
-        (None, None) => None,
+    let trace = plan_trace(args, &fleet, &models, faults.as_deref(), dir)?;
+    // A fault plan would fault the fillers too, so only a fault-free
+    // run bursts.
+    let burst = match faults {
+        Some(_) => Vec::new(),
+        None => plan_burst(args, &fleet, &models),
     };
-    if let Some(result) = result {
-        let _ = std::fs::remove_dir_all(&dir);
-        return result;
-    }
 
-    eprintln!(
-        "load-gen: training {} tenant model(s) ({}-node corpus circuits)...",
-        args.tenants, 20
-    );
-    let fleet = train_fleet(&dir, args.tenants);
-
-    let daemon = Daemon::start(DaemonConfig {
+    let config = DaemonConfig {
         workers: args.workers,
-        queue_capacity: args.queue,
+        queue_capacity: args.inflight.max(args.workers + DUPS),
         budget: RegistryBudget::max_models(args.max_resident),
-        ..DaemonConfig::default()
-    });
+        retry: RETRY,
+        // A planned read failure must stay a typed model error, never
+        // `Quarantined`.
+        quarantine: QuarantinePolicy::disabled(),
+    };
+    let injector: Arc<dyn FaultInjector> = match &faults {
+        Some(plan) => plan.clone(),
+        None => Arc::new(NoFaults),
+    };
+    let mut transport = match &args.net {
+        None => Transport::Local(Coalescer::new(Daemon::start_with_faults(config, injector))),
+        Some(addr) => {
+            let daemon = NetServerConfig {
+                daemon: config,
+                ..NetServerConfig::default()
+            };
+            let server = NetServer::bind_with_faults(addr.as_str(), daemon, injector)
+                .map_err(|e| format!("bind {addr}: {e}"))?;
+            let shared = match faults {
+                Some(_) => None,
+                None => Some(connect(server.local_addr()).map_err(|e| format!("connect: {e}"))?),
+            };
+            Transport::Net { server, shared }
+        }
+    };
     eprintln!(
-        "load-gen: replaying {} requests, {} tenants, {} workers, window {}, registry budget {} model(s)",
+        "load-gen: {mode}: replaying {} requests, {} tenants, {} workers, window {}, \
+         registry budget {} model(s)",
         args.requests, args.tenants, args.workers, args.inflight, args.max_resident
     );
 
-    // Sliding window: keep `inflight` tickets outstanding, redeem FIFO.
-    let mut window: VecDeque<(Instant, Ticket)> = VecDeque::with_capacity(args.inflight);
-    let mut latencies: Vec<Duration> = Vec::with_capacity(args.requests);
-    let mut peak_inflight = 0usize;
     let started = Instant::now();
-    for k in 0..args.requests as u64 {
-        if window.len() == args.inflight {
-            let (submitted, ticket) = window.pop_front().expect("window is non-empty");
-            ticket.wait().map_err(|e| format!("request failed: {e}"))?;
-            latencies.push(submitted.elapsed());
-        }
-        let tenant = (k % args.tenants as u64) as usize;
-        let request = GenRequest::nodes(args.nodes + (k % 5) as usize).seeded(k);
-        let ticket = daemon
-            .submit(&format!("tenant-{tenant}"), &fleet[tenant], request)
-            .map_err(|e| format!("admission failed at request {k}: {e}"))?;
-        window.push_back((Instant::now(), ticket));
-        peak_inflight = peak_inflight.max(window.len());
-    }
-    for (submitted, ticket) in window {
-        ticket.wait().map_err(|e| format!("request failed: {e}"))?;
-        latencies.push(submitted.elapsed());
-    }
+    let (mut latencies, mut mismatches) = replay(&mut transport, &trace, args.inflight)?;
     let wall = started.elapsed();
-
-    let registry = daemon.registry().stats();
-    let stats = daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    if stats.served != args.requests as u64 {
-        return Err(format!(
-            "daemon served {} of {} requests",
-            stats.served, args.requests
-        ));
-    }
-    if stats.rejected != 0 {
-        return Err(format!("{} submissions were rejected", stats.rejected));
-    }
-    if args.max_resident < args.tenants && registry.evictions == 0 {
-        return Err(format!(
-            "registry budget ({} < {} tenants) forced no evictions: {registry:?}",
-            args.max_resident, args.tenants
-        ));
-    }
+    mismatches += replay(&mut transport, &burst, burst.len())?.1;
+    let (stats, registry) = transport.shutdown();
 
     latencies.sort_unstable();
     let p50 = percentile(&latencies, 0.50);
     let p99 = percentile(&latencies, 0.99);
-    let mean_ns = latencies.iter().map(Duration::as_nanos).sum::<u128>()
-        / latencies.len() as u128;
-    let throughput = args.requests as f64 / wall.as_secs_f64();
-
+    let mean = latencies.iter().sum::<Duration>() / latencies.len() as u32;
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!(
-        "load-gen: {} requests in {:.2}s ({throughput:.0} req/s), peak in-flight {peak_inflight}",
+        "load-gen: {mode}: {} requests in {:.2}s ({:.0} req/s), window {}, {} workers",
         args.requests,
-        wall.as_secs_f64()
+        wall.as_secs_f64(),
+        args.requests as f64 / wall.as_secs_f64(),
+        args.inflight,
+        args.workers
     );
     println!(
         "  latency p50 {:.2}ms  p99 {:.2}ms  mean {:.2}ms",
-        p50.as_secs_f64() * 1e3,
-        p99.as_secs_f64() * 1e3,
-        mean_ns as f64 / 1e6
+        ms(p50),
+        ms(p99),
+        ms(mean)
     );
     println!(
-        "  registry: {} hits, {} loads, {} evictions, {} resident ({} bytes)",
-        registry.hits, registry.loads, registry.evictions, registry.resident, registry.resident_bytes
+        "  daemon: {} served, {} rejected, {} expired, {} panicked, {} coalesce hits, \
+         {} misses, {} queued at shutdown",
+        stats.served,
+        stats.rejected,
+        stats.expired,
+        stats.panicked,
+        stats.coalesce_hits,
+        stats.coalesce_misses,
+        stats.queued
     );
-    println!(
-        "  daemon: {} served, {} rejected, {} queued at shutdown",
-        stats.served, stats.rejected, stats.queued
-    );
+    if let Some(r) = &registry {
+        println!(
+            "  registry: {} hits, {} loads, {} load failures, {} evictions, {} resident ({} bytes)",
+            r.hits, r.loads, r.load_failures, r.evictions, r.resident, r.resident_bytes
+        );
+    }
+
+    let planned = |want: fn(&Plan) -> bool| trace.iter().filter(|p| want(&p.plan)).count() as u64;
+    let admitted = (trace.len() + burst.len()) as u64 - planned(|p| matches!(p, Plan::Dropped));
+    let expired = planned(|p| matches!(p, Plan::Deadline));
+    let panicked = planned(|p| matches!(p, Plan::Panicked));
+    let mut failures = Vec::new();
+    if mismatches > 0 {
+        failures.push(format!("{mismatches} answer(s) differ from their plan"));
+    }
+    if stats.rejected != 0 {
+        failures.push(format!("{} submission(s) were rejected", stats.rejected));
+    }
+    if stats.queued != 0 {
+        failures.push(format!("{} job(s) leaked past shutdown", stats.queued));
+    }
+    if stats.served + stats.coalesce_hits != admitted {
+        failures.push(format!(
+            "accounting is off: {} served + {} coalesce hits != {admitted} admitted",
+            stats.served, stats.coalesce_hits
+        ));
+    }
+    if stats.expired != expired || stats.panicked != panicked {
+        failures.push(format!(
+            "counters diverged from the plan: expired {} (want {expired}), panicked {} \
+             (want {panicked})",
+            stats.expired, stats.panicked
+        ));
+    }
+    if !burst.is_empty() && stats.coalesce_hits == 0 {
+        failures.push("the duplicate burst produced no coalesce hits".to_string());
+    }
+    if let Some(r) = registry.filter(|r| args.max_resident < args.tenants && r.evictions == 0) {
+        failures.push(format!(
+            "registry budget ({} < {} tenants) forced no evictions: {r:?}",
+            args.max_resident, args.tenants
+        ));
+    }
+    if let Some(plan) = &faults {
+        let c = plan.counts();
+        println!(
+            "  injected: {} io errors, {} slow reads, {} corrupt reads, {} panics, \
+             {} conn drops, {} slowed writes",
+            c.io_errors, c.slow_reads, c.corrupt_reads, c.panics, c.conn_drops, c.conn_slows
+        );
+        let wire = [c.conn_drops, c.conn_slows];
+        let kinds = [c.io_errors, c.corrupt_reads, c.panics];
+        if kinds.contains(&0) || (args.net.is_some() && wire.contains(&0)) {
+            failures.push(format!(
+                "the fault plan injected too little to prove anything: {c:?} \
+                 (raise --requests or change the seed)"
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        return Err(failures.join("; "));
+    }
 
     if let Some(path) = &args.json {
-        let doc = serde_json::Value::Object(vec![
-            (
-                "serve_load_p50_ns".to_string(),
-                serde_json::Value::UInt(p50.as_nanos() as u64),
-            ),
-            (
-                "serve_load_p99_ns".to_string(),
-                serde_json::Value::UInt(p99.as_nanos() as u64),
-            ),
-            (
-                "serve_load_mean_ns".to_string(),
-                serde_json::Value::UInt(mean_ns as u64),
-            ),
-        ]);
+        let doc = serde_json::Value::Object(
+            [("p50", p50), ("p99", p99), ("mean", mean)]
+                .map(|(name, d)| {
+                    let ns = serde_json::Value::UInt(d.as_nanos() as u64);
+                    (format!("{json_prefix}_{name}_ns"), ns)
+                })
+                .to_vec(),
+        );
         let text = serde_json::to_string_pretty(&doc).map_err(|e| format!("{e}"))?;
         std::fs::write(path, text + "\n").map_err(|e| format!("{path}: {e}"))?;
         println!("  wrote {path}");
     }
+    println!("  every answer matched its plan; nothing hung, leaked or was rejected");
     Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let result = Args::parse().and_then(|args| {
+        let dir = std::env::temp_dir().join(format!("syncircuit-load-gen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let result = run(&args, &dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    });
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("load-gen: error: {msg}");
@@ -953,6 +659,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syncircuit_graph::NodeType;
 
     fn ms(xs: &[u64]) -> Vec<Duration> {
         xs.iter().map(|&x| Duration::from_millis(x)).collect()
@@ -980,5 +687,99 @@ mod tests {
         }
         // p0 clamps to the minimum instead of underflowing rank 0.
         assert_eq!(percentile(&ms(&[10, 20]), 0.0).as_millis(), 10);
+    }
+
+    /// Every plan against every kind of answer, built from one tiny
+    /// model's design and typed error: only the planned pairs pass, and
+    /// a design differing in one field fails.
+    #[test]
+    fn verdict_passes_only_the_planned_outcome() {
+        let mut rng = StdRng::seed_from_u64(1000);
+        let corpus: Vec<_> = (0..2)
+            .map(|_| random_circuit_with_size(&mut rng, 20))
+            .collect();
+        let cfg = PipelineConfig::builder()
+            .seed(1000)
+            .reward(RewardKind::IncrementalCone)
+            .build()
+            .unwrap();
+        let model = SynCircuit::fit(&corpus, cfg).unwrap();
+        let design = model
+            .generate_one(&GenRequest::nodes(16).seeded(1))
+            .unwrap();
+        assert!(
+            !design.mcts.is_empty(),
+            "the design must carry MCTS rewards"
+        );
+        let error = model
+            .generate_one(&GenRequest::with_attrs(Vec::new()))
+            .unwrap_err();
+
+        let variant = |edit: fn(&mut Generated)| {
+            let mut other = design.clone();
+            edit(&mut other);
+            Ok(other)
+        };
+        let served = |e: ServeError| Err(ClientError::Serve(e));
+        let outcomes: Vec<(&str, Outcome)> = vec![
+            ("design", Ok(design.clone())),
+            ("other seed", variant(|g| g.seed ^= 1)),
+            (
+                "other gval",
+                variant(|g| {
+                    g.gval.add_node(NodeType::Input, 1);
+                }),
+            ),
+            (
+                "other reward bit",
+                variant(|g| {
+                    g.mcts[0].best_reward = f64::from_bits(g.mcts[0].best_reward.to_bits() ^ 1)
+                }),
+            ),
+            ("model error", served(ServeError::Model(error.clone()))),
+            (
+                "other model error",
+                served(ServeError::Model(CoreError::EmptyCorpus)),
+            ),
+            ("close", Err(ClientError::Disconnected)),
+            (
+                "reset",
+                Err(ClientError::Io("connection reset by peer".to_string())),
+            ),
+            ("deadline", served(ServeError::DeadlineExceeded)),
+            (
+                "panic",
+                served(ServeError::WorkerPanicked {
+                    message: "boom".to_string(),
+                }),
+            ),
+            ("overloaded", served(ServeError::Overloaded { capacity: 1 })),
+        ];
+        let table: Vec<(&str, Plan, &[&str])> = vec![
+            (
+                "answer",
+                Plan::Answer(Ok(Box::new(design.clone()))),
+                &["design"],
+            ),
+            ("model error", Plan::Answer(Err(error)), &["model error"]),
+            ("dropped", Plan::Dropped, &["close", "reset"]),
+            ("deadline", Plan::Deadline, &["deadline"]),
+            ("panicked", Plan::Panicked, &["panic"]),
+            (
+                "any model error",
+                Plan::ModelError,
+                &["model error", "other model error"],
+            ),
+        ];
+        for (plan_name, plan, passing) in &table {
+            for (name, got) in &outcomes {
+                assert_eq!(
+                    verdict(plan, got).is_ok(),
+                    passing.contains(name),
+                    "plan {plan_name}, outcome {name}: {:?}",
+                    verdict(plan, got)
+                );
+            }
+        }
     }
 }

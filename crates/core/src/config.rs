@@ -28,6 +28,13 @@ use std::error::Error as StdError;
 use std::fmt;
 use syncircuit_synth::incremental::MAX_SHARD_COUNT;
 
+// Caps on the sizes validation accepts: far above every preset (at most
+// 12 actions per expansion, 32 sparse candidates and a negative ratio of
+// 2.0), and far below a size whose allocation aborts the process.
+const MAX_ACTIONS_PER_EXPANSION: usize = 1024;
+const MAX_SPARSE_CANDIDATES: usize = 1024;
+const MAX_NEG_RATIO: f64 = 100.0;
+
 /// Reward oracle choice for Phase 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RewardKind {
@@ -207,17 +214,22 @@ impl PipelineConfig {
         if !d.lr.is_finite() || d.lr <= 0.0 {
             return Err(ConfigError::BadLearningRate(d.lr));
         }
-        if !d.neg_ratio.is_finite() || d.neg_ratio < 0.0 {
+        if !(0.0..=MAX_NEG_RATIO).contains(&d.neg_ratio) {
             return Err(ConfigError::BadNegativeRatio(d.neg_ratio));
         }
         if !d.grad_clip.is_finite() || d.grad_clip <= 0.0 {
             return Err(ConfigError::BadGradClip(d.grad_clip));
         }
         if let DecodeMode::Sparse {
-            candidates_per_node: 0,
+            candidates_per_node,
         } = d.decode
         {
-            return Err(ConfigError::ZeroSparseCandidates);
+            if candidates_per_node == 0 {
+                return Err(ConfigError::ZeroSparseCandidates);
+            }
+            if candidates_per_node > MAX_SPARSE_CANDIDATES {
+                return Err(ConfigError::TooManySparseCandidates(candidates_per_node));
+            }
         }
         if let RewardKind::Discriminator { epochs: 0 } = self.reward {
             return Err(ConfigError::ZeroDiscriminatorEpochs);
@@ -246,6 +258,11 @@ impl PipelineConfig {
         }
         if m.actions_per_expansion == 0 {
             return Err(ConfigError::ZeroActionsPerExpansion);
+        }
+        if m.actions_per_expansion > MAX_ACTIONS_PER_EXPANSION {
+            return Err(ConfigError::TooManyActionsPerExpansion(
+                m.actions_per_expansion,
+            ));
         }
         if !m.exploration.is_finite() || m.exploration < 0.0 {
             return Err(ConfigError::BadExploration(m.exploration));
@@ -386,12 +403,14 @@ pub enum ConfigError {
     },
     /// The Adam learning rate must be finite and positive.
     BadLearningRate(f32),
-    /// The negative-sampling ratio must be finite and non-negative.
+    /// The negative-sampling ratio must lie in `0.0..=100.0`.
     BadNegativeRatio(f64),
     /// The gradient clip must be finite and positive.
     BadGradClip(f32),
     /// Sparse decoding needs at least one candidate per node.
     ZeroSparseCandidates,
+    /// Sparse decoding asks for more than 1024 candidates per node.
+    TooManySparseCandidates(usize),
     /// The discriminator reward needs at least one training epoch.
     ZeroDiscriminatorEpochs,
     /// The cone cache is asked for more lock stripes than
@@ -403,6 +422,8 @@ pub enum ConfigError {
     ZeroRolloutDepth,
     /// Phase 3 is enabled with zero candidate actions per expansion.
     ZeroActionsPerExpansion,
+    /// Phase 3 asks for more than 1024 candidate actions per expansion.
+    TooManyActionsPerExpansion(usize),
     /// The UCB1 exploration constant must be finite and non-negative.
     BadExploration(f64),
     /// Phase 3 is enabled but `WorstK(0)` selects no cones.
@@ -422,15 +443,21 @@ impl fmt::Display for ConfigError {
             ConfigError::BadLearningRate(lr) => {
                 write!(f, "learning rate must be finite and positive, got {lr}")
             }
-            ConfigError::BadNegativeRatio(r) => {
-                write!(f, "negative-sampling ratio must be finite and >= 0, got {r}")
-            }
+            ConfigError::BadNegativeRatio(r) => write!(
+                f,
+                "negative-sampling ratio must lie in [0, {MAX_NEG_RATIO}], got {r}"
+            ),
             ConfigError::BadGradClip(c) => {
                 write!(f, "gradient clip must be finite and positive, got {c}")
             }
             ConfigError::ZeroSparseCandidates => {
                 write!(f, "sparse decoding needs candidates_per_node >= 1")
             }
+            ConfigError::TooManySparseCandidates(n) => write!(
+                f,
+                "sparse decoding asks for {n} candidates per node, more than the \
+                 {MAX_SPARSE_CANDIDATES} allowed"
+            ),
             ConfigError::ZeroDiscriminatorEpochs => {
                 write!(f, "discriminator reward needs at least one training epoch")
             }
@@ -447,6 +474,11 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroActionsPerExpansion => {
                 write!(f, "Phase 3 is enabled with zero actions per expansion")
             }
+            ConfigError::TooManyActionsPerExpansion(n) => write!(
+                f,
+                "Phase 3 asks for {n} actions per expansion, more than the \
+                 {MAX_ACTIONS_PER_EXPANSION} allowed"
+            ),
             ConfigError::BadExploration(c) => {
                 write!(f, "exploration constant must be finite and >= 0, got {c}")
             }
@@ -585,6 +617,57 @@ mod tests {
                     .build()
                     .unwrap_err(),
                 ConfigError::TooManyConeCacheShards(shards)
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_sizes_past_their_caps() {
+        let mut m = MctsConfig::tiny();
+        m.actions_per_expansion = MAX_ACTIONS_PER_EXPANSION;
+        assert!(PipelineConfig::builder().mcts(m.clone()).build().is_ok());
+        for actions in [MAX_ACTIONS_PER_EXPANSION + 1, 1 << 40, usize::MAX] {
+            m.actions_per_expansion = actions;
+            assert_eq!(
+                PipelineConfig::builder()
+                    .mcts(m.clone())
+                    .build()
+                    .unwrap_err(),
+                ConfigError::TooManyActionsPerExpansion(actions)
+            );
+        }
+
+        let sparse = |candidates_per_node| DiffusionConfig {
+            decode: DecodeMode::Sparse {
+                candidates_per_node,
+            },
+            ..DiffusionConfig::tiny()
+        };
+        let at_cap = sparse(MAX_SPARSE_CANDIDATES);
+        assert!(PipelineConfig::builder().diffusion(at_cap).build().is_ok());
+        for candidates in [MAX_SPARSE_CANDIDATES + 1, 1 << 40, usize::MAX] {
+            assert_eq!(
+                PipelineConfig::builder()
+                    .diffusion(sparse(candidates))
+                    .build()
+                    .unwrap_err(),
+                ConfigError::TooManySparseCandidates(candidates)
+            );
+        }
+
+        let ratio = |neg_ratio| DiffusionConfig {
+            neg_ratio,
+            ..DiffusionConfig::tiny()
+        };
+        let at_cap = ratio(MAX_NEG_RATIO);
+        assert!(PipelineConfig::builder().diffusion(at_cap).build().is_ok());
+        for neg_ratio in [MAX_NEG_RATIO.next_up(), 1e20, f64::MAX] {
+            assert_eq!(
+                PipelineConfig::builder()
+                    .diffusion(ratio(neg_ratio))
+                    .build()
+                    .unwrap_err(),
+                ConfigError::BadNegativeRatio(neg_ratio)
             );
         }
     }

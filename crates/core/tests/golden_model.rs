@@ -14,7 +14,8 @@
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
 use syncircuit_core::{
-    DiffusionConfig, GenRequest, Generated, PipelineConfig, SynCircuit, MODEL_VERSION,
+    ConfigError, DiffusionConfig, Error, GenRequest, Generated, PipelineConfig, SynCircuit,
+    MODEL_VERSION,
 };
 use syncircuit_graph::fingerprint::{splitmix64, zobrist_fingerprint};
 use syncircuit_graph::testing::random_circuit_with_size;
@@ -98,6 +99,31 @@ fn golden_artifact_roundtrips_to_identical_text() {
     let raw = std::fs::read_to_string(model_path()).unwrap();
     let model = SynCircuit::from_json(&raw).unwrap();
     assert_eq!(model.to_json(), raw, "artifact rendering drifted");
+}
+
+/// An artifact is input from outside the program: a size past its cap
+/// must fail the load typed, not abort the first Phase-3 request on a
+/// 16 TiB allocation.
+#[test]
+fn golden_artifact_with_an_oversized_action_count_fails_typed() {
+    let raw = std::fs::read_to_string(model_path()).unwrap();
+    let edited = raw.replacen(
+        "\"actions_per_expansion\": 6,",
+        &format!("\"actions_per_expansion\": {},", 1u64 << 40),
+        1,
+    );
+    assert_ne!(edited, raw, "the fixture stores actions_per_expansion = 6");
+    let path = std::env::temp_dir().join(format!(
+        "syncircuit-golden-oversized-{}.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, edited).unwrap();
+    let loaded = SynCircuit::load(&path);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        loaded.unwrap_err(),
+        Error::Config(ConfigError::TooManyActionsPerExpansion(1 << 40))
+    );
 }
 
 /// Builds the tiny fixture model: deliberately minimal hyper-parameters

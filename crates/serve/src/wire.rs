@@ -540,6 +540,10 @@ fn encode_config_error(e: &ConfigError) -> Value {
         }
         ConfigError::BadGradClip(x) => tag("bad_grad_clip", vec![("bits".to_string(), f32_bits(*x))]),
         ConfigError::ZeroSparseCandidates => tag("zero_sparse_candidates", vec![]),
+        ConfigError::TooManySparseCandidates(n) => tag(
+            "too_many_sparse_candidates",
+            vec![("candidates".to_string(), n.serialize())],
+        ),
         ConfigError::ZeroDiscriminatorEpochs => tag("zero_discriminator_epochs", vec![]),
         ConfigError::TooManyConeCacheShards(n) => tag(
             "too_many_cone_cache_shards",
@@ -548,6 +552,10 @@ fn encode_config_error(e: &ConfigError) -> Value {
         ConfigError::ZeroSimulations => tag("zero_simulations", vec![]),
         ConfigError::ZeroRolloutDepth => tag("zero_rollout_depth", vec![]),
         ConfigError::ZeroActionsPerExpansion => tag("zero_actions_per_expansion", vec![]),
+        ConfigError::TooManyActionsPerExpansion(n) => tag(
+            "too_many_actions_per_expansion",
+            vec![("actions".to_string(), n.serialize())],
+        ),
         ConfigError::BadExploration(x) => {
             tag("bad_exploration", vec![("bits".to_string(), f64_bits(*x))])
         }
@@ -566,6 +574,9 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
         "bad_negative_ratio" => ConfigError::BadNegativeRatio(f64_field(value, "bits")?),
         "bad_grad_clip" => ConfigError::BadGradClip(f32_field(value, "bits")?),
         "zero_sparse_candidates" => ConfigError::ZeroSparseCandidates,
+        "too_many_sparse_candidates" => {
+            ConfigError::TooManySparseCandidates(narrowed_field(value, "candidates")?)
+        }
         "zero_discriminator_epochs" => ConfigError::ZeroDiscriminatorEpochs,
         "too_many_cone_cache_shards" => {
             ConfigError::TooManyConeCacheShards(narrowed_field(value, "shards")?)
@@ -573,6 +584,9 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
         "zero_simulations" => ConfigError::ZeroSimulations,
         "zero_rollout_depth" => ConfigError::ZeroRolloutDepth,
         "zero_actions_per_expansion" => ConfigError::ZeroActionsPerExpansion,
+        "too_many_actions_per_expansion" => {
+            ConfigError::TooManyActionsPerExpansion(narrowed_field(value, "actions")?)
+        }
         "bad_exploration" => ConfigError::BadExploration(f64_field(value, "bits")?),
         "empty_cone_selection" => ConfigError::EmptyConeSelection,
         other => {
@@ -703,11 +717,13 @@ mod tests {
             ConfigError::BadNegativeRatio(f64::INFINITY),
             ConfigError::BadGradClip(0.0),
             ConfigError::ZeroSparseCandidates,
+            ConfigError::TooManySparseCandidates(usize::MAX),
             ConfigError::ZeroDiscriminatorEpochs,
             ConfigError::TooManyConeCacheShards(usize::MAX),
             ConfigError::ZeroSimulations,
             ConfigError::ZeroRolloutDepth,
             ConfigError::ZeroActionsPerExpansion,
+            ConfigError::TooManyActionsPerExpansion(1 << 40),
             ConfigError::BadExploration(f64::NAN),
             ConfigError::EmptyConeSelection,
         ];

@@ -32,30 +32,33 @@ example-smoke:
 bench-smoke:
     cargo bench -p syncircuit-bench --bench micro
 
-# serving-daemon smoke: 100 mixed-tenant requests through the daemon
-# under an eviction-forcing registry budget (2 resident models, 4
-# tenants) — must finish with zero errors and a clean shutdown
+# serving-daemon smoke: 100 mixed-tenant requests through the
+# in-process coalescer and daemon under an eviction-forcing registry
+# budget (2 resident models, 4 tenants), then a coalesced-duplicate
+# burst — every answer byte-identical to direct generation, coalesce
+# hits > 0, evictions > 0, and a clean shutdown
 serve-smoke:
-    cargo run --release -p syncircuit-bench --bin load-gen -- --requests 100 --tenants 4 --max-resident 2 --inflight 64 --queue 1024
+    cargo run --release -p syncircuit-bench --bin load-gen -- --requests 100 --tenants 4 --max-resident 2 --inflight 64
 
-# chaos smoke: the deterministic fault-injection harness — 150 requests
-# with seeded IO errors, slow loads, corrupt artifacts, worker panics
-# and expiring deadlines; every outcome must match the plan's pure
-# prediction, survivors must be byte-identical to fault-free
+# chaos smoke: the same load generator under a seeded fault plan —
+# 150 requests with IO errors, slow loads, corrupt artifacts, worker
+# panics and expiring deadlines; every outcome must match the plan's
+# pure prediction, survivors must be byte-identical to fault-free
 # generation, and shutdown must strand nothing
 chaos-smoke:
     cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --requests 150 --tenants 3 --nodes 12 --max-resident 1
 
-# network smoke: ~100 mixed-tenant requests plus a coalesced-duplicate
-# burst over real TCP (one pipelined connection), every response
-# byte-identical to direct generation and coalesce hits > 0 — at window
-# 64, then at window 1, whose printed p50 is per-request service latency
-# (a socket stall that queue depth hides at window 64 shows here) — then
-# the same trace under seeded connection drops/slow writes (--chaos
-# --net), where nothing may strand or hang
+# network smoke: 100 mixed-tenant requests and the duplicate burst
+# over real TCP (one pipelined connection), every response
+# byte-identical to direct generation and coalesce hits > 0 — at
+# window 64, then at window 1, whose printed p50 is per-request
+# service latency (a socket stall that queue depth hides at window 64
+# shows here) — then the chaos trace with seeded connection drops and
+# slowed writes added (--chaos --net, one connection per request),
+# where nothing may strand or hang
 net-smoke:
-    cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 64 --queue 1024
-    cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 1 --queue 1024
+    cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 64
+    cargo run --release -p syncircuit-bench --bin load-gen -- --net --requests 100 --tenants 3 --workers 4 --max-resident 2 --inflight 1
     cargo run --release -p syncircuit-bench --bin load-gen -- --chaos 7 --net --requests 100 --tenants 3 --nodes 12 --max-resident 1
 
 # benchmark smoke: perfbench's unit tests, then one short untraced run
