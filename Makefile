@@ -66,6 +66,7 @@ determinism:
 stress:
 	SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-core --test shared_cache_equivalence
 	SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-synth incremental
+	SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-core --test bounded_cache_equivalence
 	cargo test --release -q > /tmp/syncircuit-rel1.raw 2>&1
 	cargo test --release -q > /tmp/syncircuit-rel2.raw 2>&1
 	sed -E 's/finished in [0-9.]+s//' /tmp/syncircuit-rel1.raw > /tmp/syncircuit-rel1.txt

@@ -87,6 +87,15 @@ impl From<PersistError> for Error {
 pub enum RequestError {
     /// Explicit attributes were supplied but the set is empty.
     EmptyAttrs,
+    /// The request asks for more nodes than the model serves
+    /// ([`crate::request::MAX_REQUEST_NODES`], or
+    /// [`crate::request::MAX_DENSE_REQUEST_NODES`] under dense decoding).
+    TooManyNodes {
+        /// Node count the request asked for.
+        requested: usize,
+        /// The cap that applied.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RequestError {
@@ -94,6 +103,9 @@ impl fmt::Display for RequestError {
         match self {
             RequestError::EmptyAttrs => {
                 write!(f, "explicit attribute set is empty")
+            }
+            RequestError::TooManyNodes { requested, max } => {
+                write!(f, "{requested} nodes requested; at most {max} are served")
             }
         }
     }

@@ -76,5 +76,7 @@ pub use persist::{MODEL_FORMAT, MODEL_VERSION};
 pub use pipeline::{Generated, SynCircuit};
 pub use syncircuit_synth::{ConeCacheStats, ConeShardStats, SharedConeSynthCache};
 pub use refine::{refine, refine_without_diffusion, RefineConfig, RefineError};
-pub use request::{GenRequest, Generator, PhaseToggles};
+pub use request::{
+    GenRequest, Generator, PhaseToggles, MAX_DENSE_REQUEST_NODES, MAX_REQUEST_NODES,
+};
 pub use schedule::NoiseSchedule;

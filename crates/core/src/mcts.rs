@@ -41,6 +41,16 @@
 //! maintained fingerprint (`RewardCache` semantics unchanged), and
 //! the state is only cloned when a new global best is found.
 //!
+//! A state the fingerprint memo has not seen is scored through
+//! [`RewardModel::pcs_swap`], which sees the engine itself rather than
+//! a bare graph. [`IncrementalConeReward`] reads the engine's
+//! parent-list stamps (their invariant is stated on [`SwapGraph`]) and
+//! reuses the area of every cone the swaps since its last query left
+//! untouched; only cones containing a rewritten parent list are walked,
+//! keyed and looked up. Stateless models ([`ExactSynthReward`], the
+//! discriminator) take the trait's default and score the graph, and the
+//! clone-based [`oracle`] calls [`RewardModel::pcs`] directly.
+//!
 //! The pre-existing clone-based implementation survives unchanged in
 //! [`oracle`] as a reference: property tests assert the fast engine
 //! produces byte-identical [`MctsOutcome`]s (best graph, reward bits,
@@ -60,6 +70,13 @@ use syncircuit_synth::incremental::{ConeCacheStats, ConeSynthCache, SharedConeSy
 pub trait RewardModel {
     /// PCS of the circuit (larger ⇒ less redundancy).
     fn pcs(&self, g: &CircuitGraph) -> f64;
+
+    /// PCS of the swap engine's current graph. Must equal
+    /// `self.pcs(sg.graph())` bit for bit; a model that can reuse work
+    /// across swaps reads the engine's parent-list stamps to find it.
+    fn pcs_swap(&self, sg: &SwapGraph) -> f64 {
+        self.pcs(sg.graph())
+    }
 }
 
 /// Exact reward through the synthesis simulator.
@@ -90,6 +107,12 @@ impl RewardModel for ExactSynthReward {
 /// to [`ExactSynthReward`] (global CSE is invisible to cone-local
 /// synthesis); use it where reward-model throughput dominates, e.g.
 /// full-design register optimization.
+///
+/// Scored through [`RewardModel::pcs_swap`] (as the search engine does),
+/// it also reuses every cone the engine's swaps left untouched: a cone
+/// whose apex and members keep their parent-list stamps returns its
+/// recorded area with no walk, key or table lookup, and only the cones
+/// containing a rewritten parent list are keyed and looked up again.
 ///
 /// The memo table can be shared between reward instances — and between
 /// worker threads — via [`IncrementalConeReward::with_shared`]: each
@@ -127,6 +150,10 @@ impl IncrementalConeReward {
 impl RewardModel for IncrementalConeReward {
     fn pcs(&self, g: &CircuitGraph) -> f64 {
         self.cache.borrow_mut().pcs(g)
+    }
+
+    fn pcs_swap(&self, sg: &SwapGraph) -> f64 {
+        self.cache.borrow_mut().pcs_swap(sg)
     }
 }
 
@@ -399,11 +426,6 @@ impl Engine {
         self.sg.graph()
     }
 
-    #[inline]
-    fn fp(&self) -> u64 {
-        self.sg.fingerprint()
-    }
-
     fn try_apply(&mut self, s: Swap) -> Option<SwapDelta> {
         let d = self.sg.try_apply(s.i, s.j, s.p, s.q)?;
         self.pool.note_child_changed(d.j, self.sg.graph());
@@ -468,15 +490,25 @@ impl<'a> RewardCache<'a> {
         }
     }
 
-    /// Reward of `g`, whose fingerprint the caller already knows (the
-    /// engine maintains it incrementally; the oracle recomputes it).
+    /// Reward of the engine's current state, keyed by its maintained
+    /// fingerprint and scored through [`RewardModel::pcs_swap`].
+    fn reward_of(&mut self, sg: &SwapGraph) -> f64 {
+        self.memoized(sg.fingerprint(), |model| model.pcs_swap(sg))
+    }
+
+    /// Reward of `g`, whose fingerprint the caller already computed (the
+    /// oracle's stateless path).
     fn reward_keyed(&mut self, fp: u64, g: &CircuitGraph) -> f64 {
+        self.memoized(fp, |model| model.pcs(g))
+    }
+
+    fn memoized(&mut self, fp: u64, score: impl FnOnce(&dyn RewardModel) -> f64) -> f64 {
         self.queries += 1;
         if let Some(&r) = self.cache.get(&fp) {
             return r;
         }
         self.evaluations += 1;
-        let r = self.model.pcs(g);
+        let r = score(self.model);
         self.cache.insert(fp, r);
         r
     }
@@ -524,7 +556,7 @@ fn search(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut rewards = RewardCache::new(reward_model);
     let mut engine = Engine::new(initial, scope);
-    let initial_reward = rewards.reward_keyed(engine.fp(), engine.graph());
+    let initial_reward = rewards.reward_of(&engine.sg);
     let mut best: Option<CircuitGraph> = None;
     let mut best_reward = initial_reward;
 
@@ -571,7 +603,7 @@ fn search(
         if nodes[cur].depth < config.max_depth {
             while let Some(action) = nodes[cur].untried.pop() {
                 if let Some(delta) = engine.try_apply(action) {
-                    let r = rewards.reward_keyed(engine.fp(), engine.graph());
+                    let r = rewards.reward_of(&engine.sg);
                     if r > best_reward {
                         best_reward = r;
                         best = Some(engine.graph().clone());
@@ -605,7 +637,7 @@ fn search(
             for _try in 0..8 {
                 if let Some(sw) = engine.sample(&mut rng) {
                     if let Some(d) = engine.try_apply(sw) {
-                        let r = rewards.reward_keyed(engine.fp(), engine.graph());
+                        let r = rewards.reward_of(&engine.sg);
                         if r > best_reward {
                             best_reward = r;
                             best = Some(engine.graph().clone());
@@ -690,7 +722,7 @@ pub fn optimize_random_walk(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut rewards = RewardCache::new(reward_model);
     let mut engine = Engine::new(initial, &scope);
-    let initial_reward = rewards.reward_keyed(engine.fp(), engine.graph());
+    let initial_reward = rewards.reward_of(&engine.sg);
     let mut best: Option<CircuitGraph> = None;
     let mut best_reward = initial_reward;
 
@@ -708,7 +740,7 @@ pub fn optimize_random_walk(
         for _try in 0..8 {
             if let Some(sw) = engine.sample(&mut rng) {
                 if let Some(d) = engine.try_apply(sw) {
-                    let r = rewards.reward_keyed(engine.fp(), engine.graph());
+                    let r = rewards.reward_of(&engine.sg);
                     if r > best_reward {
                         best_reward = r;
                         best = Some(engine.graph().clone());
@@ -1592,6 +1624,41 @@ mod tests {
         assert_eq!(first, second, "evaluator must be deterministic");
         let stats = reward.cache_stats();
         assert!(stats.hits > 0, "second query must hit the cone cache");
+    }
+
+    #[test]
+    fn swap_aware_reward_reuses_cones_and_changes_nothing_else() {
+        /// Scores through the stateless `pcs` only (the trait's default
+        /// `pcs_swap`).
+        struct Stateless(IncrementalConeReward);
+        impl RewardModel for Stateless {
+            fn pcs(&self, g: &CircuitGraph) -> f64 {
+                self.0.pcs(g)
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x5A7E);
+        let g = syncircuit_graph::testing::random_circuit_with_size(&mut rng, 40);
+        let mut cfg = MctsConfig::tiny();
+        cfg.seed = 17;
+        // Single thread, private unbounded tables: a memo reuse stands in
+        // for exactly one table hit.
+        let engine = IncrementalConeReward::new();
+        let stateless = Stateless(IncrementalConeReward::new());
+        let (eg, eo) = optimize_registers(&g, &engine, &cfg, ConeSelection::All);
+        let (sg, so) = optimize_registers(&g, &stateless, &cfg, ConeSelection::All);
+        assert_eq!(eg, sg);
+        assert_eq!(eo.len(), so.len());
+        for (e, s) in eo.iter().zip(&so) {
+            assert_eq!(e.best, s.best);
+            assert_eq!(e.best_reward.to_bits(), s.best_reward.to_bits());
+            assert_eq!(e.initial_reward.to_bits(), s.initial_reward.to_bits());
+            assert_eq!(e.evaluations, s.evaluations);
+        }
+        let (e, s) = (engine.cache_stats(), stateless.0.cache_stats());
+        assert_eq!(e.misses, s.misses, "reuse never replaces a synthesis");
+        assert_eq!(e.hits + e.reused, s.hits, "each reuse replaces one hit");
+        assert_eq!(s.reused, 0);
+        assert!(e.reused > e.hits, "most cones outlive a swap: {e:?}");
     }
 
     #[test]

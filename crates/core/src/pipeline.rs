@@ -29,14 +29,14 @@
 
 use crate::attrs::AttrModel;
 use crate::config::{PipelineConfig, RewardKind};
-use crate::diffusion::{DiffusionModel, SamplerScratch};
+use crate::diffusion::{DecodeMode, DiffusionModel, SamplerScratch};
 use crate::discriminator::PcsDiscriminator;
 use crate::error::{Error, RequestError};
 use crate::mcts::{
     optimize_registers, ExactSynthReward, IncrementalConeReward, MctsOutcome, RewardModel,
 };
 use crate::refine::{refine, refine_without_diffusion};
-use crate::request::{GenRequest, Generator};
+use crate::request::{GenRequest, Generator, MAX_DENSE_REQUEST_NODES, MAX_REQUEST_NODES};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
@@ -230,7 +230,10 @@ impl SynCircuit {
     ///
     /// Returns [`Error::Request`] for malformed requests and
     /// [`Error::Refine`] when Phase 2 cannot satisfy the constraints
-    /// (degenerate attribute sets).
+    /// (degenerate attribute sets). A request for more than
+    /// [`MAX_REQUEST_NODES`] nodes ([`MAX_DENSE_REQUEST_NODES`] when the
+    /// model decodes densely) fails with [`RequestError::TooManyNodes`]
+    /// before anything is allocated for it.
     pub fn generate_one(&self, request: &GenRequest) -> Result<Generated, Error> {
         let seed = request.seed().unwrap_or(self.config.seed);
         self.generate_resolved(request, seed)
@@ -259,6 +262,20 @@ impl SynCircuit {
         seed: u64,
         scratch: &mut SamplerScratch,
     ) -> Result<Generated, Error> {
+        let dense =
+            request.phases().diffusion && matches!(self.config.diffusion.decode, DecodeMode::Dense);
+        let max = if dense {
+            MAX_DENSE_REQUEST_NODES
+        } else {
+            MAX_REQUEST_NODES
+        };
+        if request.node_count() > max {
+            return Err(RequestError::TooManyNodes {
+                requested: request.node_count(),
+                max,
+            }
+            .into());
+        }
         if matches!(request.attrs(), Some(a) if a.is_empty()) {
             return Err(RequestError::EmptyAttrs.into());
         }
@@ -403,6 +420,55 @@ mod tests {
         (0..3)
             .map(|_| random_circuit_with_size(&mut rng, 30))
             .collect()
+    }
+
+    #[test]
+    fn oversized_requests_fail_typed_before_allocating() {
+        // 2^34 nodes used to ask the attribute sampler for 256 GiB and
+        // abort the process.
+        let model = SynCircuit::fit(&corpus(), PipelineConfig::tiny()).unwrap();
+        for n in [MAX_REQUEST_NODES + 1, 1 << 34] {
+            for request in [
+                GenRequest::nodes(n),
+                GenRequest::nodes(n).without_diffusion(),
+            ] {
+                assert_eq!(
+                    model.generate_one(&request.seeded(1)).unwrap_err(),
+                    Error::Request(RequestError::TooManyNodes {
+                        requested: n,
+                        max: MAX_REQUEST_NODES,
+                    })
+                );
+            }
+        }
+
+        let mut diffusion = PipelineConfig::tiny().diffusion().clone();
+        diffusion.decode = DecodeMode::Dense;
+        let cfg = PipelineConfig::tiny()
+            .into_builder()
+            .diffusion(diffusion)
+            .build()
+            .unwrap();
+        let dense = SynCircuit::fit(&corpus(), cfg).unwrap();
+        for n in [MAX_DENSE_REQUEST_NODES + 1, 1 << 34] {
+            assert_eq!(
+                dense.generate_one(&GenRequest::nodes(n)).unwrap_err(),
+                Error::Request(RequestError::TooManyNodes {
+                    requested: n,
+                    max: MAX_DENSE_REQUEST_NODES,
+                })
+            );
+        }
+        // Without diffusion nothing decodes densely: the sparse cap holds.
+        assert_eq!(
+            dense
+                .generate_one(&GenRequest::nodes(1 << 34).without_diffusion())
+                .unwrap_err(),
+            Error::Request(RequestError::TooManyNodes {
+                requested: 1 << 34,
+                max: MAX_REQUEST_NODES,
+            })
+        );
     }
 
     #[test]

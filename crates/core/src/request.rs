@@ -32,6 +32,20 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use serde::{DeError, Deserialize, Serialize, Value};
 use syncircuit_graph::Node;
 
+/// Most nodes a request may ask for. At this size a tiny-width model
+/// generates a design (sparse decoding, Phase 3 off) in about a second
+/// and 70 MB; four times the size took 20 s and 300 MB. A larger request
+/// fails with [`crate::RequestError::TooManyNodes`] before anything is
+/// allocated for it.
+pub const MAX_REQUEST_NODES: usize = 1 << 14;
+
+/// Most nodes a request may ask for from a model that decodes densely
+/// ([`crate::DecodeMode::Dense`] scores all n² pairs each diffusion
+/// step): about 300 MB at this size for a tiny-width model, and four
+/// times that at twice the size. Requests without diffusion keep
+/// [`MAX_REQUEST_NODES`].
+pub const MAX_DENSE_REQUEST_NODES: usize = 1 << 10;
+
 /// Per-request phase toggles (Phase 2, validity refinement, always
 /// runs — it is what makes the output a circuit).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -8,6 +8,8 @@
 //! that down at the pipeline level: a bounded model must generate
 //! byte-identical designs to an unbounded one, sequentially and at
 //! 1/4/8 workers, while actually evicting under the pressure we apply.
+//! The CI stress step widens the worker counts via
+//! `SYNCIRCUIT_STRESS_WORKERS` (see [`worker_counts`]).
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -21,6 +23,22 @@ fn corpus() -> Vec<CircuitGraph> {
     (0..4)
         .map(|_| random_circuit_with_size(&mut rng, 24))
         .collect()
+}
+
+/// Worker counts the batch is checked at: 1/4/8, widened by
+/// `SYNCIRCUIT_STRESS_WORKERS` (a max: powers of two up to it).
+fn worker_counts() -> Vec<usize> {
+    let mut counts = vec![1, 4, 8];
+    if let Ok(max) = std::env::var("SYNCIRCUIT_STRESS_WORKERS") {
+        if let Ok(max) = max.parse::<usize>() {
+            let mut w = 16;
+            while w <= max {
+                counts.push(w);
+                w *= 2;
+            }
+        }
+    }
+    counts
 }
 
 /// Identically-trained models differing only in the operational cache
@@ -78,8 +96,16 @@ proptest! {
             .collect();
         requests.push(requests[0].clone());
         requests.push(requests[2].clone());
+        // A batch runs at most one worker per request: repeat the
+        // requests until the widest count gets a request per worker.
+        let counts = worker_counts();
+        let widest = counts.iter().copied().max().unwrap_or(1);
+        let distinct = requests.len();
+        for k in distinct..widest {
+            requests.push(requests[k % distinct].clone());
+        }
         let reference: Vec<_> = requests.iter().map(|r| unbounded.generate_one(r)).collect();
-        for workers in [1usize, 4, 8] {
+        for workers in counts {
             let subject = bounded.generate_batch_with(&requests, workers);
             prop_assert_eq!(reference.len(), subject.len());
             for (r, s) in reference.iter().zip(&subject) {

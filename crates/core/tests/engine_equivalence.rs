@@ -115,4 +115,60 @@ proptest! {
         let reference = oracle::optimize_cone_mcts(&g, &IncrementalConeReward::new(), &cfg);
         assert_outcomes_identical(&fast, &reference);
     }
+
+    #[test]
+    fn register_optimization_matches_oracle_under_incremental_reward(
+        seed in any::<u64>(),
+        n in 14usize..32,
+    ) {
+        // One fresh reward instance per side serves two designs in turn,
+        // so the engine side's per-apex memo outlives every register
+        // search's swap engine, and the first design's; the oracle side
+        // scores every state from scratch.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let designs = [
+            random_circuit_with_size(&mut rng, n),
+            random_circuit_with_size(&mut rng, n + 4),
+        ];
+        let fast_reward = IncrementalConeReward::new();
+        let ref_reward = IncrementalConeReward::new();
+        let mut cfg = MctsConfig::tiny();
+        cfg.simulations = 12;
+        cfg.seed = seed;
+        for g in &designs {
+            let (fast_g, fast_o) = optimize_registers(g, &fast_reward, &cfg, ConeSelection::All);
+            let (ref_g, ref_o) =
+                oracle::optimize_registers(g, &ref_reward, &cfg, ConeSelection::All);
+            assert_eq!(fast_g, ref_g, "final designs must be identical");
+            assert_eq!(fast_o.len(), ref_o.len());
+            for (f, r) in fast_o.iter().zip(&ref_o) {
+                assert_outcomes_identical(f, r);
+            }
+        }
+    }
+
+    #[test]
+    fn register_random_ablation_matches_oracle_under_incremental_reward(
+        seed in any::<u64>(),
+        n in 14usize..32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let designs = [
+            random_circuit_with_size(&mut rng, n),
+            random_circuit_with_size(&mut rng, n + 4),
+        ];
+        let fast_reward = IncrementalConeReward::new();
+        let ref_reward = IncrementalConeReward::new();
+        for g in &designs {
+            let (fast_g, fast_o) =
+                optimize_registers_random(g, &fast_reward, 12, 4, ConeSelection::All, seed);
+            let (ref_g, ref_o) =
+                oracle::optimize_registers_random(g, &ref_reward, 12, 4, ConeSelection::All, seed);
+            assert_eq!(fast_g, ref_g);
+            assert_eq!(fast_o.len(), ref_o.len());
+            for (f, r) in fast_o.iter().zip(&ref_o) {
+                assert_outcomes_identical(f, r);
+            }
+        }
+    }
 }

@@ -16,10 +16,24 @@
 //! edge, moves a bit-select out of its parent's range, or closes a
 //! combinational loop (checked incrementally per inserted edge, on the
 //! same intermediate states the clone-based path checks).
+//!
+//! Every node also carries a parent-list stamp (see [`SwapGraph`]), so a
+//! consumer can tell from stamps alone that a set of parent lists is
+//! unchanged since it last looked.
 
 use crate::circuit::CircuitGraph;
 use crate::fingerprint::{child_contribution, zobrist_fingerprint};
 use crate::node::{NodeId, NodeType};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The one process-wide source of parent-list stamps.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+/// Hands out `count` consecutive stamps no caller has seen; returns the
+/// first.
+fn fresh_stamps(count: u64) -> u64 {
+    NEXT_STAMP.fetch_add(count, Ordering::Relaxed)
+}
 
 /// Undo record of one applied swap: the four endpoints plus the slot
 /// positions the removals vacated and the fingerprint XOR-delta.
@@ -50,11 +64,30 @@ pub struct SwapDelta {
 /// The children lists always hold the same multiset per node as
 /// [`CircuitGraph::children_index`] (internal order may differ after
 /// swaps; every consumer is order-insensitive reachability).
+///
+/// # Parent-list stamps
+///
+/// Every node carries a stamp ([`SwapGraph::stamps`]) naming its current
+/// parent list. [`SwapGraph::new`] gives all nodes one fresh stamp, and
+/// each of the three writes — [`SwapGraph::try_apply`] when it succeeds,
+/// [`SwapGraph::apply_replay`] and [`SwapGraph::undo`] — gives the two
+/// rewritten children `j` and `q` fresh stamps; a rejected `try_apply`
+/// changes none. All stamps come from one process-wide counter and none
+/// is handed out twice, so **a (node, stamp) pair names exactly one
+/// parent list for the life of the process**, across register searches,
+/// clones and worker threads. Swaps never change a node's attributes,
+/// so a consumer that recorded the stamps of some nodes knows their
+/// parent lists — and everything computed from those lists and the
+/// node attributes alone — are unchanged when every stamp still
+/// matches. An `undo` that restores an earlier list still draws a fresh
+/// stamp: two stamps may name one list, never the other way round.
 #[derive(Clone, Debug)]
 pub struct SwapGraph {
     g: CircuitGraph,
     children: Vec<Vec<NodeId>>,
     fp: u64,
+    /// Parent-list stamp per node (see the type docs).
+    stamps: Vec<u64>,
     /// Scratch visited-marks for the comb-loop DFS (epoch-stamped so a
     /// fresh traversal is a counter bump, not an allocation).
     seen: Vec<u32>,
@@ -63,15 +96,18 @@ pub struct SwapGraph {
 }
 
 impl SwapGraph {
-    /// Wraps a graph, building the children index and fingerprint once.
+    /// Wraps a graph, building the children index and fingerprint once
+    /// and stamping every parent list with one fresh stamp.
     pub fn new(g: CircuitGraph) -> Self {
         let children = g.children_index();
         let fp = zobrist_fingerprint(&g);
         let seen = vec![0; g.node_count()];
+        let stamps = vec![fresh_stamps(1); g.node_count()];
         SwapGraph {
             g,
             children,
             fp,
+            stamps,
             seen,
             epoch: 0,
             stack: Vec::new(),
@@ -126,6 +162,13 @@ impl SwapGraph {
     #[inline]
     pub fn fingerprint(&self) -> u64 {
         self.fp
+    }
+
+    /// Parent-list stamp of every node, indexed by [`NodeId::index`]
+    /// (see the type docs for what a stamp guarantees).
+    #[inline]
+    pub fn stamps(&self) -> &[u64] {
+        &self.stamps
     }
 
     /// Children of `id` (unordered, with multiplicity).
@@ -252,6 +295,7 @@ impl SwapGraph {
             ^ contrib_q_old
             ^ child_contribution(q, self.g.parents(q));
         self.fp ^= delta.fp_delta;
+        self.restamp(j, q);
         debug_assert!(self.g.is_valid(), "swap must preserve validity");
         debug_assert_eq!(self.fp, zobrist_fingerprint(&self.g));
         Some(delta)
@@ -273,11 +317,13 @@ impl SwapGraph {
         self.g.parents_vec_mut(d.q).push(d.i);
         self.children[d.i.index()].push(d.q);
         self.fp ^= d.fp_delta;
+        self.restamp(d.j, d.q);
     }
 
     /// Reverts an applied swap exactly (graph, children index and
-    /// fingerprint). Must be called in strict LIFO order with respect to
-    /// other applies/undos.
+    /// fingerprint; the two restored parent lists get fresh stamps).
+    /// Must be called in strict LIFO order with respect to other
+    /// applies/undos.
     pub fn undo(&mut self, d: &SwapDelta) {
         let popped = self.g.parents_vec_mut(d.q).pop();
         debug_assert_eq!(popped, Some(d.i));
@@ -289,6 +335,15 @@ impl SwapGraph {
         debug_assert_eq!(popped, Some(d.j));
         self.rollback_removals(d);
         self.fp ^= d.fp_delta;
+        self.restamp(d.j, d.q);
+    }
+
+    /// Gives the parent lists of `j` and `q`, just rewritten, fresh
+    /// stamps.
+    fn restamp(&mut self, j: NodeId, q: NodeId) {
+        let s = fresh_stamps(2);
+        self.stamps[j.index()] = s;
+        self.stamps[q.index()] = s + 1;
     }
 
     /// Reverts the two removals of an in-flight swap (reverse order).

@@ -468,6 +468,13 @@ fn encode_core_error(e: &CoreError) -> Value {
         CoreError::EmptyTrainingSet => tag("empty_training_set", vec![]),
         CoreError::Config(c) => tag("config", vec![("error".to_string(), encode_config_error(c))]),
         CoreError::Request(RequestError::EmptyAttrs) => tag("empty_attrs", vec![]),
+        CoreError::Request(RequestError::TooManyNodes { requested, max }) => tag(
+            "too_many_nodes",
+            vec![
+                ("requested".to_string(), requested.serialize()),
+                ("max".to_string(), max.serialize()),
+            ],
+        ),
         CoreError::Refine(RefineError::NoValidParent { node }) => tag(
             "no_valid_parent",
             vec![("node".to_string(), node.index().serialize())],
@@ -490,6 +497,10 @@ fn decode_core_error(value: &Value) -> Result<CoreError, WireError> {
         "empty_training_set" => CoreError::EmptyTrainingSet,
         "config" => CoreError::Config(decode_config_error(&inner(value)?)?),
         "empty_attrs" => CoreError::Request(RequestError::EmptyAttrs),
+        "too_many_nodes" => CoreError::Request(RequestError::TooManyNodes {
+            requested: narrowed_field(value, "requested")?,
+            max: narrowed_field(value, "max")?,
+        }),
         "no_valid_parent" => CoreError::Refine(RefineError::NoValidParent {
             node: NodeId::new(narrowed_field(value, "node")?),
         }),
@@ -693,6 +704,7 @@ fn decode_wire_error(value: &Value) -> Result<WireError, WireError> {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use syncircuit_core::MAX_REQUEST_NODES;
 
     fn roundtrip_serve(e: ServeError) {
         let encoded = encode_serve_error(&e);
@@ -739,6 +751,10 @@ mod tests {
             CoreError::EmptyCorpus,
             CoreError::EmptyTrainingSet,
             CoreError::Request(RequestError::EmptyAttrs),
+            CoreError::Request(RequestError::TooManyNodes {
+                requested: 1 << 34,
+                max: MAX_REQUEST_NODES,
+            }),
             CoreError::Refine(RefineError::NoValidParent { node: NodeId::new(7) }),
         ];
         core_errors.extend(config_errors.into_iter().map(CoreError::Config));

@@ -5,7 +5,9 @@
 //!   come and go;
 //! - a connection costs a fixed number of threads however many requests
 //!   it pipelines, and shutdown still answers every one of them;
-//! - a peer that never reads its answers cannot hold shutdown up.
+//! - a peer that never reads its answers cannot hold shutdown up;
+//! - a request too large to serve gets a typed error frame, and its
+//!   connection keeps serving.
 //!
 //! The tests count process-wide resources, so they take turns on one
 //! lock.
@@ -15,7 +17,10 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-use syncircuit_core::{GenRequest, PipelineConfig, RewardKind, SynCircuit};
+use syncircuit_core::{
+    Error as CoreError, GenRequest, PipelineConfig, RequestError, RewardKind, SynCircuit,
+    MAX_REQUEST_NODES,
+};
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_serve::{
     ClientError, DaemonConfig, NetClient, NetServer, NetServerConfig, RegistryBudget, RetryPolicy,
@@ -115,6 +120,36 @@ fn closed_connections_release_their_fds() {
         "{before} fds before {ROUNDS} connections, {} after",
         entries("/proc/self/fd")
     );
+    srv.shutdown();
+}
+
+/// A request for 2^34 nodes once made the attribute sampler ask for
+/// 256 GiB, and the failed allocation aborted the server's process. It
+/// is refused with a typed error frame before anything is allocated,
+/// and the same connection then serves a normal request.
+#[test]
+fn an_oversized_request_is_refused_and_the_connection_serves_on() {
+    let _turn = serial();
+    let artifact = artifact();
+    let srv = server(1, 16);
+    let mut client = NetClient::connect(srv.local_addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("bound the wait");
+    match client.call("tenant", artifact, GenRequest::nodes(1 << 34).seeded(1)) {
+        Err(ClientError::Serve(ServeError::Model(CoreError::Request(e)))) => assert_eq!(
+            e,
+            RequestError::TooManyNodes {
+                requested: 1 << 34,
+                max: MAX_REQUEST_NODES,
+            }
+        ),
+        other => panic!("expected a typed too-many-nodes answer, got {other:?}"),
+    }
+    let served = client
+        .call("tenant", artifact, GenRequest::nodes(16).seeded(2))
+        .expect("the connection serves on");
+    assert_eq!(served.graph.node_count(), 16);
     srv.shutdown();
 }
 

@@ -5,9 +5,20 @@
 //! candidate swap ([`crate::passes::optimize_with`]), although one
 //! atomic parent swap perturbs at most a handful of register cones. This
 //! module decomposes the design-level PCS into per-cone synthesis
-//! results memoized by a structural cone key: a reward query only pays
-//! for synthesis of cones whose fan-in actually changed under the swap
-//! (cache miss); every untouched cone is a hash lookup.
+//! results and skips the work a swap cannot have changed at two levels:
+//!
+//! - **Per-apex memo (swap engine only).** [`ConeSynthCache::pcs_swap`]
+//!   reads the parent-list stamps of a [`SwapGraph`]. A cone's members,
+//!   key and area depend only on the parent lists of its apex and
+//!   members and on node attributes, which swaps never change. So when
+//!   the apex and every member still carry the stamps recorded with the
+//!   cone's area, the view returns that area with no fan-in walk, key
+//!   hash, shard lock or lookup. A swap rewrites two parent lists, so
+//!   only the cones that contain its `j` or `q` fall through.
+//! - **Structural memo table.** Every other cone query, and every query
+//!   of the stateless [`ConeSynthCache::pcs`], walks the cone, hashes
+//!   its structural key and looks the key up; only a new key pays for
+//!   synthesis (cache miss).
 //!
 //! # Sharing the warm state across workers
 //!
@@ -64,6 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
 use syncircuit_graph::fingerprint::splitmix64;
+use syncircuit_graph::swap::SwapGraph;
 use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
 /// Aggregate cache hit/miss/eviction counters of a cone-synthesis cache.
@@ -76,6 +88,10 @@ pub struct ConeCacheStats {
     /// Memoized entries displaced by the CLOCK policy (always 0 for an
     /// unbounded table).
     pub evictions: u64,
+    /// Cone areas that views reused from their per-apex memos
+    /// ([`ConeSynthCache::pcs_swap`]). These queries never reach a
+    /// shard, so they count as neither hits nor misses.
+    pub reused: u64,
 }
 
 /// Per-shard counters of a [`SharedConeSynthCache`]
@@ -244,6 +260,35 @@ impl ObservedScratch {
     }
 }
 
+/// What a view last computed for one apex under a swap engine: the
+/// parent-list stamps of the apex and its members, and the cone's area.
+#[derive(Debug, Default)]
+struct ConeMemo {
+    /// The apex, then each member, with the stamp of its parent list
+    /// (empty: no record yet).
+    stamped: Vec<(NodeId, u64)>,
+    area: f64,
+}
+
+impl ConeMemo {
+    /// The recorded area, if every recorded node still carries its
+    /// recorded stamp. The apex is compared first: a match means
+    /// `stamps` belongs to the engine (or a clone of it) the record was
+    /// taken from, so the member ids are in range.
+    fn reuse(&self, stamps: &[u64]) -> Option<f64> {
+        let unchanged = |&(id, stamp): &(NodeId, u64)| stamps[id.index()] == stamp;
+        (!self.stamped.is_empty() && self.stamped.iter().all(unchanged)).then_some(self.area)
+    }
+
+    fn record(&mut self, apex: NodeId, members: &[NodeId], stamps: &[u64], area: f64) {
+        let cone = std::iter::once(&apex).chain(members);
+        self.stamped.clear();
+        self.stamped
+            .extend(cone.map(|&id| (id, stamps[id.index()])));
+        self.area = area;
+    }
+}
+
 /// Default stripe count of a [`SharedConeSynthCache`].
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
@@ -402,6 +447,9 @@ pub struct SharedConeSynthCache {
     /// Per-shard slot capacity (`0` = unbounded).
     capacity: usize,
     stats_enabled: AtomicBool,
+    /// Cone areas that views reused from their memos (table-wide: memo
+    /// hits never reach a shard).
+    reused: AtomicU64,
 }
 
 impl Default for SharedConeSynthCache {
@@ -448,6 +496,7 @@ impl SharedConeSynthCache {
             mask: count as u64 - 1,
             capacity,
             stats_enabled: AtomicBool::new(true),
+            reused: AtomicU64::new(0),
         }
     }
 
@@ -494,9 +543,13 @@ impl SharedConeSynthCache {
             .collect()
     }
 
-    /// Hit/miss/eviction counters summed over all shards.
+    /// Hit/miss/eviction counters summed over all shards, plus the
+    /// table-wide count of cones that views reused from their memos.
     pub fn total_stats(&self) -> ConeCacheStats {
-        let mut total = ConeCacheStats::default();
+        let mut total = ConeCacheStats {
+            reused: self.reused.load(Ordering::Relaxed),
+            ..ConeCacheStats::default()
+        };
         for s in self.shards.iter() {
             total.hits += s.hits.load(Ordering::Relaxed);
             total.misses += s.misses.load(Ordering::Relaxed);
@@ -512,6 +565,13 @@ impl SharedConeSynthCache {
             .iter()
             .map(|s| s.entries.load(Ordering::Relaxed))
             .sum()
+    }
+
+    /// Adds one `pcs_swap` call's count of reused cones.
+    fn add_reused(&self, count: u64) {
+        if count > 0 && self.stats_enabled.load(Ordering::Relaxed) {
+            self.reused.fetch_add(count, Ordering::Relaxed);
+        }
     }
 
     fn shard(&self, key: u64) -> &Shard {
@@ -562,12 +622,20 @@ impl SharedConeSynthCache {
 /// A private evaluator ([`ConeSynthCache::new`]) owns a fresh shared
 /// table; fan-out callers clone one `Arc` into
 /// [`ConeSynthCache::with_shared`] per worker.
+///
+/// Under a swap engine ([`ConeSynthCache::pcs_swap`]) the view also
+/// keeps one private memo per apex: the parent-list stamps of the apex
+/// and its members, and the cone's area. A few KB per view.
 #[derive(Debug)]
 pub struct ConeSynthCache {
     shared: Arc<SharedConeSynthCache>,
     key: KeyScratch,
     cone: ConeScratch,
     observed: ObservedScratch,
+    /// Per-apex memo, indexed by the apex's [`NodeId::index`].
+    memo: Vec<ConeMemo>,
+    /// Memo reuses of the running `pcs_swap` call.
+    reused: u64,
 }
 
 impl Default for ConeSynthCache {
@@ -594,6 +662,8 @@ impl ConeSynthCache {
             key: KeyScratch::default(),
             cone: ConeScratch::new(),
             observed: ObservedScratch::default(),
+            memo: Vec::new(),
+            reused: 0,
         }
     }
 
@@ -614,9 +684,28 @@ impl ConeSynthCache {
     /// what a cold one would — and a shared evaluator exactly what a
     /// private one would, regardless of what other workers inserted.
     pub fn pcs(&mut self, g: &CircuitGraph) -> f64 {
+        self.sweep(g, None)
+    }
+
+    /// [`ConeSynthCache::pcs`] of the engine's current graph, bit for
+    /// bit, reusing the area of every cone whose apex and members still
+    /// carry the parent-list stamps recorded with it (see the module
+    /// docs). Reused cones are counted in [`ConeCacheStats::reused`].
+    pub fn pcs_swap(&mut self, sg: &SwapGraph) -> f64 {
+        let pcs = self.sweep(sg.graph(), Some(sg.stamps()));
+        self.shared.add_reused(std::mem::take(&mut self.reused));
+        pcs
+    }
+
+    /// The one register/output sweep behind both entry points; `stamps`
+    /// enables the per-apex memo.
+    fn sweep(&mut self, g: &CircuitGraph, stamps: Option<&[u64]>) -> f64 {
         let n = g.node_count();
         if n == 0 {
             return 0.0;
+        }
+        if stamps.is_some() && self.memo.len() < n {
+            self.memo.resize_with(n, ConeMemo::default);
         }
         self.observed.mark(g);
         let mut area = 0.0;
@@ -627,29 +716,40 @@ impl ConeSynthCache {
             if !self.observed.observed(id) {
                 continue; // fan-out dead: synthesis would sweep it
             }
-            area += self.cone_area(g, id);
+            area += self.cone_area(g, id, stamps);
         }
         for (id, node) in g.iter() {
             if node.ty() == NodeType::Output {
-                area += self.cone_area(g, id);
+                area += self.cone_area(g, id, stamps);
             }
         }
         area / n as f64
     }
 
-    /// Memoized post-synthesis area of the fan-in cone of `apex`. A new
-    /// key synthesizes the cone in place, loaded from the host graph
-    /// into this thread's synthesis scratch.
-    fn cone_area(&mut self, g: &CircuitGraph, apex: NodeId) -> f64 {
+    /// Memoized post-synthesis area of the fan-in cone of `apex`. With
+    /// `stamps`, an unchanged cone returns its memo; otherwise a new key
+    /// synthesizes the cone in place, loaded from the host graph into
+    /// this thread's synthesis scratch.
+    fn cone_area(&mut self, g: &CircuitGraph, apex: NodeId, stamps: Option<&[u64]>) -> f64 {
+        if let Some(stamps) = stamps {
+            if let Some(area) = self.memo[apex.index()].reuse(stamps) {
+                self.reused += 1;
+                return area;
+            }
+        }
         let (members, boundary) = fanin_cone_into(g, apex, &mut self.cone);
         let key = self.key.cone_key(g, boundary, members, apex);
         let local = &self.key;
-        self.shared.area_or_insert(key, |lib| {
+        let area = self.shared.area_or_insert(key, |lib| {
             with_scratch(|synth| {
                 local.load_cone(g, boundary, members, apex, synth);
                 synth.area(lib)
             })
-        })
+        });
+        if let Some(stamps) = stamps {
+            self.memo[apex.index()].record(apex, members, stamps, area);
+        }
+        area
     }
 }
 
@@ -1105,6 +1205,95 @@ mod tests {
         assert!(counted.total_stats().hits + counted.total_stats().misses > 0);
         assert_eq!(silent.total_stats(), ConeCacheStats::default());
         assert_eq!(counted.entries(), silent.entries());
+    }
+
+    /// Walks `view` along random `try_apply` / `undo` / `apply_replay`
+    /// writes on a random circuit, checking after every write that
+    /// `pcs_swap` equals a stateless `pcs` of the same graph bit for bit.
+    fn check_swap_walk(view: &mut ConeSynthCache, seed: u64) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use syncircuit_graph::testing::random_circuit_with_size;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_circuit_with_size(&mut rng, 16 + (seed % 24) as usize);
+        let mut reference = ConeSynthCache::new();
+        let mut sg = SwapGraph::new(g);
+        let mut applied = Vec::new();
+        for _ in 0..80 {
+            match rng.gen_range(0..4) {
+                0 | 1 => {
+                    let edges: Vec<_> = sg.graph().edges().collect();
+                    let a = edges[rng.gen_range(0..edges.len())];
+                    let b = edges[rng.gen_range(0..edges.len())];
+                    applied.extend(sg.try_apply(a.from, a.to, b.from, b.to));
+                }
+                2 => {
+                    if let Some(d) = applied.pop() {
+                        sg.undo(&d);
+                    }
+                }
+                _ => {
+                    if let Some(d) = applied.last() {
+                        sg.undo(d);
+                        sg.apply_replay(d);
+                    }
+                }
+            }
+            assert_eq!(
+                view.pcs_swap(&sg).to_bits(),
+                reference.pcs(sg.graph()).to_bits(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn pcs_swap_matches_pcs_along_random_swaps() {
+        // One private view walks several designs in turn, so its memo
+        // sees node ids of earlier engines; shared tables add workers
+        // walking overlapping designs at once.
+        let mut private = ConeSynthCache::new();
+        for seed in 0..6 {
+            check_swap_walk(&mut private, seed);
+        }
+        assert!(private.stats().reused > 0, "the memo must be exercised");
+        for workers in [1u64, 2, 4, 8] {
+            let shared = Arc::new(SharedConeSynthCache::with_shards(CellLibrary::default(), 2));
+            std::thread::scope(|scope| {
+                for w in 0..workers {
+                    let shared = shared.clone();
+                    scope.spawn(move || {
+                        let mut view = ConeSynthCache::with_shared(shared);
+                        for seed in w..w + 3 {
+                            check_swap_walk(&mut view, seed);
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn reused_cones_are_counted_only_with_stats_enabled() {
+        let (alive, _) = alive_and_dead();
+        let sg = SwapGraph::new(alive);
+        let counted = Arc::new(SharedConeSynthCache::new());
+        let silent = Arc::new(SharedConeSynthCache::new());
+        silent.set_stats_enabled(false);
+        let mut a = ConeSynthCache::with_shared(counted.clone());
+        let mut b = ConeSynthCache::with_shared(silent.clone());
+        for _ in 0..3 {
+            assert_eq!(a.pcs_swap(&sg).to_bits(), b.pcs_swap(&sg).to_bits());
+        }
+        // Two cones (register and output): the first call synthesizes
+        // both, the next two reuse both without reaching a shard.
+        let expected = ConeCacheStats {
+            hits: 0,
+            misses: 2,
+            evictions: 0,
+            reused: 4,
+        };
+        assert_eq!(counted.total_stats(), expected);
+        assert_eq!(silent.total_stats(), ConeCacheStats::default());
     }
 
     #[test]

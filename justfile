@@ -107,11 +107,13 @@ determinism:
 
 # threaded stress: the concurrency equivalence battery again with
 # elevated worker counts (shared-cache batches, parallel fit, the synth
-# cache concurrency test), plus a second determinism diff under
-# --release — optimized codegen reorders nothing observable
+# cache concurrency test, bounded-cache batches), plus a second
+# determinism diff under --release — optimized codegen reorders nothing
+# observable
 stress:
     SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-core --test shared_cache_equivalence
     SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-synth incremental
+    SYNCIRCUIT_STRESS_WORKERS=32 cargo test --release -q -p syncircuit-core --test bounded_cache_equivalence
     cargo test --release -q > /tmp/syncircuit-rel1.raw 2>&1
     cargo test --release -q > /tmp/syncircuit-rel2.raw 2>&1
     sed -E 's/finished in [0-9.]+s//' /tmp/syncircuit-rel1.raw > /tmp/syncircuit-rel1.txt
