@@ -147,3 +147,35 @@ fn the_bound_actually_bites() {
     );
     assert_eq!(unbounded.cone_cache().total_stats().evictions, 0);
 }
+
+#[test]
+fn a_huge_capacity_allocates_like_an_unbounded_table() {
+    // No shard table is sized from the capacity: a bound no table could
+    // reach allocates nothing up front, and after the same Phase-3
+    // request holds exactly the bytes an unbounded model does.
+    let fit = |capacity: usize| {
+        let config = PipelineConfig::builder()
+            .seed(61)
+            .reward(RewardKind::IncrementalCone)
+            .cone_cache_capacity(capacity)
+            .build()
+            .expect("valid configuration");
+        SynCircuit::fit(&corpus(), config).expect("fit")
+    };
+    let (huge, unbounded) = (fit(usize::MAX), fit(0));
+    assert_eq!(huge.cone_cache().bytes(), 0, "nothing allocated at fit");
+    let req = GenRequest::nodes(22).seeded(5);
+    let a = huge.generate_one(&req).unwrap();
+    let b = unbounded.generate_one(&req).unwrap();
+    assert_generated_identical(&a, &b);
+    assert!(a.mcts.iter().any(|r| r.evaluations > 0), "Phase 3 ran");
+    assert!(huge.cone_cache().bytes() > 0);
+    assert_eq!(huge.cone_cache().bytes(), unbounded.cone_cache().bytes());
+    assert_eq!(
+        huge.cone_cache().entries(),
+        unbounded.cone_cache().entries()
+    );
+    let per_shard =
+        |m: &SynCircuit| -> Vec<usize> { m.cone_cache_stats().iter().map(|s| s.bytes).collect() };
+    assert_eq!(per_shard(&huge), per_shard(&unbounded));
+}

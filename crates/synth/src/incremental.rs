@@ -16,26 +16,44 @@
 //!   hash, shard lock or lookup. A swap rewrites two parent lists, so
 //!   only the cones that contain its `j` or `q` fall through.
 //! - **Structural memo table.** Every other cone query, and every query
-//!   of the stateless [`ConeSynthCache::pcs`], walks the cone, hashes
-//!   its structural key and looks the key up; only a new key pays for
-//!   synthesis (cache miss).
+//!   of the stateless [`ConeSynthCache::pcs`], walks the cone once,
+//!   building its 128-bit structural key on the way, and looks the key
+//!   up; only a new key pays for synthesis (cache miss).
+//!
+//! # One walk builds the cone and its key
+//!
+//! The walk is the reverse breadth-first search of
+//! `syncircuit_graph::cone::fanin_cone_into`, stopping at (and
+//! recording) `const` / `in` / `reg` boundary nodes, and it yields the
+//! same members and boundary in the same order: a node takes its place
+//! when it is first pushed, and in a FIFO queue first push is first pop.
+//! While it walks, it feeds packed words to two independent
+//! multiply-fold lanes, which give the two 64-bit words of the key.
+//! Each node contributes its type, width and auxiliary value, each parent
+//! slot its cone-local position and class, and each new boundary node its
+//! kind, width and (for a constant) raw value. These are the fields the
+//! cone circuit is built from. No field is truncated, and the word stream
+//! decodes back into the cone, so two cones share a key only on a 128-bit
+//! hash collision. The lanes do not depend on each other, so they run
+//! side by side.
 //!
 //! # Sharing the warm state across workers
 //!
-//! The memo table lives in [`SharedConeSynthCache`]: `SHARD_COUNT`-way
-//! lock-striped (shard chosen by the structural key's low bits, one
-//! `Mutex`-guarded map per shard), so concurrent workers — e.g. the
-//! threads of a `generate_batch` fan-out — deduplicate cone synthesis
-//! *between requests* instead of each re-synthesizing the same cones.
-//! Each worker owns a [`ConeSynthCache`] view: the shared table behind
-//! an `Arc`, plus private tag-stamped scratch (observability mask, cone
-//! visited sets, member/boundary lists, cone-local id maps), so warm
-//! queries stay **allocation-free** and never contend on anything but
-//! the per-shard locks. Two workers racing on the same cold key may
-//! both synthesize, but they insert the same bits (synthesis is a pure
-//! function of the key), so results are byte-identical to a sequential
-//! run regardless of scheduling; only the hit/miss counters are
-//! schedule-dependent.
+//! The memo table lives in [`SharedConeSynthCache`]. It is lock-striped:
+//! the key's first word picks the shard by its low bits and the home slot
+//! by higher ones, and each shard is one `Mutex`-guarded flat
+//! open-addressed array of (key, area) entries. So concurrent workers,
+//! e.g. the threads of a `generate_batch` fan-out, deduplicate cone
+//! synthesis *between requests* instead of each re-synthesizing the same
+//! cones. Each worker owns a [`ConeSynthCache`] view: the shared table
+//! behind an `Arc`, plus private tag-stamped scratch (observability mask,
+//! the walk's visited marks, member/boundary lists and cone-local
+//! positions), so warm queries stay **allocation-free** and never contend
+//! on anything but the per-shard locks. Two workers racing on the same
+//! cold key may both synthesize, but they insert the same bits (synthesis
+//! is a pure function of the key), so results are byte-identical to a
+//! sequential run regardless of scheduling; only the hit/miss counters
+//! are schedule-dependent.
 //!
 //! A cache miss builds no standalone cone circuit: it pushes the cone's
 //! boundary, members and apex straight from the host graph into the
@@ -70,10 +88,8 @@
 
 use crate::area::CellLibrary;
 use crate::passes::{with_scratch, SynthScratch};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
 use syncircuit_graph::fingerprint::splitmix64;
 use syncircuit_graph::swap::SwapGraph;
 use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
@@ -106,94 +122,155 @@ pub struct ConeShardStats {
     pub evictions: u64,
     /// Memoized cone entries currently stored in this shard.
     pub entries: usize,
+    /// Heap bytes of this shard's table (0 until its first insert).
+    pub bytes: usize,
 }
 
-/// Tag-stamped scratch for the cone-key computation: host-id →
-/// cone-local-id maps that are invalidated by bumping an epoch tag
-/// instead of clearing.
+/// A cone's 128-bit structural key. Word 0 picks the shard and the home
+/// slot inside it; word 1 is only compared. Every hit compares both.
+type ConeKey = [u64; 2];
+
+/// Two independent multiply-fold lanes over one word stream; their
+/// finished states are the two words of a [`ConeKey`]. Neither lane reads
+/// the other, so the CPU overlaps their multiplies.
+struct KeyLanes([u64; 2]);
+
+impl KeyLanes {
+    const SEED: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
+    const MUL: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xD6E8_FEB8_6659_FD93];
+
+    #[inline]
+    fn push(&mut self, word: u64) {
+        self.0[0] = fold_mul(self.0[0] ^ word, Self::MUL[0]);
+        self.0[1] = fold_mul(self.0[1] ^ word, Self::MUL[1]);
+    }
+
+    fn finish(self) -> ConeKey {
+        [splitmix64(self.0[0]), splitmix64(self.0[1])]
+    }
+}
+
+/// The full 128-bit product of `x` and `k`, folded to 64 bits: every
+/// output bit depends on every input bit.
+#[inline]
+fn fold_mul(x: u64, k: u64) -> u64 {
+    let p = u128::from(x) * u128::from(k);
+    p as u64 ^ (p >> 64) as u64
+}
+
+// Class of a reached node, in the low two bits of its reference word
+// (`position << 3 | class`); bit 2 marks a node's last parent slot.
+const APEX: u64 = 0;
+const BOUNDARY: u64 = 1;
+const MEMBER: u64 = 2;
+/// Key word of a boundary node reached for the first time: its position
+/// is the boundary count so far, so the word carries its kind (bit 3:
+/// constant) and width (bits 4 and up) instead.
+const NEW_BOUNDARY: u64 = 3;
+const LAST_SLOT: u64 = 1 << 2;
+
+/// Whether the walk stops at (and records) a node of type `ty`.
+#[inline]
+fn is_boundary(ty: NodeType) -> bool {
+    matches!(ty, NodeType::Const | NodeType::Input | NodeType::Reg)
+}
+
+/// Tag-stamped scratch of the fused fan-in walk: per host node, the tag
+/// of the walk that last reached it and its reference word (cone-local
+/// position and class); the member list doubles as the FIFO queue.
 #[derive(Debug, Default)]
-struct KeyScratch {
-    local_tag: Vec<u32>,
-    local_id: Vec<u32>,
+struct ConeWalk {
+    seen: Vec<u32>,
+    word: Vec<u64>,
     tag: u32,
+    members: Vec<NodeId>,
+    boundary: Vec<NodeId>,
 }
 
-impl KeyScratch {
-    /// Structural key of a cone, computed in the host graph: assigns
-    /// cone-local ids in the same order the standalone constructors do
-    /// (boundary, members, apex) and hashes boundary kinds, node
-    /// attributes and local wiring with a splitmix64 chain. Equal cone
-    /// circuits hash equally regardless of host-graph node ids.
-    fn cone_key(
-        &mut self,
-        g: &CircuitGraph,
-        boundary: &[NodeId],
-        members: &[NodeId],
-        apex: NodeId,
-    ) -> u64 {
+impl ConeWalk {
+    /// Walks the fan-in cone of `apex` into `members` and `boundary`
+    /// (see the module docs) and returns its structural key.
+    fn walk(&mut self, g: &CircuitGraph, apex: NodeId) -> ConeKey {
         let n = g.node_count();
-        if self.local_tag.len() < n {
-            self.local_tag.resize(n, 0);
-            self.local_id.resize(n, 0);
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.word.resize(n, 0);
         }
         self.tag = self.tag.wrapping_add(1);
         if self.tag == 0 {
-            self.local_tag.fill(0);
+            self.seen.fill(0);
             self.tag = 1;
         }
-        let tag = self.tag;
-        let mut next = 0u32;
-        for &b in boundary.iter().chain(members).chain(std::iter::once(&apex)) {
-            self.local_tag[b.index()] = tag;
-            self.local_id[b.index()] = next;
-            next += 1;
+        self.members.clear();
+        self.boundary.clear();
+        self.seen[apex.index()] = self.tag;
+        self.word[apex.index()] = APEX;
+        let mut lanes = KeyLanes(KeyLanes::SEED);
+        self.expand(g, apex, &mut lanes);
+        let mut head = 0;
+        while head < self.members.len() {
+            let u = self.members[head];
+            head += 1;
+            self.expand(g, u, &mut lanes);
         }
-
-        let mix = |h: u64, v: u64| splitmix64(h ^ v);
-        let mut h = splitmix64(next as u64 ^ 0xC0DE_C0DE_C0DE_C0DE);
-        for &b in boundary {
-            let node = g.node(b);
-            if node.ty() == NodeType::Const {
-                h = mix(h, 1);
-                h = mix(h, node.aux());
-            } else {
-                h = mix(h, 2);
-            }
-            h = mix(h, node.width() as u64);
-        }
-        for &m in members.iter().chain(std::iter::once(&apex)) {
-            let node = g.node(m);
-            h = mix(h, node.ty().category() as u64);
-            h = mix(h, node.width() as u64);
-            h = mix(h, node.aux());
-            let ps = g.parents(m);
-            h = mix(h, ps.len() as u64);
-            for &p in ps {
-                debug_assert_eq!(self.local_tag[p.index()], tag, "cone is parent-closed");
-                h = mix(h, self.local_id[p.index()] as u64);
-            }
-        }
-        h
+        lanes.finish()
     }
 
-    /// Loads the cone just keyed by [`KeyScratch::cone_key`] (whose
-    /// cone-local ids it reuses) into `synth` as a flat netlist, node for
-    /// node and slot for slot the circuit
-    /// `syncircuit_graph::cone::cone_circuit_parts` builds: boundary
-    /// constants keep their value (masked to their width) and other
-    /// boundary nodes become inputs; members and the apex follow with
-    /// cone-local parents; a non-sink apex then drives a fresh output
-    /// port.
-    fn load_cone(
-        &self,
-        g: &CircuitGraph,
-        boundary: &[NodeId],
-        members: &[NodeId],
-        apex: NodeId,
-        synth: &mut SynthScratch,
-    ) {
+    /// Feeds `u`'s words to `lanes` (type, width, flags, nonzero aux,
+    /// then one word per parent slot) and reaches its unseen parents:
+    /// boundary nodes are recorded, members queued.
+    #[inline]
+    fn expand(&mut self, g: &CircuitGraph, u: NodeId, lanes: &mut KeyLanes) {
+        let node = g.node(u);
+        let ps = g.parents(u);
+        let aux = node.aux();
+        lanes.push(
+            node.ty() as u64
+                | u64::from(node.width()) << 8
+                | u64::from(ps.is_empty()) << 16
+                | u64::from(aux != 0) << 17,
+        );
+        if aux != 0 {
+            lanes.push(aux);
+        }
+        let tag = self.tag;
+        for (slot, &p) in ps.iter().enumerate() {
+            let last = if slot + 1 == ps.len() { LAST_SLOT } else { 0 };
+            let i = p.index();
+            if self.seen[i] == tag {
+                lanes.push(self.word[i] | last);
+                continue;
+            }
+            self.seen[i] = tag;
+            let parent = g.node(p);
+            if is_boundary(parent.ty()) {
+                self.word[i] = (self.boundary.len() as u64) << 3 | BOUNDARY;
+                self.boundary.push(p);
+                let constant = parent.ty() == NodeType::Const;
+                lanes.push(
+                    NEW_BOUNDARY | last | u64::from(constant) << 3 | u64::from(parent.width()) << 4,
+                );
+                if constant {
+                    lanes.push(parent.aux());
+                }
+            } else {
+                self.word[i] = (self.members.len() as u64) << 3 | MEMBER;
+                self.members.push(p);
+                lanes.push(self.word[i] | last);
+            }
+        }
+    }
+
+    /// Loads the cone of the last [`walk`](ConeWalk::walk) (from `apex`)
+    /// into `synth` as a flat netlist, node for node and slot for slot
+    /// the circuit `syncircuit_graph::cone::cone_circuit_parts` builds:
+    /// boundary constants keep their value (masked to their width) and
+    /// other boundary nodes become inputs; members and the apex follow
+    /// with cone-local parents; a non-sink apex then drives a fresh
+    /// output port.
+    fn load(&self, g: &CircuitGraph, apex: NodeId, synth: &mut SynthScratch) {
         synth.clear();
-        for &b in boundary {
+        for &b in &self.boundary {
             let node = g.node(b);
             let w = node.width();
             let leaf = match node.ty() {
@@ -202,14 +279,23 @@ impl KeyScratch {
             };
             synth.push(leaf, []);
         }
-        for &m in members.iter().chain(std::iter::once(&apex)) {
-            let local = g.parents(m).iter().map(|p| self.local_id[p.index()] as usize);
-            synth.push(*g.node(m), local);
+        let (nb, nm) = (self.boundary.len(), self.members.len());
+        let local = |p: &NodeId| {
+            let word = self.word[p.index()];
+            let pos = (word >> 3) as usize;
+            match word & 3 {
+                APEX => nb + nm,
+                BOUNDARY => pos,
+                _ => nb + pos,
+            }
+        };
+        for &m in self.members.iter().chain(std::iter::once(&apex)) {
+            synth.push(*g.node(m), g.parents(m).iter().map(local));
         }
         let apex_node = g.node(apex);
         if !apex_node.ty().is_sink() {
             let port = Node::new(NodeType::Output, apex_node.width());
-            synth.push(port, [boundary.len() + members.len()]);
+            synth.push(port, [nb + nm]);
         }
     }
 }
@@ -292,17 +378,38 @@ impl ConeMemo {
 /// Default stripe count of a [`SharedConeSynthCache`].
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
+/// Low bits of a key's first word that the shard choice may use; the
+/// home slot inside a shard comes from the bits above them.
+const SHARD_BITS: u32 = 16;
+
 /// Most stripes a [`SharedConeSynthCache`] builds; larger requests are
 /// clamped to it.
-pub const MAX_SHARD_COUNT: usize = 1 << 16;
+pub const MAX_SHARD_COUNT: usize = 1 << SHARD_BITS;
 
-/// One memoized cone entry plus its CLOCK reference bit.
-#[derive(Debug)]
-struct Slot {
-    key: u64,
+/// One memoized cone.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: ConeKey,
     area: f64,
-    referenced: bool,
 }
+
+impl Entry {
+    /// Filler for empty slots; only the state bits say a slot is empty.
+    const VACANT: Entry = Entry {
+        key: [0; 2],
+        area: 0.0,
+    };
+}
+
+/// State bits of a slot, two per slot and 32 slots per word. Emptiness
+/// lives here rather than in the entry, so every key value can be
+/// stored and none marks an empty slot.
+const OCCUPIED: u64 = 1;
+/// The CLOCK reference bit: set by hits and inserts, cleared by the hand.
+const REFERENCED: u64 = 2;
+
+/// Slots a table allocates on its first insert.
+const MIN_SLOTS: usize = 8;
 
 /// What publishing a synthesized area into a shard did.
 enum Published {
@@ -314,94 +421,198 @@ enum Published {
     Evicted,
 }
 
-/// The mutex-guarded part of one lock stripe: a key → slot index plus
-/// the slot arena the CLOCK hand sweeps. With `capacity == 0` the arena
-/// grows monotonically (the pre-bounding behavior); otherwise it holds
-/// at most `capacity` slots and inserts displace the second-chance
-/// victim.
+/// The mutex-guarded part of one lock stripe: an open-addressed,
+/// linear-probing array of (key, area) entries plus two state bits per
+/// slot (occupied, referenced). It allocates nothing until its first
+/// insert and doubles when an insert would fill more than 7/8 of its
+/// slots. With `capacity == 0` it grows without bound; otherwise it holds
+/// at most `capacity` entries and an insert into a full table first
+/// evicts the CLOCK victim, whose slot is closed by backward-shift
+/// deletion (no tombstones).
 #[derive(Debug, Default)]
-struct ShardMap {
-    index: HashMap<u64, usize>,
-    slots: Vec<Slot>,
+struct ShardTable {
+    entries: Vec<Entry>,
+    states: Vec<u64>,
+    len: usize,
+    /// The CLOCK hand: a slot index.
     hand: usize,
 }
 
-impl ShardMap {
-    /// Looks `key` up, setting its reference bit on a hit.
-    fn get(&mut self, key: u64) -> Option<f64> {
-        let &i = self.index.get(&key)?;
-        self.slots[i].referenced = true;
-        Some(self.slots[i].area)
+impl ShardTable {
+    /// Home slot of `key`: bits of word 0 above the shard bits.
+    #[inline]
+    fn home(&self, key: &ConeKey) -> usize {
+        (key[0] >> SHARD_BITS) as usize & (self.entries.len() - 1)
     }
 
-    /// Publishes `key → area`, evicting the CLOCK victim when the shard
-    /// is at `capacity`. New entries start referenced, so they survive
-    /// one full hand sweep before becoming eviction candidates.
-    fn publish(&mut self, key: u64, area: f64, capacity: usize) -> Published {
-        if let Some(&i) = self.index.get(&key) {
-            self.slots[i].referenced = true;
-            return Published::Already(self.slots[i].area);
+    #[inline]
+    fn state(&self, i: usize) -> u64 {
+        self.states[i / 32] >> (2 * (i % 32)) & 3
+    }
+
+    #[inline]
+    fn set_state(&mut self, i: usize, bits: u64) {
+        let shift = 2 * (i % 32);
+        let word = &mut self.states[i / 32];
+        *word = *word & !(3 << shift) | bits << shift;
+    }
+
+    #[inline]
+    fn occupied(&self, i: usize) -> bool {
+        self.state(i) & OCCUPIED != 0
+    }
+
+    /// Slot holding `key`, probing from its home to the first empty slot.
+    fn find(&self, key: &ConeKey) -> Option<usize> {
+        if self.len == 0 {
+            return None;
         }
-        if capacity == 0 || self.slots.len() < capacity {
-            self.index.insert(key, self.slots.len());
-            self.slots.push(Slot {
-                key,
-                area,
-                referenced: true,
-            });
-            return Published::Grew;
+        let mask = self.entries.len() - 1;
+        let mut i = self.home(key);
+        while self.occupied(i) {
+            if self.entries[i].key == *key {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
         }
-        // Second chance: clear reference bits until an unreferenced slot
-        // comes under the hand (terminates within two sweeps).
+        None
+    }
+
+    /// The empty slot that ends the probe of an absent `key`.
+    fn vacant(&self, key: &ConeKey) -> usize {
+        let mask = self.entries.len() - 1;
+        let mut i = self.home(key);
+        while self.occupied(i) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Looks `key` up, setting its reference bit on a hit.
+    fn get(&mut self, key: &ConeKey) -> Option<f64> {
+        let i = self.find(key)?;
+        self.set_state(i, OCCUPIED | REFERENCED);
+        Some(self.entries[i].area)
+    }
+
+    /// Publishes `key → area`, evicting the CLOCK victim when the table
+    /// holds `capacity` entries. New entries start referenced, so they
+    /// survive one full hand sweep before becoming eviction candidates.
+    fn publish(&mut self, key: ConeKey, area: f64, capacity: usize) -> Published {
+        if let Some(first) = self.get(&key) {
+            return Published::Already(first);
+        }
+        let evict = capacity != 0 && self.len >= capacity;
+        if evict {
+            self.evict();
+        } else if (self.len + 1) * 8 > self.entries.len() * 7 {
+            self.grow();
+        }
+        let i = self.vacant(&key);
+        self.entries[i] = Entry { key, area };
+        self.set_state(i, OCCUPIED | REFERENCED);
+        self.len += 1;
+        if evict {
+            Published::Evicted
+        } else {
+            Published::Grew
+        }
+    }
+
+    /// Doubles the slot count (or allocates the first [`MIN_SLOTS`]) and
+    /// re-inserts every entry with its state bits.
+    fn grow(&mut self) {
+        let slots = (self.entries.len() * 2).max(MIN_SLOTS);
+        let grown = ShardTable {
+            entries: vec![Entry::VACANT; slots],
+            states: vec![0; slots.div_ceil(32)],
+            len: self.len,
+            hand: 0,
+        };
+        let old = std::mem::replace(self, grown);
+        for (i, entry) in old.entries.iter().enumerate() {
+            if old.occupied(i) {
+                let j = self.vacant(&entry.key);
+                self.entries[j] = *entry;
+                self.set_state(j, old.state(i));
+            }
+        }
+    }
+
+    /// Second chance: clears reference bits under the hand until an
+    /// unreferenced entry comes up, and removes it (terminates within two
+    /// sweeps, since a full table holds at least one entry).
+    fn evict(&mut self) {
+        let mask = self.entries.len() - 1;
         loop {
-            if self.hand >= self.slots.len() {
-                self.hand = 0;
+            let i = self.hand;
+            let state = self.state(i);
+            if state == OCCUPIED {
+                self.remove(i);
+                return;
             }
-            if self.slots[self.hand].referenced {
-                self.slots[self.hand].referenced = false;
-                self.hand += 1;
-            } else {
-                let victim = &mut self.slots[self.hand];
-                self.index.remove(&victim.key);
-                *victim = Slot {
-                    key,
-                    area,
-                    referenced: true,
-                };
-                self.index.insert(key, self.hand);
-                self.hand += 1;
-                return Published::Evicted;
+            self.set_state(i, state & OCCUPIED);
+            self.hand = (i + 1) & mask;
+        }
+    }
+
+    /// Empties slot `hole` by backward-shift deletion: each later entry
+    /// of the probe run whose home does not lie cyclically in
+    /// `(hole, its slot]` moves back into the hole, so every remaining
+    /// entry stays reachable from its home without tombstones.
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.entries.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            if !self.occupied(j) {
+                break;
+            }
+            let home = self.home(&self.entries[j].key);
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.entries[hole] = self.entries[j];
+                self.set_state(hole, self.state(j));
+                hole = j;
             }
         }
+        self.set_state(hole, 0);
+        self.len -= 1;
+    }
+
+    /// Heap bytes of the entry array and the state bits.
+    fn bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+            + self.states.capacity() * std::mem::size_of::<u64>()
     }
 }
 
-/// One lock stripe: the CLOCK-managed memo arena plus lock-free
-/// counters. `entries` mirrors `map.slots.len()` so telemetry reads
-/// ([`SharedConeSynthCache::stats`]) never take the map lock.
+/// One lock stripe: the flat memo table plus lock-free counters.
+/// `entries` and `bytes` mirror the table's entry count and heap bytes,
+/// so telemetry reads ([`SharedConeSynthCache::stats`]) never take the
+/// table lock.
 #[derive(Debug, Default)]
 struct Shard {
-    map: Mutex<ShardMap>,
+    table: Mutex<ShardTable>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     entries: AtomicUsize,
+    bytes: AtomicUsize,
 }
 
 impl Shard {
-    /// Locks this shard's memo map, recovering a poisoned lock. The map
+    /// Locks this shard's table, recovering a poisoned lock. The table
     /// memoizes a pure function of the key, so a shard whose invariants
-    /// may have been broken by a panic mid-update is simply cleared:
+    /// may have been broken by a panic mid-update is simply emptied:
     /// entries are recomputable work, never state, and an empty shard
     /// returns byte-identical areas (misses re-synthesize).
-    fn lock_map(&self) -> MutexGuard<'_, ShardMap> {
-        self.map.lock().unwrap_or_else(|poisoned| {
-            self.map.clear_poison();
+    fn lock_table(&self) -> MutexGuard<'_, ShardTable> {
+        self.table.lock().unwrap_or_else(|poisoned| {
+            self.table.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.index.clear();
-            guard.slots.clear();
-            guard.hand = 0;
+            *guard = ShardTable::default();
             self.entries.store(0, Ordering::Relaxed);
+            self.bytes.store(0, Ordering::Relaxed);
             guard
         })
     }
@@ -410,12 +621,16 @@ impl Shard {
 /// Lock-striped, thread-shareable memo table of per-cone synthesis
 /// results.
 ///
-/// Keys are structural cone fingerprints (a splitmix64 chain over
-/// boundary kinds, member attributes and cone-local wiring — already
-/// uniformly mixed), striped over power-of-two shards by their low
-/// bits. Values are a pure function of
-/// the key, so concurrent insertion races are benign: every racer
-/// computes identical bits, and publishing keeps the first.
+/// Keys are 128-bit structural cone keys (see the module docs), and
+/// every hit compares both words. The first word picks a power-of-two
+/// shard by its low bits and the home slot inside the shard by bits the
+/// shard choice does not use. Values are a pure function of the key, so
+/// concurrent insertion races are benign: every racer computes identical
+/// bits, and publishing keeps the first.
+///
+/// Each shard is one flat open-addressed array of (key, area) entries
+/// plus two state bits per slot (occupied, referenced). It is empty (no
+/// heap bytes) until its first insert and doubles as it fills.
 ///
 /// Workers never hold a shard lock while synthesizing — a miss releases
 /// the lock, synthesizes the cone in place, and re-locks to publish.
@@ -425,8 +640,8 @@ impl Shard {
 /// A per-shard capacity ([`SharedConeSynthCache::with_shards_and_capacity`])
 /// caps residency: past it, inserts displace a CLOCK / second-chance
 /// victim (hits set a reference bit; the sweeping hand evicts the first
-/// unreferenced slot). Because the table memoizes a **pure function** of
-/// the structural key, eviction can only cause re-synthesis — never a
+/// unreferenced entry). Because the table memoizes a **pure function**
+/// of the structural key, eviction can only cause re-synthesis — never a
 /// different area — so a bounded table returns byte-identical results to
 /// an unbounded one (property-tested in
 /// `syncircuit-core/tests/bounded_cache_equivalence.rs`). Capacity `0`
@@ -436,15 +651,16 @@ impl Shard {
 /// The hit/miss/eviction counters can be disabled
 /// ([`SharedConeSynthCache::set_stats_enabled`]); they are pure
 /// telemetry and never influence the returned areas (tested in
-/// `stats_toggle_does_not_drift`). Per-shard entry counts are mirrored
-/// in lock-free atomics, so reading [`SharedConeSynthCache::stats`]
-/// never contends with serving workers on the shard locks.
+/// `stats_toggle_does_not_drift`). Per-shard entry counts and table
+/// bytes are mirrored in lock-free atomics, so reading
+/// [`SharedConeSynthCache::stats`] never contends with serving workers on
+/// the shard locks.
 #[derive(Debug)]
 pub struct SharedConeSynthCache {
     lib: CellLibrary,
     shards: Box<[Shard]>,
     mask: u64,
-    /// Per-shard slot capacity (`0` = unbounded).
+    /// Per-shard entry capacity (`0` = unbounded).
     capacity: usize,
     stats_enabled: AtomicBool,
     /// Cone areas that views reused from their memos (table-wide: memo
@@ -484,7 +700,8 @@ impl SharedConeSynthCache {
     /// further inserts evict a CLOCK / second-chance victim. Bounding
     /// never changes returned areas (the table memoizes a pure function
     /// of the key) — it only trades recall for a residency ceiling of
-    /// `shards × capacity` entries.
+    /// `shards × capacity` entries. No shard allocates its table before
+    /// its first insert, whatever the capacity.
     pub fn with_shards_and_capacity(lib: CellLibrary, shards: usize, capacity: usize) -> Self {
         let count = match shards {
             0 => DEFAULT_SHARD_COUNT,
@@ -521,12 +738,12 @@ impl SharedConeSynthCache {
         self.stats_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Per-shard hit/miss/eviction/entry counters, in shard order.
+    /// Per-shard hit/miss/eviction/entry/byte counters, in shard order.
     ///
     /// Lock-free: every field is read from per-shard atomics (entry
-    /// counts are mirrored on insert/evict), so telemetry polling never
-    /// contends with serving workers — even with counting disabled via
-    /// [`SharedConeSynthCache::set_stats_enabled`].
+    /// counts and table bytes are mirrored on every insert), so telemetry
+    /// polling never contends with serving workers — even with counting
+    /// disabled via [`SharedConeSynthCache::set_stats_enabled`].
     ///
     /// Under concurrency the hit/miss counters are schedule-dependent
     /// (two workers racing on one cold key may record two misses); the
@@ -539,6 +756,7 @@ impl SharedConeSynthCache {
                 misses: s.misses.load(Ordering::Relaxed),
                 evictions: s.evictions.load(Ordering::Relaxed),
                 entries: s.entries.load(Ordering::Relaxed),
+                bytes: s.bytes.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -559,11 +777,21 @@ impl SharedConeSynthCache {
     }
 
     /// Total memoized cone entries over all shards (lock-free; the
-    /// counts are mirrored in per-shard atomics on insert/evict).
+    /// counts are mirrored in per-shard atomics on every insert).
     pub fn entries(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.entries.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Total heap bytes of the shard tables (lock-free, mirrored like
+    /// [`entries`](SharedConeSynthCache::entries)); 0 before the first
+    /// insert.
+    pub fn bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.bytes.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -574,15 +802,15 @@ impl SharedConeSynthCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[(key & self.mask) as usize]
+    fn shard(&self, key: &ConeKey) -> &Shard {
+        &self.shards[(key[0] & self.mask) as usize]
     }
 
     /// Memoized area for `key`, synthesizing with `synth` on a miss.
     /// `synth` runs outside the shard lock.
-    fn area_or_insert(&self, key: u64, synth: impl FnOnce(&CellLibrary) -> f64) -> f64 {
-        let shard = self.shard(key);
-        if let Some(a) = shard.lock_map().get(key) {
+    fn area_or_insert(&self, key: ConeKey, synth: impl FnOnce(&CellLibrary) -> f64) -> f64 {
+        let shard = self.shard(&key);
+        if let Some(a) = shard.lock_table().get(&key) {
             if self.stats_enabled.load(Ordering::Relaxed) {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -592,10 +820,12 @@ impl SharedConeSynthCache {
             shard.misses.fetch_add(1, Ordering::Relaxed);
         }
         let a = synth(&self.lib);
-        match shard.lock_map().publish(key, a, self.capacity) {
+        let mut table = shard.lock_table();
+        match table.publish(key, a, self.capacity) {
             Published::Already(first) => first,
             Published::Grew => {
-                shard.entries.fetch_add(1, Ordering::Relaxed);
+                shard.entries.store(table.len, Ordering::Relaxed);
+                shard.bytes.store(table.bytes(), Ordering::Relaxed);
                 a
             }
             Published::Evicted => {
@@ -612,12 +842,13 @@ impl SharedConeSynthCache {
 /// behind an `Arc` plus private tag-stamped scratch, so warm queries
 /// are allocation-free and scratch never crosses threads.
 ///
-/// Keys are structural fingerprints of the cone — hashed *in the host
-/// graph* (boundary kinds, member attributes, cone-local wiring). A miss
-/// synthesizes the cone in place from the host graph as well, on the
-/// thread's synthesis scratch, so no query ever builds a cone circuit.
-/// Identical cones — across queries, registers, requests, workers, or
-/// even designs — share one synthesis result.
+/// Keys are 128-bit structural keys of the cone, built *in the host
+/// graph* by the same walk that collects the cone (boundary kinds,
+/// member attributes, cone-local wiring). A miss synthesizes the cone in
+/// place from the host graph as well, on the thread's synthesis scratch,
+/// so no query ever builds a cone circuit. Identical cones — across
+/// queries, registers, requests, workers, or even designs — share one
+/// synthesis result.
 ///
 /// A private evaluator ([`ConeSynthCache::new`]) owns a fresh shared
 /// table; fan-out callers clone one `Arc` into
@@ -629,8 +860,7 @@ impl SharedConeSynthCache {
 #[derive(Debug)]
 pub struct ConeSynthCache {
     shared: Arc<SharedConeSynthCache>,
-    key: KeyScratch,
-    cone: ConeScratch,
+    walk: ConeWalk,
     observed: ObservedScratch,
     /// Per-apex memo, indexed by the apex's [`NodeId::index`].
     memo: Vec<ConeMemo>,
@@ -659,8 +889,7 @@ impl ConeSynthCache {
     pub fn with_shared(shared: Arc<SharedConeSynthCache>) -> Self {
         ConeSynthCache {
             shared,
-            key: KeyScratch::default(),
-            cone: ConeScratch::new(),
+            walk: ConeWalk::default(),
             observed: ObservedScratch::default(),
             memo: Vec::new(),
             reused: 0,
@@ -727,9 +956,10 @@ impl ConeSynthCache {
     }
 
     /// Memoized post-synthesis area of the fan-in cone of `apex`. With
-    /// `stamps`, an unchanged cone returns its memo; otherwise a new key
-    /// synthesizes the cone in place, loaded from the host graph into
-    /// this thread's synthesis scratch.
+    /// `stamps`, an unchanged cone returns its memo; otherwise one walk
+    /// collects the cone and its key, and a new key synthesizes the cone
+    /// in place, loaded from the host graph into this thread's synthesis
+    /// scratch.
     fn cone_area(&mut self, g: &CircuitGraph, apex: NodeId, stamps: Option<&[u64]>) -> f64 {
         if let Some(stamps) = stamps {
             if let Some(area) = self.memo[apex.index()].reuse(stamps) {
@@ -737,17 +967,16 @@ impl ConeSynthCache {
                 return area;
             }
         }
-        let (members, boundary) = fanin_cone_into(g, apex, &mut self.cone);
-        let key = self.key.cone_key(g, boundary, members, apex);
-        let local = &self.key;
+        let key = self.walk.walk(g, apex);
+        let walk = &self.walk;
         let area = self.shared.area_or_insert(key, |lib| {
             with_scratch(|synth| {
-                local.load_cone(g, boundary, members, apex, synth);
+                walk.load(g, apex, synth);
                 synth.area(lib)
             })
         });
         if let Some(stamps) = stamps {
-            self.memo[apex.index()].record(apex, members, stamps, area);
+            self.memo[apex.index()].record(apex, &self.walk.members, stamps, area);
         }
         area
     }
@@ -973,28 +1202,104 @@ mod tests {
         );
     }
 
-    /// Loads every register and output cone of `g` in place and checks
-    /// the flat netlist and its area against the standalone cone
-    /// circuit. Returns which of (self-feeding register, constant
-    /// boundary, bit-select member, sink apex) the cones covered.
-    fn check_in_place_cones(
-        g: &CircuitGraph,
-        lib: &CellLibrary,
-        key: &mut KeyScratch,
-        cone: &mut ConeScratch,
-        synth: &mut SynthScratch,
-    ) -> [bool; 4] {
+    /// The masked-counter fixture: a self-feeding counter behind a
+    /// constant that needs masking (pushed unmasked; `cone_circuit_parts`
+    /// masks it), read through a bit-select by an output (a sink apex).
+    fn masked_counter() -> CircuitGraph {
+        let mut g = CircuitGraph::new("masked_counter");
+        let c = g.push_node(Node::with_aux(NodeType::Const, 4, 0xFF));
+        let r = g.add_node(NodeType::Reg, 4);
+        let s = g.add_node(NodeType::Add, 4);
+        let b = g.add_bit_select(2, 1);
+        let o = g.add_node(NodeType::Output, 2);
+        g.set_parents(s, &[r, c]).unwrap();
+        g.set_parents(r, &[s]).unwrap();
+        g.set_parents(b, &[r]).unwrap();
+        g.set_parents(o, &[b]).unwrap();
+        g
+    }
+
+    /// The fixture, then 300 random circuits of 6 to 75 nodes.
+    fn walk_fixtures() -> impl Iterator<Item = CircuitGraph> {
+        use rand::{rngs::StdRng, SeedableRng};
+        use syncircuit_graph::testing::random_circuit_with_size;
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        std::iter::once(masked_counter())
+            .chain((0..300).map(move |k| random_circuit_with_size(&mut rng, 6 + k % 70)))
+    }
+
+    /// Which of (self-feeding register, constant boundary, bit-select
+    /// member, sink apex) the cone of `apex` shows.
+    fn cone_shapes(g: &CircuitGraph, apex: NodeId, walk: &ConeWalk) -> [bool; 4] {
+        let ty = g.ty(apex);
+        let self_feeding = ty == NodeType::Reg
+            && (g.parents(apex).contains(&apex)
+                || walk.members.iter().any(|&m| g.parents(m).contains(&apex)));
+        [
+            self_feeding,
+            walk.boundary.iter().any(|&b| g.ty(b) == NodeType::Const),
+            walk.members.iter().any(|&m| g.ty(m) == NodeType::BitSelect),
+            ty.is_sink(),
+        ]
+    }
+
+    /// Runs `check` on the walk of every register and output cone of the
+    /// fixture and the random circuits, and asserts that the fixture
+    /// alone, and the random circuits together, show every cone shape.
+    fn for_each_walked_cone(mut check: impl FnMut(&CircuitGraph, NodeId, &ConeWalk)) {
+        let mut walk = ConeWalk::default();
+        let mut covered = [false; 4];
+        for (k, g) in walk_fixtures().enumerate() {
+            for (apex, node) in g.iter() {
+                if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
+                    continue;
+                }
+                walk.walk(&g, apex);
+                check(&g, apex, &walk);
+                for (all, one) in covered.iter_mut().zip(cone_shapes(&g, apex, &walk)) {
+                    *all |= one;
+                }
+            }
+            if k == 0 {
+                assert_eq!(covered, [true; 4], "the fixture covers every cone shape");
+                covered = [false; 4];
+            }
+        }
+        assert_eq!(covered, [true; 4], "random circuits cover every cone shape");
+    }
+
+    #[test]
+    fn fused_walk_matches_fanin_cone_order() {
+        use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
+        let mut cone = ConeScratch::new();
+        for_each_walked_cone(|g, apex, walk| {
+            let (members, boundary) = fanin_cone_into(g, apex, &mut cone);
+            assert_eq!(
+                walk.members,
+                members,
+                "{}: members of the {apex} cone",
+                g.name()
+            );
+            assert_eq!(
+                walk.boundary,
+                boundary,
+                "{}: boundary of the {apex} cone",
+                g.name()
+            );
+        });
+    }
+
+    #[test]
+    fn in_place_miss_path_matches_standalone_cone_circuits() {
+        // Loads every register and output cone in place and checks the
+        // flat netlist and its area against the standalone cone circuit.
         use crate::passes::optimized_area;
         use syncircuit_graph::cone::cone_circuit_parts;
-        let mut covered = [false; 4];
-        for (apex, node) in g.iter() {
-            if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
-                continue;
-            }
-            let (members, boundary) = fanin_cone_into(g, apex, cone);
-            key.cone_key(g, boundary, members, apex);
-            key.load_cone(g, boundary, members, apex, synth);
-            let oracle = cone_circuit_parts(g, apex, members, boundary).circuit;
+        let lib = CellLibrary::default();
+        let mut synth = SynthScratch::default();
+        for_each_walked_cone(|g, apex, walk| {
+            walk.load(g, apex, &mut synth);
+            let oracle = cone_circuit_parts(g, apex, &walk.members, &walk.boundary).circuit;
             assert_eq!(synth.len(), oracle.node_count(), "{}: node count", g.name());
             for (id, want) in oracle.iter() {
                 let (got, parents) = synth.node(id.index());
@@ -1008,58 +1313,15 @@ mod tests {
                     g.name()
                 );
             }
-            let in_place = synth.area(lib);
-            let standalone = optimized_area(&oracle, lib);
+            let in_place = synth.area(&lib);
+            let standalone = optimized_area(&oracle, &lib);
             assert_eq!(
                 in_place.to_bits(),
                 standalone.to_bits(),
                 "{}: area of the {apex} cone",
                 g.name()
             );
-            let self_feeding =
-                node.ty() == NodeType::Reg && members.iter().any(|&m| g.parents(m).contains(&apex));
-            covered[0] |= self_feeding || g.parents(apex).contains(&apex);
-            covered[1] |= boundary.iter().any(|&b| g.ty(b) == NodeType::Const);
-            covered[2] |= members.iter().any(|&m| g.ty(m) == NodeType::BitSelect);
-            covered[3] |= node.ty().is_sink();
-        }
-        covered
-    }
-
-    #[test]
-    fn in_place_miss_path_matches_standalone_cone_circuits() {
-        use rand::{rngs::StdRng, SeedableRng};
-        use syncircuit_graph::testing::random_circuit_with_size;
-        let lib = CellLibrary::default();
-        let mut key = KeyScratch::default();
-        let mut cone = ConeScratch::new();
-        let mut synth = SynthScratch::default();
-
-        // A self-feeding counter behind a constant that needs masking
-        // (pushed unmasked; `cone_circuit_parts` masks it).
-        let mut g = CircuitGraph::new("masked_counter");
-        let c = g.push_node(Node::with_aux(NodeType::Const, 4, 0xFF));
-        let r = g.add_node(NodeType::Reg, 4);
-        let s = g.add_node(NodeType::Add, 4);
-        let b = g.add_bit_select(2, 1);
-        let o = g.add_node(NodeType::Output, 2);
-        g.set_parents(s, &[r, c]).unwrap();
-        g.set_parents(r, &[s]).unwrap();
-        g.set_parents(b, &[r]).unwrap();
-        g.set_parents(o, &[b]).unwrap();
-        let covered = check_in_place_cones(&g, &lib, &mut key, &mut cone, &mut synth);
-        assert_eq!(covered, [true; 4]);
-
-        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
-        let mut covered = [false; 4];
-        for k in 0..300 {
-            let g = random_circuit_with_size(&mut rng, 6 + k % 70);
-            let c = check_in_place_cones(&g, &lib, &mut key, &mut cone, &mut synth);
-            for (all, one) in covered.iter_mut().zip(c) {
-                *all |= one;
-            }
-        }
-        assert_eq!(covered, [true; 4], "random circuits cover every cone shape");
+        });
     }
 
     /// A chain of `len` NOT gates feeding a register: every length is a
@@ -1176,7 +1438,7 @@ mod tests {
         // Poison the shard: panic while holding its map lock.
         let poisoner = shared.clone();
         assert!(std::panic::catch_unwind(move || {
-            let _guard = poisoner.shards[0].map.lock().unwrap();
+            let _guard = poisoner.shards[0].table.lock().unwrap();
             panic!("poison the cone shard");
         })
         .is_err());
@@ -1299,13 +1561,8 @@ mod tests {
     #[test]
     fn concurrent_workers_agree_with_sequential() {
         // Interleaved alive/dead queries over one shared table must
-        // reproduce the private evaluator bit-for-bit. 4 threads by
-        // default; the CI threaded-stress step raises the count via
-        // SYNCIRCUIT_STRESS_WORKERS.
-        let threads: usize = std::env::var("SYNCIRCUIT_STRESS_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4);
+        // reproduce the private evaluator bit-for-bit.
+        let threads = stress_workers();
         let (alive, dead) = alive_and_dead();
         let mut private = ConeSynthCache::new();
         let a0 = private.pcs(&alive).to_bits();
@@ -1328,5 +1585,212 @@ mod tests {
         // All four distinct cone keys are memoized exactly once each in
         // the table (raced duplicates collapse via or_insert).
         assert!(shared.entries() >= 2);
+    }
+
+    /// Locks every shard of `shared` and checks each table against its
+    /// mirrors and its own invariants: every stored entry is found from
+    /// its home, and `len` counts the occupied slots. Returns the live
+    /// entry count.
+    fn check_tables(shared: &SharedConeSynthCache) -> usize {
+        let mut live = 0;
+        for (s, shard) in shared.shards.iter().zip(shared.stats()) {
+            let table = s.table.lock().unwrap();
+            let occupied = (0..table.entries.len()).filter(|&i| table.occupied(i));
+            for i in occupied.clone() {
+                assert_eq!(
+                    table.find(&table.entries[i].key),
+                    Some(i),
+                    "slot {i} unreachable"
+                );
+            }
+            assert_eq!(occupied.count(), table.len);
+            assert_eq!(shard.entries, table.len, "entries mirror");
+            assert_eq!(shard.bytes, table.bytes(), "bytes mirror");
+            live += table.len;
+        }
+        assert_eq!(live, shared.entries());
+        live
+    }
+
+    /// A distinct area per key, so a hit on the wrong entry shows.
+    fn area_of(key: ConeKey) -> f64 {
+        (key[0] ^ key[1].rotate_left(17)) as f64
+    }
+
+    #[test]
+    fn both_key_words_are_compared() {
+        // Word 0 picks shard and slot; two keys that agree in it must
+        // still be two entries, each returning its own area.
+        let shared = SharedConeSynthCache::with_shards(CellLibrary::default(), 4);
+        let a = [0x0123_4567_89AB_CDEF, 1];
+        let b = [0x0123_4567_89AB_CDEF, 2];
+        assert_eq!(shared.area_or_insert(a, |_| 1.5), 1.5);
+        assert_eq!(shared.area_or_insert(b, |_| 2.5), 2.5, "b is not a's entry");
+        assert_eq!(shared.entries(), 2);
+        let hit = |_: &CellLibrary| -> f64 { panic!("a stored key must hit") };
+        assert_eq!(shared.area_or_insert(a, hit), 1.5);
+        assert_eq!(shared.area_or_insert(b, hit), 2.5);
+        assert_eq!(shared.total_stats().hits, 2);
+        check_tables(&shared);
+    }
+
+    #[test]
+    fn the_zero_key_is_an_ordinary_key() {
+        // Emptiness lives in the state bits: an empty slot, whose entry
+        // is all zero, must not answer the all-zero key, and that key
+        // must be stored like any other.
+        let shared = SharedConeSynthCache::with_shards(CellLibrary::default(), 1);
+        assert_eq!(shared.area_or_insert([5, 6], |_| 1.0), 1.0);
+        assert_eq!(shared.area_or_insert([0, 0], |_| 2.0), 2.0, "a miss");
+        let hit = |_: &CellLibrary| -> f64 { panic!("the zero key must be stored") };
+        assert_eq!(shared.area_or_insert([0, 0], hit), 2.0);
+        assert_eq!(check_tables(&shared), 2);
+    }
+
+    #[test]
+    fn flat_table_matches_a_map_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::cell::Cell;
+        use std::collections::HashMap;
+        let mut rng = StdRng::seed_from_u64(0xF1A7);
+        // Random keys, plus runs that share word 0 (one home slot, and so
+        // long probe runs for backward shifts to close) or its slot bits.
+        let mut pool: Vec<ConeKey> = (0..160).map(|_| [rng.gen(), rng.gen()]).collect();
+        for k in 0..48u64 {
+            pool.push([0xABCD_0000_0000_0003, k]);
+            pool.push([(k << 40) | 0x5, rng.gen()]);
+        }
+        pool.push([0, 0]);
+        for capacity in [0usize, 1, 2, 3, 64] {
+            for shards in [1usize, 4] {
+                let shared = SharedConeSynthCache::with_shards_and_capacity(
+                    CellLibrary::default(),
+                    shards,
+                    capacity,
+                );
+                let mut model: HashMap<ConeKey, f64> = HashMap::new();
+                for step in 0..4000 {
+                    let key = pool[rng.gen_range(0..pool.len())];
+                    let missed = Cell::new(false);
+                    let got = shared.area_or_insert(key, |_| {
+                        missed.set(true);
+                        area_of(key)
+                    });
+                    let first = !model.contains_key(&key);
+                    let want = *model.entry(key).or_insert_with(|| area_of(key));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "step {step}: area of {key:x?}"
+                    );
+                    if capacity == 0 {
+                        assert_eq!(
+                            missed.get(),
+                            first,
+                            "step {step}: unbounded misses only new keys"
+                        );
+                    }
+                    let live = check_tables(&shared);
+                    if capacity > 0 {
+                        for s in shared.stats() {
+                            assert!(s.entries <= capacity, "cap {capacity}: {s:?}");
+                        }
+                    } else {
+                        assert_eq!(live, model.len(), "unbounded keeps every key");
+                    }
+                }
+                let stats = shared.total_stats();
+                if capacity == 0 {
+                    assert_eq!(stats.evictions, 0, "unbounded never evicts");
+                    assert_eq!(stats.misses as usize, model.len(), "one miss per key");
+                    for key in model.keys() {
+                        shared.area_or_insert(*key, |_| panic!("unbounded lost {key:x?}"));
+                    }
+                } else if capacity < 64 {
+                    assert!(stats.evictions > 0, "cap {capacity} x {shards} must churn");
+                }
+            }
+        }
+    }
+
+    /// Worker count of the threaded tests: 4 by default; the CI
+    /// threaded-stress step raises it via SYNCIRCUIT_STRESS_WORKERS.
+    fn stress_workers() -> usize {
+        std::env::var("SYNCIRCUIT_STRESS_WORKERS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(4)
+    }
+
+    #[test]
+    fn racing_publishers_keep_the_first_area() {
+        // Every worker misses the same cold key (the barrier holds them
+        // all inside synthesis), then publishes its own area: all must
+        // return the area published first, stored once.
+        let workers = stress_workers();
+        for capacity in [0, 1] {
+            let shared =
+                SharedConeSynthCache::with_shards_and_capacity(CellLibrary::default(), 2, capacity);
+            let key = [0x00DD_BA11_C0FF_EE00, 7];
+            let barrier = std::sync::Barrier::new(workers);
+            let got: Vec<f64> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let (shared, barrier) = (&shared, &barrier);
+                        scope.spawn(move || {
+                            shared.area_or_insert(key, |_| {
+                                barrier.wait();
+                                w as f64
+                            })
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(
+                got.iter().all(|&a| a == got[0]),
+                "one area for all: {got:?}"
+            );
+            assert_eq!(
+                shared.area_or_insert(key, |_| -1.0),
+                got[0],
+                "the stored area"
+            );
+            let stats = shared.total_stats();
+            assert_eq!(stats.misses as usize, workers);
+            assert_eq!(stats.evictions, 0);
+            assert_eq!(check_tables(&shared), 1, "one entry, mirrored exactly");
+        }
+    }
+
+    #[test]
+    fn tables_allocate_nothing_before_the_first_insert() {
+        // The widest stripe count with a capacity no table could hold:
+        // still no table bytes until a cone is stored.
+        let shared = SharedConeSynthCache::with_shards_and_capacity(
+            CellLibrary::default(),
+            MAX_SHARD_COUNT,
+            usize::MAX,
+        );
+        assert_eq!(shared.bytes(), 0);
+        assert!(shared
+            .stats()
+            .iter()
+            .all(|s| s.bytes == 0 && s.entries == 0));
+        let shared = Arc::new(shared);
+        let mut ev = ConeSynthCache::with_shared(shared.clone());
+        let (alive, _) = alive_and_dead();
+        assert_eq!(
+            ev.pcs(&alive).to_bits(),
+            ConeSynthCache::new().pcs(&alive).to_bits()
+        );
+        let populated = shared.stats().iter().filter(|s| s.bytes > 0).count();
+        assert!(populated > 0 && populated <= shared.entries());
+        assert_eq!(
+            shared.bytes(),
+            populated * (MIN_SLOTS * std::mem::size_of::<Entry>() + std::mem::size_of::<u64>()),
+            "each touched shard holds its first slots only"
+        );
+        check_tables(&shared);
     }
 }

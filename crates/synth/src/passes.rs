@@ -18,6 +18,13 @@
 //! scratch whose buffers keep their capacity between runs, so a warm
 //! synthesis allocates nothing.
 //!
+//! CSE keys each node by its type, width, aux and resolved parents in a
+//! flat open-addressed table. A pass clears the table by bumping a tag
+//! rather than by touching its slots, and probes only the first `2n`
+//! slots or more for an `n`-node netlist, so a table grown by one large
+//! netlist costs the small ones after it nothing. The first equal node
+//! in index order wins, so the table decides speed, never the result.
+//!
 //! # Sequential constant propagation
 //!
 //! A register whose D input is tied to a constant is replaced by that
@@ -30,7 +37,6 @@
 use crate::area::{area_of_graph, gate_count, CellLibrary};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use syncircuit_graph::interp::eval_op;
 use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
@@ -122,7 +128,7 @@ pub(crate) struct SynthScratch {
     repl: Vec<Option<usize>>,
     live: Vec<bool>,
     stack: Vec<usize>,
-    cse: CseMap,
+    cse: CseTable,
 }
 
 thread_local! {
@@ -480,6 +486,7 @@ fn all_ones_side(const_vals: &[Option<u64>], w: u32) -> Option<usize> {
 /// A node's identity for CSE: type, width, aux and resolved parents
 /// (arity ≤ 3, padded with `usize::MAX` and disambiguated by `len`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[cfg_attr(test, derive(Hash))]
 struct CseKey {
     ty: NodeType,
     width: u32,
@@ -488,95 +495,148 @@ struct CseKey {
     len: u8,
 }
 
-impl Hash for CseKey {
-    /// Three mixed words; equality still compares every field.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(
-            self.ty.category() as u64 | u64::from(self.width) << 8 | u64::from(self.len) << 40,
-        );
-        state.write_u64(self.aux);
-        state.write_u64(
+impl CseKey {
+    /// Three words mixed by multiply-rotate steps. Which node CSE keeps
+    /// is decided by index order, never by the hash, so the hash only
+    /// sets the speed. It does not resist crafted collisions: such a
+    /// netlist would slow CSE down without changing its result.
+    #[inline]
+    fn hash(&self) -> u64 {
+        const K: u64 = 0xF135_7AEA_2E62_A9C5;
+        let words = [
+            self.ty as u64 | u64::from(self.width) << 8 | u64::from(self.len) << 40,
+            self.aux,
             self.ps[0] as u64
                 ^ (self.ps[1] as u64).rotate_left(21)
                 ^ (self.ps[2] as u64).rotate_left(42),
-        );
+        ];
+        words
+            .iter()
+            .fold(0u64, |h, &w| (h.rotate_left(5) ^ w).wrapping_mul(K))
     }
 }
 
-/// Multiply-rotate hasher for [`CseKey`] words. Which node CSE keeps is
-/// decided by index order, never by the hash, so the hasher only sets
-/// the speed. It does not resist crafted collisions: such a netlist
-/// would slow CSE down without changing its result.
-#[derive(Clone, Copy, Debug, Default)]
-struct WordHasher(u64);
+/// One slot of the CSE table: live in the current pass iff its `tag`
+/// is the table's.
+#[derive(Clone, Copy, Debug)]
+struct CseSlot {
+    tag: u32,
+    node: usize,
+    key: CseKey,
+}
 
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// The CSE table: open-addressed with linear probing, cleared between
+/// passes by bumping a tag rather than by touching its slots. A pass
+/// over `n` nodes probes the first `2n` slots or more (a power of two,
+/// at least 16), so the table is at most half full and a large table
+/// left by a large netlist costs a small one nothing.
+#[derive(Debug, Default)]
+struct CseTable {
+    slots: Vec<CseSlot>,
+    tag: u32,
+    /// Index mask of the slots the current pass probes.
+    mask: usize,
+}
+
+impl CseTable {
+    const VACANT: CseSlot = CseSlot {
+        tag: 0,
+        node: 0,
+        key: CseKey {
+            ty: NodeType::Input,
+            width: 0,
+            aux: 0,
+            ps: [usize::MAX; 3],
+            len: 0,
+        },
+    };
+
+    /// Empties the table for a pass over `n` nodes.
+    fn begin(&mut self, n: usize) {
+        let slots = (2 * n).next_power_of_two().max(16);
+        if self.slots.len() < slots {
+            self.slots.resize(slots, Self::VACANT);
+        }
+        self.mask = slots - 1;
+        self.tag = self.tag.wrapping_add(1);
+        if self.tag == 0 {
+            for slot in &mut self.slots {
+                slot.tag = 0;
+            }
+            self.tag = 1;
         }
     }
 
+    /// The node stored under `key` in this pass, storing `u` if none is.
     #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xF135_7AEA_2E62_A9C5);
-    }
-
-    /// The multiply mixes upwards; the rotate brings its well-mixed high
-    /// bits down to the low bits the table indexes by.
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+    fn first_or_insert(&mut self, key: CseKey, u: usize) -> usize {
+        let mut i = key.hash().rotate_left(26) as usize & self.mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.tag != self.tag {
+                *slot = CseSlot {
+                    tag: self.tag,
+                    node: u,
+                    key,
+                };
+                return u;
+            }
+            if slot.key == key {
+                return slot.node;
+            }
+            i = (i + 1) & self.mask;
+        }
     }
 }
 
-type CseMap = HashMap<CseKey, usize, BuildHasherDefault<WordHasher>>;
+/// The CSE key of node `u`: its attributes and its parents resolved
+/// through `repl`, sorted for commutative operators.
+fn cse_key(nodes: &[Node], parents: &[Slots], repl: &[Option<usize>], u: usize) -> CseKey {
+    let ty = nodes[u].ty();
+    let len = parents[u].len();
+    let mut ps = [usize::MAX; 3];
+    for (slot, p) in ps.iter_mut().enumerate().take(len) {
+        *p = resolve(repl, parents[u].p[slot]);
+    }
+    if matches!(
+        ty,
+        NodeType::And | NodeType::Or | NodeType::Xor | NodeType::Add | NodeType::Mul | NodeType::Eq
+    ) {
+        // Every commutative type has two slots; order them without a
+        // sort call.
+        if len == 2 {
+            let (a, b) = (ps[0], ps[1]);
+            ps[0] = a.min(b);
+            ps[1] = a.max(b);
+        } else {
+            ps[..len].sort_unstable();
+        }
+    }
+    CseKey {
+        ty,
+        width: nodes[u].width(),
+        aux: nodes[u].aux(),
+        ps,
+        len: len as u8,
+    }
+}
 
 /// Common-subexpression elimination. Inputs and outputs never merge;
 /// constants, combinational nodes and registers with identical
 /// (type, width, aux, parents) do, onto the first such node in index
 /// order. Commutative operators sort their parent pair before keying.
-/// The table is scratch reused across rounds and runs.
-fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut CseMap) -> bool {
-    seen.clear();
+/// The flat, tag-cleared table is scratch reused across rounds and runs.
+fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut CseTable) -> bool {
+    seen.begin(nodes.len());
     let mut changed = false;
     for u in 0..nodes.len() {
-        if repl[u].is_some() {
+        if repl[u].is_some() || matches!(nodes[u].ty(), NodeType::Input | NodeType::Output) {
             continue;
         }
-        let ty = nodes[u].ty();
-        if matches!(ty, NodeType::Input | NodeType::Output) {
-            continue;
-        }
-        let len = parents[u].len();
-        let mut ps = [usize::MAX; 3];
-        for (slot, p) in ps.iter_mut().enumerate().take(len) {
-            *p = resolve(repl, parents[u].p[slot]);
-        }
-        if matches!(
-            ty,
-            NodeType::And | NodeType::Or | NodeType::Xor | NodeType::Add | NodeType::Mul | NodeType::Eq
-        ) {
-            ps[..len].sort_unstable();
-        }
-        let key = CseKey {
-            ty,
-            width: nodes[u].width(),
-            aux: nodes[u].aux(),
-            ps,
-            len: len as u8,
-        };
-        match seen.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let canon = *e.get();
-                if canon != u {
-                    repl[u] = Some(canon);
-                    changed = true;
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(u);
-            }
+        let canon = seen.first_or_insert(cse_key(nodes, parents, repl, u), u);
+        if canon != u {
+            repl[u] = Some(canon);
+            changed = true;
         }
     }
     changed
@@ -635,6 +695,150 @@ fn compact(original: &CircuitGraph, s: &SynthScratch, lib: &CellLibrary) -> Synt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// CSE on a `HashMap`: the reference the flat table must match.
+    fn cse_reference(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>]) -> bool {
+        use std::collections::hash_map::Entry;
+        let mut seen: HashMap<CseKey, usize> = HashMap::new();
+        let mut changed = false;
+        for u in 0..nodes.len() {
+            if repl[u].is_some() || matches!(nodes[u].ty(), NodeType::Input | NodeType::Output) {
+                continue;
+            }
+            match seen.entry(cse_key(nodes, parents, repl, u)) {
+                Entry::Occupied(e) => {
+                    let canon = *e.get();
+                    if canon != u {
+                        repl[u] = Some(canon);
+                        changed = true;
+                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(u);
+                }
+            }
+        }
+        changed
+    }
+
+    /// Runs the fold/CSE fixpoint of [`SynthScratch::run`] on the loaded
+    /// netlist, checking after every CSE pass that the flat table left
+    /// exactly the `repl` and change flag the reference does. Returns
+    /// the number of nodes CSE merged.
+    fn check_cse_passes(s: &mut SynthScratch) -> usize {
+        let n = s.nodes.len();
+        s.repl.clear();
+        s.repl.resize(n, None);
+        let mut rounds = 0;
+        let mut merged = 0;
+        loop {
+            let mut changed = fold_and_simplify(&mut s.nodes, &mut s.parents, &mut s.repl);
+            let before = s.repl.iter().filter(|r| r.is_some()).count();
+            let mut want = s.repl.clone();
+            let want_changed = cse_reference(&s.nodes, &s.parents, &mut want);
+            let got_changed = cse(&s.nodes, &s.parents, &mut s.repl, &mut s.cse);
+            assert_eq!(s.repl, want, "{n} nodes, pass {rounds}");
+            assert_eq!(got_changed, want_changed, "{n} nodes, pass {rounds}");
+            merged += s.repl.iter().filter(|r| r.is_some()).count() - before;
+            changed |= got_changed;
+            rounds += 1;
+            if !changed || rounds > n + 4 {
+                return merged;
+            }
+        }
+    }
+
+    /// Loads a random valid netlist of exactly `n` nodes, 1 or 2 bits
+    /// wide so that CSE finds many equal nodes: inputs and constants
+    /// first, then registers (reading any non-output node) and
+    /// combinational nodes (reading earlier non-output nodes), then
+    /// outputs.
+    fn random_netlist(rng: &mut StdRng, n: usize, s: &mut SynthScratch) {
+        const OPS: [NodeType; 14] = [
+            NodeType::Not,
+            NodeType::BitSelect,
+            NodeType::And,
+            NodeType::Or,
+            NodeType::Xor,
+            NodeType::Add,
+            NodeType::Sub,
+            NodeType::Mul,
+            NodeType::Eq,
+            NodeType::Lt,
+            NodeType::Shl,
+            NodeType::Shr,
+            NodeType::Concat,
+            NodeType::Mux,
+        ];
+        let leaves = (1 + n / 8).min(n);
+        let outputs = if n > leaves {
+            (n / 10).clamp(1, n - leaves)
+        } else {
+            0
+        };
+        let body = n - outputs;
+        s.clear();
+        for u in 0..n {
+            let w = rng.gen_range(1..=2);
+            if u < leaves {
+                let leaf = if rng.gen_bool(0.5) {
+                    Node::new(NodeType::Input, w)
+                } else {
+                    Node::with_aux(NodeType::Const, w, rng.gen_range(0..4))
+                };
+                s.push(leaf, []);
+            } else if u >= body {
+                s.push(Node::new(NodeType::Output, w), [rng.gen_range(0..body)]);
+            } else if rng.gen_bool(0.2) {
+                s.push(Node::new(NodeType::Reg, w), [rng.gen_range(0..body)]);
+            } else {
+                let ty = OPS[rng.gen_range(0..OPS.len())];
+                let aux = if ty == NodeType::BitSelect {
+                    rng.gen_range(0..2)
+                } else {
+                    0
+                };
+                let parents: Vec<usize> = (0..ty.arity()).map(|_| rng.gen_range(0..u)).collect();
+                s.push(Node::with_aux(ty, w, aux), parents);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_cse_matches_hashmap_cse_after_every_pass() {
+        let mut rng = StdRng::seed_from_u64(0xC5E);
+        let mut s = SynthScratch::default();
+        let mut merged = 0;
+        for n in 1..=200 {
+            for _ in 0..3 {
+                random_netlist(&mut rng, n, &mut s);
+                merged += check_cse_passes(&mut s);
+            }
+        }
+        assert!(
+            merged > 1000,
+            "the netlists must give CSE work: {merged} merges"
+        );
+        // A large table left behind serves small netlists.
+        random_netlist(&mut rng, 2000, &mut s);
+        check_cse_passes(&mut s);
+        assert!(s.cse.slots.len() >= 4096);
+        for n in 1..=40 {
+            random_netlist(&mut rng, n, &mut s);
+            check_cse_passes(&mut s);
+        }
+        // The tag wraps to zero mid-run: every slot is cleared, none of
+        // the stale ones may read as live.
+        for start in [u32::MAX - 2, u32::MAX - 1, u32::MAX] {
+            s.cse.tag = start;
+            for n in [30, 7, 120, 3] {
+                random_netlist(&mut rng, n, &mut s);
+                check_cse_passes(&mut s);
+            }
+            assert!(s.cse.tag < 16, "the tag wrapped");
+        }
+    }
 
     #[test]
     fn dead_register_swept() {
