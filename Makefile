@@ -36,6 +36,9 @@ net-smoke:
 
 perfbench-smoke:
 	cargo test --release --offline --manifest-path perfbench/Cargo.toml
+	cargo build --release --offline --manifest-path perfbench/Cargo.toml
+	@sym=$$(nm -S -C perfbench/target/release/perfbench | grep ' perfbench::yardstick::Yardstick::pass$$' || true); \
+		echo "yardstick: $${sym:-no Yardstick::pass symbol (inlined)}"
 	set -e; for w in gen-full gen-sample serve-tcp; do \
 		last=$$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
 			--workload "$$w" --seed 1 --seconds 1 --trace 0 | tail -n 1); \

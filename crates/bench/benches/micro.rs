@@ -44,7 +44,9 @@ fn bench_stats(c: &mut Criterion) {
 
 /// Reverse-diffusion sampling on the serving path: warm per-session
 /// [`SamplerScratch`] (what `Generator` streams and batch workers hold),
-/// at the historical 36-node size plus 2× and 4× scaling points.
+/// at the historical 36-node size plus 2× and 4× scaling points, and at
+/// 144 nodes again at the hidden widths of the `standard()` (48) and
+/// `paper()` (256) presets.
 fn bench_diffusion_sample(c: &mut Criterion) {
     let corpus: Vec<_> = syncircuit_datasets::corpus()
         .into_iter()
@@ -68,6 +70,26 @@ fn bench_diffusion_sample(c: &mut Criterion) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(scale as u64);
         let attrs = attr_model.sample_attrs(scale, &mut rng);
         c.bench_function(&format!("diffusion_sample_{scale}_nodes"), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                model.sample_with(black_box(&attrs), seed, &mut scratch)
+            })
+        });
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(144);
+    let attrs = attr_model.sample_attrs(144, &mut rng);
+    for hidden in [
+        PipelineConfig::standard().diffusion().hidden,
+        DiffusionConfig::paper().hidden,
+    ] {
+        let mut cfg = DiffusionConfig::tiny();
+        cfg.epochs = 5;
+        cfg.hidden = hidden;
+        c.bench_function(&format!("diffusion_sample_144_nodes_h{hidden}"), |b| {
+            // Trained here, untimed, so a name filter that skips the
+            // bench skips its training too.
+            let model = DiffusionModel::train(&corpus, cfg.clone(), 1).expect("non-empty corpus");
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;

@@ -16,7 +16,7 @@ use crate::attrs::AttrModel;
 use rand::Rng;
 use syncircuit_nn::layers::{Linear, Mlp};
 use syncircuit_nn::sparse::RowNormAdj;
-use syncircuit_nn::{Infer, InferScratch, Matrix, PackedB, ParamStore, Tape, Var};
+use syncircuit_nn::{sigmoid, Matrix, PackedB, ParamStore, Tape, Var};
 use syncircuit_graph::Node;
 use std::rc::Rc;
 
@@ -136,7 +136,7 @@ impl Denoiser {
     ///
     /// Runs on the [`Tape`] — the reference path. The serving hot loop
     /// uses [`Denoiser::predict_probs_into`] instead, which produces
-    /// bit-identical probabilities on the forward-only engine.
+    /// bit-identical probabilities on the packed kernels.
     pub fn predict_probs(
         &self,
         store: &ParamStore,
@@ -159,31 +159,29 @@ impl Denoiser {
     /// for the encoder, `r(t)` and `d(t)` for the decoder — for every
     /// step `t ∈ 0..=steps`. They depend only on `t` and the trained
     /// parameters, so a sampler can look them up instead of re-running
-    /// three MLPs per step per request. Rows are computed on the
-    /// forward-only engine and are bit-identical to what the tape path
-    /// produces inside [`Denoiser::encode`] / [`Denoiser::decode_pairs`].
+    /// three MLPs per step per request. Rows are computed on one
+    /// [`Tape`] through the calls [`Denoiser::encode`] and
+    /// [`Denoiser::decode_pairs`] make, so they are the values those
+    /// paths produce.
     ///
     /// The cache is a pure function of `(self, store)`: rebuild it
     /// whenever the parameters change (training rebuilds it after the
     /// last optimizer step; a loaded model builds it on restore).
     pub fn build_time_cache(&self, store: &ParamStore) -> TimeEmbCache {
-        let mut scratch = InferScratch::new();
+        let mut tape = Tape::new(store);
         let mut cache = TimeEmbCache {
             t_emb: Vec::with_capacity(self.steps + 1),
             r: Vec::with_capacity(self.steps + 1),
             d: Vec::with_capacity(self.steps + 1),
         };
         for t in 0..=self.steps {
-            let norm = t as f32 / self.steps.max(1) as f32;
-            let t_in = Matrix::from_vec(1, 1, vec![norm]);
-            let mut inf = Infer::new(store, &mut scratch);
-            let tv = inf.constant(&t_in);
-            let e = self.time_proj.forward_infer(&mut inf, tv);
-            let r = self.relation.forward_infer(&mut inf, tv);
-            let d = self.time_dec.forward_infer(&mut inf, tv);
-            cache.t_emb.push(inf.value(e).clone());
-            cache.r.push(inf.value(r).clone());
-            cache.d.push(inf.value(d).clone());
+            let t_in = self.time_input(&mut tape, t);
+            let e = self.time_proj.forward(&mut tape, t_in);
+            let r = self.relation.forward(&mut tape, t_in);
+            let d = self.time_dec.forward(&mut tape, t_in);
+            cache.t_emb.push(tape.value(e).clone());
+            cache.r.push(tape.value(r).clone());
+            cache.d.push(tape.value(d).clone());
         }
         cache
     }
@@ -223,27 +221,26 @@ impl Denoiser {
         self.feat_proj.forward_packed_into(store, features, &pack.feat_proj, out);
     }
 
-    /// Encode + decode + sigmoid on the forward-only inference engine,
-    /// writing the per-pair probabilities into `out` (cleared first).
+    /// Encode + decode + sigmoid as one fixed pass over the packed
+    /// kernels, writing the per-pair probabilities into `out` (cleared
+    /// first).
     ///
     /// Bit-identical to [`Denoiser::predict_probs`] for the same inputs
-    /// (property-tested in `tests/infer_equivalence.rs`): every op
-    /// replicates the tape op's arithmetic, the cached time embeddings
-    /// equal the per-pass MLP outputs, the broadcast `add_row` plus
-    /// the fused decoder-input build perform the same scalar operations
-    /// as the tape's gather-then-combine sequence, and every matmul
-    /// runs on the packed SIMD kernel, which is proven bit-equal to the
-    /// naive kernel per op (`pack` must come from
-    /// [`Denoiser::pack_weights`] over the same `store`).
+    /// (property-tested in `tests/infer_equivalence.rs`): each step
+    /// performs the scalar operations of the tape ops it replaces, in
+    /// the same order — the cached time embeddings are the tape's MLP
+    /// outputs, the fused elementwise loops keep the tape's operand
+    /// order, and the packed kernels are proven bit-equal to the naive
+    /// matmul (`pack` must come from [`Denoiser::pack_weights`] over the
+    /// same `store`).
     ///
     /// `proj` must hold [`Denoiser::project_features_into`] over the
     /// graph's feature matrix (the tape path computes the same values
     /// inline; hoisting the step-invariant layer out of the loop does
     /// not change a single bit of it).
     ///
-    /// Warm-path allocation-free: intermediates live in `scratch`,
-    /// `proj` and `noisy_adj` are borrowed, and the index buffers
-    /// are reused across calls.
+    /// Warm-path allocation-free: intermediates live in `scratch`, and
+    /// `proj` and `noisy_adj` are borrowed.
     #[allow(clippy::too_many_arguments)]
     pub fn predict_probs_into(
         &self,
@@ -261,17 +258,29 @@ impl Denoiser {
         if pairs.is_empty() {
             return;
         }
-        let mut inf = Infer::new(store, &mut scratch.infer);
-        // Encoder (same op sequence as `encode`; the feature projection
-        // arrives precomputed, the time MLP from its cache).
-        let mut h = inf.constant(proj);
-        let temb = inf.constant(&cache.t_emb[t]);
-        h = inf.add_row_relu(h, temb);
+        let s = scratch;
+        // Encoder (the sequence of `encode`; the feature projection
+        // arrives precomputed, the time MLP from its cache):
+        // `relu(proj + t_emb(t))`, then per MPNN layer
+        // `relu(W_h·h + mean_parents(W_m·h))`.
+        let hc = proj.cols();
+        let temb = cache.t_emb[t].data();
+        s.h.reset_shape_any(proj.rows(), hc);
+        let rows = s.h.data_mut().chunks_exact_mut(hc.max(1));
+        for (hrow, prow) in rows.zip(proj.data().chunks_exact(hc.max(1))) {
+            for ((o, &x), &e) in hrow.iter_mut().zip(prow).zip(temb) {
+                *o = (x + e).max(0.0);
+            }
+        }
         for (layer, (wh_p, wm_p)) in self.layers.iter().zip(&pack.layers) {
-            let self_term = layer.w_h.forward_infer_packed(&mut inf, h, wh_p);
-            let msg = layer.w_m.forward_infer_packed(&mut inf, h, wm_p);
-            let agg = inf.spmm_mean(noisy_adj, msg);
-            h = inf.add_relu(self_term, agg);
+            let (h, self_term, msg, agg) = (&mut s.h, &mut s.self_term, &mut s.msg, &mut s.agg);
+            layer.w_h.forward_packed_into(store, h, wh_p, self_term);
+            layer.w_m.forward_packed_into(store, h, wm_p, msg);
+            noisy_adj.matmul_into(msg, agg);
+            let sums = self_term.data().iter().zip(agg.data());
+            for (o, (&x, &y)) in h.data_mut().iter_mut().zip(sums) {
+                *o = (x + y).max(0.0);
+            }
         }
         // Decoder: the tape's gather → add_row → hadamard chain, fused
         // into one pass that writes the per-pair head input
@@ -280,26 +289,22 @@ impl Denoiser {
         // intermediates. The time conditioning `d(t)` — identical for
         // every pair — is never materialised: the head's first layer
         // treats it as a shared suffix row (same bits again, see
-        // `Mlp::forward_infer_packed_cat`).
-        {
-            let hval = inf.value(h);
-            let hc = hval.cols();
-            let r = &cache.r[t].data()[..hc];
-            let hdata = hval.data();
-            scratch.cat.reset_shape_any(pairs.len(), hc);
-            for (row, &(i, j)) in scratch.cat.data_mut().chunks_exact_mut(hc).zip(pairs) {
-                let hi = &hdata[i as usize * hc..i as usize * hc + hc];
-                let hj = &hdata[j as usize * hc..j as usize * hc + hc];
-                for k in 0..hc {
-                    row[k] = (hi[k] + r[k]) * hj[k];
-                }
+        // `Mlp::forward_packed_cat_into`).
+        let r = &cache.r[t].data()[..hc];
+        let hdata = s.h.data();
+        s.cat.reset_shape_any(pairs.len(), hc);
+        for (row, &(i, j)) in s.cat.data_mut().chunks_exact_mut(hc).zip(pairs) {
+            let hi = &hdata[i as usize * hc..i as usize * hc + hc];
+            let hj = &hdata[j as usize * hc..j as usize * hc + hc];
+            for k in 0..hc {
+                row[k] = (hi[k] + r[k]) * hj[k];
             }
         }
-        let cat = inf.constant(&scratch.cat);
-        let logits =
-            self.head
-                .forward_infer_packed_cat(&mut inf, cat, cache.d[t].data(), &pack.head);
-        inf.sigmoid_append(logits, out);
+        let d = cache.d[t].data();
+        let logits = self
+            .head
+            .forward_packed_cat_into(store, &s.cat, d, &pack.head, &mut s.head);
+        out.extend(logits.data().iter().map(|&x| sigmoid(x)));
     }
 }
 
@@ -308,7 +313,7 @@ impl Denoiser {
 /// projection, `(W_h, W_m)` per MPNN layer, and the decoder head's
 /// layers. Pure acceleration state — the row-major [`ParamStore`]
 /// remains the source of truth (and still provides the biases, which
-/// `add_row` reads unpacked).
+/// the kernels read unpacked).
 #[derive(Clone, Debug)]
 pub struct DenoiserWeightPack {
     feat_proj: PackedB,
@@ -326,14 +331,20 @@ pub struct TimeEmbCache {
     d: Vec<Matrix>,
 }
 
-/// Reusable buffers for [`Denoiser::predict_probs_into`]: the inference
-/// arena plus the fused decoder-input matrix. One scratch serves any
-/// sequence of requests (shapes may differ between calls; every op
+/// Reusable buffers for [`Denoiser::predict_probs_into`], one per
+/// value of its fixed pass: the node states `h`, each MPNN layer's
+/// self term, messages and aggregate, the fused decoder input `cat`,
+/// and the head's two alternating layer outputs. One scratch serves any
+/// sequence of requests (shapes may differ between calls; every step
 /// fully overwrites its output, so no stale state carries over).
 #[derive(Debug, Default)]
 pub struct DenoiserScratch {
-    infer: InferScratch,
+    h: Matrix,
+    self_term: Matrix,
+    msg: Matrix,
+    agg: Matrix,
     cat: Matrix,
+    head: [Matrix; 2],
 }
 
 impl DenoiserScratch {

@@ -214,10 +214,10 @@ pub struct DiffusionModel {
     pub(crate) weight_pack: DenoiserWeightPack,
 }
 
-/// Reusable buffers for [`DiffusionModel::sample_with`]: the denoiser
-/// inference scratch, the CSR adjacency rebuilt in place each step, the
-/// parent/pair/probability vectors, and the epoch-stamped per-node sets
-/// that replace the per-step hash sets. One scratch serves any sequence
+/// Reusable buffers for [`DiffusionModel::sample_with`]: the buffers of
+/// the denoiser's serving pass ([`DenoiserScratch`]), the CSR adjacency
+/// rebuilt in place each step, the parent/pair/probability vectors, and
+/// the epoch-stamped per-node sets that replace the per-step hash sets. One scratch serves any sequence
 /// of requests of any size; reuse never changes sampled bytes
 /// (property-tested in `tests/infer_equivalence.rs`).
 #[derive(Debug, Default)]
@@ -468,8 +468,9 @@ impl DiffusionModel {
     /// [`DiffusionModel::sample`] with caller-owned scratch buffers —
     /// the serving hot path.
     ///
-    /// The reverse loop runs entirely on the forward-only inference
-    /// engine with the per-model time-embedding cache; the per-step
+    /// Each step runs the denoiser's fixed serving pass on the packed
+    /// kernels ([`Denoiser::predict_probs_into`]) with the per-model
+    /// time-embedding cache and weight pack; the per-step
     /// hash sets of the original implementation are epoch-stamped
     /// per-node sets, the CSR adjacency is rebuilt in place, and the
     /// feature matrix is built once per call. Output bytes are
@@ -631,7 +632,7 @@ impl DiffusionModel {
     }
 
     /// The original tape-based reverse-diffusion loop, kept verbatim as
-    /// the **oracle** for the inference engine: per step it re-runs the
+    /// the **oracle** for the serving pass: per step it re-runs the
     /// full autodiff tape, clones the feature matrix, and rebuilds hash
     /// sets — byte-equality of [`DiffusionModel::sample_with`] against
     /// this path at every seed/config is what the `infer_equivalence`

@@ -1,13 +1,14 @@
-//! Property battery for the forward-only inference engine and the
-//! scratch-reusing sampler hot path:
+//! Property battery for the denoiser's serving pass and the
+//! scratch-reusing sampler hot path. The [`Tape`] trains and is the
+//! oracle; serving runs one fixed pass over the packed kernels.
 //!
-//! 1. **Infer ≡ Tape, per op**: every op the denoiser uses produces
-//!    bit-identical values on the [`Infer`] engine and the [`Tape`]
-//!    (random shapes and seeds).
-//! 2. **Infer ≡ Tape, end-to-end**: [`Denoiser::predict_probs_into`]
-//!    (inference engine + per-model time-embedding cache) reproduces
+//! 1. **Packed kernels ≡ naive matmul**, across ragged shapes and
+//!    non-finite weights.
+//! 2. **Serving pass ≡ Tape, end-to-end**: [`Denoiser::predict_probs_into`]
+//!    (packed kernels + per-model time-embedding cache) reproduces
 //!    [`Denoiser::predict_probs`] (tape) bit for bit over random
-//!    architectures, graphs, candidate pairs and steps.
+//!    architectures, graphs, candidate pairs and steps, and at the
+//!    hidden widths of the `standard()` and `paper()` presets.
 //! 3. **Sampled byte streams**: [`DiffusionModel::sample_with`] equals
 //!    the tape-path oracle [`DiffusionModel::sample_via_tape`] for every
 //!    seed and decode mode, whether the scratch is cold or warm.
@@ -30,7 +31,7 @@ use syncircuit_core::{
 };
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_graph::{CircuitGraph, Node, NodeType};
-use syncircuit_nn::{Infer, InferScratch, Matrix, ParamStore, Tape};
+use syncircuit_nn::{Matrix, ParamStore};
 
 fn bits(m: &Matrix) -> Vec<u32> {
     m.data().iter().map(|x| x.to_bits()).collect()
@@ -77,61 +78,6 @@ fn assert_sampled_identical(a: &SampledGraph, b: &SampledGraph) {
     assert_eq!(sorted(a), sorted(b), "edge probabilities must be bit-equal");
 }
 
-// --- 1. per-op bit-identity --------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn infer_ops_match_tape_bitwise(seed in 0u64..1000, rows in 1usize..7, cols in 1usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = ParamStore::new();
-        let w = store.add(Matrix::randn(cols, 3, 0.7, &mut rng));
-        let a = Matrix::randn(rows, cols, 1.0, &mut rng);
-        let b = Matrix::randn(rows, 3, 1.0, &mut rng);
-        let row = Matrix::randn(1, 3, 1.0, &mut rng);
-        let idx: Vec<u32> = (0..rows + 2).map(|_| rng.gen_range(0..rows as u32)).collect();
-        let parents = random_parents(rows, seed ^ 1);
-        let adj = adjacency_operator(&parents);
-
-        let mut tape = Tape::new(&store);
-        let (ta, trow) = (tape.leaf(a.clone()), tape.leaf(row.clone()));
-        let tw = tape.param(w);
-        let t_mm = tape.matmul(ta, tw);
-        let t_b = tape.leaf(b.clone());
-        let t_add = tape.add(t_mm, t_b);
-        let t_had = tape.hadamard(t_add, t_b);
-        let t_arow = tape.add_row(t_had, trow);
-        let t_relu = tape.relu(t_arow);
-        let t_sig = tape.sigmoid(t_arow);
-        let t_cat = tape.concat_cols(t_relu, t_sig);
-        let t_gat = tape.gather_rows(t_cat, idx.clone());
-        let t_spmm = tape.spmm_mean(adj.clone(), t_arow);
-
-        let mut scratch = InferScratch::new();
-        let mut inf = Infer::new(&store, &mut scratch);
-        let (ia, irow, ib) = (inf.constant(&a), inf.constant(&row), inf.constant(&b));
-        let iw = inf.param(w);
-        let i_mm = inf.matmul(ia, iw);
-        let i_add = inf.add(i_mm, ib);
-        let i_had = inf.hadamard(i_add, ib);
-        let i_arow = inf.add_row(i_had, irow);
-        let i_relu = inf.relu(i_arow);
-        let i_sig = inf.sigmoid(i_arow);
-        let i_cat = inf.concat_cols(i_relu, i_sig);
-        let i_gat = inf.gather_rows(i_cat, &idx);
-        let i_spmm = inf.spmm_mean(&adj, i_arow);
-
-        for (t, i) in [
-            (t_mm, i_mm), (t_add, i_add), (t_had, i_had), (t_arow, i_arow),
-            (t_relu, i_relu), (t_sig, i_sig), (t_cat, i_cat), (t_gat, i_gat),
-            (t_spmm, i_spmm),
-        ] {
-            prop_assert_eq!(bits(tape.value(t)), bits(inf.value(i)));
-        }
-    }
-}
-
 // --- 2. denoiser end-to-end bit-identity -------------------------------
 
 proptest! {
@@ -160,15 +106,63 @@ proptest! {
         let mut scratch = DenoiserScratch::new();
         let mut proj = Matrix::zeros(0, 0);
         den.project_features_into(&store, &feats, &pack, &mut proj);
-        let mut via_infer = Vec::new();
+        let mut via_serving = Vec::new();
         for t in 1..=steps {
             let via_tape = den.predict_probs(&store, feats.clone(), &adj, &pairs, t);
             den.predict_probs_into(
-                &store, &proj, &adj, &pairs, t, &cache, &pack, &mut scratch, &mut via_infer,
+                &store, &proj, &adj, &pairs, t, &cache, &pack, &mut scratch, &mut via_serving,
             );
             let tb: Vec<u32> = via_tape.iter().map(|p| p.to_bits()).collect();
-            let ib: Vec<u32> = via_infer.iter().map(|p| p.to_bits()).collect();
+            let ib: Vec<u32> = via_serving.iter().map(|p| p.to_bits()).collect();
             prop_assert_eq!(tb, ib, "step {}", t);
+        }
+    }
+}
+
+/// The property above draws hidden widths below 52. These fixed cases
+/// run the widths real configs use, `standard()` (48) and `paper()`
+/// (256), each with its preset's layer and step counts, at the first,
+/// a middle and the last step, for a sparse pair set (one candidate
+/// parent per node) and a dense one (every ordered pair).
+#[test]
+fn predict_probs_into_matches_tape_at_preset_widths() {
+    for (preset, cfg) in [
+        ("standard", PipelineConfig::standard().diffusion().clone()),
+        ("paper", DiffusionConfig::paper()),
+    ] {
+        let n = 12u32;
+        let mut rng = StdRng::seed_from_u64(cfg.hidden as u64);
+        let mut store = ParamStore::new();
+        let den = Denoiser::new(&mut store, cfg.hidden, cfg.layers, cfg.steps, &mut rng);
+        let feats = feature_matrix(&random_attrs(n as usize, 17));
+        let adj = adjacency_operator(&random_parents(n as usize, 18));
+        let sparse: Vec<(u32, u32)> = (0..n).map(|j| (rng.gen_range(0..n), j)).collect();
+        let dense: Vec<(u32, u32)> = (0..n).flat_map(|j| (0..n).map(move |i| (i, j))).collect();
+        let cache = den.build_time_cache(&store);
+        let pack = den.pack_weights(&store);
+        let mut proj = Matrix::zeros(0, 0);
+        den.project_features_into(&store, &feats, &pack, &mut proj);
+        let mut scratch = DenoiserScratch::new();
+        let mut got = Vec::new();
+        for t in [1, cfg.steps / 2 + 1, cfg.steps] {
+            for (kind, pairs) in [("sparse", &sparse), ("dense", &dense)] {
+                let want = den.predict_probs(&store, feats.clone(), &adj, pairs, t);
+                den.predict_probs_into(
+                    &store,
+                    &proj,
+                    &adj,
+                    pairs,
+                    t,
+                    &cache,
+                    &pack,
+                    &mut scratch,
+                    &mut got,
+                );
+                let wb: Vec<u32> = want.iter().map(|p| p.to_bits()).collect();
+                let gb: Vec<u32> = got.iter().map(|p| p.to_bits()).collect();
+                let hidden = cfg.hidden;
+                assert_eq!(wb, gb, "{preset} (hidden {hidden}), step {t}, {kind} pairs");
+            }
         }
     }
 }
@@ -235,7 +229,7 @@ proptest! {
     }
 }
 
-// --- 1b. packed kernels ≡ naive matmul, ragged shapes ------------------
+// --- 1. packed kernels ≡ naive matmul, ragged shapes -------------------
 
 /// The packed-B kernels under the public `syncircuit_nn` surface must
 /// reproduce the naive `matmul_into` bit for bit on every shape the

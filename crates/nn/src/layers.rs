@@ -2,7 +2,6 @@
 //! paper's MPNN encoder layer, and a GRU cell for the autoregressive
 //! baselines.
 
-use crate::infer::{Infer, Slot};
 use crate::matrix::{Matrix, PackedB};
 use crate::params::{ParamId, ParamStore};
 use crate::sparse::RowNormAdj;
@@ -51,42 +50,19 @@ impl Linear {
         tape.add_row(h, b)
     }
 
-    /// [`Linear::forward`] on the forward-only inference engine
-    /// (bit-identical values, no tape bookkeeping).
-    pub fn forward_infer(&self, inf: &mut Infer<'_, '_>, x: Slot) -> Slot {
-        let w = inf.param(self.w);
-        let b = inf.param(self.b);
-        let h = inf.matmul(x, w);
-        inf.add_row(h, b)
-    }
-
     /// Packs this layer's weight matrix for
-    /// [`Linear::forward_infer_packed`]. A pack is a pure function of
-    /// the current weights — rebuild it after training steps (serving
+    /// [`Linear::forward_packed_into`]. A pack is a pure function of the
+    /// current weights — rebuild it after training steps (serving
     /// parameters never change, so serving packs once per model).
     pub fn pack(&self, store: &ParamStore) -> PackedB {
         store.get(self.w).pack_b()
     }
 
-    /// [`Linear::forward_infer`] using a pre-packed weight matrix
-    /// (bit-identical values; the matmul and the bias broadcast fuse
-    /// into one output pass — see [`Infer::matmul_packed_bias`]).
+    /// [`Linear::forward`] off the tape: writes `x·W + b` into `out`
+    /// with the packed kernel, the bias fused into its writeback
+    /// (bit-identical values, see [`Matrix::matmul_packed_bias_into`]).
     ///
     /// `wp` must be the pack of this layer's current weights.
-    pub fn forward_infer_packed(&self, inf: &mut Infer<'_, '_>, x: Slot, wp: &PackedB) -> Slot {
-        debug_assert_eq!(
-            (wp.rows(), wp.cols()),
-            (self.in_dim, self.out_dim),
-            "packed weights do not match this layer"
-        );
-        let b = inf.param(self.b);
-        inf.matmul_packed_bias(x, wp, b)
-    }
-
-    /// [`Linear::forward_infer_packed`] outside any inference graph:
-    /// writes `x·W + b` straight into `out` (bit-identical values,
-    /// same fused kernel). Lets callers hoist a layer whose input is
-    /// invariant across a loop and reuse the result as a constant.
     pub fn forward_packed_into(
         &self,
         store: &ParamStore,
@@ -147,81 +123,50 @@ impl Mlp {
         h
     }
 
-    /// [`Mlp::forward`] on the forward-only inference engine
-    /// (bit-identical values, no tape bookkeeping).
-    pub fn forward_infer(&self, inf: &mut Infer<'_, '_>, x: Slot) -> Slot {
-        let mut h = x;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_infer(inf, h);
-            if i + 1 < self.layers.len() {
-                h = inf.relu(h);
-            }
-        }
-        h
-    }
-
-    /// Packs every layer's weights for [`Mlp::forward_infer_packed`].
+    /// Packs every layer's weights for [`Mlp::forward_packed_cat_into`].
     pub fn pack(&self, store: &ParamStore) -> Vec<PackedB> {
         self.layers.iter().map(|l| l.pack(store)).collect()
     }
 
-    /// [`Mlp::forward_infer`] over pre-packed weights (bit-identical
-    /// values; one pack per layer, from [`Mlp::pack`]).
+    /// [`Mlp::forward`] off the tape, over the virtual concatenation
+    /// `[x | 1⊗suffix]` — one shared row appended to every row of `x`
+    /// (pass an empty `suffix` for plain `x`). Bit-identical to running
+    /// [`Mlp::forward`] on the materialised concatenation.
+    ///
+    /// Every layer runs [`Matrix::matmul_packed_cat_bias_into`]: the
+    /// first takes `suffix`, so the concatenation is never built and
+    /// the suffix's products are formed once instead of per row; later
+    /// layers take an empty suffix; every hidden layer's ReLU is fused
+    /// into its writeback. Layers alternate between the two buffers of
+    /// `bufs`, which are reshaped in place, and the returned reference
+    /// is the one holding the output.
     ///
     /// # Panics
     ///
-    /// Panics if `packs` does not hold exactly one pack per layer.
-    pub fn forward_infer_packed(
+    /// Panics if `packs` does not hold exactly one pack per layer (from
+    /// [`Mlp::pack`]), or if `x.cols() + suffix.len()` does not match
+    /// the first layer.
+    pub fn forward_packed_cat_into<'b>(
         &self,
-        inf: &mut Infer<'_, '_>,
-        x: Slot,
-        packs: &[PackedB],
-    ) -> Slot {
-        assert_eq!(packs.len(), self.layers.len(), "one pack per MLP layer");
-        let mut h = x;
-        for (i, (layer, wp)) in self.layers.iter().zip(packs).enumerate() {
-            h = layer.forward_infer_packed(inf, h, wp);
-            if i + 1 < self.layers.len() {
-                h = inf.relu(h);
-            }
-        }
-        h
-    }
-
-    /// [`Mlp::forward_infer_packed`] whose input is the virtual
-    /// concatenation `[x | 1⊗suffix]` — one shared row appended to
-    /// every row of `x`. The first layer runs the fused shared-suffix
-    /// kernel (its ReLU fused too, unless it is the only layer), so the
-    /// concatenation is never materialised and the suffix's products
-    /// are computed once instead of per input row. Bit-identical to
-    /// building the concatenated matrix and calling
-    /// [`Mlp::forward_infer_packed`] (see
-    /// [`Infer::matmul_packed_cat_bias`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packs` does not hold exactly one pack per layer, or
-    /// if `x.cols() + suffix.len()` does not match the first layer.
-    pub fn forward_infer_packed_cat(
-        &self,
-        inf: &mut Infer<'_, '_>,
-        x: Slot,
+        store: &ParamStore,
+        x: &Matrix,
         suffix: &[f32],
         packs: &[PackedB],
-    ) -> Slot {
+        bufs: &'b mut [Matrix; 2],
+    ) -> &'b Matrix {
         assert_eq!(packs.len(), self.layers.len(), "one pack per MLP layer");
-        assert!(!self.layers.is_empty(), "an MLP has at least one layer");
-        let relu_first = self.layers.len() > 1;
-        let first = &self.layers[0];
-        let b = inf.param(first.b);
-        let mut h = inf.matmul_packed_cat_bias(x, suffix, &packs[0], b, relu_first);
-        for (i, (layer, wp)) in self.layers.iter().zip(packs).enumerate().skip(1) {
-            h = layer.forward_infer_packed(inf, h, wp);
-            if i + 1 < self.layers.len() {
-                h = inf.relu(h);
-            }
+        let last = self.layers.len() - 1;
+        for (i, (layer, wp)) in self.layers.iter().zip(packs).enumerate() {
+            let (lo, hi) = bufs.split_at_mut(1);
+            let (prev, out) = if i % 2 == 0 {
+                (&hi[0], &mut lo[0])
+            } else {
+                (&lo[0], &mut hi[0])
+            };
+            let (input, sfx) = if i == 0 { (x, suffix) } else { (prev, &[][..]) };
+            input.matmul_packed_cat_bias_into(sfx, wp, store.get(layer.b), i < last, out);
         }
-        h
+        &bufs[last % 2]
     }
 }
 
@@ -448,6 +393,63 @@ mod tests {
             adam.step(&mut store, &grads);
         }
         assert!(final_loss < 0.1, "GRU sequence loss {final_loss}");
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`Mlp::forward_packed_cat_into`] against the tape's
+    /// [`Mlp::forward`] over the materialised `[x | 1⊗suffix]`, bit for
+    /// bit: depths 1 to 4 (both buffer parities, and a single layer with
+    /// no ReLU), an empty and a non-empty suffix, and finite or
+    /// non-finite weights (the latter take the zero-skipping kernel,
+    /// with an infinity behind a zero input in every layer). One warm
+    /// buffer pair serves every case, so it is reshaped between calls
+    /// of different shapes.
+    #[test]
+    fn packed_cat_forward_matches_tape_at_every_depth() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut bufs = [Matrix::zeros(0, 0), Matrix::zeros(0, 0)];
+        for depth in 1..=4usize {
+            for suffix in [&[][..], &[0.0, 0.7, -1.2][..]] {
+                for finite in [true, false] {
+                    let (rows, k) = (3 + depth, 5);
+                    let mut widths = vec![k + suffix.len()];
+                    widths.extend((1..depth).map(|i| 4 + 3 * i));
+                    widths.push(2);
+                    let mut store = ParamStore::new();
+                    let mlp = Mlp::new(&mut store, &widths, &mut rng);
+                    let mut x = Matrix::randn(rows, k, 1.0, &mut rng);
+                    x.data_mut()[0] = 0.0;
+                    if !finite {
+                        // Row 0 of each layer meets a zero input: x[0][0]
+                        // in layer 0, a ReLU zero or not in later ones.
+                        for layer in &mlp.layers {
+                            store.get_mut(layer.w).data_mut()[0] = f32::INFINITY;
+                        }
+                        if !suffix.is_empty() {
+                            // The suffix's first entry is zero.
+                            *store.get_mut(mlp.layers[0].w).at_mut(k, 1) = f32::NAN;
+                        }
+                    }
+                    let mut cat = Matrix::zeros(rows, k + suffix.len());
+                    for r in 0..rows {
+                        for (c, &v) in x.row(r).iter().chain(suffix).enumerate() {
+                            *cat.at_mut(r, c) = v;
+                        }
+                    }
+                    let mut tape = Tape::new(&store);
+                    let xv = tape.leaf(cat);
+                    let want = mlp.forward(&mut tape, xv);
+                    let packs = mlp.pack(&store);
+                    let got = mlp.forward_packed_cat_into(&store, &x, suffix, &packs, &mut bufs);
+                    let case = format!("depth {depth}, suffix {suffix:?}, finite {finite}");
+                    assert_eq!(got.shape(), (rows, 2), "{case}");
+                    assert_eq!(bits(tape.value(want)), bits(got), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

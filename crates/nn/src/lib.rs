@@ -8,9 +8,10 @@
 //! - [`Matrix`] — dense row-major `f32` matrices, with a panel-packed
 //!   weight layout ([`PackedB`]) and one safe serving kernel, compiled
 //!   per SIMD tier (portable, AVX2, AVX-512F) and picked at runtime
-//! - [`Tape`] — reverse-mode automatic differentiation over matrix ops
-//! - [`Infer`] / [`InferScratch`] — forward-only inference engine with
-//!   reusable scratch buffers, bit-identical to the tape's forward pass
+//! - [`Tape`] — reverse-mode automatic differentiation over matrix ops;
+//!   it trains every model and is the oracle for serving passes, which
+//!   call the packed kernels directly (`Linear::forward_packed_into`,
+//!   `Mlp::forward_packed_cat_into`) and must match the tape bit for bit
 //! - [`ParamStore`] / [`Adam`] — persistent parameters and optimizer state
 //! - [`layers`] — `Linear`, `Mlp`, `Embedding`, `MpnnLayer`, `GruCell`
 //! - [`sparse::RowNormAdj`] — row-normalized sparse adjacency for
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod infer;
 pub mod layers;
 pub mod sparse;
 
@@ -55,7 +55,6 @@ mod matrix;
 mod params;
 mod tape;
 
-pub use infer::{Infer, InferScratch, Slot};
 pub use matrix::{Matrix, PackedB};
 pub use params::{Adam, ParamId, ParamStore};
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{sigmoid, Gradients, Tape, Var};

@@ -232,8 +232,8 @@ impl Matrix {
 
     /// Reshapes this matrix in place to `rows × cols` and zero-fills it,
     /// reusing the existing allocation whenever the capacity suffices —
-    /// the scratch primitive behind the forward-only inference engine
-    /// (see [`crate::infer`]): warm buffers never touch the allocator.
+    /// the scratch primitive behind serving passes, whose warm buffers
+    /// never touch the allocator.
     pub fn reset_shape(&mut self, rows: usize, cols: usize) {
         let n = rows * cols;
         self.data.clear();

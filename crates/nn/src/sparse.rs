@@ -109,8 +109,8 @@ impl RowNormAdj {
     }
 
     /// Writes `A × X` into `out` (reshaped in place), bit-identical to
-    /// [`RowNormAdj::matmul`] — the inference-engine variant that reuses
-    /// a scratch buffer instead of allocating.
+    /// [`RowNormAdj::matmul`] — the serving variant that reuses a
+    /// scratch buffer instead of allocating.
     ///
     /// # Panics
     ///

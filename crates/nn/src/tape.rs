@@ -484,7 +484,9 @@ fn accumulate(grads: &mut [Option<Matrix>], idx: usize, g: Matrix) {
     }
 }
 
-pub(crate) fn sigmoid(x: f32) -> f32 {
+/// The numerically stable logistic sigmoid behind [`Tape::sigmoid`],
+/// for forward passes that run off the tape and must match its bits.
+pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {

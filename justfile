@@ -68,6 +68,10 @@ perfbench-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    # informational: the yardstick's machine code moves with the library
+    sym=$(nm -S -C perfbench/target/release/perfbench | grep ' perfbench::yardstick::Yardstick::pass$' || true)
+    echo "yardstick: ${sym:-no Yardstick::pass symbol (inlined)}"
     for w in gen-full gen-sample serve-tcp; do
         last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
             --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
