@@ -10,6 +10,7 @@ test: build
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
+	cargo fmt -p syncircuit-serve -- --check
 
 fmt-check:
 	cargo fmt --all -- --check

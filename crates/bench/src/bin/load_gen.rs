@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The harness trains one tiny model per tenant and saves the artifacts.
-//! It serves the trace through one of two transports: a [`Coalescer`]
-//! over a [`Daemon`] in this process, or, with `--net [ADDR]` (default
-//! `127.0.0.1:0`), a [`NetServer`] reached through [`NetClient`]s. The
+//! It serves the trace through one of two transports: a [`Daemon`] in
+//! this process, or, with `--net [ADDR]` (default `127.0.0.1:0`), a
+//! [`NetServer`] reached through [`NetClient`]s. The
 //! registry budget (`--max-resident`, by default half the default fleet)
 //! keeps traffic evicting and reloading models.
 //!
@@ -59,9 +59,9 @@ use syncircuit_core::{
 };
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_serve::{
-    silence_injected_panics, ClientError, CoalesceTicket, Coalescer, ConnFault, Daemon,
-    DaemonConfig, DaemonStats, FaultInjector, FaultPlan, NetClient, NetServer, NetServerConfig,
-    NoFaults, Predicted, QuarantinePolicy, RegistryBudget, RegistryStats, RetryPolicy, ServeError,
+    silence_injected_panics, ClientError, ConnFault, Daemon, DaemonConfig, DaemonStats,
+    FaultInjector, FaultPlan, NetClient, NetServer, NetServerConfig, NoFaults, Predicted,
+    QuarantinePolicy, RegistryBudget, RegistryStats, RetryPolicy, ServeError, Ticket,
 };
 
 struct Args {
@@ -341,8 +341,8 @@ fn verdict(plan: &Plan, got: &Outcome) -> Result<(), String> {
 
 /// Where requests are served.
 enum Transport {
-    /// A coalescer over a daemon, in this process.
-    Local(Coalescer),
+    /// A daemon in this process.
+    Local(Daemon),
     /// A TCP server, with one pipelined connection, or none when every
     /// request opens its own.
     Net {
@@ -353,7 +353,7 @@ enum Transport {
 
 /// A submitted request, redeemed by [`Transport::wait`].
 enum Pending {
-    Local(CoalesceTicket),
+    Local(Ticket),
     /// A correlation id on the shared connection.
     Shared(u64),
     /// A request on a connection of its own.
@@ -371,8 +371,8 @@ impl Transport {
         let tenant = format!("tenant-{}", planned.tenant);
         let (artifact, request) = (&planned.artifact, planned.request.clone());
         Ok(match self {
-            Transport::Local(coalescer) => Pending::Local(
-                coalescer
+            Transport::Local(daemon) => Pending::Local(
+                daemon
                     .submit(&tenant, artifact, request)
                     .map_err(ClientError::Serve)?,
             ),
@@ -412,9 +412,9 @@ impl Transport {
     /// in process (`NetServer` exposes none).
     fn shutdown(self) -> (DaemonStats, Option<RegistryStats>) {
         match self {
-            Transport::Local(coalescer) => {
-                let registry = coalescer.daemon().registry().stats();
-                (coalescer.shutdown(), Some(registry))
+            Transport::Local(daemon) => {
+                let registry = daemon.registry().stats();
+                (daemon.shutdown(), Some(registry))
             }
             Transport::Net { server, shared } => {
                 drop(shared);
@@ -502,7 +502,7 @@ fn run(args: &Args, dir: &Path) -> Result<(), String> {
         None => Arc::new(NoFaults),
     };
     let mut transport = match &args.net {
-        None => Transport::Local(Coalescer::new(Daemon::start_with_faults(config, injector))),
+        None => Transport::Local(Daemon::start_with_faults(config, injector)),
         Some(addr) => {
             let daemon = NetServerConfig {
                 daemon: config,

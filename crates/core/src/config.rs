@@ -26,7 +26,6 @@ use crate::refine::RefineConfig;
 use serde::{Deserialize, Serialize};
 use std::error::Error as StdError;
 use std::fmt;
-use syncircuit_synth::incremental::MAX_SHARD_COUNT;
 
 // Caps on the sizes validation accepts: far above every preset (at most
 // 12 actions per expansion, 32 sparse candidates and a negative ratio of
@@ -74,12 +73,6 @@ pub struct PipelineConfig {
     pub(crate) reward: RewardKind,
     /// Master seed (training and default generation).
     pub(crate) seed: u64,
-    /// Lock-stripe count of the shared cone-synthesis cache (`0` ⇒ the
-    /// library default). Operational knob: tunes contention, never
-    /// results — excluded from model artifacts, so loaded models use
-    /// the default stripe count.
-    #[serde(skip)]
-    pub(crate) cone_cache_shards: usize,
     /// Per-shard entry capacity of the shared cone-synthesis cache
     /// (`0` ⇒ unbounded). Operational knob: bounds residency under CLOCK
     /// eviction, never results — excluded from model artifacts.
@@ -109,7 +102,6 @@ impl PipelineConfig {
             cone_selection: ConeSelection::WorstK(4),
             reward: RewardKind::Exact,
             seed: 0,
-            cone_cache_shards: 0,
             cone_cache_capacity: 0,
         }
     }
@@ -140,7 +132,6 @@ impl PipelineConfig {
             cone_selection: ConeSelection::All,
             reward: RewardKind::Discriminator { epochs: 400 },
             seed: 0,
-            cone_cache_shards: 0,
             cone_cache_capacity: 0,
         }
     }
@@ -178,15 +169,6 @@ impl PipelineConfig {
     /// Master seed (training and default generation).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Lock-stripe count of the shared cone-synthesis cache (`0` ⇒ the
-    /// library default, currently 16; values round up to a power of
-    /// two at cache construction, and validation rejects counts above
-    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`]). See
-    /// [`syncircuit_synth::SharedConeSynthCache`].
-    pub fn cone_cache_shards(&self) -> usize {
-        self.cone_cache_shards
     }
 
     /// Per-shard entry capacity of the shared cone-synthesis cache
@@ -233,9 +215,6 @@ impl PipelineConfig {
         }
         if let RewardKind::Discriminator { epochs: 0 } = self.reward {
             return Err(ConfigError::ZeroDiscriminatorEpochs);
-        }
-        if self.cone_cache_shards > MAX_SHARD_COUNT {
-            return Err(ConfigError::TooManyConeCacheShards(self.cone_cache_shards));
         }
         if self.optimize_redundancy {
             self.validate_phase3()?;
@@ -351,19 +330,6 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the lock-stripe count of the shared cone-synthesis cache
-    /// (`0` ⇒ the library default; rounded up to a power of two; at most
-    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`], or
-    /// [`build`](PipelineConfigBuilder::build) fails).
-    ///
-    /// Operational knob: stripes only trade lock contention against
-    /// memory — every count produces byte-identical generation output —
-    /// so it is not persisted in model artifacts.
-    pub fn cone_cache_shards(mut self, shards: usize) -> Self {
-        self.config.cone_cache_shards = shards;
-        self
-    }
-
     /// Sets the per-shard entry capacity of the shared cone-synthesis
     /// cache (`0` ⇒ unbounded, the default).
     ///
@@ -413,9 +379,6 @@ pub enum ConfigError {
     TooManySparseCandidates(usize),
     /// The discriminator reward needs at least one training epoch.
     ZeroDiscriminatorEpochs,
-    /// The cone cache is asked for more lock stripes than
-    /// [`syncircuit_synth::incremental::MAX_SHARD_COUNT`].
-    TooManyConeCacheShards(usize),
     /// Phase 3 is enabled with zero simulations per cone.
     ZeroSimulations,
     /// Phase 3 is enabled with zero rollout depth.
@@ -461,10 +424,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDiscriminatorEpochs => {
                 write!(f, "discriminator reward needs at least one training epoch")
             }
-            ConfigError::TooManyConeCacheShards(n) => write!(
-                f,
-                "cone cache asks for {n} lock stripes, more than the {MAX_SHARD_COUNT} allowed"
-            ),
             ConfigError::ZeroSimulations => {
                 write!(f, "Phase 3 is enabled with zero MCTS simulations")
             }
@@ -587,38 +546,6 @@ mod tests {
             PipelineConfig::builder().mcts(m).build(),
             Err(ConfigError::BadExploration(_))
         ));
-    }
-
-    #[test]
-    fn cone_cache_shards_knob() {
-        assert_eq!(
-            PipelineConfig::tiny().cone_cache_shards(),
-            0,
-            "0 means library default"
-        );
-        let cfg = PipelineConfig::builder()
-            .cone_cache_shards(8)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.cone_cache_shards(), 8);
-    }
-
-    #[test]
-    fn rejects_stripe_counts_past_the_cap() {
-        let at_cap = PipelineConfig::builder()
-            .cone_cache_shards(MAX_SHARD_COUNT)
-            .build()
-            .unwrap();
-        assert_eq!(at_cap.cone_cache_shards(), MAX_SHARD_COUNT);
-        for shards in [MAX_SHARD_COUNT + 1, 1 << 40, usize::MAX] {
-            assert_eq!(
-                PipelineConfig::builder()
-                    .cone_cache_shards(shards)
-                    .build()
-                    .unwrap_err(),
-                ConfigError::TooManyConeCacheShards(shards)
-            );
-        }
     }
 
     #[test]

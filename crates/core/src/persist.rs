@@ -278,8 +278,7 @@ impl SynCircuit {
             _ => {}
         }
         // The shared cone cache is warm *state*, not model parameters:
-        // a restored model starts cold (with the stripe count resolved
-        // from the embedded config) and re-warms as it serves.
+        // a restored model starts cold and re-warms as it serves.
         let cone_cache = crate::pipeline::new_cone_cache(&config);
         Ok(SynCircuit {
             diffusion,

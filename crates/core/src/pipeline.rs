@@ -41,6 +41,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit_graph::{CircuitGraph, Node};
+use syncircuit_synth::incremental::DEFAULT_SHARD_COUNT;
 use syncircuit_synth::{CellLibrary, ConeShardStats, SharedConeSynthCache};
 
 /// One generated circuit with its intermediate artifacts.
@@ -79,13 +80,14 @@ pub struct SynCircuit {
     pub(crate) cone_cache: Arc<SharedConeSynthCache>,
 }
 
-/// Builds the model-wide shared cone cache for a validated config
-/// (stripe count and per-shard CLOCK capacity both come from the
-/// config's operational knobs; neither changes generated bytes).
+/// Builds the model-wide shared cone cache for a validated config:
+/// [`DEFAULT_SHARD_COUNT`] stripes, each with the config's per-shard
+/// CLOCK capacity (an operational knob that never changes generated
+/// bytes).
 pub(crate) fn new_cone_cache(config: &PipelineConfig) -> Arc<SharedConeSynthCache> {
     Arc::new(SharedConeSynthCache::with_shards_and_capacity(
         CellLibrary::default(),
-        config.cone_cache_shards(),
+        DEFAULT_SHARD_COUNT,
         config.cone_cache_capacity(),
     ))
 }
@@ -216,7 +218,7 @@ impl SynCircuit {
 
     /// Per-shard hit/miss/entry counters of the shared cone cache (see
     /// [`SharedConeSynthCache::stats`]). Counters are telemetry only:
-    /// enabling or disabling them never changes generated bytes.
+    /// they never change generated bytes.
     pub fn cone_cache_stats(&self) -> Vec<ConeShardStats> {
         self.cone_cache.stats()
     }

@@ -42,8 +42,9 @@ fn worker_counts() -> Vec<usize> {
 }
 
 /// Identically-trained models differing only in the operational cache
-/// bound: the reference is unbounded, the subject runs one shard with a
-/// tiny per-shard capacity so realistic workloads force CLOCK churn.
+/// bound: the reference is unbounded, the subject gives each of the
+/// default shards a tiny capacity so realistic workloads force CLOCK
+/// churn.
 fn models() -> &'static (SynCircuit, SynCircuit) {
     static MODELS: OnceLock<(SynCircuit, SynCircuit)> = OnceLock::new();
     MODELS.get_or_init(|| {
@@ -51,7 +52,6 @@ fn models() -> &'static (SynCircuit, SynCircuit) {
             PipelineConfig::builder()
                 .seed(61)
                 .reward(RewardKind::IncrementalCone)
-                .cone_cache_shards(1)
                 .cone_cache_capacity(capacity)
                 .build()
                 .expect("valid configuration")

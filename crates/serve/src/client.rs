@@ -10,8 +10,7 @@
 
 use crate::error::ServeError;
 use crate::wire::{
-    encode_request, read_frame, write_frame, RequestFrame, ResponseBody, WireError,
-    MAX_FRAME_BYTES,
+    encode_request, read_frame, write_frame, RequestFrame, ResponseBody, WireError, MAX_FRAME_BYTES,
 };
 use std::collections::HashMap;
 use std::fmt;

@@ -8,27 +8,42 @@
 //!    [`ServeError::Overloaded`] instead of buffering without bound.
 //!    Callers see backpressure as a typed error, never a deadlock or an
 //!    OOM.
-//! 2. **Tenant fairness** — queued work lives in per-tenant lanes and
+//! 2. **Coalescing** — generation is a pure function of
+//!    `(artifact, request)`, so a seeded submission identical to one
+//!    whose job has not resolved yet attaches to that job instead of
+//!    queueing its own. The key is the canonical wire encoding of
+//!    `(tenant, artifact, request)`, seed and deadline budget included,
+//!    so submissions that could diverge never share. A hit takes no
+//!    queue slot and is never refused. The key lives only until the job
+//!    resolves, so a later identical submission runs afresh: coalescing
+//!    is a concurrency optimisation, not a response cache. Unseeded
+//!    requests draw fresh entropy per execution and never coalesce.
+//! 3. **Tenant fairness** — queued work lives in per-tenant lanes and
 //!    workers drain them round-robin, so one tenant flooding the queue
 //!    delays its own backlog, not everyone else's.
-//! 3. **Crash-free shutdown** — [`Daemon::shutdown`] stops admitting,
+//! 4. **Crash-free shutdown** — [`Daemon::shutdown`] stops admitting,
 //!    drains every queued job, joins the workers, and fails any job
 //!    that could never run (no workers configured) with
 //!    [`ServeError::ShuttingDown`]; no ticket is ever left hanging.
-//! 4. **Fault isolation** — a request whose deadline passed while
+//! 5. **Fault isolation** — a request whose deadline passed while
 //!    queued is shed with [`ServeError::DeadlineExceeded`] without
 //!    occupying a worker; a panic while serving is caught at the job
 //!    boundary and fails only that request
 //!    ([`ServeError::WorkerPanicked`]) with the worker loop restarting
-//!    in place; poisoned queue and ticket locks are recovered (state
-//!    re-validated) instead of cascading the panic to every caller.
+//!    in place; poisoned locks are recovered (state re-validated)
+//!    instead of cascading the panic to every caller.
+//!
+//! Every submission, coalesced or not, gets a [`Ticket`] on its job's
+//! one outcome slot. A slot only one ticket ever held hands its outcome
+//! over; a slot several tickets share keeps it and gives each a clone.
 //!
 //! Everything is std-only: scoped ownership via `Arc`, a `Mutex` +
 //! `Condvar` work queue, and plain `std::thread` workers. Serving is
 //! deterministic end to end — a [`GenRequest`] with an explicit seed
 //! produces the same design whether it ran through the daemon or
 //! directly against a freshly loaded model (property-tested in
-//! `tests/registry_equivalence.rs`), and fault injection
+//! `tests/registry_equivalence.rs`, and with coalescing in
+//! `tests/net_equivalence.rs`), and fault injection
 //! ([`Daemon::start_with_faults`]) keys every decision on request
 //! seeds, never on thread schedule.
 
@@ -36,8 +51,10 @@ use crate::error::ServeError;
 use crate::fault::{FaultInjector, JobFault, NoFaults, INJECTED_PANIC_MARK};
 use crate::registry::{ModelRegistry, QuarantinePolicy, RegistryBudget};
 use crate::retry::RetryPolicy;
-use std::collections::VecDeque;
+use serde::Serialize;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,11 +114,10 @@ pub struct DaemonStats {
     /// Jobs failed by an isolated worker panic
     /// ([`ServeError::WorkerPanicked`]).
     pub panicked: u64,
-    /// Submissions that attached to an identical in-flight execution
-    /// instead of queueing their own (see [`crate::Coalescer`]).
+    /// Submissions that attached to an identical unresolved job instead
+    /// of queueing their own.
     pub coalesce_hits: u64,
-    /// Submissions the coalescer passed through to the queue as the
-    /// leader of a (possibly singleton) identical group.
+    /// Submissions admitted to the queue as a job of their own.
     pub coalesce_misses: u64,
 }
 
@@ -115,66 +131,140 @@ struct Job {
     /// The request's explicit seed (0 when unseeded): the key every
     /// deterministic fault-injection decision derives from.
     seed_hint: u64,
-    slot: Arc<TicketShared>,
+    /// The job's coalescing key in the in-flight map (seeded requests
+    /// only).
+    key: Option<String>,
+    slot: Arc<Slot>,
 }
 
 /// A completion hook: called once with a request's outcome by
 /// whichever thread resolves it.
-pub(crate) type Hook = Box<dyn FnOnce(Result<Generated, ServeError>) + Send>;
+type Hook = Box<dyn FnOnce(Result<Generated, ServeError>) + Send>;
 
-/// What a [`Ticket`]'s rendezvous cell holds.
-enum TicketState {
-    /// Unresolved, or resolved and already handed out.
-    Pending,
-    /// Unresolved, with a hook waiting for the outcome.
-    Hooked(Hook),
-    /// Resolved, waiting for [`Ticket::wait`] (boxed: a design dwarfs
-    /// the other variants).
-    Done(Box<Result<Generated, ServeError>>),
+/// Locks `mutex`, recovering a poisoned lock. Only for state that every
+/// update leaves valid (single assignments and map inserts or removals),
+/// with hooks run outside the lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        mutex.clear_poison();
+        poisoned.into_inner()
+    })
 }
 
-impl TicketState {
-    fn take_done(&mut self) -> Option<Result<Generated, ServeError>> {
-        match std::mem::replace(self, TicketState::Pending) {
-            TicketState::Done(outcome) => Some(*outcome),
-            other => {
-                *self = other;
-                None
+/// What a [`Slot`] holds.
+enum SlotState {
+    /// Unresolved, with the hooks of the tickets redeemed through
+    /// [`Ticket::on_complete`]. Also what a lone ticket's slot is left
+    /// holding once its outcome is handed over.
+    Pending(Vec<Hook>),
+    /// Resolved, with the outcome for tickets not yet redeemed (boxed:
+    /// a design dwarfs the other variant). A lone ticket takes it; when
+    /// a second submission joined the job, each ticket gets a clone.
+    Done {
+        outcome: Box<Result<Generated, ServeError>>,
+        joined: bool,
+    },
+}
+
+impl SlotState {
+    /// The published outcome for one ticket; `None` while unresolved.
+    fn redeem(&mut self) -> Option<Result<Generated, ServeError>> {
+        match self {
+            SlotState::Pending(_) => None,
+            SlotState::Done {
+                outcome,
+                joined: true,
+            } => Some((**outcome).clone()),
+            SlotState::Done { joined: false, .. } => {
+                match std::mem::replace(self, SlotState::Pending(Vec::new())) {
+                    SlotState::Done { outcome, .. } => Some(*outcome),
+                    SlotState::Pending(_) => unreachable!("matched as done above"),
+                }
             }
         }
     }
 }
 
-/// The rendezvous cell a [`Ticket`] waits on.
-struct TicketShared {
-    state: Mutex<TicketState>,
+/// The one outcome slot of a job, shared by every [`Ticket`] on it.
+struct Slot {
+    state: Mutex<SlotState>,
     cv: Condvar,
 }
 
-impl TicketShared {
+impl Slot {
     fn new() -> Arc<Self> {
-        Arc::new(TicketShared {
-            state: Mutex::new(TicketState::Pending),
+        Arc::new(Slot {
+            state: Mutex::new(SlotState::Pending(Vec::new())),
             cv: Condvar::new(),
         })
     }
 
-    /// Locks the cell, recovering a poisoned lock: every update is a
-    /// single assignment, and hooks run outside the lock, so a panic
-    /// cannot leave it inconsistent.
-    fn lock_state(&self) -> MutexGuard<'_, TicketState> {
-        self.state.lock().unwrap_or_else(|poisoned| {
-            self.state.clear_poison();
-            poisoned.into_inner()
-        })
+    /// Resolves the slot: stores the outcome for blocking and later
+    /// tickets (unless a lone ticket's hook takes it), wakes the
+    /// blocked ones, then calls every hook registered so far, outside
+    /// the lock. `joined` says whether a second submission joined the
+    /// job.
+    fn publish(&self, outcome: Result<Generated, ServeError>, joined: bool) {
+        let mut state = lock(&self.state);
+        let SlotState::Pending(mut hooks) =
+            std::mem::replace(&mut *state, SlotState::Pending(Vec::new()))
+        else {
+            unreachable!("a job resolves once");
+        };
+        let Some(last) = hooks.pop() else {
+            *state = SlotState::Done {
+                outcome: Box::new(outcome),
+                joined,
+            };
+            drop(state);
+            self.cv.notify_all();
+            return;
+        };
+        if joined {
+            *state = SlotState::Done {
+                outcome: Box::new(outcome.clone()),
+                joined,
+            };
+        }
+        drop(state);
+        self.cv.notify_all();
+        for hook in hooks {
+            hook(outcome.clone());
+        }
+        last(outcome);
+    }
+
+    /// Blocks until the outcome is published and redeems it; `None`
+    /// when `give_up` passes first (`None` waits forever).
+    fn wait(&self, give_up: Option<Instant>) -> Option<Result<Generated, ServeError>> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(outcome) = state.redeem() {
+                return Some(outcome);
+            }
+            state = match give_up {
+                None => self.cv.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(give_up) => {
+                    let left = give_up.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    match self.cv.wait_timeout(state, left) {
+                        Ok((state, _)) => state,
+                        Err(poisoned) => poisoned.into_inner().0,
+                    }
+                }
+            };
+        }
     }
 }
 
-/// A handle to one admitted request; redeem it with [`Ticket::wait`] or
-/// [`Ticket::wait_timeout`].
+/// A handle to one admitted submission; redeem it with
+/// [`Ticket::wait`] or [`Ticket::wait_timeout`]. Dropping it unredeemed
+/// is safe: the daemon resolves the job regardless.
 #[must_use = "an unredeemed ticket discards the response"]
 pub struct Ticket {
-    slot: Arc<TicketShared>,
+    slot: Arc<Slot>,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -189,19 +279,9 @@ impl Ticket {
     /// fill it on completion, and shutdown fails stranded jobs with
     /// [`ServeError::ShuttingDown`].
     pub fn wait(self) -> Result<Generated, ServeError> {
-        let mut guard = self.slot.lock_state();
-        loop {
-            if let Some(outcome) = guard.take_done() {
-                return outcome;
-            }
-            guard = match self.slot.cv.wait(guard) {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    self.slot.state.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
-        }
+        self.slot
+            .wait(None)
+            .expect("an unbounded wait always resolves")
     }
 
     /// Like [`Ticket::wait`], but gives up after `timeout`. On timeout
@@ -213,25 +293,7 @@ impl Ticket {
     ///
     /// Returns `Err(self)` when `timeout` elapsed without an outcome.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Result<Generated, ServeError>, Ticket> {
-        let give_up = Instant::now() + timeout;
-        let mut guard = self.slot.lock_state();
-        loop {
-            if let Some(outcome) = guard.take_done() {
-                return Ok(outcome);
-            }
-            let now = Instant::now();
-            if now >= give_up {
-                drop(guard);
-                return Err(self);
-            }
-            guard = match self.slot.cv.wait_timeout(guard, give_up - now) {
-                Ok((g, _)) => g,
-                Err(poisoned) => {
-                    self.slot.state.clear_poison();
-                    poisoned.into_inner().0
-                }
-            };
-        }
+        self.slot.wait(Some(Instant::now() + timeout)).ok_or(self)
     }
 
     /// Redeems the ticket without blocking: `hook` runs once with the
@@ -244,14 +306,14 @@ impl Ticket {
         self,
         hook: impl FnOnce(Result<Generated, ServeError>) + Send + 'static,
     ) {
-        let mut state = self.slot.lock_state();
-        match state.take_done() {
-            Some(outcome) => {
-                drop(state);
-                hook(outcome);
-            }
-            None => *state = TicketState::Hooked(Box::new(hook)),
+        let mut state = lock(&self.slot.state);
+        if let SlotState::Pending(hooks) = &mut *state {
+            hooks.push(Box::new(hook));
+            return;
         }
+        let outcome = state.redeem();
+        drop(state);
+        hook(outcome.expect("a slot that is not pending is resolved"));
     }
 }
 
@@ -306,17 +368,23 @@ impl Queues {
 }
 
 struct Shared {
+    /// The slot of every unresolved seeded job, and whether a second
+    /// submission joined it, by coalescing key. A key enters when its job
+    /// is admitted and leaves when the job resolves, before the outcome
+    /// is published. Lock order: this map, then `queues`, never the
+    /// reverse; no hook runs under either.
+    inflight: Mutex<HashMap<String, (Arc<Slot>, bool)>>,
     queues: Mutex<Queues>,
     work_cv: Condvar,
     registry: ModelRegistry,
     injector: Arc<dyn FaultInjector>,
     queue_capacity: usize,
-    served: std::sync::atomic::AtomicU64,
-    rejected: std::sync::atomic::AtomicU64,
-    expired: std::sync::atomic::AtomicU64,
-    panicked: std::sync::atomic::AtomicU64,
-    coalesce_hits: std::sync::atomic::AtomicU64,
-    coalesce_misses: std::sync::atomic::AtomicU64,
+    served: AtomicU64,
+    rejected: AtomicU64,
+    expired: AtomicU64,
+    panicked: AtomicU64,
+    coalesce_hits: AtomicU64,
+    coalesce_misses: AtomicU64,
 }
 
 impl Shared {
@@ -338,6 +406,27 @@ impl Shared {
         guard.revalidate();
         guard
     }
+
+    /// Resolves a job: its key leaves the in-flight map first, so no
+    /// later submission can join it, then every ticket on its slot gets
+    /// the outcome.
+    fn resolve(&self, job: Job, outcome: Result<Generated, ServeError>) {
+        let joined = job.key.is_some_and(|key| {
+            lock(&self.inflight)
+                .remove(&key)
+                .is_some_and(|(_, joined)| joined)
+        });
+        job.slot.publish(outcome, joined);
+    }
+}
+
+/// The canonical coalescing key. `GenRequest`'s wire encoding is
+/// canonical (fixed field order, deadline as millis), so textual
+/// equality here is semantic equality of the whole submission.
+fn key_of(tenant: &str, artifact: &str, request: &GenRequest) -> String {
+    let body = serde_json::to_string(&request.serialize())
+        .expect("canonical request encodings always render");
+    format!("{tenant}\u{0}{artifact}\u{0}{body}")
 }
 
 /// The serving daemon (see the module docs).
@@ -376,8 +465,12 @@ impl Daemon {
     ///
     /// Panics if `config.queue_capacity` is 0.
     pub fn start_with_faults(config: DaemonConfig, injector: Arc<dyn FaultInjector>) -> Self {
-        assert!(config.queue_capacity > 0, "queue_capacity must be at least 1");
+        assert!(
+            config.queue_capacity > 0,
+            "queue_capacity must be at least 1"
+        );
         let shared = Arc::new(Shared {
+            inflight: Mutex::new(HashMap::new()),
             queues: Mutex::new(Queues::default()),
             work_cv: Condvar::new(),
             registry: ModelRegistry::with_resilience(
@@ -388,12 +481,12 @@ impl Daemon {
             ),
             injector,
             queue_capacity: config.queue_capacity,
-            served: std::sync::atomic::AtomicU64::new(0),
-            rejected: std::sync::atomic::AtomicU64::new(0),
-            expired: std::sync::atomic::AtomicU64::new(0),
-            panicked: std::sync::atomic::AtomicU64::new(0),
-            coalesce_hits: std::sync::atomic::AtomicU64::new(0),
-            coalesce_misses: std::sync::atomic::AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            panicked: AtomicU64::new(0),
+            coalesce_hits: AtomicU64::new(0),
+            coalesce_misses: AtomicU64::new(0),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -408,12 +501,16 @@ impl Daemon {
     }
 
     /// Submits a generation request on behalf of `tenant` against the
-    /// model artifact at `model_path`. Returns immediately with a
-    /// [`Ticket`] on admission. A request with a time budget
-    /// ([`GenRequest::deadline`]) is stamped with its absolute deadline
-    /// here, at admission.
+    /// model artifact at `model_path`, and returns at once with a
+    /// [`Ticket`]. A seeded request identical to an unresolved one
+    /// joins that job (a coalesce hit, see the module docs); any other
+    /// is admitted to the queue as a job of its own. A request with a
+    /// time budget ([`GenRequest::deadline`]) is stamped with its
+    /// absolute deadline here, at admission.
     ///
     /// # Errors
+    ///
+    /// Only a submission that needs a job of its own can fail:
     ///
     /// - [`ServeError::Overloaded`] when the queue is at its high-water
     ///   mark (the submission is shed, not buffered).
@@ -424,10 +521,23 @@ impl Daemon {
         model_path: &str,
         request: GenRequest,
     ) -> Result<Ticket, ServeError> {
-        use std::sync::atomic::Ordering;
-        let slot = TicketShared::new();
-        let deadline = request.time_budget().map(|budget| Instant::now() + budget);
-        let seed_hint = request.seed().unwrap_or(0);
+        let key = request.seed().map(|_| key_of(tenant, model_path, &request));
+        // Held until the job is queued and its key is in the map, so an
+        // identical submission racing this one joins it instead of
+        // queueing a second job.
+        let inflight = match &key {
+            Some(key) => {
+                let mut inflight = lock(&self.shared.inflight);
+                if let Some((slot, joined)) = inflight.get_mut(key) {
+                    *joined = true;
+                    self.shared.coalesce_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Ticket { slot: slot.clone() });
+                }
+                Some(inflight)
+            }
+            None => None,
+        };
+        let slot = Slot::new();
         {
             let mut queues = self.shared.lock_queues();
             if queues.shutting_down {
@@ -444,13 +554,18 @@ impl Daemon {
                 tenant,
                 Job {
                     model: model_path.to_string(),
+                    deadline: request.time_budget().map(|budget| Instant::now() + budget),
+                    seed_hint: request.seed().unwrap_or(0),
                     request,
-                    deadline,
-                    seed_hint,
+                    key: key.clone(),
                     slot: slot.clone(),
                 },
             );
         }
+        if let (Some(key), Some(mut inflight)) = (key, inflight) {
+            inflight.insert(key, (slot.clone(), false));
+        }
+        self.shared.coalesce_misses.fetch_add(1, Ordering::Relaxed);
         self.shared.work_cv.notify_one();
         Ok(Ticket { slot })
     }
@@ -463,31 +578,16 @@ impl Daemon {
 
     /// Current serving counters.
     pub fn stats(&self) -> DaemonStats {
-        use std::sync::atomic::Ordering;
+        let shared = &self.shared;
         DaemonStats {
-            served: self.shared.served.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            queued: self.shared.lock_queues().queued,
-            expired: self.shared.expired.load(Ordering::Relaxed),
-            panicked: self.shared.panicked.load(Ordering::Relaxed),
-            coalesce_hits: self.shared.coalesce_hits.load(Ordering::Relaxed),
-            coalesce_misses: self.shared.coalesce_misses.load(Ordering::Relaxed),
+            served: shared.served.load(Ordering::Relaxed),
+            rejected: shared.rejected.load(Ordering::Relaxed),
+            queued: shared.lock_queues().queued,
+            expired: shared.expired.load(Ordering::Relaxed),
+            panicked: shared.panicked.load(Ordering::Relaxed),
+            coalesce_hits: shared.coalesce_hits.load(Ordering::Relaxed),
+            coalesce_misses: shared.coalesce_misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Records a coalescer hit (a submission attached to an identical
-    /// in-flight execution).
-    pub(crate) fn note_coalesce_hit(&self) {
-        self.shared
-            .coalesce_hits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Records a coalescer miss (a submission that led its group).
-    pub(crate) fn note_coalesce_miss(&self) {
-        self.shared
-            .coalesce_misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Stops admitting, drains every queued job, joins the workers, and
@@ -519,7 +619,7 @@ impl Daemon {
             std::iter::from_fn(|| queues.pop_round_robin()).collect()
         };
         for job in stranded {
-            fill(&job.slot, Err(ServeError::ShuttingDown));
+            self.shared.resolve(job, Err(ServeError::ShuttingDown));
         }
     }
 }
@@ -534,20 +634,6 @@ impl Drop for Daemon {
             let _ = handle.join();
         }
         self.fail_stranded();
-    }
-}
-
-/// Resolves a ticket: runs its hook when one is registered, otherwise
-/// parks the outcome and wakes the waiter.
-fn fill(slot: &TicketShared, outcome: Result<Generated, ServeError>) {
-    let mut state = slot.lock_state();
-    if let TicketState::Hooked(hook) = std::mem::replace(&mut *state, TicketState::Pending) {
-        drop(state);
-        hook(outcome);
-    } else {
-        *state = TicketState::Done(Box::new(outcome));
-        drop(state);
-        slot.cv.notify_all();
     }
 }
 
@@ -567,7 +653,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// generation under `catch_unwind` so a panic — injected or real —
 /// fails only this request.
 fn serve_job(shared: &Shared, job: &Job) -> Result<Generated, ServeError> {
-    use std::sync::atomic::Ordering;
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         shared.expired.fetch_add(1, Ordering::Relaxed);
         return Err(ServeError::DeadlineExceeded);
@@ -593,10 +678,9 @@ fn serve_job(shared: &Shared, job: &Job) -> Result<Generated, ServeError> {
     }
 }
 
-/// One pass of the worker: pop → serve → fill, until shutdown. Runs
+/// One pass of the worker: pop → serve → resolve, until shutdown. Runs
 /// under the respawn guard in [`worker_loop`].
 fn serve_loop(shared: &Shared) {
-    use std::sync::atomic::Ordering;
     loop {
         let job = {
             let mut queues = shared.lock_queues();
@@ -616,7 +700,7 @@ fn serve_loop(shared: &Shared) {
         // Serve outside the queue lock: model resolution and generation
         // are the expensive part and must overlap across workers.
         let outcome = serve_job(shared, &job);
-        fill(&job.slot, outcome);
+        shared.resolve(job, outcome);
         shared.served.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -636,6 +720,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::fault::ReadFault;
+    use std::sync::atomic::AtomicBool;
 
     fn probe_job(tag: &str) -> Job {
         Job {
@@ -643,7 +728,8 @@ mod tests {
             request: GenRequest::nodes(8),
             deadline: None,
             seed_hint: 0,
-            slot: TicketShared::new(),
+            key: None,
+            slot: Slot::new(),
         }
     }
 
@@ -746,7 +832,11 @@ mod tests {
         // Zero budget: the deadline has passed by the time a worker
         // pops the job, so the (nonexistent) model is never touched.
         let ticket = daemon
-            .submit("a", "/no/such/model.json", GenRequest::nodes(8).deadline(Duration::ZERO))
+            .submit(
+                "a",
+                "/no/such/model.json",
+                GenRequest::nodes(8).deadline(Duration::ZERO),
+            )
             .unwrap();
         assert_eq!(ticket.wait().unwrap_err(), ServeError::DeadlineExceeded);
         assert_eq!(
@@ -879,6 +969,250 @@ mod tests {
         assert!(matches!(next.wait().unwrap_err(), ServeError::Model(_)));
         let stats = daemon.shutdown();
         assert_eq!(stats.panicked, 1);
+        assert_eq!(stats.served, 2);
+    }
+
+    fn admission_only(queue_capacity: usize) -> Daemon {
+        Daemon::start(DaemonConfig {
+            workers: 0,
+            queue_capacity,
+            ..DaemonConfig::default()
+        })
+    }
+
+    fn inflight_keys(daemon: &Daemon) -> usize {
+        lock(&daemon.shared.inflight).len()
+    }
+
+    /// Fails every queued job with `ShuttingDown`, as shutdown does in
+    /// admission-only mode, but keeps the daemon inspectable.
+    fn fail_queued(daemon: &Daemon) {
+        daemon.begin_shutdown();
+        daemon.fail_stranded();
+    }
+
+    /// K identical seeded submissions queue exactly one job; the other
+    /// K-1 are hits. Deterministic: zero workers means the job stays
+    /// unresolved for the whole burst.
+    #[test]
+    fn identical_submissions_share_one_execution() {
+        let daemon = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(9);
+        let tickets: Vec<_> = (0..5)
+            .map(|_| daemon.submit("t", "/m.json", request()).unwrap())
+            .collect();
+        let stats = daemon.stats();
+        assert_eq!(stats.queued, 1, "one job for the whole group");
+        assert_eq!(stats.coalesce_hits, 4);
+        assert_eq!(stats.coalesce_misses, 1);
+        // Failing the one job fails every ticket on it with the same
+        // typed outcome.
+        let daemon = &daemon;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = tickets
+                .into_iter()
+                .map(|t| scope.spawn(move || t.wait()))
+                .collect();
+            // Give the waiters a beat to block, then resolve them.
+            std::thread::sleep(Duration::from_millis(30));
+            assert_eq!(daemon.stats().queued, 1);
+            fail_queued(daemon);
+            for h in handles {
+                assert_eq!(h.join().unwrap().unwrap_err(), ServeError::ShuttingDown);
+            }
+        });
+    }
+
+    /// Different seeds, tenants, artifacts, node counts, or deadlines
+    /// never coalesce.
+    #[test]
+    fn distinct_submissions_never_share() {
+        let daemon = admission_only(16);
+        let base = || GenRequest::nodes(16).seeded(9);
+        let _t: Vec<_> = vec![
+            daemon.submit("t", "/m.json", base()).unwrap(),
+            daemon.submit("t", "/m.json", base().seeded(10)).unwrap(),
+            daemon.submit("u", "/m.json", base()).unwrap(),
+            daemon.submit("t", "/n.json", base()).unwrap(),
+            daemon
+                .submit("t", "/m.json", GenRequest::nodes(17).seeded(9))
+                .unwrap(),
+            daemon
+                .submit("t", "/m.json", base().deadline(Duration::from_secs(5)))
+                .unwrap(),
+        ];
+        let stats = daemon.stats();
+        assert_eq!(stats.coalesce_hits, 0);
+        assert_eq!(stats.coalesce_misses, 6);
+        assert_eq!(stats.queued, 6);
+    }
+
+    /// Unseeded requests draw fresh entropy per run, so they must not
+    /// coalesce even when textually identical.
+    #[test]
+    fn unseeded_requests_pass_straight_through() {
+        let daemon = admission_only(4);
+        let _a = daemon
+            .submit("t", "/m.json", GenRequest::nodes(16))
+            .unwrap();
+        let _b = daemon
+            .submit("t", "/m.json", GenRequest::nodes(16))
+            .unwrap();
+        let stats = daemon.stats();
+        assert_eq!(stats.coalesce_hits, 0);
+        assert_eq!(stats.coalesce_misses, 2);
+        assert_eq!(stats.queued, 2);
+        assert_eq!(inflight_keys(&daemon), 0, "unseeded jobs have no key");
+    }
+
+    /// An admission failure (overload) propagates to the caller and
+    /// leaves no in-flight key behind, while a submission identical to
+    /// an admitted job still joins it with the queue full.
+    #[test]
+    fn admission_errors_do_not_pin_entries() {
+        let daemon = admission_only(1);
+        let _first = daemon
+            .submit("t", "/m.json", GenRequest::nodes(16).seeded(1))
+            .unwrap();
+        match daemon.submit("t", "/m.json", GenRequest::nodes(16).seeded(2)) {
+            Err(ServeError::Overloaded { capacity: 1 }) => {}
+            other => panic!("expected Overloaded, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            inflight_keys(&daemon),
+            1,
+            "only the admitted key is in flight"
+        );
+        // The overloaded key coalesces nothing and queues nothing…
+        assert_eq!(daemon.stats().queued, 1);
+        // …but an identical retry of the *admitted* key still joins it.
+        let _dup = daemon
+            .submit("t", "/m.json", GenRequest::nodes(16).seeded(1))
+            .unwrap();
+        let stats = daemon.stats();
+        assert_eq!((stats.coalesce_hits, stats.rejected), (1, 1));
+    }
+
+    /// Hooked tickets are called when the job resolves, the key is gone
+    /// by then, and a hook registered on a resolved job runs at once.
+    #[test]
+    fn hooks_receive_the_published_outcome() {
+        let daemon = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(5);
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..3 {
+            let tx = tx.clone();
+            daemon
+                .submit("t", "/m.json", request())
+                .unwrap()
+                .on_complete(move |outcome| tx.send(outcome).unwrap());
+        }
+        let late = daemon.submit("t", "/m.json", request()).unwrap();
+        assert_eq!(daemon.stats().queued, 1, "one job for the whole group");
+        assert!(rx.try_recv().is_err(), "nothing has resolved yet");
+        fail_queued(&daemon);
+        for _ in 0..3 {
+            assert_eq!(
+                rx.try_recv().unwrap().unwrap_err(),
+                ServeError::ShuttingDown
+            );
+        }
+        assert_eq!(inflight_keys(&daemon), 0, "a resolved job has no key");
+        late.on_complete(move |outcome| tx.send(outcome).unwrap());
+        assert_eq!(
+            rx.try_recv().unwrap().unwrap_err(),
+            ServeError::ShuttingDown
+        );
+    }
+
+    /// A bounded wait on an unresolved job hands the ticket back, and
+    /// the job stays joinable until it resolves.
+    #[test]
+    fn wait_timeout_keeps_the_group_alive() {
+        let daemon = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(4);
+        let a = daemon.submit("t", "/m.json", request()).unwrap();
+        let a = match a.wait_timeout(Duration::from_millis(15)) {
+            Err(t) => t,
+            Ok(outcome) => panic!("expected timeout, got {:?}", outcome.map(|_| ())),
+        };
+        assert_eq!(
+            inflight_keys(&daemon),
+            1,
+            "the timed-out job is still in flight"
+        );
+        let b = daemon.submit("t", "/m.json", request()).unwrap();
+        assert_eq!(daemon.stats().coalesce_hits, 1);
+        fail_queued(&daemon);
+        assert_eq!(a.wait().unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(b.wait().unwrap_err(), ServeError::ShuttingDown);
+        assert_eq!(inflight_keys(&daemon), 0);
+    }
+
+    /// A key lives exactly as long as its job: with every ticket
+    /// dropped, an identical submission still joins the unresolved job,
+    /// and once the job resolves the key is gone.
+    #[test]
+    fn the_key_lives_until_its_job_resolves() {
+        let daemon = admission_only(4);
+        let request = || GenRequest::nodes(16).seeded(3);
+        drop(daemon.submit("t", "/m.json", request()).unwrap());
+        drop(daemon.submit("t", "/m.json", request()).unwrap());
+        assert_eq!(inflight_keys(&daemon), 1, "dropped tickets keep the key");
+        let joined = daemon.submit("t", "/m.json", request()).unwrap();
+        let stats = daemon.stats();
+        assert_eq!((stats.coalesce_hits, stats.queued), (2, 1));
+        fail_queued(&daemon);
+        assert_eq!(inflight_keys(&daemon), 0, "a resolved job has no key");
+        assert_eq!(joined.wait().unwrap_err(), ServeError::ShuttingDown);
+    }
+
+    /// Panics the first job that starts; leaves every later one alone.
+    #[derive(Debug, Default)]
+    struct PanicFirstJob(AtomicBool);
+
+    impl FaultInjector for PanicFirstJob {
+        fn job_start(&self, _seed: u64) -> Option<JobFault> {
+            (!self.0.swap(true, Ordering::Relaxed)).then_some(JobFault::Panic)
+        }
+    }
+
+    /// A resolved execution never answers a later submission, however
+    /// long an earlier ticket on it stays unredeemed: an identical
+    /// resubmission runs afresh and gets its own outcome.
+    #[test]
+    fn a_resolved_job_never_answers_a_later_submission() {
+        crate::fault::silence_injected_panics();
+        let daemon = Daemon::start_with_faults(
+            DaemonConfig {
+                workers: 1,
+                queue_capacity: 4,
+                ..DaemonConfig::default()
+            },
+            Arc::new(PanicFirstJob::default()),
+        );
+        let request = || GenRequest::nodes(8).seeded(11);
+        let first = daemon
+            .submit("a", "/no/such/model.json", request())
+            .unwrap();
+        let gave_up = Instant::now() + Duration::from_secs(30);
+        while daemon.stats().served < 1 {
+            assert!(Instant::now() < gave_up, "the first job never resolved");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let again = daemon
+            .submit("a", "/no/such/model.json", request())
+            .unwrap();
+        assert!(
+            matches!(again.wait().unwrap_err(), ServeError::Model(_)),
+            "the resubmission must run, not replay the panic"
+        );
+        assert!(matches!(
+            first.wait().unwrap_err(),
+            ServeError::WorkerPanicked { .. }
+        ));
+        let stats = daemon.shutdown();
+        assert_eq!(stats.coalesce_hits, 0);
         assert_eq!(stats.served, 2);
     }
 }

@@ -12,10 +12,12 @@
 //!   byte-identical designs.
 //! - [`Daemon`] — a std-only work-queue daemon (`Mutex` + `Condvar`,
 //!   plain threads). Admission control sheds load past a bounded
-//!   queue's high-water mark with [`ServeError::Overloaded`]; queued
-//!   work sits in per-tenant lanes drained round-robin so no tenant
-//!   starves another; shutdown drains the queue and resolves every
-//!   outstanding [`Ticket`].
+//!   queue's high-water mark with [`ServeError::Overloaded`]; a seeded
+//!   request identical to one still unresolved joins that job instead
+//!   of queueing its own; queued work sits in per-tenant lanes drained
+//!   round-robin so no tenant starves another; shutdown drains the
+//!   queue and resolves every outstanding [`Ticket`]. [`NetServer`]
+//!   puts the daemon behind a TCP socket, and [`NetClient`] reaches it.
 //! - [`ServeError`] — the typed surface callers program against:
 //!   `Overloaded` means back off and retry, `ShuttingDown` means stop,
 //!   `Model` wraps the pipeline's own error (persistence failures name
@@ -80,7 +82,6 @@
 #![warn(missing_docs)]
 
 mod client;
-mod coalesce;
 mod daemon;
 mod error;
 mod fault;
@@ -90,13 +91,12 @@ mod server;
 pub mod wire;
 
 pub use client::{ClientError, NetClient};
-pub use coalesce::{CoalesceTicket, Coalescer};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats, Ticket};
 pub use error::ServeError;
-pub use server::{NetServer, NetServerConfig};
 pub use fault::{
     corrupt_text, silence_injected_panics, ConnFault, FaultCounts, FaultInjector, FaultPlan,
     JobFault, NoFaults, Predicted, ReadFault, INJECTED_PANIC_MARK,
 };
 pub use registry::{ModelRegistry, QuarantinePolicy, RegistryBudget, RegistryStats};
 pub use retry::RetryPolicy;
+pub use server::{NetServer, NetServerConfig};

@@ -299,9 +299,9 @@ impl ModelRegistry {
             return false;
         }
         match inner.strikes.get(path) {
-            Some(s) if s.consecutive >= self.quarantine.threshold => s
-                .embargo_until
-                .is_some_and(|until| Instant::now() < until),
+            Some(s) if s.consecutive >= self.quarantine.threshold => {
+                s.embargo_until.is_some_and(|until| Instant::now() < until)
+            }
             _ => false,
         }
     }
@@ -383,11 +383,7 @@ impl ModelRegistry {
     /// request's resolved seed hint): retry backoff jitter and injected
     /// faults are pure functions of it, so replaying a trace replays
     /// the exact same schedule.
-    pub fn get_or_load_seeded(
-        &self,
-        path: &str,
-        seed: u64,
-    ) -> Result<Arc<SynCircuit>, ServeError> {
+    pub fn get_or_load_seeded(&self, path: &str, seed: u64) -> Result<Arc<SynCircuit>, ServeError> {
         {
             let mut inner = self.lock_inner();
             inner.tick += 1;
@@ -470,8 +466,7 @@ impl ModelRegistry {
                 .strikes
                 .values()
                 .filter(|s| {
-                    self.quarantine.threshold > 0
-                        && s.consecutive >= self.quarantine.threshold
+                    self.quarantine.threshold > 0 && s.consecutive >= self.quarantine.threshold
                 })
                 .count(),
             resident: inner.resident.len(),
@@ -504,19 +499,19 @@ mod tests {
         let corpus: Vec<_> = (0..2)
             .map(|_| random_circuit_with_size(&mut rng, 18))
             .collect();
-        let model =
-            SynCircuit::fit(&corpus, PipelineConfig::builder().seed(seed).build().unwrap())
-                .unwrap();
+        let model = SynCircuit::fit(
+            &corpus,
+            PipelineConfig::builder().seed(seed).build().unwrap(),
+        )
+        .unwrap();
         let path = dir.join(format!("model_{seed}.json"));
         model.save(&path).unwrap();
         path
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "syncircuit-registry-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("syncircuit-registry-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -528,7 +523,10 @@ mod tests {
         let reg = ModelRegistry::new(RegistryBudget::unlimited());
         let a = reg.get_or_load(&path).unwrap();
         let b = reg.get_or_load(&path).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup reuses the resident model");
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "second lookup reuses the resident model"
+        );
         let s = reg.stats();
         assert_eq!((s.loads, s.hits, s.evictions), (1, 1, 0));
         assert_eq!(s.resident, 1);
@@ -555,7 +553,11 @@ mod tests {
         reg.get_or_load(&paths[2]).unwrap();
         assert_eq!(reg.stats().loads, loads_before, "0 and 2 stayed resident");
         reg.get_or_load(&paths[1]).unwrap();
-        assert_eq!(reg.stats().loads, loads_before + 1, "1 was the eviction victim");
+        assert_eq!(
+            reg.stats().loads,
+            loads_before + 1,
+            "1 was the eviction victim"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -603,7 +605,7 @@ mod tests {
         let reg = ModelRegistry::new(RegistryBudget::max_models(1));
         let held = reg.get_or_load(&p1).unwrap();
         reg.get_or_load(&p2).unwrap(); // evicts p1 from the registry
-        // The held Arc still serves.
+                                       // The held Arc still serves.
         let out = held.generate_one(&GenRequest::nodes(20).seeded(1)).unwrap();
         assert!(out.graph.is_valid());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -621,7 +623,10 @@ mod tests {
         }
         let s = reg.stats();
         assert_eq!(s.resident, 0);
-        assert_eq!(s.load_failures, 1, "a failed load is counted apart from loads");
+        assert_eq!(
+            s.load_failures, 1,
+            "a failed load is counted apart from loads"
+        );
         assert_eq!(s.loads, 0, "loads only counts successes");
         assert_eq!(s.quarantined, 0, "IO failures never quarantine");
     }
@@ -691,7 +696,9 @@ mod tests {
             QuarantinePolicy::default(),
             Arc::new(FlakyReads::new(2)),
         );
-        let model = reg.get_or_load_seeded(&path, 9).expect("third attempt succeeds");
+        let model = reg
+            .get_or_load_seeded(&path, 9)
+            .expect("third attempt succeeds");
         assert!(model.generate_one(&GenRequest::nodes(16).seeded(1)).is_ok());
         let s = reg.stats();
         assert_eq!(s.loads, 1);
@@ -719,7 +726,11 @@ mod tests {
             other => panic!("expected a typed Io error, got {other:?}"),
         }
         use std::sync::atomic::Ordering;
-        assert_eq!(injector.reads.load(Ordering::Relaxed), 2, "one read per attempt");
+        assert_eq!(
+            injector.reads.load(Ordering::Relaxed),
+            2,
+            "one read per attempt"
+        );
         let s = reg.stats();
         assert_eq!((s.loads, s.load_failures, s.quarantined), (0, 1, 0));
         std::fs::remove_dir_all(&dir).unwrap();

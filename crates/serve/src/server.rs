@@ -8,15 +8,13 @@
 //! the peer's delayed ACK). Each connection then runs exactly two
 //! threads, however many requests it pipelines:
 //!
-//! - a **reader** decodes frames and admits them through the
-//!   [`Coalescer`]. For each admitted request it registers a completion
-//!   hook on the ticket and moves on, so slow generation never blocks
-//!   frame decoding;
+//! - a **reader** decodes frames and submits them to the [`Daemon`],
+//!   which coalesces identical seeded requests onto one job. For each
+//!   admitted request it registers a completion hook on the ticket and
+//!   moves on, so slow generation never blocks frame decoding;
 //! - a **writer** encodes and sends response frames. The hooks run on
-//!   whichever thread resolves the request (a daemon worker or
-//!   shutdown; for a coalesced follower, whichever resolves its
-//!   group's leader) and push the outcome onto the writer's mpsc
-//!   channel.
+//!   whichever thread resolves the request's job (a daemon worker or
+//!   shutdown) and push the outcome onto the writer's mpsc channel.
 //!
 //! No thread is spawned per request, so a connection's cost is fixed
 //! and thread exhaustion cannot close it.
@@ -31,10 +29,10 @@
 //!   reader admits the job, not when the client built the request.
 //! - **Disconnects leak nothing.** A client hanging up mid-flight
 //!   leaves its hooks to fire into a dead writer; the daemon still
-//!   resolves every admitted slot and the coalescer detaches the
-//!   waiters, so no worker or in-flight entry strands. A closed
-//!   connection deregisters its socket, so fds stay flat however many
-//!   connections come and go.
+//!   resolves every admitted job and drops its coalescing key, so no
+//!   worker or in-flight entry strands. A closed connection
+//!   deregisters its socket, so fds stay flat however many connections
+//!   come and go.
 //! - **Protocol garbage cannot take the server down.** A malformed
 //!   frame gets a typed `protocol` response (when the id is known) and
 //!   a connection close — never a panic, and never any effect on other
@@ -53,8 +51,7 @@
 //! passed, while other responses on the connection go out as they
 //! complete.
 
-use crate::coalesce::{CoalesceTicket, Coalescer};
-use crate::daemon::{Daemon, DaemonConfig, DaemonStats};
+use crate::daemon::{Daemon, DaemonConfig, DaemonStats, Ticket};
 use crate::fault::{ConnFault, FaultInjector, NoFaults};
 use crate::wire::{
     decode_request, encode_response, read_frame, write_frame, ResponseBody, ResponseFrame,
@@ -109,7 +106,7 @@ enum WriterItem {
 }
 
 struct ServerShared {
-    coalescer: Coalescer,
+    daemon: Daemon,
     injector: Arc<dyn FaultInjector>,
     stopping: AtomicBool,
     max_frame_bytes: usize,
@@ -174,9 +171,8 @@ impl NetServer {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let daemon = Daemon::start_with_faults(config.daemon, injector.clone());
         let shared = Arc::new(ServerShared {
-            coalescer: Coalescer::new(daemon),
+            daemon: Daemon::start_with_faults(config.daemon, injector.clone()),
             injector,
             stopping: AtomicBool::new(false),
             max_frame_bytes: config.max_frame_bytes,
@@ -204,7 +200,7 @@ impl NetServer {
 
     /// Current serving counters of the daemon behind the socket.
     pub fn stats(&self) -> DaemonStats {
-        self.shared.coalescer.stats()
+        self.shared.daemon.stats()
     }
 
     /// Stops accepting, answers every queued request with a typed
@@ -218,8 +214,8 @@ impl NetServer {
         // only strong reference left.
         drop(self);
         match Arc::try_unwrap(shared) {
-            Ok(inner) => inner.coalescer.shutdown(),
-            Err(shared) => shared.coalescer.stats(),
+            Ok(inner) => inner.daemon.shutdown(),
+            Err(shared) => shared.daemon.stats(),
         }
     }
 
@@ -234,8 +230,8 @@ impl NetServer {
         // Resolve every queued ticket first: the completion hooks queue
         // the answers on their connections' writers, and no connection
         // can end while one of its hooks is still pending.
-        self.shared.coalescer.daemon().begin_shutdown();
-        self.shared.coalescer.daemon().fail_stranded();
+        self.shared.daemon.begin_shutdown();
+        self.shared.daemon.fail_stranded();
         // `accept()` has no native wakeup: a throwaway connection to
         // ourselves gets it to return, at which point it sees the flag.
         let _ = TcpStream::connect(self.local_addr);
@@ -344,7 +340,7 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) {
 /// already resolved the job).
 fn respond_on_completion(
     id: u64,
-    ticket: CoalesceTicket,
+    ticket: Ticket,
     slow: Option<Duration>,
     tx: &mpsc::Sender<WriterItem>,
 ) {
@@ -392,15 +388,18 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Serv
         // The chaos seam: drop hangs up before admission (so the
         // client sees a clean close, not a stuck request); slow tags
         // the response for a delayed write.
-        let slow = match shared.injector.connection(frame.request.seed().unwrap_or(0)) {
+        let slow = match shared
+            .injector
+            .connection(frame.request.seed().unwrap_or(0))
+        {
             Some(ConnFault::Drop) => return,
             Some(ConnFault::Slow(delay)) => Some(delay),
             None => None,
         };
         // Network admission: the deadline budget the frame carried
-        // starts counting here, inside Coalescer/Daemon::submit.
+        // starts counting here, inside Daemon::submit.
         match shared
-            .coalescer
+            .daemon
             .submit(&frame.tenant, &frame.artifact, frame.request)
         {
             Ok(ticket) => respond_on_completion(frame.id, ticket, slow, tx),

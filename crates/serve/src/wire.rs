@@ -46,8 +46,9 @@ use crate::error::ServeError;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::io::{Read, Write};
-use syncircuit_core::{ConfigError, Error as CoreError, GenRequest, Generated, PersistError,
-    RefineError, RequestError};
+use syncircuit_core::{
+    ConfigError, Error as CoreError, GenRequest, Generated, PersistError, RefineError, RequestError,
+};
 use syncircuit_graph::NodeId;
 
 /// Version stamp carried by every frame; a frame stamped with any other
@@ -104,10 +105,9 @@ impl fmt::Display for WireError {
                 f,
                 "connection closed mid-frame ({got} of {expected} payload bytes)"
             ),
-            WireError::Oversized { len, max } => write!(
-                f,
-                "frame length {len} exceeds the {max}-byte frame bound"
-            ),
+            WireError::Oversized { len, max } => {
+                write!(f, "frame length {len} exceeds the {max}-byte frame bound")
+            }
             WireError::BadJson(msg) => write!(f, "frame payload is not valid JSON: {msg}"),
             WireError::BadVersion { found } => write!(
                 f,
@@ -274,7 +274,9 @@ fn parse_payload(payload: &[u8]) -> Result<Value, WireError> {
 fn str_field(value: &Value, name: &str) -> Result<String, WireError> {
     match value.get(name) {
         Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(WireError::BadFrame(format!("field `{name}` must be a string"))),
+        Some(_) => Err(WireError::BadFrame(format!(
+            "field `{name}` must be a string"
+        ))),
         None => Err(WireError::BadFrame(format!("missing field `{name}`"))),
     }
 }
@@ -295,8 +297,7 @@ fn u64_field(value: &Value, name: &str) -> Result<u64, WireError> {
 /// naming the field instead.
 fn narrowed_field<T: TryFrom<u64>>(value: &Value, name: &str) -> Result<T, WireError> {
     let raw = u64_field(value, name)?;
-    T::try_from(raw)
-        .map_err(|_| WireError::BadFrame(format!("field `{name}` out of range: {raw}")))
+    T::try_from(raw).map_err(|_| WireError::BadFrame(format!("field `{name}` out of range: {raw}")))
 }
 
 /// Encodes a request frame to payload bytes.
@@ -466,7 +467,10 @@ fn encode_core_error(e: &CoreError) -> Value {
     match e {
         CoreError::EmptyCorpus => tag("empty_corpus", vec![]),
         CoreError::EmptyTrainingSet => tag("empty_training_set", vec![]),
-        CoreError::Config(c) => tag("config", vec![("error".to_string(), encode_config_error(c))]),
+        CoreError::Config(c) => tag(
+            "config",
+            vec![("error".to_string(), encode_config_error(c))],
+        ),
         CoreError::Request(RequestError::EmptyAttrs) => tag("empty_attrs", vec![]),
         CoreError::Request(RequestError::TooManyNodes { requested, max }) => tag(
             "too_many_nodes",
@@ -479,9 +483,10 @@ fn encode_core_error(e: &CoreError) -> Value {
             "no_valid_parent",
             vec![("node".to_string(), node.index().serialize())],
         ),
-        CoreError::Persist(p) => {
-            tag("persist", vec![("error".to_string(), encode_persist_error(p))])
-        }
+        CoreError::Persist(p) => tag(
+            "persist",
+            vec![("error".to_string(), encode_persist_error(p))],
+        ),
     }
 }
 
@@ -543,23 +548,23 @@ fn encode_config_error(e: &ConfigError) -> Value {
                 ("layers".to_string(), layers.serialize()),
             ],
         ),
-        ConfigError::BadLearningRate(x) => {
-            tag("bad_learning_rate", vec![("bits".to_string(), f32_bits(*x))])
+        ConfigError::BadLearningRate(x) => tag(
+            "bad_learning_rate",
+            vec![("bits".to_string(), f32_bits(*x))],
+        ),
+        ConfigError::BadNegativeRatio(x) => tag(
+            "bad_negative_ratio",
+            vec![("bits".to_string(), f64_bits(*x))],
+        ),
+        ConfigError::BadGradClip(x) => {
+            tag("bad_grad_clip", vec![("bits".to_string(), f32_bits(*x))])
         }
-        ConfigError::BadNegativeRatio(x) => {
-            tag("bad_negative_ratio", vec![("bits".to_string(), f64_bits(*x))])
-        }
-        ConfigError::BadGradClip(x) => tag("bad_grad_clip", vec![("bits".to_string(), f32_bits(*x))]),
         ConfigError::ZeroSparseCandidates => tag("zero_sparse_candidates", vec![]),
         ConfigError::TooManySparseCandidates(n) => tag(
             "too_many_sparse_candidates",
             vec![("candidates".to_string(), n.serialize())],
         ),
         ConfigError::ZeroDiscriminatorEpochs => tag("zero_discriminator_epochs", vec![]),
-        ConfigError::TooManyConeCacheShards(n) => tag(
-            "too_many_cone_cache_shards",
-            vec![("shards".to_string(), n.serialize())],
-        ),
         ConfigError::ZeroSimulations => tag("zero_simulations", vec![]),
         ConfigError::ZeroRolloutDepth => tag("zero_rollout_depth", vec![]),
         ConfigError::ZeroActionsPerExpansion => tag("zero_actions_per_expansion", vec![]),
@@ -589,9 +594,6 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
             ConfigError::TooManySparseCandidates(narrowed_field(value, "candidates")?)
         }
         "zero_discriminator_epochs" => ConfigError::ZeroDiscriminatorEpochs,
-        "too_many_cone_cache_shards" => {
-            ConfigError::TooManyConeCacheShards(narrowed_field(value, "shards")?)
-        }
         "zero_simulations" => ConfigError::ZeroSimulations,
         "zero_rollout_depth" => ConfigError::ZeroRolloutDepth,
         "zero_actions_per_expansion" => ConfigError::ZeroActionsPerExpansion,
@@ -668,9 +670,10 @@ fn encode_wire_error(e: &WireError) -> Value {
             ],
         ),
         WireError::BadJson(m) => tag("bad_json", vec![("message".to_string(), m.serialize())]),
-        WireError::BadVersion { found } => {
-            tag("bad_version", vec![("found".to_string(), found.serialize())])
-        }
+        WireError::BadVersion { found } => tag(
+            "bad_version",
+            vec![("found".to_string(), found.serialize())],
+        ),
         WireError::BadFrame(m) => tag("bad_frame", vec![("message".to_string(), m.serialize())]),
     }
 }
@@ -723,7 +726,10 @@ mod tests {
     fn the_full_error_taxonomy_round_trips() {
         let config_errors = vec![
             ConfigError::ZeroDiffusionSteps,
-            ConfigError::ZeroDenoiserCapacity { hidden: 0, layers: 3 },
+            ConfigError::ZeroDenoiserCapacity {
+                hidden: 0,
+                layers: 3,
+            },
             ConfigError::BadLearningRate(-1.5),
             ConfigError::BadLearningRate(f32::NAN),
             ConfigError::BadNegativeRatio(f64::INFINITY),
@@ -731,7 +737,6 @@ mod tests {
             ConfigError::ZeroSparseCandidates,
             ConfigError::TooManySparseCandidates(usize::MAX),
             ConfigError::ZeroDiscriminatorEpochs,
-            ConfigError::TooManyConeCacheShards(usize::MAX),
             ConfigError::ZeroSimulations,
             ConfigError::ZeroRolloutDepth,
             ConfigError::ZeroActionsPerExpansion,
@@ -740,8 +745,13 @@ mod tests {
             ConfigError::EmptyConeSelection,
         ];
         let persist_errors = vec![
-            PersistError::Format { found: "gltf".to_string() },
-            PersistError::Version { found: 9, supported: 1 },
+            PersistError::Format {
+                found: "gltf".to_string(),
+            },
+            PersistError::Version {
+                found: 9,
+                supported: 1,
+            },
             PersistError::Parse("models/a.json: eof at byte 12".to_string()),
             PersistError::Inconsistent("discriminator missing".to_string()),
             PersistError::ShapeMismatch("64 != 32".to_string()),
@@ -755,7 +765,9 @@ mod tests {
                 requested: 1 << 34,
                 max: MAX_REQUEST_NODES,
             }),
-            CoreError::Refine(RefineError::NoValidParent { node: NodeId::new(7) }),
+            CoreError::Refine(RefineError::NoValidParent {
+                node: NodeId::new(7),
+            }),
         ];
         core_errors.extend(config_errors.into_iter().map(CoreError::Config));
         core_errors.extend(persist_errors.into_iter().map(CoreError::Persist));
@@ -763,8 +775,12 @@ mod tests {
         roundtrip_serve(ServeError::Overloaded { capacity: 2048 });
         roundtrip_serve(ServeError::ShuttingDown);
         roundtrip_serve(ServeError::DeadlineExceeded);
-        roundtrip_serve(ServeError::Quarantined { path: "/m/bad.json".to_string() });
-        roundtrip_serve(ServeError::WorkerPanicked { message: "boom".to_string() });
+        roundtrip_serve(ServeError::Quarantined {
+            path: "/m/bad.json".to_string(),
+        });
+        roundtrip_serve(ServeError::WorkerPanicked {
+            message: "boom".to_string(),
+        });
         for e in core_errors {
             roundtrip_serve(ServeError::Model(e));
         }
@@ -776,7 +792,7 @@ mod tests {
     #[test]
     fn narrowed_field_rejects_out_of_range_values() {
         let v: Value = serde_json::from_str(r#"{"n": 1099511627776}"#).unwrap(); // 2^40
-        // In-range for the wide type and for anything that can hold 2^40…
+                                                                                 // In-range for the wide type and for anything that can hold 2^40…
         assert_eq!(u64_field(&v, "n").unwrap(), 1u64 << 40);
         let wide: u64 = narrowed_field(&v, "n").unwrap();
         assert_eq!(wide, 1u64 << 40);
@@ -785,7 +801,10 @@ mod tests {
         match narrow {
             Err(WireError::BadFrame(msg)) => {
                 assert!(msg.contains("`n`"), "error names the field: {msg}");
-                assert!(msg.contains("1099511627776"), "error carries the value: {msg}");
+                assert!(
+                    msg.contains("1099511627776"),
+                    "error carries the value: {msg}"
+                );
             }
             other => panic!("expected BadFrame, got {other:?}"),
         }
@@ -842,7 +861,10 @@ mod tests {
             body: ResponseBody::Err(ServeError::Overloaded { capacity: 8 }),
         };
         match decode_response(&encode_response(&err)).unwrap() {
-            ResponseFrame { id: 3, body: ResponseBody::Err(e) } => {
+            ResponseFrame {
+                id: 3,
+                body: ResponseBody::Err(e),
+            } => {
                 assert_eq!(e, ServeError::Overloaded { capacity: 8 });
             }
             other => panic!("wrong frame: {other:?}"),
@@ -852,7 +874,10 @@ mod tests {
             body: ResponseBody::Protocol(WireError::BadVersion { found: 9 }),
         };
         match decode_response(&encode_response(&protocol)).unwrap() {
-            ResponseFrame { id: 0, body: ResponseBody::Protocol(e) } => {
+            ResponseFrame {
+                id: 0,
+                body: ResponseBody::Protocol(e),
+            } => {
                 assert_eq!(e, WireError::BadVersion { found: 9 });
             }
             other => panic!("wrong frame: {other:?}"),
@@ -886,9 +911,16 @@ mod tests {
         write_frame(&mut buf, b"hello", MAX_FRAME_BYTES).unwrap();
         write_frame(&mut buf, b"", MAX_FRAME_BYTES).unwrap();
         let mut r = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(), b"hello");
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
+            b"hello"
+        );
         assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap(), None, "clean EOF");
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap(),
+            None,
+            "clean EOF"
+        );
 
         match write_frame(&mut Vec::new(), &[0u8; 64], 16) {
             Err(WireError::Oversized { len: 64, max: 16 }) => {}
@@ -956,7 +988,14 @@ mod tests {
     fn displays_are_informative() {
         assert!(format!("{}", WireError::BadVersion { found: 3 }).contains("3"));
         assert!(format!("{}", WireError::Oversized { len: 9, max: 4 }).contains("9"));
-        assert!(format!("{}", WireError::Truncated { expected: 8, got: 2 }).contains("mid-frame"));
+        assert!(format!(
+            "{}",
+            WireError::Truncated {
+                expected: 8,
+                got: 2
+            }
+        )
+        .contains("mid-frame"));
         assert!(format!("{}", WireError::BadJson("x".to_string())).contains("JSON"));
         assert!(format!("{}", WireError::Io("reset".to_string())).contains("reset"));
         assert!(format!("{}", WireError::BadFrame("no id".to_string())).contains("no id"));

@@ -1,8 +1,8 @@
 //! TCP serving ≡ in-process daemon ≡ direct generation.
 //!
-//! The network front-end's headline guarantee: putting a socket (and a
-//! coalescer) between the caller and the daemon changes *nothing* in
-//! the bytes. Every test compares wire-served designs against a
+//! The network front-end's headline guarantee: putting a socket between
+//! the caller and the daemon, or coalescing duplicates onto one job,
+//! changes *nothing* in the bytes. Every test compares wire-served designs against a
 //! reference computed by `SynCircuit::load(path)?.generate_one(req)` —
 //! field by field, floats by bit pattern — across worker counts,
 //! pipelined submission, coalesced duplicate bursts, and deadlines
@@ -16,8 +16,8 @@ use std::time::Duration;
 use syncircuit_core::{GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit};
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_serve::{
-    ClientError, Coalescer, Daemon, DaemonConfig, NetClient, NetServer, NetServerConfig,
-    RegistryBudget, ServeError,
+    ClientError, Daemon, DaemonConfig, NetClient, NetServer, NetServerConfig, RegistryBudget,
+    ServeError,
 };
 
 const TENANTS: usize = 3;
@@ -328,52 +328,36 @@ fn mid_flight_disconnect_leaks_nothing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Coalesced execution ≡ uncoalesced execution: the same duplicate-
-    /// heavy trace through a `Coalescer` and through the bare daemon
-    /// yields byte-identical designs for every submission.
+    /// Coalesced execution ≡ direct generation: a duplicate-heavy trace
+    /// through one daemon yields, for every submission, the design that
+    /// a freshly loaded model generates.
     #[test]
-    fn coalesced_equals_uncoalesced(base in any::<u64>()) {
+    fn coalesced_equals_direct(base in any::<u64>()) {
         let paths = fleet();
         // Few distinct requests, many submissions: heavy duplication.
         let distinct: Vec<(usize, GenRequest)> = trace(base, 3);
+        let references: Vec<Generated> =
+            distinct.iter().map(|(t, req)| direct(&paths[*t], req)).collect();
         let submissions: Vec<&(usize, GenRequest)> =
             (0..9).map(|k| &distinct[k % distinct.len()]).collect();
-
-        let coalesced: Vec<Generated> = {
-            let c = Coalescer::new(Daemon::start(DaemonConfig {
-                workers: 2,
-                queue_capacity: 64,
-                ..DaemonConfig::default()
-            }));
-            let tickets: Vec<_> = submissions
-                .iter()
-                .map(|(t, req)| {
-                    c.submit(&format!("tenant-{t}"), &paths[*t], req.clone())
-                        .expect("coalesced submit")
-                })
-                .collect();
-            tickets.into_iter().map(|t| t.wait().expect("serves")).collect()
-        };
-        let uncoalesced: Vec<Generated> = {
-            let daemon = Daemon::start(DaemonConfig {
-                workers: 2,
-                queue_capacity: 64,
-                ..DaemonConfig::default()
-            });
-            let tickets: Vec<_> = submissions
-                .iter()
-                .map(|(t, req)| {
-                    daemon
-                        .submit(&format!("tenant-{t}"), &paths[*t], req.clone())
-                        .expect("bare submit")
-                })
-                .collect();
-            let out = tickets.into_iter().map(|t| t.wait().expect("serves")).collect();
-            daemon.shutdown();
-            out
-        };
-        for (a, b) in coalesced.iter().zip(&uncoalesced) {
-            assert_generated_identical(a, b);
+        let daemon = Daemon::start(DaemonConfig {
+            workers: 2,
+            queue_capacity: 64,
+            ..DaemonConfig::default()
+        });
+        let tickets: Vec<_> = submissions
+            .iter()
+            .map(|(t, req)| {
+                daemon
+                    .submit(&format!("tenant-{t}"), &paths[*t], req.clone())
+                    .expect("submit")
+            })
+            .collect();
+        for (k, ticket) in tickets.into_iter().enumerate() {
+            let served = ticket.wait().expect("serves");
+            assert_generated_identical(&served, &references[k % references.len()]);
         }
+        let stats = daemon.shutdown();
+        prop_assert_eq!(stats.served + stats.coalesce_hits, 9);
     }
 }

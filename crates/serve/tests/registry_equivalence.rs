@@ -24,10 +24,8 @@ const TENANTS: usize = 4;
 fn fleet() -> &'static Vec<String> {
     static FLEET: OnceLock<Vec<String>> = OnceLock::new();
     FLEET.get_or_init(|| {
-        let dir: PathBuf = std::env::temp_dir().join(format!(
-            "syncircuit-registry-equiv-{}",
-            std::process::id()
-        ));
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("syncircuit-registry-equiv-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create fixture dir");
         (0..TENANTS as u64)
             .map(|t| {

@@ -34,10 +34,8 @@ const HANG_GUARD: Duration = Duration::from_secs(60);
 fn fleet() -> &'static Vec<String> {
     static FLEET: OnceLock<Vec<String>> = OnceLock::new();
     FLEET.get_or_init(|| {
-        let dir: PathBuf = std::env::temp_dir().join(format!(
-            "syncircuit-resilience-{}",
-            std::process::id()
-        ));
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("syncircuit-resilience-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create fixture dir");
         (0..TENANTS as u64)
             .map(|t| {
@@ -235,7 +233,10 @@ fn chaos_is_deterministic_across_worker_counts() {
     for (k, (a, b)) in lone.iter().zip(&pooled).enumerate() {
         match (a, b) {
             (Ok(x), Ok(y)) => {
-                assert_eq!(x.graph, y.graph, "request {k}: bytes differ across worker counts");
+                assert_eq!(
+                    x.graph, y.graph,
+                    "request {k}: bytes differ across worker counts"
+                );
             }
             (Err(x), Err(y)) => {
                 // Same typed failure class on both schedules.

@@ -72,7 +72,11 @@ fn assert_still_serving(srv: &NetServer, seed: u64) {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("bound the wait");
     let design = client
-        .call("tenant-fuzz", artifact(), GenRequest::nodes(16).seeded(seed))
+        .call(
+            "tenant-fuzz",
+            artifact(),
+            GenRequest::nodes(16).seeded(seed),
+        )
         .expect("the server must keep serving after hostile input");
     assert!(design.graph.node_count() > 0);
 }
@@ -179,14 +183,26 @@ fn hostile_bytes_never_take_the_server_down() {
     let srv = fuzz_server();
     let addr = srv.local_addr();
     let rounds: Vec<(&str, Vec<u8>)> = vec![
-        ("garbage, no framing", b"\xff\xfe\x00\x12garbage-not-a-frame".to_vec()),
+        (
+            "garbage, no framing",
+            b"\xff\xfe\x00\x12garbage-not-a-frame".to_vec(),
+        ),
         ("empty payload frame", 0u32.to_be_bytes().to_vec()),
         ("non-JSON payload", framed(b"not json at all")),
         ("non-UTF-8 payload", framed(&[0xC0, 0x80, 0xFF, 0x12])),
-        ("JSON, wrong shape", framed(b"{\"v\":1,\"status\":\"request\"}")),
+        (
+            "JSON, wrong shape",
+            framed(b"{\"v\":1,\"status\":\"request\"}"),
+        ),
         ("JSON, not an object", framed(b"[1,2,3]")),
-        ("wrong wire version", framed(b"{\"v\":99,\"id\":1,\"status\":\"request\"}")),
-        ("missing version", framed(b"{\"id\":1,\"status\":\"request\"}")),
+        (
+            "wrong wire version",
+            framed(b"{\"v\":99,\"id\":1,\"status\":\"request\"}"),
+        ),
+        (
+            "missing version",
+            framed(b"{\"id\":1,\"status\":\"request\"}"),
+        ),
         ("oversized length prefix", (u32::MAX).to_be_bytes().to_vec()),
     ];
     for (round, (label, bytes)) in rounds.into_iter().enumerate() {
@@ -324,7 +340,11 @@ fn protocol_errors_reach_the_client_typed() {
     // Hand-feed the same poison through the client's socket by asking
     // for a request the server will answer, then corrupting… is not
     // reachable from the public API; instead assert the decode path:
-    match client.call("t", "/definitely/missing.json", GenRequest::nodes(8).seeded(1)) {
+    match client.call(
+        "t",
+        "/definitely/missing.json",
+        GenRequest::nodes(8).seeded(1),
+    ) {
         Err(ClientError::Serve(_)) => {} // typed serve error end to end
         other => panic!("expected a typed serve error, got {other:?}"),
     }

@@ -88,7 +88,7 @@
 
 use crate::area::CellLibrary;
 use crate::passes::{with_scratch, SynthScratch};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use syncircuit_graph::fingerprint::splitmix64;
 use syncircuit_graph::swap::SwapGraph;
@@ -648,11 +648,9 @@ impl Shard {
 /// means unbounded (the long-lived-process default before serving
 /// budgets existed).
 ///
-/// The hit/miss/eviction counters can be disabled
-/// ([`SharedConeSynthCache::set_stats_enabled`]); they are pure
-/// telemetry and never influence the returned areas (tested in
-/// `stats_toggle_does_not_drift`). Per-shard entry counts and table
-/// bytes are mirrored in lock-free atomics, so reading
+/// The hit/miss/eviction counters are pure telemetry and never influence
+/// the returned areas. Per-shard entry counts and table bytes are
+/// mirrored in lock-free atomics, so reading
 /// [`SharedConeSynthCache::stats`] never contends with serving workers on
 /// the shard locks.
 #[derive(Debug)]
@@ -662,7 +660,6 @@ pub struct SharedConeSynthCache {
     mask: u64,
     /// Per-shard entry capacity (`0` = unbounded).
     capacity: usize,
-    stats_enabled: AtomicBool,
     /// Cone areas that views reused from their memos (table-wide: memo
     /// hits never reach a shard).
     reused: AtomicU64,
@@ -712,7 +709,6 @@ impl SharedConeSynthCache {
             shards: (0..count).map(|_| Shard::default()).collect(),
             mask: count as u64 - 1,
             capacity,
-            stats_enabled: AtomicBool::new(true),
             reused: AtomicU64::new(0),
         }
     }
@@ -732,18 +728,11 @@ impl SharedConeSynthCache {
         &self.lib
     }
 
-    /// Enables or disables hit/miss counting (enabled by default).
-    /// Purely observational: the memoized areas are unaffected.
-    pub fn set_stats_enabled(&self, enabled: bool) {
-        self.stats_enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// Per-shard hit/miss/eviction/entry/byte counters, in shard order.
     ///
     /// Lock-free: every field is read from per-shard atomics (entry
     /// counts and table bytes are mirrored on every insert), so telemetry
-    /// polling never contends with serving workers — even with counting
-    /// disabled via [`SharedConeSynthCache::set_stats_enabled`].
+    /// polling never contends with serving workers.
     ///
     /// Under concurrency the hit/miss counters are schedule-dependent
     /// (two workers racing on one cold key may record two misses); the
@@ -797,7 +786,7 @@ impl SharedConeSynthCache {
 
     /// Adds one `pcs_swap` call's count of reused cones.
     fn add_reused(&self, count: u64) {
-        if count > 0 && self.stats_enabled.load(Ordering::Relaxed) {
+        if count > 0 {
             self.reused.fetch_add(count, Ordering::Relaxed);
         }
     }
@@ -811,14 +800,10 @@ impl SharedConeSynthCache {
     fn area_or_insert(&self, key: ConeKey, synth: impl FnOnce(&CellLibrary) -> f64) -> f64 {
         let shard = self.shard(&key);
         if let Some(a) = shard.lock_table().get(&key) {
-            if self.stats_enabled.load(Ordering::Relaxed) {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-            }
+            shard.hits.fetch_add(1, Ordering::Relaxed);
             return a;
         }
-        if self.stats_enabled.load(Ordering::Relaxed) {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        shard.misses.fetch_add(1, Ordering::Relaxed);
         let a = synth(&self.lib);
         let mut table = shard.lock_table();
         match table.publish(key, a, self.capacity) {
@@ -829,9 +814,7 @@ impl SharedConeSynthCache {
                 a
             }
             Published::Evicted => {
-                if self.stats_enabled.load(Ordering::Relaxed) {
-                    shard.evictions.fetch_add(1, Ordering::Relaxed);
-                }
+                shard.evictions.fetch_add(1, Ordering::Relaxed);
                 a
             }
         }
@@ -1404,15 +1387,12 @@ mod tests {
 
     #[test]
     fn entry_counters_are_lock_free_mirrors() {
-        // stats()/entries() must agree with the locked maps even with
-        // counting disabled (entry mirrors are structural, not
-        // telemetry).
+        // stats()/entries() must agree with the locked maps.
         let shared = Arc::new(SharedConeSynthCache::with_shards_and_capacity(
             CellLibrary::default(),
             2,
             2,
         ));
-        shared.set_stats_enabled(false);
         let mut ev = ConeSynthCache::with_shared(shared.clone());
         for len in 0..7 {
             ev.pcs(&probe(len));
@@ -1421,11 +1401,6 @@ mod tests {
         let mirrored: usize = stats.iter().map(|s| s.entries).sum();
         assert_eq!(mirrored, shared.entries());
         assert!((1..=4).contains(&mirrored), "within 2 shards x 2 slots");
-        for s in &stats {
-            assert_eq!(s.hits, 0, "telemetry counters stay silent when disabled");
-            assert_eq!(s.misses, 0);
-            assert_eq!(s.evictions, 0);
-        }
     }
 
     #[test]
@@ -1451,22 +1426,6 @@ mod tests {
             shared.entries(),
             shared.stats().iter().map(|s| s.entries).sum::<usize>()
         );
-    }
-
-    #[test]
-    fn stats_toggle_does_not_drift() {
-        let (alive, dead) = alive_and_dead();
-        let counted = Arc::new(SharedConeSynthCache::new());
-        let silent = Arc::new(SharedConeSynthCache::new());
-        silent.set_stats_enabled(false);
-        let mut a = ConeSynthCache::with_shared(counted.clone());
-        let mut b = ConeSynthCache::with_shared(silent.clone());
-        for g in [&alive, &dead, &alive] {
-            assert_eq!(a.pcs(g).to_bits(), b.pcs(g).to_bits());
-        }
-        assert!(counted.total_stats().hits + counted.total_stats().misses > 0);
-        assert_eq!(silent.total_stats(), ConeCacheStats::default());
-        assert_eq!(counted.entries(), silent.entries());
     }
 
     /// Walks `view` along random `try_apply` / `undo` / `apply_replay`
@@ -1535,16 +1494,14 @@ mod tests {
     }
 
     #[test]
-    fn reused_cones_are_counted_only_with_stats_enabled() {
+    fn reused_cones_are_counted() {
         let (alive, _) = alive_and_dead();
         let sg = SwapGraph::new(alive);
         let counted = Arc::new(SharedConeSynthCache::new());
-        let silent = Arc::new(SharedConeSynthCache::new());
-        silent.set_stats_enabled(false);
         let mut a = ConeSynthCache::with_shared(counted.clone());
-        let mut b = ConeSynthCache::with_shared(silent.clone());
-        for _ in 0..3 {
-            assert_eq!(a.pcs_swap(&sg).to_bits(), b.pcs_swap(&sg).to_bits());
+        let first = a.pcs_swap(&sg).to_bits();
+        for _ in 0..2 {
+            assert_eq!(a.pcs_swap(&sg).to_bits(), first);
         }
         // Two cones (register and output): the first call synthesizes
         // both, the next two reuse both without reaching a shard.
@@ -1555,7 +1512,6 @@ mod tests {
             reused: 4,
         };
         assert_eq!(counted.total_stats(), expected);
-        assert_eq!(silent.total_stats(), ConeCacheStats::default());
     }
 
     #[test]

@@ -10,9 +10,11 @@ test:
     cargo build --release
     cargo test -q
 
-# lint wall: no clippy warnings allowed anywhere in the workspace
+# lint wall: no clippy warnings allowed anywhere in the workspace, and
+# the serving crate stays rustfmt-clean
 lint:
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo fmt -p syncircuit-serve -- --check
 
 # formatting check (does not rewrite)
 fmt-check:
@@ -33,8 +35,8 @@ bench-smoke:
     cargo bench -p syncircuit-bench --bench micro
 
 # serving-daemon smoke: 100 mixed-tenant requests through the
-# in-process coalescer and daemon under an eviction-forcing registry
-# budget (2 resident models, 4 tenants), then a coalesced-duplicate
+# in-process daemon under an eviction-forcing registry budget
+# (2 resident models, 4 tenants), then a coalesced-duplicate
 # burst — every answer byte-identical to direct generation, coalesce
 # hits > 0, evictions > 0, and a clean shutdown
 serve-smoke:
