@@ -241,9 +241,48 @@ fn bench_fit_parallel(c: &mut Criterion) {
     });
 }
 
+/// A load-gen tenant: two random 20-node circuits, IncrementalCone
+/// reward, 64-entry cone-cache shards (what serve-tcp serves from).
+fn tenant_model() -> SynCircuit {
+    use syncircuit_graph::testing::random_circuit_with_size;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1000);
+    let corpus: Vec<_> = (0..2)
+        .map(|_| random_circuit_with_size(&mut rng, 20))
+        .collect();
+    let cfg = PipelineConfig::builder()
+        .seed(1000)
+        .reward(RewardKind::IncrementalCone)
+        .cone_cache_capacity(64)
+        .build()
+        .expect("valid configuration");
+    SynCircuit::fit(&corpus, cfg).expect("fit tenant model")
+}
+
+/// The two JSON layers of a serve-tcp call: one `ok` response frame
+/// carrying an 18-node design, encoded and decoded; and attaching an
+/// evicted tenant, which parses its whole artifact.
+fn bench_json_codec(c: &mut Criterion) {
+    use syncircuit_serve::wire::{decode_response, encode_response, ResponseBody, ResponseFrame};
+    let model = tenant_model();
+    let design = model
+        .generate_one(&GenRequest::nodes(18).seeded(1))
+        .expect("generate");
+    let frame = ResponseFrame {
+        id: 7,
+        body: ResponseBody::Ok(Box::new(design)),
+    };
+    c.bench_function("wire_roundtrip_generated", |b| {
+        b.iter(|| decode_response(&encode_response(black_box(&frame))).expect("decode"))
+    });
+    let artifact = model.to_json();
+    c.bench_function("registry_attach_tenant", |b| {
+        b.iter(|| SynCircuit::from_json(black_box(&artifact)).expect("load"))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_fit_parallel
+    targets = bench_synthesis, bench_sta, bench_stats, bench_diffusion_sample, bench_refine, bench_mcts_cone, bench_optimize_registers, bench_shared_cone_cache, bench_batch_shared_cache, bench_fit_parallel, bench_json_codec
 }
 criterion_main!(benches);

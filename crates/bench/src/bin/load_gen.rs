@@ -550,13 +550,12 @@ fn run(args: &Args, dir: &Path) -> Result<(), String> {
     );
     println!(
         "  daemon: {} served, {} rejected, {} expired, {} panicked, {} coalesce hits, \
-         {} misses, {} queued at shutdown",
+         {} queued at shutdown",
         stats.served,
         stats.rejected,
         stats.expired,
         stats.panicked,
         stats.coalesce_hits,
-        stats.coalesce_misses,
         stats.queued
     );
     if let Some(r) = &registry {

@@ -121,13 +121,17 @@ pub struct SampledGraph {
 
 /// Sparse edge-probability matrix with a default for unscored pairs.
 ///
-/// Keyed through a cheap multiply-xor hasher — the sampler records one
-/// entry per candidate pair per step, and every read is key-addressed
-/// or explicitly sorted ([`EdgeProbs::candidates_for`]), so map order
-/// never reaches the output bytes.
+/// Grouped by destination: each node id indexes the map of its scored
+/// parents, so [`EdgeProbs::get`] and [`EdgeProbs::candidates_for`] read
+/// one destination's entries, never the whole matrix. The maps are keyed
+/// through a cheap multiply-xor hasher, and every read is key-addressed
+/// or explicitly sorted, so map order never reaches the output bytes.
+/// The table grows with the largest destination id recorded.
 #[derive(Clone, Debug)]
 pub struct EdgeProbs {
-    map: HashMap<(u32, u32), f32, crate::hash::FxBuildHasher>,
+    /// `by_dst[to]` maps each scored parent `from` to its probability.
+    by_dst: Vec<HashMap<u32, f32, crate::hash::FxBuildHasher>>,
+    len: usize,
     default: f32,
 }
 
@@ -136,55 +140,75 @@ impl EdgeProbs {
     /// unscored pairs.
     pub fn new(default: f32) -> Self {
         EdgeProbs {
-            map: HashMap::default(),
+            by_dst: Vec::new(),
+            len: 0,
             default,
         }
     }
 
     /// Probability of the directed edge `from → to`.
     pub fn get(&self, from: u32, to: u32) -> f32 {
-        self.map.get(&(from, to)).copied().unwrap_or(self.default)
+        self.by_dst
+            .get(to as usize)
+            .and_then(|parents| parents.get(&from))
+            .copied()
+            .unwrap_or(self.default)
     }
 
-    /// Pre-sizes the table for `n` additional pairs (allocation hoist
-    /// for bulk recording; never observable in the contents).
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.map.reserve(n);
+    fn parents_mut(&mut self, to: u32) -> &mut HashMap<u32, f32, crate::hash::FxBuildHasher> {
+        let to = to as usize;
+        if self.by_dst.len() <= to {
+            self.by_dst.resize_with(to + 1, HashMap::default);
+        }
+        &mut self.by_dst[to]
+    }
+
+    /// Pre-sizes `to`'s entries for `n` additional parents (allocation
+    /// hoist for bulk recording; never observable in the contents).
+    pub(crate) fn reserve(&mut self, to: u32, n: usize) {
+        self.parents_mut(to).reserve(n);
     }
 
     /// Records a probability (keeps the maximum on repeat inserts, so
     /// late-step refinements never erase earlier candidates).
     pub fn record(&mut self, from: u32, to: u32, p: f32) {
-        self.map
-            .entry((from, to))
+        let mut fresh = false;
+        self.parents_mut(to)
+            .entry(from)
             .and_modify(|old| *old = old.max(p))
-            .or_insert(p);
+            .or_insert_with(|| {
+                fresh = true;
+                p
+            });
+        self.len += usize::from(fresh);
     }
 
     /// Number of explicitly scored pairs.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// `true` when no pair was scored.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// All scored pairs `(from, to, p)`.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
-        self.map.iter().map(|(&(f, t), &p)| (f, t, p))
+        self.by_dst
+            .iter()
+            .enumerate()
+            .flat_map(|(to, parents)| parents.iter().map(move |(&f, &p)| (f, to as u32, p)))
     }
 
     /// Candidate parents of node `to`, sorted by descending probability
     /// (ties broken by node id for determinism).
     pub fn candidates_for(&self, to: u32) -> Vec<(u32, f32)> {
         let mut v: Vec<(u32, f32)> = self
-            .map
-            .iter()
-            .filter(|(&(_, t), _)| t == to)
-            .map(|(&(f, _), &p)| (f, p))
-            .collect();
+            .by_dst
+            .get(to as usize)
+            .map(|parents| parents.iter().map(|(&f, &p)| (f, p)).collect())
+            .unwrap_or_default();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -601,7 +625,6 @@ impl DiffusionModel {
         // capacity yields exactly the map the per-pair `record` calls
         // build — without growing a hash table inside the hot loop.
         let mut probs = EdgeProbs::new((pi * 0.5) as f32);
-        probs.reserve(scratch.rec_by_dst.iter().map(Vec::len).sum());
         if scratch.rec_slot.len() < n {
             scratch.rec_slot.resize(n, 0.0);
         }
@@ -620,6 +643,7 @@ impl DiffusionModel {
                     *slot = slot.max(p);
                 }
             }
+            probs.reserve(j as u32, scratch.rec_touched.len());
             for &i in &scratch.rec_touched {
                 probs.record(i, j as u32, scratch.rec_slot[i as usize]);
             }
@@ -1030,6 +1054,48 @@ mod tests {
         assert_eq!(c[1].0, 3);
         assert_eq!(c[2].0, 5);
         assert_eq!(p.get(9, 9), 0.01);
+    }
+
+    /// Grouping by destination changes no read: against a flat
+    /// `(from, to) → p` map fed the same random `record` sequences,
+    /// every `get`, `len`, `iter` and `candidates_for` agrees.
+    #[test]
+    fn edge_probs_match_a_flat_map_model() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for round in 0..40 {
+            let n = rng.gen_range(1..24u32);
+            let default = rng.gen::<f32>();
+            let mut probs = EdgeProbs::new(default);
+            let mut model: HashMap<(u32, u32), f32> = HashMap::new();
+            for _ in 0..rng.gen_range(0..200) {
+                let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                // coarse values, so ties in probability occur
+                let p = f32::from(rng.gen_range(0..8u8)) / 8.0;
+                probs.record(from, to, p);
+                let slot = model.entry((from, to)).or_insert(p);
+                *slot = slot.max(p);
+            }
+            assert_eq!(probs.len(), model.len(), "round {round}");
+            assert_eq!(probs.is_empty(), model.is_empty(), "round {round}");
+            let mut pairs: Vec<_> = probs.iter().collect();
+            pairs.sort_by_key(|&(f, t, _)| (f, t));
+            let mut expect: Vec<_> = model.iter().map(|(&(f, t), &p)| (f, t, p)).collect();
+            expect.sort_by_key(|&(f, t, _)| (f, t));
+            assert_eq!(pairs, expect, "round {round}");
+            for to in 0..n + 2 {
+                for from in 0..n + 2 {
+                    let want = model.get(&(from, to)).copied().unwrap_or(default);
+                    assert_eq!(probs.get(from, to), want, "round {round}");
+                }
+                let mut want: Vec<(u32, f32)> = model
+                    .iter()
+                    .filter(|(&(_, t), _)| t == to)
+                    .map(|(&(f, _), &p)| (f, p))
+                    .collect();
+                want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                assert_eq!(probs.candidates_for(to), want, "round {round}");
+            }
+        }
     }
 
     #[test]

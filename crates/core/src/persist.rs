@@ -33,7 +33,8 @@ use crate::error::{Error, PersistError};
 use crate::mcts::ConeSelection;
 use crate::pipeline::SynCircuit;
 use rand::{rngs::StdRng, SeedableRng};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Serializer};
+use std::borrow::Cow;
 use std::path::Path;
 use syncircuit_nn::layers::Mlp;
 use syncircuit_nn::ParamStore;
@@ -50,91 +51,107 @@ pub const MODEL_VERSION: u64 = 1;
 /// [`PersistError::Parse`].
 const SHAPE_MISMATCH_MARK: &str = "parameter-shape-mismatch: ";
 
-fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, DeError> {
-    match value.get(name) {
-        Some(v) => T::deserialize(v),
-        None => Err(DeError(format!("missing field `{name}`"))),
-    }
+fn missing(name: &str) -> DeError {
+    DeError(format!("missing field `{name}`"))
 }
 
 // --- data-carrying enums (the vendored serde derive only covers unit
-// --- variants, so these are spelled out)
+// --- variants, so these are spelled out): a unit variant is its name,
+// --- the data variant a one-member object `{tag: n}`
+
+/// The text of a data-carrying enum, as read.
+enum EnumText<'a> {
+    Name(Cow<'a, str>),
+    Tagged(usize),
+}
+
+/// Reads a unit variant's name or the `{tag: n}` object; anything else
+/// is `DeError(expected)`.
+fn read_enum<'a>(r: &mut Reader<'a>, tag: &str, expected: &str) -> Result<EnumText<'a>, DeError> {
+    if let Some(name) = r.string()? {
+        return Ok(EnumText::Name(name));
+    }
+    let mut data: Option<usize> = None;
+    r.object(|r, key| {
+        if key == tag {
+            r.first(&mut data).map_err(|_| DeError::msg(expected))
+        } else {
+            r.skip_value()
+        }
+    })?;
+    data.map(EnumText::Tagged)
+        .ok_or_else(|| DeError::msg(expected))
+}
+
+fn write_tagged<S: Serializer>(s: &mut S, tag: &'static str, n: usize) {
+    s.begin_object();
+    s.member(tag, &n);
+    s.end_object();
+}
 
 impl Serialize for DecodeMode {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match *self {
-            DecodeMode::Dense => Value::Str("dense".to_string()),
+            DecodeMode::Dense => s.str("dense"),
             DecodeMode::Sparse {
                 candidates_per_node,
-            } => Value::Object(vec![(
-                "sparse".to_string(),
-                Value::UInt(candidates_per_node as u64),
-            )]),
+            } => write_tagged(s, "sparse", candidates_per_node),
         }
     }
 }
 
 impl Deserialize for DecodeMode {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s == "dense" => Ok(DecodeMode::Dense),
-            other => match other.get("sparse").map(usize::deserialize) {
-                Some(Ok(candidates_per_node)) => Ok(DecodeMode::Sparse {
-                    candidates_per_node,
-                }),
-                _ => Err(DeError::msg("expected \"dense\" or {\"sparse\": n}")),
-            },
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        const EXPECTED: &str = "expected \"dense\" or {\"sparse\": n}";
+        match read_enum(r, "sparse", EXPECTED)? {
+            EnumText::Name(name) if name == "dense" => Ok(DecodeMode::Dense),
+            EnumText::Tagged(candidates_per_node) => Ok(DecodeMode::Sparse {
+                candidates_per_node,
+            }),
+            EnumText::Name(_) => Err(DeError::msg(EXPECTED)),
         }
     }
 }
 
 impl Serialize for RewardKind {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match *self {
-            RewardKind::Exact => Value::Str("exact".to_string()),
-            RewardKind::IncrementalCone => Value::Str("incremental_cone".to_string()),
-            RewardKind::Discriminator { epochs } => Value::Object(vec![(
-                "discriminator".to_string(),
-                Value::UInt(epochs as u64),
-            )]),
+            RewardKind::Exact => s.str("exact"),
+            RewardKind::IncrementalCone => s.str("incremental_cone"),
+            RewardKind::Discriminator { epochs } => write_tagged(s, "discriminator", epochs),
         }
     }
 }
 
 impl Deserialize for RewardKind {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s == "exact" => Ok(RewardKind::Exact),
-            Value::Str(s) if s == "incremental_cone" => Ok(RewardKind::IncrementalCone),
-            other => match other.get("discriminator").map(usize::deserialize) {
-                Some(Ok(epochs)) => Ok(RewardKind::Discriminator { epochs }),
-                _ => Err(DeError::msg(
-                    "expected \"exact\", \"incremental_cone\" or {\"discriminator\": epochs}",
-                )),
-            },
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        const EXPECTED: &str =
+            "expected \"exact\", \"incremental_cone\" or {\"discriminator\": epochs}";
+        match read_enum(r, "discriminator", EXPECTED)? {
+            EnumText::Name(name) if name == "exact" => Ok(RewardKind::Exact),
+            EnumText::Name(name) if name == "incremental_cone" => Ok(RewardKind::IncrementalCone),
+            EnumText::Tagged(epochs) => Ok(RewardKind::Discriminator { epochs }),
+            EnumText::Name(_) => Err(DeError::msg(EXPECTED)),
         }
     }
 }
 
 impl Serialize for ConeSelection {
-    fn serialize(&self) -> Value {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
         match *self {
-            ConeSelection::All => Value::Str("all".to_string()),
-            ConeSelection::WorstK(k) => {
-                Value::Object(vec![("worst_k".to_string(), Value::UInt(k as u64))])
-            }
+            ConeSelection::All => s.str("all"),
+            ConeSelection::WorstK(k) => write_tagged(s, "worst_k", k),
         }
     }
 }
 
 impl Deserialize for ConeSelection {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(s) if s == "all" => Ok(ConeSelection::All),
-            other => match other.get("worst_k").map(usize::deserialize) {
-                Some(Ok(k)) => Ok(ConeSelection::WorstK(k)),
-                _ => Err(DeError::msg("expected \"all\" or {\"worst_k\": k}")),
-            },
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        const EXPECTED: &str = "expected \"all\" or {\"worst_k\": k}";
+        match read_enum(r, "worst_k", EXPECTED)? {
+            EnumText::Name(name) if name == "all" => Ok(ConeSelection::All),
+            EnumText::Tagged(k) => Ok(ConeSelection::WorstK(k)),
+            EnumText::Name(_) => Err(DeError::msg(EXPECTED)),
         }
     }
 }
@@ -142,20 +159,48 @@ impl Deserialize for ConeSelection {
 // --- trained models: parameters are stored, architectures rebuilt
 
 impl Serialize for DiffusionModel {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("config".to_string(), self.config.serialize()),
-            ("mean_degree".to_string(), self.mean_degree.serialize()),
-            ("params".to_string(), self.store.serialize()),
-        ])
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.member("config", &self.config);
+        s.member("mean_degree", &self.mean_degree);
+        s.member("params", &self.store);
+        s.end_object();
     }
 }
 
-impl Deserialize for DiffusionModel {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let config: DiffusionConfig = field(value, "config")?;
-        let mean_degree: f64 = field(value, "mean_degree")?;
-        let store: ParamStore = field(value, "params")?;
+/// A diffusion section as read, before its denoiser is rebuilt.
+/// [`SynCircuit::from_json`] rebuilds it only once the configuration
+/// has passed validation.
+struct DiffusionParts {
+    config: DiffusionConfig,
+    mean_degree: f64,
+    store: ParamStore,
+}
+
+impl Deserialize for DiffusionParts {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut config, mut mean_degree, mut store) = (None, None, None);
+        r.object(|r, key| match key {
+            "config" => r.first(&mut config),
+            "mean_degree" => r.first(&mut mean_degree),
+            "params" => r.first(&mut store),
+            _ => r.skip_value(),
+        })?;
+        Ok(DiffusionParts {
+            config: config.ok_or_else(|| missing("config"))?,
+            mean_degree: mean_degree.ok_or_else(|| missing("mean_degree"))?,
+            store: store.ok_or_else(|| missing("params"))?,
+        })
+    }
+}
+
+impl DiffusionParts {
+    fn build(self) -> Result<DiffusionModel, DeError> {
+        let DiffusionParts {
+            config,
+            mean_degree,
+            store,
+        } = self;
         // The denoiser layout is a pure function of the config; the RNG
         // only fills initial values, which the stored parameters replace.
         let mut arch = ParamStore::new();
@@ -171,23 +216,40 @@ impl Deserialize for DiffusionModel {
                 "{SHAPE_MISMATCH_MARK}diffusion parameters do not match the configured denoiser architecture"
             )));
         }
-        Ok(DiffusionModel::assemble(store, denoiser, config, mean_degree))
+        Ok(DiffusionModel::assemble(
+            store,
+            denoiser,
+            config,
+            mean_degree,
+        ))
+    }
+}
+
+impl Deserialize for DiffusionModel {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        DiffusionParts::deserialize(r)?.build()
     }
 }
 
 impl Serialize for PcsDiscriminator {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("scale".to_string(), self.scale.serialize()),
-            ("params".to_string(), self.store.serialize()),
-        ])
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.begin_object();
+        s.member("scale", &self.scale);
+        s.member("params", &self.store);
+        s.end_object();
     }
 }
 
 impl Deserialize for PcsDiscriminator {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let scale: f32 = field(value, "scale")?;
-        let store: ParamStore = field(value, "params")?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut scale, mut store) = (None, None);
+        r.object(|r, key| match key {
+            "scale" => r.first(&mut scale),
+            "params" => r.first(&mut store),
+            _ => r.skip_value(),
+        })?;
+        let scale: f32 = scale.ok_or_else(|| missing("scale"))?;
+        let store: ParamStore = store.ok_or_else(|| missing("params"))?;
         let mut arch = ParamStore::new();
         let mlp = Mlp::new(&mut arch, &MLP_WIDTHS, &mut StdRng::seed_from_u64(0));
         if arch.shapes() != store.shapes() {
@@ -206,18 +268,24 @@ impl SynCircuit {
     /// [`SynCircuit::from_json`] restores a byte-for-byte equivalent
     /// generator.
     pub fn to_json(&self) -> String {
-        let artifact = Value::Object(vec![
-            ("format".to_string(), Value::Str(MODEL_FORMAT.to_string())),
-            ("version".to_string(), Value::UInt(MODEL_VERSION)),
-            ("config".to_string(), self.config.serialize()),
-            ("attrs".to_string(), self.attrs.serialize()),
-            ("diffusion".to_string(), self.diffusion.serialize()),
-            ("discriminator".to_string(), self.discriminator.serialize()),
-        ]);
-        serde_json::to_string_pretty(&artifact).expect("artifact rendering is infallible")
+        let mut w = serde_json::Writer::pretty();
+        w.begin_object();
+        w.member("format", MODEL_FORMAT);
+        w.member("version", &MODEL_VERSION);
+        w.member("config", &self.config);
+        w.member("attrs", &self.attrs);
+        w.member("diffusion", &self.diffusion);
+        w.member("discriminator", &self.discriminator);
+        w.end_object();
+        w.finish().expect("artifact rendering is infallible")
     }
 
     /// Restores a trained model from [`SynCircuit::to_json`] text.
+    ///
+    /// The text is read once, straight into the model's parts. Its
+    /// checks run in a fixed order whatever the order of its members:
+    /// JSON syntax, the `format` and `version` stamps, the
+    /// configuration, then the parameters.
     ///
     /// # Errors
     ///
@@ -226,16 +294,27 @@ impl SynCircuit {
     /// mismatches, and [`Error::Config`] when the embedded configuration
     /// fails validation.
     pub fn from_json(text: &str) -> Result<Self, Error> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| PersistError::Parse(e.0))?;
-        let found = match value.get("format") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
+        let mut format: Option<Result<String, DeError>> = None;
+        let mut version: Option<Result<u64, DeError>> = None;
+        let mut config: Option<Result<PipelineConfig, DeError>> = None;
+        let mut attrs: Option<Result<AttrModel, DeError>> = None;
+        let mut diffusion: Option<Result<DiffusionParts, DeError>> = None;
+        let mut discriminator: Option<Result<Option<PcsDiscriminator>, DeError>> = None;
+        serde_json::read_members(text, |r, key| match key {
+            "format" => r.keep_first(&mut format),
+            "version" => r.keep_first(&mut version),
+            "config" => r.keep_first(&mut config),
+            "attrs" => r.keep_first(&mut attrs),
+            "diffusion" => r.keep_first(&mut diffusion),
+            "discriminator" => r.keep_first(&mut discriminator),
+            _ => r.skip_value(),
+        })
+        .map_err(|e| PersistError::Parse(e.0))?;
+        let found = format.and_then(Result::ok).unwrap_or_default();
         if found != MODEL_FORMAT {
             return Err(PersistError::Format { found }.into());
         }
-        let Some(version) = value.get("version").and_then(Value::as_u64) else {
+        let Some(Ok(version)) = version else {
             return Err(
                 PersistError::Parse("missing or non-integer `version` field".to_string()).into(),
             );
@@ -247,17 +326,20 @@ impl SynCircuit {
             }
             .into());
         }
-        let config: PipelineConfig =
-            field(&value, "config").map_err(|e| PersistError::Parse(e.0))?;
+        fn field<T>(slot: Option<Result<T, DeError>>, name: &str) -> Result<T, DeError> {
+            slot.unwrap_or_else(|| Err(missing(name)))
+        }
+        let config = field(config, "config").map_err(|e| PersistError::Parse(e.0))?;
         config.validate()?;
-        let attrs: AttrModel = field(&value, "attrs").map_err(|e| PersistError::Parse(e.0))?;
+        let attrs = field(attrs, "attrs").map_err(|e| PersistError::Parse(e.0))?;
         let classify = |e: DeError| match e.0.strip_prefix(SHAPE_MISMATCH_MARK) {
             Some(msg) => PersistError::ShapeMismatch(msg.to_string()),
             None => PersistError::Parse(e.0),
         };
-        let diffusion: DiffusionModel = field(&value, "diffusion").map_err(classify)?;
-        let discriminator: Option<PcsDiscriminator> =
-            field(&value, "discriminator").map_err(classify)?;
+        let diffusion = field(diffusion, "diffusion")
+            .and_then(DiffusionParts::build)
+            .map_err(classify)?;
+        let discriminator = field(discriminator, "discriminator").map_err(classify)?;
         // Reward kind and stored discriminator must agree, otherwise
         // generation would silently score Phase 3 with the wrong oracle.
         match (config.reward(), &discriminator) {
@@ -354,23 +436,26 @@ mod tests {
 
     #[test]
     fn enum_representations_roundtrip() {
+        fn roundtrip<T: Serialize + Deserialize>(value: &T) -> T {
+            serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap()
+        }
         for mode in [
             DecodeMode::Dense,
             DecodeMode::Sparse {
                 candidates_per_node: 12,
             },
         ] {
-            assert_eq!(DecodeMode::deserialize(&mode.serialize()), Ok(mode));
+            assert_eq!(roundtrip(&mode), mode);
         }
         for kind in [
             RewardKind::Exact,
             RewardKind::IncrementalCone,
             RewardKind::Discriminator { epochs: 77 },
         ] {
-            assert_eq!(RewardKind::deserialize(&kind.serialize()), Ok(kind));
+            assert_eq!(roundtrip(&kind), kind);
         }
         for sel in [ConeSelection::All, ConeSelection::WorstK(3)] {
-            assert_eq!(ConeSelection::deserialize(&sel.serialize()), Ok(sel));
+            assert_eq!(roundtrip(&sel), sel);
         }
     }
 
@@ -446,15 +531,16 @@ mod tests {
     fn rejects_shape_mismatched_parameters() {
         // A valid header whose diffusion params don't fit the declared
         // architecture must fail with ShapeMismatch, not garbage output.
+        use serde_json::{to_value, Value};
         let cfg = PipelineConfig::tiny();
         let artifact = Value::Object(vec![
             ("format".to_string(), Value::Str(MODEL_FORMAT.to_string())),
             ("version".to_string(), Value::UInt(MODEL_VERSION)),
-            ("config".to_string(), cfg.serialize()),
+            ("config".to_string(), to_value(&cfg)),
             (
                 "attrs".to_string(),
                 // minimal viable attrs payload
-                serde_json::to_value(
+                to_value(
                     &AttrModel::fit(&[syncircuit_graph::testing::random_circuit_with_size(
                         &mut StdRng::seed_from_u64(1),
                         12,
@@ -465,9 +551,9 @@ mod tests {
             (
                 "diffusion".to_string(),
                 Value::Object(vec![
-                    ("config".to_string(), cfg.diffusion.serialize()),
+                    ("config".to_string(), to_value(&cfg.diffusion)),
                     ("mean_degree".to_string(), Value::Float(1.5)),
-                    ("params".to_string(), ParamStore::new().serialize()),
+                    ("params".to_string(), to_value(&ParamStore::new())),
                 ]),
             ),
             ("discriminator".to_string(), Value::Null),

@@ -29,7 +29,7 @@ use crate::diffusion::SamplerScratch;
 use crate::error::Error;
 use crate::pipeline::{Generated, SynCircuit};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Serializer};
 use syncircuit_graph::Node;
 
 /// Most nodes a request may ask for. At this size a tiny-width model
@@ -176,47 +176,56 @@ impl GenRequest {
 /// Sub-millisecond budgets truncate to whole milliseconds on the wire
 /// (a zero budget — "expire immediately" — survives as `0`).
 impl Serialize for GenRequest {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("nodes".to_string(), self.nodes.serialize()),
-            ("seed".to_string(), self.seed.serialize()),
-            ("attrs".to_string(), self.attrs.serialize()),
-            ("diffusion".to_string(), self.phases.diffusion.serialize()),
-            ("optimize".to_string(), self.phases.optimize.serialize()),
-            (
-                "deadline_ms".to_string(),
-                self.deadline
-                    .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
-                    .serialize(),
-            ),
-        ])
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        let deadline_ms = self
+            .deadline
+            .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64);
+        s.begin_object();
+        s.member("nodes", &self.nodes);
+        s.member("seed", &self.seed);
+        s.member("attrs", &self.attrs);
+        s.member("diffusion", &self.phases.diffusion);
+        s.member("optimize", &self.phases.optimize);
+        s.member("deadline_ms", &deadline_ms);
+        s.end_object();
     }
 }
 
 impl Deserialize for GenRequest {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        if !matches!(value, Value::Object(_)) {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let mut nodes = None;
+        let mut seed = None;
+        let mut attrs: Option<Option<Vec<Node>>> = None;
+        let mut diffusion = None;
+        let mut optimize = None;
+        let mut deadline_ms: Option<Option<u64>> = None;
+        let found = r.object(|r, key| match key {
+            "nodes" => r.first(&mut nodes),
+            "seed" => r.first(&mut seed),
+            "attrs" => r.first(&mut attrs),
+            "diffusion" => r.first(&mut diffusion),
+            "optimize" => r.first(&mut optimize),
+            "deadline_ms" => r.first(&mut deadline_ms),
+            _ => r.skip_value(),
+        })?;
+        if !found {
             return Err(DeError::msg("expected object for GenRequest"));
         }
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| DeError::msg(&format!("missing field `{name}` in GenRequest")))
-        };
-        let attrs: Option<Vec<Node>> = Deserialize::deserialize(field("attrs")?)?;
-        if let Some(attrs) = &attrs {
-            if attrs.is_empty() {
-                return Err(DeError::msg("GenRequest attrs must be non-empty when present"));
-            }
+        fn field<T>(slot: Option<T>, name: &str) -> Result<T, DeError> {
+            slot.ok_or_else(|| DeError(format!("missing field `{name}` in GenRequest")))
         }
-        let deadline_ms: Option<u64> = Deserialize::deserialize(field("deadline_ms")?)?;
+        let attrs = field(attrs, "attrs")?;
+        if attrs.as_ref().is_some_and(Vec::is_empty) {
+            return Err(DeError::msg("GenRequest attrs must be non-empty when present"));
+        }
+        let deadline_ms = field(deadline_ms, "deadline_ms")?;
         Ok(GenRequest {
-            nodes: Deserialize::deserialize(field("nodes")?)?,
-            seed: Deserialize::deserialize(field("seed")?)?,
+            nodes: field(nodes, "nodes")?,
+            seed: field(seed, "seed")?,
             attrs,
             phases: PhaseToggles {
-                diffusion: Deserialize::deserialize(field("diffusion")?)?,
-                optimize: Deserialize::deserialize(field("optimize")?)?,
+                diffusion: field(diffusion, "diffusion")?,
+                optimize: field(optimize, "optimize")?,
             },
             deadline: deadline_ms.map(std::time::Duration::from_millis),
         })

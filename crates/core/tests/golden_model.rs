@@ -99,6 +99,14 @@ fn golden_artifact_roundtrips_to_identical_text() {
     let raw = std::fs::read_to_string(model_path()).unwrap();
     let model = SynCircuit::from_json(&raw).unwrap();
     assert_eq!(model.to_json(), raw, "artifact rendering drifted");
+    // The same through the file API, against the committed bytes.
+    assert_eq!(raw.len(), 30_263, "the committed fixture changed");
+    let loaded = SynCircuit::load(model_path()).unwrap();
+    assert_eq!(
+        loaded.to_json(),
+        raw,
+        "load → to_json must reproduce the fixture byte for byte"
+    );
 }
 
 /// An artifact is input from outside the program: a size past its cap

@@ -201,18 +201,18 @@ fn parallel_fit_reproduces_reward_trajectories() {
 fn parallel_diffusion_training_is_bit_identical() {
     // The diffusion trainer alone, across the full worker ladder
     // (serialized parameters via the persistence impl are the bits).
-    use serde::Serialize;
+    use serde_json::to_value;
     let graphs = corpus();
     let mut cfg = DiffusionConfig::tiny();
     cfg.epochs = 5;
-    let reference = DiffusionModel::train_with_workers(&graphs, cfg.clone(), 7, 1)
-        .expect("non-empty corpus")
-        .serialize();
+    let reference = to_value(
+        &DiffusionModel::train_with_workers(&graphs, cfg.clone(), 7, 1).expect("non-empty corpus"),
+    );
     for workers in worker_counts() {
         let model = DiffusionModel::train_with_workers(&graphs, cfg.clone(), 7, workers)
             .expect("non-empty corpus");
         assert_eq!(
-            model.serialize(),
+            to_value(&model),
             reference,
             "diffusion training with {workers} workers drifted"
         );

@@ -1,7 +1,7 @@
 //! Dense row-major `f32` matrices.
 
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize};
 use std::fmt;
 
 /// Output-column tile width shared by [`Matrix::matmul_into`] and the
@@ -527,15 +527,18 @@ impl Deserialize for Matrix {
     /// Rejects a `data` length other than `rows × cols`, so a malformed
     /// artifact fails to load instead of panicking (or computing on
     /// zero padding) once it serves.
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| DeError(format!("missing field `{name}` in Matrix")))
-        };
-        let rows = usize::deserialize(field("rows")?)?;
-        let cols = usize::deserialize(field("cols")?)?;
-        let data = Vec::<f32>::deserialize(field("data")?)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut rows, mut cols, mut data) = (None, None, None);
+        r.object(|r, key| match key {
+            "rows" => r.first(&mut rows),
+            "cols" => r.first(&mut cols),
+            "data" => r.first(&mut data),
+            _ => r.skip_value(),
+        })?;
+        let missing = |name: &str| DeError(format!("missing field `{name}` in Matrix"));
+        let rows: usize = rows.ok_or_else(|| missing("rows"))?;
+        let cols: usize = cols.ok_or_else(|| missing("cols"))?;
+        let data: Vec<f32> = data.ok_or_else(|| missing("data"))?;
         if rows.checked_mul(cols) != Some(data.len()) {
             return Err(DeError(format!(
                 "matrix data length {} != {rows}x{cols}",

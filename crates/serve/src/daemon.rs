@@ -51,7 +51,6 @@ use crate::error::ServeError;
 use crate::fault::{FaultInjector, JobFault, NoFaults, INJECTED_PANIC_MARK};
 use crate::registry::{ModelRegistry, QuarantinePolicy, RegistryBudget};
 use crate::retry::RetryPolicy;
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,8 +116,6 @@ pub struct DaemonStats {
     /// Submissions that attached to an identical unresolved job instead
     /// of queueing their own.
     pub coalesce_hits: u64,
-    /// Submissions admitted to the queue as a job of their own.
-    pub coalesce_misses: u64,
 }
 
 /// One queued generation job.
@@ -384,7 +381,6 @@ struct Shared {
     expired: AtomicU64,
     panicked: AtomicU64,
     coalesce_hits: AtomicU64,
-    coalesce_misses: AtomicU64,
 }
 
 impl Shared {
@@ -424,8 +420,7 @@ impl Shared {
 /// canonical (fixed field order, deadline as millis), so textual
 /// equality here is semantic equality of the whole submission.
 fn key_of(tenant: &str, artifact: &str, request: &GenRequest) -> String {
-    let body = serde_json::to_string(&request.serialize())
-        .expect("canonical request encodings always render");
+    let body = serde_json::to_string(request).expect("canonical request encodings always render");
     format!("{tenant}\u{0}{artifact}\u{0}{body}")
 }
 
@@ -486,7 +481,6 @@ impl Daemon {
             expired: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
             coalesce_hits: AtomicU64::new(0),
-            coalesce_misses: AtomicU64::new(0),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -565,7 +559,6 @@ impl Daemon {
         if let (Some(key), Some(mut inflight)) = (key, inflight) {
             inflight.insert(key, (slot.clone(), false));
         }
-        self.shared.coalesce_misses.fetch_add(1, Ordering::Relaxed);
         self.shared.work_cv.notify_one();
         Ok(Ticket { slot })
     }
@@ -586,7 +579,6 @@ impl Daemon {
             expired: shared.expired.load(Ordering::Relaxed),
             panicked: shared.panicked.load(Ordering::Relaxed),
             coalesce_hits: shared.coalesce_hits.load(Ordering::Relaxed),
-            coalesce_misses: shared.coalesce_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -1004,7 +996,7 @@ mod tests {
         let stats = daemon.stats();
         assert_eq!(stats.queued, 1, "one job for the whole group");
         assert_eq!(stats.coalesce_hits, 4);
-        assert_eq!(stats.coalesce_misses, 1);
+        assert_eq!(stats.served, 0, "zero workers serve nothing");
         // Failing the one job fails every ticket on it with the same
         // typed outcome.
         let daemon = &daemon;
@@ -1043,7 +1035,7 @@ mod tests {
         ];
         let stats = daemon.stats();
         assert_eq!(stats.coalesce_hits, 0);
-        assert_eq!(stats.coalesce_misses, 6);
+        assert_eq!(stats.served, 0, "zero workers serve nothing");
         assert_eq!(stats.queued, 6);
     }
 
@@ -1060,7 +1052,7 @@ mod tests {
             .unwrap();
         let stats = daemon.stats();
         assert_eq!(stats.coalesce_hits, 0);
-        assert_eq!(stats.coalesce_misses, 2);
+        assert_eq!(stats.served, 0, "zero workers serve nothing");
         assert_eq!(stats.queued, 2);
         assert_eq!(inflight_keys(&daemon), 0, "unseeded jobs have no key");
     }

@@ -43,7 +43,8 @@
 //! error. `tests/wire_fuzz.rs` blasts the whole surface.
 
 use crate::error::ServeError;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Serializer, Value};
+use serde_json::{to_value, Writer};
 use std::fmt;
 use std::io::{Read, Write};
 use syncircuit_core::{
@@ -239,25 +240,40 @@ pub enum ResponseBody {
     Protocol(WireError),
 }
 
-fn env(id: u64, status: &str, extra: Vec<(String, Value)>) -> Value {
-    let mut fields = vec![
-        ("v".to_string(), Value::UInt(u64::from(WIRE_VERSION))),
-        ("id".to_string(), Value::UInt(id)),
-        ("status".to_string(), Value::Str(status.to_string())),
-    ];
-    fields.extend(extra);
-    Value::Object(fields)
-}
-
-fn render(value: &Value) -> Vec<u8> {
-    serde_json::to_string(value)
+/// One frame's payload: the envelope's `v`, `id` and `status`, then the
+/// members `body` writes, straight into the payload text.
+fn envelope(id: u64, status: &str, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::compact();
+    w.begin_object();
+    w.member("v", &WIRE_VERSION);
+    w.member("id", &id);
+    w.member("status", status);
+    body(&mut w);
+    w.end_object();
+    w.finish()
         .expect("wire values contain no unserializable payloads")
         .into_bytes()
 }
 
-/// Checks the envelope's `v` stamp.
-fn check_version(value: &Value) -> Result<(), WireError> {
-    let found = value.get("v").and_then(Value::as_u64).unwrap_or(0);
+/// A member of a received envelope as first read: `None` when absent,
+/// `Some(Err)` when it is not of the expected shape.
+type Member<T> = Option<Result<T, DeError>>;
+
+/// Reads a payload's envelope members in one pass over its text (see
+/// [`serde_json::read_members`]). Only a syntax error fails here; the
+/// caller checks the members in its own order.
+fn read_envelope(
+    payload: &[u8],
+    member: impl FnMut(&mut serde::Reader<'_>, &str) -> Result<(), DeError>,
+) -> Result<(), WireError> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| WireError::BadJson(format!("payload is not UTF-8: {e}")))?;
+    serde_json::read_members(text, member).map_err(|e| WireError::BadJson(e.to_string()))
+}
+
+/// Checks the envelope's `v` stamp (absent or non-integer reads as 0).
+fn check_version(v: Member<u64>) -> Result<(), WireError> {
+    let found = v.and_then(Result::ok).unwrap_or(0);
     if found == u64::from(WIRE_VERSION) {
         Ok(())
     } else {
@@ -265,10 +281,29 @@ fn check_version(value: &Value) -> Result<(), WireError> {
     }
 }
 
-fn parse_payload(payload: &[u8]) -> Result<Value, WireError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| WireError::BadJson(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str::<Value>(text).map_err(|e| WireError::BadJson(e.to_string()))
+fn string_member(member: Member<String>, name: &str) -> Result<String, WireError> {
+    match member {
+        Some(Ok(s)) => Ok(s),
+        Some(Err(_)) => Err(WireError::BadFrame(format!(
+            "field `{name}` must be a string"
+        ))),
+        None => Err(WireError::BadFrame(format!("missing field `{name}`"))),
+    }
+}
+
+fn u64_member(member: Member<u64>, name: &str) -> Result<u64, WireError> {
+    member
+        .and_then(Result::ok)
+        .ok_or_else(|| WireError::BadFrame(format!("missing or non-integer field `{name}`")))
+}
+
+/// A frame's body member: `what` names it in a shape error.
+fn body_member<T>(member: Member<T>, name: &str, what: &str) -> Result<T, WireError> {
+    match member {
+        Some(Ok(body)) => Ok(body),
+        Some(Err(DeError(msg))) => Err(WireError::BadFrame(format!("bad {what} body: {msg}"))),
+        None => Err(WireError::BadFrame(format!("missing field `{name}`"))),
+    }
 }
 
 fn str_field(value: &Value, name: &str) -> Result<String, WireError> {
@@ -302,89 +337,93 @@ fn narrowed_field<T: TryFrom<u64>>(value: &Value, name: &str) -> Result<T, WireE
 
 /// Encodes a request frame to payload bytes.
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
-    render(&env(
-        frame.id,
-        "request",
-        vec![
-            ("tenant".to_string(), Value::Str(frame.tenant.clone())),
-            ("artifact".to_string(), Value::Str(frame.artifact.clone())),
-            ("request".to_string(), frame.request.serialize()),
-        ],
-    ))
+    envelope(frame.id, "request", |w| {
+        w.member("tenant", &frame.tenant);
+        w.member("artifact", &frame.artifact);
+        w.member("request", &frame.request);
+    })
 }
 
 /// Decodes a request frame from payload bytes.
+///
+/// The payload is read once, straight into the frame. Its checks run
+/// in a fixed order whatever the order of its members: JSON syntax,
+/// the `v` stamp, `status`, then the body.
 ///
 /// # Errors
 ///
 /// Typed [`WireError`]s for non-JSON payloads, version mismatches and
 /// envelope-shape violations; never panics.
 pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, WireError> {
-    let value = parse_payload(payload)?;
-    check_version(&value)?;
-    if str_field(&value, "status")? != "request" {
+    let mut v: Member<u64> = None;
+    let mut id: Member<u64> = None;
+    let mut status: Member<String> = None;
+    let mut tenant: Member<String> = None;
+    let mut artifact: Member<String> = None;
+    let mut request: Member<GenRequest> = None;
+    read_envelope(payload, |r, key| match key {
+        "v" => r.keep_first(&mut v),
+        "id" => r.keep_first(&mut id),
+        "status" => r.keep_first(&mut status),
+        "tenant" => r.keep_first(&mut tenant),
+        "artifact" => r.keep_first(&mut artifact),
+        "request" => r.keep_first(&mut request),
+        _ => r.skip_value(),
+    })?;
+    check_version(v)?;
+    if string_member(status, "status")? != "request" {
         return Err(WireError::BadFrame("expected a request frame".to_string()));
     }
-    let request = value
-        .get("request")
-        .ok_or_else(|| WireError::BadFrame("missing field `request`".to_string()))?;
-    let request = GenRequest::deserialize(request)
-        .map_err(|DeError(msg)| WireError::BadFrame(format!("bad request body: {msg}")))?;
+    let request = body_member(request, "request", "request")?;
     Ok(RequestFrame {
-        id: u64_field(&value, "id")?,
-        tenant: str_field(&value, "tenant")?,
-        artifact: str_field(&value, "artifact")?,
+        id: u64_member(id, "id")?,
+        tenant: string_member(tenant, "tenant")?,
+        artifact: string_member(artifact, "artifact")?,
         request,
     })
 }
 
 /// Encodes a response frame to payload bytes.
 pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
-    let value = match &frame.body {
-        ResponseBody::Ok(design) => env(
-            frame.id,
-            "ok",
-            vec![("design".to_string(), design.serialize())],
-        ),
-        ResponseBody::Err(e) => env(
-            frame.id,
-            "err",
-            vec![("error".to_string(), encode_serve_error(e))],
-        ),
-        ResponseBody::Protocol(e) => env(
-            frame.id,
-            "protocol",
-            vec![("error".to_string(), encode_wire_error(e))],
-        ),
-    };
-    render(&value)
+    match &frame.body {
+        ResponseBody::Ok(design) => envelope(frame.id, "ok", |w| w.member("design", &**design)),
+        ResponseBody::Err(e) => envelope(frame.id, "err", |w| {
+            w.member("error", &encode_serve_error(e))
+        }),
+        ResponseBody::Protocol(e) => envelope(frame.id, "protocol", |w| {
+            w.member("error", &encode_wire_error(e))
+        }),
+    }
 }
 
-/// Decodes a response frame from payload bytes.
+/// Decodes a response frame from payload bytes, in one pass like
+/// [`decode_request`]: JSON syntax, the `v` stamp, `id`, `status`,
+/// then the body.
 ///
 /// # Errors
 ///
 /// Typed [`WireError`]s; never panics.
 pub fn decode_response(payload: &[u8]) -> Result<ResponseFrame, WireError> {
-    let value = parse_payload(payload)?;
-    check_version(&value)?;
-    let id = u64_field(&value, "id")?;
-    let error_field = || {
-        value
-            .get("error")
-            .ok_or_else(|| WireError::BadFrame("missing field `error`".to_string()))
-    };
-    let body = match str_field(&value, "status")?.as_str() {
-        "ok" => {
-            let design = value
-                .get("design")
-                .ok_or_else(|| WireError::BadFrame("missing field `design`".to_string()))?;
-            let design = Generated::deserialize(design)
-                .map_err(|DeError(msg)| WireError::BadFrame(format!("bad design body: {msg}")))?;
-            ResponseBody::Ok(Box::new(design))
-        }
-        "err" => ResponseBody::Err(decode_serve_error(error_field()?)?),
-        "protocol" => ResponseBody::Protocol(decode_wire_error(error_field()?)?),
+    let mut v: Member<u64> = None;
+    let mut id: Member<u64> = None;
+    let mut status: Member<String> = None;
+    let mut design: Member<Generated> = None;
+    let mut error: Member<Value> = None;
+    read_envelope(payload, |r, key| match key {
+        "v" => r.keep_first(&mut v),
+        "id" => r.keep_first(&mut id),
+        "status" => r.keep_first(&mut status),
+        "design" => r.keep_first(&mut design),
+        "error" => r.keep_first(&mut error),
+        _ => r.skip_value(),
+    })?;
+    check_version(v)?;
+    let id = u64_member(id, "id")?;
+    let error = || body_member(error, "error", "error");
+    let body = match string_member(status, "status")?.as_str() {
+        "ok" => ResponseBody::Ok(Box::new(body_member(design, "design", "design")?)),
+        "err" => ResponseBody::Err(decode_serve_error(&error()?)?),
+        "protocol" => ResponseBody::Protocol(decode_wire_error(&error()?)?),
         other => {
             return Err(WireError::BadFrame(format!(
                 "unknown response status `{other}`"
@@ -413,16 +452,16 @@ pub fn encode_serve_error(e: &ServeError) -> Value {
     match e {
         ServeError::Overloaded { capacity } => tag(
             "overloaded",
-            vec![("capacity".to_string(), capacity.serialize())],
+            vec![("capacity".to_string(), to_value(capacity))],
         ),
         ServeError::ShuttingDown => tag("shutting_down", vec![]),
         ServeError::DeadlineExceeded => tag("deadline_exceeded", vec![]),
         ServeError::Quarantined { path } => {
-            tag("quarantined", vec![("path".to_string(), path.serialize())])
+            tag("quarantined", vec![("path".to_string(), to_value(path))])
         }
         ServeError::WorkerPanicked { message } => tag(
             "worker_panicked",
-            vec![("message".to_string(), message.serialize())],
+            vec![("message".to_string(), to_value(message))],
         ),
         ServeError::Model(inner) => tag(
             "model",
@@ -475,13 +514,13 @@ fn encode_core_error(e: &CoreError) -> Value {
         CoreError::Request(RequestError::TooManyNodes { requested, max }) => tag(
             "too_many_nodes",
             vec![
-                ("requested".to_string(), requested.serialize()),
-                ("max".to_string(), max.serialize()),
+                ("requested".to_string(), to_value(requested)),
+                ("max".to_string(), to_value(max)),
             ],
         ),
         CoreError::Refine(RefineError::NoValidParent { node }) => tag(
             "no_valid_parent",
-            vec![("node".to_string(), node.index().serialize())],
+            vec![("node".to_string(), to_value(&node.index()))],
         ),
         CoreError::Persist(p) => tag(
             "persist",
@@ -544,8 +583,8 @@ fn encode_config_error(e: &ConfigError) -> Value {
         ConfigError::ZeroDenoiserCapacity { hidden, layers } => tag(
             "zero_denoiser_capacity",
             vec![
-                ("hidden".to_string(), hidden.serialize()),
-                ("layers".to_string(), layers.serialize()),
+                ("hidden".to_string(), to_value(hidden)),
+                ("layers".to_string(), to_value(layers)),
             ],
         ),
         ConfigError::BadLearningRate(x) => tag(
@@ -562,7 +601,7 @@ fn encode_config_error(e: &ConfigError) -> Value {
         ConfigError::ZeroSparseCandidates => tag("zero_sparse_candidates", vec![]),
         ConfigError::TooManySparseCandidates(n) => tag(
             "too_many_sparse_candidates",
-            vec![("candidates".to_string(), n.serialize())],
+            vec![("candidates".to_string(), to_value(n))],
         ),
         ConfigError::ZeroDiscriminatorEpochs => tag("zero_discriminator_epochs", vec![]),
         ConfigError::ZeroSimulations => tag("zero_simulations", vec![]),
@@ -570,7 +609,7 @@ fn encode_config_error(e: &ConfigError) -> Value {
         ConfigError::ZeroActionsPerExpansion => tag("zero_actions_per_expansion", vec![]),
         ConfigError::TooManyActionsPerExpansion(n) => tag(
             "too_many_actions_per_expansion",
-            vec![("actions".to_string(), n.serialize())],
+            vec![("actions".to_string(), to_value(n))],
         ),
         ConfigError::BadExploration(x) => {
             tag("bad_exploration", vec![("bits".to_string(), f64_bits(*x))])
@@ -611,16 +650,16 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
 }
 
 fn encode_persist_error(e: &PersistError) -> Value {
-    let msg = |kind: &str, m: &str| tag(kind, vec![("message".to_string(), m.serialize())]);
+    let msg = |kind: &str, m: &str| tag(kind, vec![("message".to_string(), to_value(m))]);
     match e {
         PersistError::Format { found } => {
-            tag("format", vec![("found".to_string(), found.serialize())])
+            tag("format", vec![("found".to_string(), to_value(found))])
         }
         PersistError::Version { found, supported } => tag(
             "version",
             vec![
-                ("found".to_string(), found.serialize()),
-                ("supported".to_string(), supported.serialize()),
+                ("found".to_string(), to_value(found)),
+                ("supported".to_string(), to_value(supported)),
             ],
         ),
         PersistError::Parse(m) => msg("parse", m),
@@ -654,27 +693,26 @@ fn decode_persist_error(value: &Value) -> Result<PersistError, WireError> {
 
 fn encode_wire_error(e: &WireError) -> Value {
     match e {
-        WireError::Io(m) => tag("io", vec![("message".to_string(), m.serialize())]),
+        WireError::Io(m) => tag("io", vec![("message".to_string(), to_value(m))]),
         WireError::Truncated { expected, got } => tag(
             "truncated",
             vec![
-                ("expected".to_string(), expected.serialize()),
-                ("got".to_string(), got.serialize()),
+                ("expected".to_string(), to_value(expected)),
+                ("got".to_string(), to_value(got)),
             ],
         ),
         WireError::Oversized { len, max } => tag(
             "oversized",
             vec![
-                ("len".to_string(), len.serialize()),
-                ("max".to_string(), max.serialize()),
+                ("len".to_string(), to_value(len)),
+                ("max".to_string(), to_value(max)),
             ],
         ),
-        WireError::BadJson(m) => tag("bad_json", vec![("message".to_string(), m.serialize())]),
-        WireError::BadVersion { found } => tag(
-            "bad_version",
-            vec![("found".to_string(), found.serialize())],
-        ),
-        WireError::BadFrame(m) => tag("bad_frame", vec![("message".to_string(), m.serialize())]),
+        WireError::BadJson(m) => tag("bad_json", vec![("message".to_string(), to_value(m))]),
+        WireError::BadVersion { found } => {
+            tag("bad_version", vec![("found".to_string(), to_value(found))])
+        }
+        WireError::BadFrame(m) => tag("bad_frame", vec![("message".to_string(), to_value(m))]),
     }
 }
 
