@@ -1043,7 +1043,11 @@ mod tests {
         ev.pcs(&alive);
         let misses_after_first = ev.stats().misses;
         ev.pcs(&alive);
-        assert_eq!(ev.stats().misses, misses_after_first, "second query is all hits");
+        assert_eq!(
+            ev.stats().misses,
+            misses_after_first,
+            "second query is all hits"
+        );
         assert!(ev.stats().hits > 0);
     }
 
@@ -1119,10 +1123,7 @@ mod tests {
 
     #[test]
     fn shard_striping_covers_multiple_shards() {
-        let shared = Arc::new(SharedConeSynthCache::with_shards(
-            CellLibrary::default(),
-            4,
-        ));
+        let shared = Arc::new(SharedConeSynthCache::with_shards(CellLibrary::default(), 4));
         assert_eq!(shared.shard_count(), 4);
         let mut ev = ConeSynthCache::with_shared(shared.clone());
         // A handful of distinct cones lands entries across shards.
@@ -1344,7 +1345,11 @@ mod tests {
                 assert_eq!(u.pcs(g).to_bits(), b.pcs(g).to_bits());
             }
         }
-        assert!(bounded.entries() <= 2, "capacity holds: {}", bounded.entries());
+        assert!(
+            bounded.entries() <= 2,
+            "capacity holds: {}",
+            bounded.entries()
+        );
         let s = bounded.total_stats();
         assert!(s.evictions > 0, "churn must evict: {s:?}");
         assert_eq!(
@@ -1421,7 +1426,10 @@ mod tests {
         // are recomputable work — and re-synthesizes byte-identically.
         let after = ev.pcs(&g);
         assert_eq!(before.to_bits(), after.to_bits());
-        assert!(shared.entries() > 0, "entry mirror re-tracks after the clear");
+        assert!(
+            shared.entries() > 0,
+            "entry mirror re-tracks after the clear"
+        );
         assert_eq!(
             shared.entries(),
             shared.stats().iter().map(|s| s.entries).sum::<usize>()

@@ -98,7 +98,10 @@ pub struct DesignLabels {
 
 /// Synthesizes and times a design, producing its labels plus the raw
 /// synthesis and timing artifacts for further inspection.
-pub fn label_design(g: &CircuitGraph, config: &LabelConfig) -> (DesignLabels, SynthResult, TimingReport) {
+pub fn label_design(
+    g: &CircuitGraph,
+    config: &LabelConfig,
+) -> (DesignLabels, SynthResult, TimingReport) {
     let synth = optimize_with(g, &config.library);
     // Unconstrained pass to learn the critical delay.
     let probe = timing_analysis_with(&synth.netlist, 1e9, &config.delays);

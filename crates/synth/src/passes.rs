@@ -282,7 +282,10 @@ fn resolve(repl: &[Option<usize>], mut u: usize) -> usize {
     while let Some(v) = repl[u] {
         u = v;
         hops += 1;
-        debug_assert!(hops <= repl.len(), "replacement cycle (invalid input graph?)");
+        debug_assert!(
+            hops <= repl.len(),
+            "replacement cycle (invalid input graph?)"
+        );
         if hops > repl.len() {
             break;
         }
@@ -407,28 +410,24 @@ fn fold_and_simplify(
             NodeType::Mul => {
                 if const_vals.iter().flatten().any(|&v| v == 0) {
                     rewrite_const = Some(0);
-                } else if let Some(k) = const_vals
-                    .iter()
-                    .position(|&v| v == Some(1))
-                {
+                } else if let Some(k) = const_vals.iter().position(|&v| v == Some(1)) {
                     let other = ps[1 - k];
                     if same_width(other, nodes) {
                         replace_with = Some(other);
                     }
                 }
             }
-            NodeType::Eq
-                if ps[0] == ps[1] => {
-                    rewrite_const = Some(1);
-                }
-            NodeType::Lt
-                if ps[0] == ps[1] => {
-                    rewrite_const = Some(0);
-                }
+            NodeType::Eq if ps[0] == ps[1] => {
+                rewrite_const = Some(1);
+            }
+            NodeType::Lt if ps[0] == ps[1] => {
+                rewrite_const = Some(0);
+            }
             NodeType::Shl | NodeType::Shr
-                if const_vals[1] == Some(0) && same_width(ps[0], nodes) => {
-                    replace_with = Some(ps[0]);
-                }
+                if const_vals[1] == Some(0) && same_width(ps[0], nodes) =>
+            {
+                replace_with = Some(ps[0]);
+            }
             NodeType::Mux => {
                 if let Some(sel) = is_const(nodes, ps[0]) {
                     let chosen = if sel != 0 { ps[1] } else { ps[2] };
@@ -452,10 +451,9 @@ fn fold_and_simplify(
                     }
                 }
             }
-            NodeType::BitSelect
-                if nodes[u].aux() == 0 && same_width(ps[0], nodes) => {
-                    replace_with = Some(ps[0]);
-                }
+            NodeType::BitSelect if nodes[u].aux() == 0 && same_width(ps[0], nodes) => {
+                replace_with = Some(ps[0]);
+            }
             _ => {}
         }
 
@@ -655,7 +653,9 @@ fn compact(original: &CircuitGraph, s: &SynthScratch, lib: &CellLibrary) -> Synt
     }
     let mut buf = [NodeId::new(0); 3];
     for u in 0..n {
-        let Some(new_id) = old_to_new[u] else { continue };
+        let Some(new_id) = old_to_new[u] else {
+            continue;
+        };
         let k = s.parents[u].len();
         for (slot, &p) in s.parents[u].as_slice().iter().enumerate() {
             buf[slot] = old_to_new[resolve(&s.repl, p)].expect("live node's parent must be live");

@@ -33,7 +33,10 @@ fn assert_equivalent(original: &CircuitGraph, optimized: &CircuitGraph, seed: u6
     // Surviving inputs in the netlist are a width-matching subsequence of
     // the original inputs (compaction preserves order and never re-types
     // ports); align them positionally.
-    let widths_b: Vec<u32> = inputs_b.iter().map(|&i| optimized.node(i).width()).collect();
+    let widths_b: Vec<u32> = inputs_b
+        .iter()
+        .map(|&i| optimized.node(i).width())
+        .collect();
     for cycle in 0..cycles {
         let mut vals_a = HashMap::new();
         let mut vals_b = HashMap::new();
