@@ -7,11 +7,10 @@
 
 use syncircuit_bench::banner;
 use syncircuit_datasets::{corpus, Family};
-use syncircuit_synth::{gate_count, CellLibrary};
+use syncircuit_synth::gate_count;
 
 fn main() {
     banner("Table I: dataset composition", "paper §VII-A Table I");
-    let lib = CellLibrary::default();
     let designs = corpus();
 
     println!(
@@ -26,7 +25,7 @@ fn main() {
         let mut gates: Vec<u64> = designs
             .iter()
             .filter(|d| d.family == family)
-            .map(|d| gate_count(&d.graph, &lib))
+            .map(|d| gate_count(&d.graph))
             .collect();
         gates.sort_unstable();
         let n = gates.len();
@@ -53,7 +52,7 @@ fn main() {
             d.graph.node_count(),
             d.graph.edge_count(),
             d.graph.register_bits(),
-            gate_count(&d.graph, &lib)
+            gate_count(&d.graph)
         );
     }
 }

@@ -33,6 +33,14 @@ use std::fmt;
 const MAX_ACTIONS_PER_EXPANSION: usize = 1024;
 const MAX_SPARSE_CANDIDATES: usize = 1024;
 const MAX_NEG_RATIO: f64 = 100.0;
+// Caps on the denoiser: far above the paper's 256 hidden units, 5 MPNN
+// layers and 9 diffusion steps, and small enough that the largest
+// denoiser accepted (38.9 million parameters, 155 MB) allocates well
+// under 1 GiB: rebuilding it as a load does, with the shape check's
+// second copy, the packed weights and the time cache, peaks near 0.5 GiB.
+const MAX_HIDDEN: usize = 1024;
+const MAX_LAYERS: usize = 16;
+const MAX_STEPS: usize = 1000;
 
 /// Reward oracle choice for Phase 3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,6 +199,13 @@ impl PipelineConfig {
             return Err(ConfigError::ZeroDenoiserCapacity {
                 hidden: d.hidden,
                 layers: d.layers,
+            });
+        }
+        if d.hidden > MAX_HIDDEN || d.layers > MAX_LAYERS || d.steps > MAX_STEPS {
+            return Err(ConfigError::DenoiserTooLarge {
+                hidden: d.hidden,
+                layers: d.layers,
+                steps: d.steps,
             });
         }
         if !d.lr.is_finite() || d.lr <= 0.0 {
@@ -367,6 +382,16 @@ pub enum ConfigError {
         /// Configured MPNN layer count.
         layers: usize,
     },
+    /// The denoiser asks for more than 1024 hidden units, 16 MPNN
+    /// layers or 1000 diffusion steps.
+    DenoiserTooLarge {
+        /// Configured hidden width.
+        hidden: usize,
+        /// Configured MPNN layer count.
+        layers: usize,
+        /// Configured diffusion steps.
+        steps: usize,
+    },
     /// The Adam learning rate must be finite and positive.
     BadLearningRate(f32),
     /// The negative-sampling ratio must lie in `0.0..=100.0`.
@@ -402,6 +427,15 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroDenoiserCapacity { hidden, layers } => write!(
                 f,
                 "denoiser needs non-zero capacity (hidden {hidden}, layers {layers})"
+            ),
+            ConfigError::DenoiserTooLarge {
+                hidden,
+                layers,
+                steps,
+            } => write!(
+                f,
+                "denoiser too large (hidden {hidden}, layers {layers}, steps {steps}; at most \
+                 {MAX_HIDDEN}, {MAX_LAYERS} and {MAX_STEPS})"
             ),
             ConfigError::BadLearningRate(lr) => {
                 write!(f, "learning rate must be finite and positive, got {lr}")
@@ -579,6 +613,34 @@ mod tests {
                     .build()
                     .unwrap_err(),
                 ConfigError::TooManySparseCandidates(candidates)
+            );
+        }
+
+        let denoiser = |hidden, layers, steps| DiffusionConfig {
+            hidden,
+            layers,
+            steps,
+            ..DiffusionConfig::tiny()
+        };
+        let at_cap = denoiser(MAX_HIDDEN, MAX_LAYERS, MAX_STEPS);
+        assert!(PipelineConfig::builder().diffusion(at_cap).build().is_ok());
+        for (hidden, layers, steps) in [
+            (MAX_HIDDEN + 1, 2, 4),
+            (16, MAX_LAYERS + 1, 4),
+            (16, 2, MAX_STEPS + 1),
+            (1 << 40, 2, 4),
+            (usize::MAX, usize::MAX, usize::MAX),
+        ] {
+            assert_eq!(
+                PipelineConfig::builder()
+                    .diffusion(denoiser(hidden, layers, steps))
+                    .build()
+                    .unwrap_err(),
+                ConfigError::DenoiserTooLarge {
+                    hidden,
+                    layers,
+                    steps
+                }
             );
         }
 

@@ -68,7 +68,7 @@ pub use diffusion::{
 pub use discriminator::PcsDiscriminator;
 pub use error::{Error, PersistError, RequestError};
 pub use mcts::{
-    optimize_cone_mcts, optimize_cone_random, optimize_random_walk, optimize_registers,
+    optimize_cone_mcts, optimize_random_walk, optimize_registers,
     optimize_registers_random, ConeSelection, ExactSynthReward, IncrementalConeReward, MctsConfig,
     MctsOutcome, RewardModel,
 };

@@ -81,22 +81,20 @@ pub trait RewardModel {
 
 /// Exact reward through the synthesis simulator.
 #[derive(Clone, Debug, Default)]
-pub struct ExactSynthReward {
-    lib: syncircuit_synth::CellLibrary,
-}
+pub struct ExactSynthReward;
 
 impl ExactSynthReward {
-    /// Exact reward with the default cell library.
+    /// The exact reward.
     pub fn new() -> Self {
-        Self::default()
+        ExactSynthReward
     }
 }
 
 impl RewardModel for ExactSynthReward {
     fn pcs(&self, g: &CircuitGraph) -> f64 {
-        // Bit-identical to `pcs(&optimize_with(g, lib))`, but skips
-        // netlist materialization (see `syncircuit_synth::pcs_with`).
-        syncircuit_synth::pcs_with(g, &self.lib)
+        // Bit-identical to `pcs(&optimize(g))`, but skips netlist
+        // materialization (see `syncircuit_synth::optimized_pcs`).
+        syncircuit_synth::optimized_pcs(g)
     }
 }
 
@@ -784,26 +782,6 @@ fn rewind(engine: &mut Engine, trail: &mut Vec<SwapDelta>) {
     }
 }
 
-/// Backwards-compatible alias of [`optimize_random_walk`] for standalone
-/// cone circuits.
-pub fn optimize_cone_random(
-    initial: &CircuitGraph,
-    reward_model: &dyn RewardModel,
-    evaluation_budget: usize,
-    max_depth: usize,
-    seed: u64,
-) -> MctsOutcome {
-    optimize_random_walk(
-        initial,
-        None,
-        false,
-        reward_model,
-        evaluation_budget,
-        max_depth,
-        seed,
-    )
-}
-
 /// Which register cones to optimize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConeSelection {
@@ -1468,7 +1446,7 @@ mod tests {
     fn random_ablation_runs_within_budget() {
         let g = redundant_cone();
         let reward = ExactSynthReward::new();
-        let out = optimize_cone_random(&g, &reward, 40, 5, 11);
+        let out = optimize_random_walk(&g, None, false, &reward, 40, 5, 11);
         assert!(out.best.is_valid());
         assert!(out.evaluations <= 41);
         assert!(out.best_reward >= out.initial_reward);

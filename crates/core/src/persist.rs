@@ -170,7 +170,7 @@ impl Serialize for DiffusionModel {
 
 /// A diffusion section as read, before its denoiser is rebuilt.
 /// [`SynCircuit::from_json`] rebuilds it only once the configuration
-/// has passed validation.
+/// has passed validation and the section's own config equals it.
 struct DiffusionParts {
     config: DiffusionConfig,
     mean_degree: f64,
@@ -222,12 +222,6 @@ impl DiffusionParts {
             config,
             mean_degree,
         ))
-    }
-}
-
-impl Deserialize for DiffusionModel {
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
-        DiffusionParts::deserialize(r)?.build()
     }
 }
 
@@ -289,8 +283,9 @@ impl SynCircuit {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Persist`] for malformed text, wrong format
-    /// markers, unsupported versions, or parameter/architecture shape
+    /// Returns [`Error::Persist`] for malformed text (non-finite numbers
+    /// included), wrong format markers, unsupported versions, sections
+    /// that disagree with each other, or parameter/architecture shape
     /// mismatches, and [`Error::Config`] when the embedded configuration
     /// fails validation.
     pub fn from_json(text: &str) -> Result<Self, Error> {
@@ -336,9 +331,17 @@ impl SynCircuit {
             Some(msg) => PersistError::ShapeMismatch(msg.to_string()),
             None => PersistError::Parse(e.0),
         };
-        let diffusion = field(diffusion, "diffusion")
-            .and_then(DiffusionParts::build)
-            .map_err(classify)?;
+        let diffusion = field(diffusion, "diffusion").map_err(classify)?;
+        // The denoiser is built from the diffusion section's own copy of
+        // the diffusion config, so that copy must be the validated one:
+        // any other could ask for a denoiser no check has bounded.
+        if diffusion.config != config.diffusion {
+            return Err(PersistError::Inconsistent(
+                "the diffusion section's config differs from the pipeline config".to_string(),
+            )
+            .into());
+        }
+        let diffusion = diffusion.build().map_err(classify)?;
         let discriminator = field(discriminator, "discriminator").map_err(classify)?;
         // Reward kind and stored discriminator must agree, otherwise
         // generation would silently score Phase 3 with the wrong oracle.

@@ -41,8 +41,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit_graph::{CircuitGraph, Node};
-use syncircuit_synth::incremental::DEFAULT_SHARD_COUNT;
-use syncircuit_synth::{CellLibrary, ConeShardStats, SharedConeSynthCache};
+use syncircuit_synth::{ConeShardStats, SharedConeSynthCache};
 
 /// One generated circuit with its intermediate artifacts.
 ///
@@ -81,15 +80,11 @@ pub struct SynCircuit {
 }
 
 /// Builds the model-wide shared cone cache for a validated config:
-/// [`DEFAULT_SHARD_COUNT`] stripes, each with the config's per-shard
-/// CLOCK capacity (an operational knob that never changes generated
-/// bytes).
+/// [`SHARD_COUNT`](syncircuit_synth::incremental::SHARD_COUNT) stripes,
+/// each with the config's per-shard CLOCK capacity (an operational knob
+/// that never changes generated bytes).
 pub(crate) fn new_cone_cache(config: &PipelineConfig) -> Arc<SharedConeSynthCache> {
-    Arc::new(SharedConeSynthCache::with_shards_and_capacity(
-        CellLibrary::default(),
-        DEFAULT_SHARD_COUNT,
-        config.cone_cache_capacity(),
-    ))
+    Arc::new(SharedConeSynthCache::with_capacity(config.cone_cache_capacity()))
 }
 
 impl SynCircuit {

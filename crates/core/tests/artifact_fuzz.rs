@@ -11,7 +11,7 @@
 
 use serde_json::Value;
 use std::path::PathBuf;
-use syncircuit_core::{Error, SynCircuit};
+use syncircuit_core::{ConfigError, Error, PersistError, SynCircuit};
 
 fn fixture_text() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/model_v1.json");
@@ -165,6 +165,76 @@ fn matrices_with_wrong_data_lengths_fail_typed() {
                 panic!("parameter {index} with {len} values: non-persist error {other:?}")
             }
             Ok(_) => panic!("parameter {index} with {len} values must not load"),
+        }
+    }
+}
+
+/// A denoiser size that reached an allocation unchecked aborted the
+/// process (2^40 hidden units asks for tens of TiB). In the pipeline
+/// config it now fails validation; in the diffusion section's own copy,
+/// which the denoiser is built from, it fails as an inconsistent
+/// artifact, before anything is built.
+#[test]
+fn a_huge_denoiser_in_either_config_copy_fails_typed() {
+    let raw: Value = serde_json::from_str(&fixture_text()).expect("fixture parses");
+    let hidden = |artifact: &mut Value, section: &str, config: &str| {
+        *field_mut(field_mut(field_mut(artifact, section), config), "hidden") =
+            Value::UInt(1 << 40);
+    };
+    let mut in_config = raw.clone();
+    hidden(&mut in_config, "config", "diffusion");
+    let mut in_section = raw.clone();
+    hidden(&mut in_section, "diffusion", "config");
+    let mut in_both = in_config.clone();
+    hidden(&mut in_both, "diffusion", "config");
+    for (copy, artifact) in [
+        ("config", in_config),
+        ("section", in_section),
+        ("both", in_both),
+    ] {
+        let text = serde_json::to_string(&artifact).expect("artifact renders");
+        match (copy, SynCircuit::from_json(&text)) {
+            (
+                "config" | "both",
+                Err(Error::Config(ConfigError::DenoiserTooLarge { hidden, .. })),
+            ) => {
+                assert_eq!(hidden, 1 << 40)
+            }
+            ("section", Err(Error::Persist(PersistError::Inconsistent(_)))) => {}
+            (_, Err(other)) => panic!("2^40 hidden in {copy}: wrong error {other:?}"),
+            (_, Ok(_)) => panic!("2^40 hidden in {copy} must not load"),
+        }
+    }
+}
+
+/// The text writer has no form for an infinity, so a number that reads
+/// as one (`1e999`, or `3.5e38` for an `f32`) would make a loaded model
+/// impossible to save again. Such an artifact fails to parse.
+#[test]
+fn non_finite_numbers_fail_to_parse() {
+    const MARK: f64 = 12345.6875;
+    let raw: Value = serde_json::from_str(&fixture_text()).expect("fixture parses");
+    let mut weight = raw.clone();
+    let Value::Array(mats) = field_mut(
+        field_mut(field_mut(&mut weight, "diffusion"), "params"),
+        "mats",
+    ) else {
+        panic!("parameters are an array");
+    };
+    let Value::Array(data) = field_mut(&mut mats[0], "data") else {
+        panic!("matrix data is an array");
+    };
+    data[0] = Value::Float(MARK);
+    let mut degree = raw;
+    *field_mut(field_mut(&mut degree, "diffusion"), "mean_degree") = Value::Float(MARK);
+    for (artifact, number) in [(&weight, "1e999"), (&weight, "3.5e38"), (&degree, "1e999")] {
+        let text = serde_json::to_string(artifact).expect("artifact renders");
+        assert_eq!(text.matches("12345.6875").count(), 1, "one marked number");
+        let text = text.replace("12345.6875", number);
+        match SynCircuit::from_json(&text) {
+            Err(Error::Persist(PersistError::Parse(_))) => {}
+            Err(other) => panic!("{number}: wrong error {other:?}"),
+            Ok(_) => panic!("{number} must not load"),
         }
     }
 }

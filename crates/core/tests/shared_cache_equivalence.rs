@@ -26,7 +26,7 @@ use syncircuit_core::{
 };
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_graph::CircuitGraph;
-use syncircuit_synth::incremental::DEFAULT_SHARD_COUNT;
+use syncircuit_synth::incremental::SHARD_COUNT;
 
 fn corpus() -> Vec<CircuitGraph> {
     let mut rng = StdRng::seed_from_u64(909);
@@ -232,7 +232,7 @@ fn repeated_cone_corpus_hits_across_requests() {
         .build()
         .unwrap();
     let m = SynCircuit::fit_with_workers(&corpus(), cfg, 1).unwrap();
-    assert_eq!(m.cone_cache().shard_count(), DEFAULT_SHARD_COUNT);
+    assert_eq!(m.cone_cache().shard_count(), SHARD_COUNT);
 
     let requests: Vec<GenRequest> =
         (0..6).map(|_| GenRequest::nodes(22).seeded(9)).collect();
@@ -252,7 +252,7 @@ fn repeated_cone_corpus_hits_across_requests() {
 
     // Shard accounting stays consistent with the aggregate view.
     let shards = m.cone_cache_stats();
-    assert_eq!(shards.len(), DEFAULT_SHARD_COUNT);
+    assert_eq!(shards.len(), SHARD_COUNT);
     let hit_sum: u64 = shards.iter().map(|s| s.hits).sum();
     let miss_sum: u64 = shards.iter().map(|s| s.misses).sum();
     assert_eq!(hit_sum, after_batch.hits);

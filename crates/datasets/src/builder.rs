@@ -37,11 +37,6 @@ impl Builder {
         self.g
     }
 
-    /// Underlying graph (for custom wiring).
-    pub fn graph_mut(&mut self) -> &mut CircuitGraph {
-        &mut self.g
-    }
-
     /// Adds a primary input.
     pub fn input(&mut self, width: u32) -> NodeId {
         self.g.add_node(NodeType::Input, width)
@@ -204,11 +199,6 @@ impl Builder {
             stages.push(cur);
         }
         stages
-    }
-
-    /// Node width helper.
-    pub fn width_of(&self, id: NodeId) -> u32 {
-        self.g.node(id).width()
     }
 }
 

@@ -3,14 +3,13 @@
 //! spread).
 
 use syncircuit_datasets::{corpus, Family};
-use syncircuit_synth::{area_of_graph, gate_count, CellLibrary};
+use syncircuit_synth::{area_of_graph, gate_count};
 
 #[test]
 fn corpus_sizes_have_spread() {
-    let lib = CellLibrary::default();
     let mut by_family: std::collections::HashMap<Family, Vec<u64>> = Default::default();
     for d in corpus() {
-        let gates = gate_count(&d.graph, &lib);
+        let gates = gate_count(&d.graph);
         println!(
             "{:12} {:10} nodes={:4} edges={:4} regbits={:4} gates={}",
             d.name,
@@ -20,7 +19,7 @@ fn corpus_sizes_have_spread() {
             d.graph.register_bits(),
             gates
         );
-        assert!(area_of_graph(&d.graph, &lib) > 0.0);
+        assert!(area_of_graph(&d.graph) > 0.0);
         by_family.entry(d.family).or_default().push(gates);
     }
     for (fam, mut gates) in by_family {

@@ -265,17 +265,6 @@ impl CircuitGraph {
         }
     }
 
-    /// Replaces the parent in slot `slot` of `node` with `new_parent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node`, `slot` or `new_parent` is out of range.
-    pub fn set_parent_slot(&mut self, node: NodeId, slot: usize, new_parent: NodeId) {
-        assert!(new_parent.index() < self.nodes.len());
-        self.parents[node.index()][slot] = new_parent;
-        self.children.valid = false;
-    }
-
     /// Crate-internal direct access to one node's parent slot list.
     ///
     /// Invalidates the lazily rebuilt children cache; the in-place swap

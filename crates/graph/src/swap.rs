@@ -171,17 +171,6 @@ impl SwapGraph {
         &self.stamps
     }
 
-    /// Children of `id` (unordered, with multiplicity).
-    #[inline]
-    pub fn children_of(&self, id: NodeId) -> &[NodeId] {
-        &self.children[id.index()]
-    }
-
-    /// Unwraps into the (mutated) graph.
-    pub fn into_graph(self) -> CircuitGraph {
-        self.g
-    }
-
     /// `true` when the maintained children index holds exactly the same
     /// multiset per node as a fresh [`CircuitGraph::children_index`]
     /// rebuild (test invariant).

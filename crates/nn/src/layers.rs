@@ -245,11 +245,6 @@ impl GruCell {
         }
     }
 
-    /// Hidden-state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     /// A fresh zero hidden state for a batch of `n` sequences.
     pub fn zero_state(&self, tape: &mut Tape, n: usize) -> Var {
         tape.leaf(Matrix::zeros(n, self.hidden))

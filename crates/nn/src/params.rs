@@ -106,11 +106,6 @@ impl Adam {
         self.lr
     }
 
-    /// Overrides the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one optimization step from accumulated gradients.
     ///
     /// Parameters without a gradient entry are left untouched.

@@ -262,17 +262,6 @@ impl ModelRegistry {
         self.budget
     }
 
-    /// The configured retry policy for transient artifact-load IO.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The configured quarantine policy for repeatedly corrupt
-    /// artifacts.
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.quarantine
-    }
-
     /// Locks the registry state, recovering from poisoning: the guarded
     /// map only ever holds complete entries (no operation leaves a
     /// half-inserted `Entry` across a panic point), so after a panic the

@@ -587,6 +587,18 @@ fn encode_config_error(e: &ConfigError) -> Value {
                 ("layers".to_string(), to_value(layers)),
             ],
         ),
+        ConfigError::DenoiserTooLarge {
+            hidden,
+            layers,
+            steps,
+        } => tag(
+            "denoiser_too_large",
+            vec![
+                ("hidden".to_string(), to_value(hidden)),
+                ("layers".to_string(), to_value(layers)),
+                ("steps".to_string(), to_value(steps)),
+            ],
+        ),
         ConfigError::BadLearningRate(x) => tag(
             "bad_learning_rate",
             vec![("bits".to_string(), f32_bits(*x))],
@@ -624,6 +636,11 @@ fn decode_config_error(value: &Value) -> Result<ConfigError, WireError> {
         "zero_denoiser_capacity" => ConfigError::ZeroDenoiserCapacity {
             hidden: narrowed_field(value, "hidden")?,
             layers: narrowed_field(value, "layers")?,
+        },
+        "denoiser_too_large" => ConfigError::DenoiserTooLarge {
+            hidden: narrowed_field(value, "hidden")?,
+            layers: narrowed_field(value, "layers")?,
+            steps: narrowed_field(value, "steps")?,
         },
         "bad_learning_rate" => ConfigError::BadLearningRate(f32_field(value, "bits")?),
         "bad_negative_ratio" => ConfigError::BadNegativeRatio(f64_field(value, "bits")?),
@@ -767,6 +784,11 @@ mod tests {
             ConfigError::ZeroDenoiserCapacity {
                 hidden: 0,
                 layers: 3,
+            },
+            ConfigError::DenoiserTooLarge {
+                hidden: 1 << 40,
+                layers: 17,
+                steps: usize::MAX,
             },
             ConfigError::BadLearningRate(-1.5),
             ConfigError::BadLearningRate(f32::NAN),
@@ -919,6 +941,39 @@ mod tests {
                 assert_eq!(e, WireError::BadVersion { found: 9 });
             }
             other => panic!("wrong frame: {other:?}"),
+        }
+    }
+
+    /// A number that reads as infinity (`1e999`) is a malformed frame:
+    /// the text writer could not send such a design on again.
+    #[test]
+    fn non_finite_numbers_are_bad_frames() {
+        use syncircuit_core::MctsOutcome;
+        use syncircuit_graph::CircuitGraph;
+        let g = CircuitGraph::new("g");
+        let design = Generated {
+            graph: g.clone(),
+            gval: g.clone(),
+            gini_edges: 0,
+            mcts: vec![MctsOutcome {
+                best: g,
+                best_reward: 0.5,
+                initial_reward: 0.25,
+                evaluations: 1,
+            }],
+            seed: 1,
+        };
+        let frame = ResponseFrame {
+            id: 5,
+            body: ResponseBody::Ok(Box::new(design)),
+        };
+        let text = String::from_utf8(encode_response(&frame)).unwrap();
+        assert!(decode_response(text.as_bytes()).is_ok());
+        let hostile = text.replacen("\"best_reward\":0.5", "\"best_reward\":1e999", 1);
+        assert_ne!(hostile, text);
+        match decode_response(hostile.as_bytes()) {
+            Err(WireError::BadFrame(_)) => {}
+            other => panic!("expected BadFrame, got {other:?}"),
         }
     }
 

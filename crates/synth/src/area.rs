@@ -2,86 +2,61 @@
 //!
 //! Areas are in square-micron-like units chosen to keep relative costs
 //! realistic (a DFF ≈ 4.5 NAND2-equivalents, a full adder ≈ 2.2, an array
-//! multiplier Θ(w²), a barrel shifter Θ(w·log w)).
+//! multiplier Θ(w²), a barrel shifter Θ(w·log w)). The simulator models
+//! one technology, so each cell's area is a constant.
 
-use serde::{Deserialize, Serialize};
 use syncircuit_graph::{CircuitGraph, Node, NodeType};
 
-/// Per-cell area parameters. The defaults approximate NanGate 45nm
-/// relative cell sizes; all knobs are public-by-builder so experiments can
-/// model other libraries.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CellLibrary {
-    /// Area of one D flip-flop bit.
-    pub dff: f64,
-    /// Area of one full-adder bit (ripple adder/subtractor stage).
-    pub full_adder: f64,
-    /// Area per partial-product cell of an array multiplier (w² cells).
-    pub mul_cell: f64,
-    /// Area of one 2-input AND/OR bit.
-    pub and_or: f64,
-    /// Area of one 2-input XOR bit.
-    pub xor: f64,
-    /// Area of one inverter bit.
-    pub not: f64,
-    /// Area of one 2:1 mux bit.
-    pub mux: f64,
-    /// Area per comparator bit (EQ/LT reduce trees).
-    pub cmp: f64,
-    /// Area per shifter mux bit-level (barrel shifter has ⌈log₂w⌉ levels).
-    pub shift: f64,
-    /// Area of one NAND2 gate, used to express gate counts.
-    pub nand2: f64,
-}
+/// Area of one D flip-flop bit.
+const DFF: f64 = 4.5;
+/// Area of one full-adder bit (ripple adder/subtractor stage).
+const FULL_ADDER: f64 = 2.2;
+/// Area per partial-product cell of an array multiplier (w² cells).
+const MUL_CELL: f64 = 1.6;
+/// Area of one 2-input AND/OR bit.
+const AND_OR: f64 = 0.8;
+/// Area of one 2-input XOR bit.
+const XOR: f64 = 1.2;
+/// Area of one inverter bit.
+const NOT: f64 = 0.4;
+/// Area of one 2:1 mux bit.
+const MUX: f64 = 1.1;
+/// Area per comparator bit (EQ/LT reduce trees).
+const CMP: f64 = 1.0;
+/// Area per shifter mux bit-level (barrel shifter has ⌈log₂w⌉ levels).
+const SHIFT: f64 = 1.0;
+/// Area of one NAND2 gate, used to express gate counts.
+const NAND2: f64 = 0.8;
 
-impl Default for CellLibrary {
-    fn default() -> Self {
-        CellLibrary {
-            dff: 4.5,
-            full_adder: 2.2,
-            mul_cell: 1.6,
-            and_or: 0.8,
-            xor: 1.2,
-            not: 0.4,
-            mux: 1.1,
-            cmp: 1.0,
-            shift: 1.0,
-            nand2: 0.8,
+/// Area contributed by a single node.
+pub(crate) fn node_area(node: &Node) -> f64 {
+    let w = node.width() as f64;
+    match node.ty() {
+        NodeType::Input | NodeType::Output | NodeType::Const => 0.0,
+        NodeType::BitSelect | NodeType::Concat => 0.0, // pure wiring
+        NodeType::Reg => w * DFF,
+        NodeType::Add | NodeType::Sub => w * FULL_ADDER,
+        NodeType::Mul => w * w * MUL_CELL,
+        NodeType::And | NodeType::Or => w * AND_OR,
+        NodeType::Xor => w * XOR,
+        NodeType::Not => w * NOT,
+        NodeType::Mux => w * MUX,
+        NodeType::Eq | NodeType::Lt => w * CMP,
+        NodeType::Shl | NodeType::Shr => {
+            let levels = (node.width().max(2) as f64).log2().ceil();
+            w * levels * SHIFT
         }
     }
 }
 
-impl CellLibrary {
-    /// Area contributed by a single node.
-    pub fn node_area(&self, node: &Node) -> f64 {
-        let w = node.width() as f64;
-        match node.ty() {
-            NodeType::Input | NodeType::Output | NodeType::Const => 0.0,
-            NodeType::BitSelect | NodeType::Concat => 0.0, // pure wiring
-            NodeType::Reg => w * self.dff,
-            NodeType::Add | NodeType::Sub => w * self.full_adder,
-            NodeType::Mul => w * w * self.mul_cell,
-            NodeType::And | NodeType::Or => w * self.and_or,
-            NodeType::Xor => w * self.xor,
-            NodeType::Not => w * self.not,
-            NodeType::Mux => w * self.mux,
-            NodeType::Eq | NodeType::Lt => w * self.cmp,
-            NodeType::Shl | NodeType::Shr => {
-                let levels = (node.width().max(2) as f64).log2().ceil();
-                w * levels * self.shift
-            }
-        }
-    }
-}
-
-/// Total cell area of a graph under a library.
-pub fn area_of_graph(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
-    g.iter().map(|(_, n)| lib.node_area(n)).sum()
+/// Total cell area of a graph.
+pub fn area_of_graph(g: &CircuitGraph) -> f64 {
+    g.iter().map(|(_, n)| node_area(n)).sum()
 }
 
 /// NAND2-equivalent gate count (used for Table I's "design scale").
-pub fn gate_count(g: &CircuitGraph, lib: &CellLibrary) -> u64 {
-    (area_of_graph(g, lib) / lib.nand2).round() as u64
+pub fn gate_count(g: &CircuitGraph) -> u64 {
+    (area_of_graph(g) / NAND2).round() as u64
 }
 
 #[cfg(test)]
@@ -90,31 +65,28 @@ mod tests {
 
     #[test]
     fn wiring_nodes_are_free() {
-        let lib = CellLibrary::default();
-        assert_eq!(lib.node_area(&Node::new(NodeType::Input, 64)), 0.0);
-        assert_eq!(lib.node_area(&Node::new(NodeType::Concat, 64)), 0.0);
-        assert_eq!(lib.node_area(&Node::new(NodeType::BitSelect, 8)), 0.0);
-        assert_eq!(lib.node_area(&Node::new(NodeType::Const, 8)), 0.0);
+        assert_eq!(node_area(&Node::new(NodeType::Input, 64)), 0.0);
+        assert_eq!(node_area(&Node::new(NodeType::Concat, 64)), 0.0);
+        assert_eq!(node_area(&Node::new(NodeType::BitSelect, 8)), 0.0);
+        assert_eq!(node_area(&Node::new(NodeType::Const, 8)), 0.0);
     }
 
     #[test]
     fn area_scales_with_width() {
-        let lib = CellLibrary::default();
-        let a8 = lib.node_area(&Node::new(NodeType::Add, 8));
-        let a16 = lib.node_area(&Node::new(NodeType::Add, 16));
+        let a8 = node_area(&Node::new(NodeType::Add, 8));
+        let a16 = node_area(&Node::new(NodeType::Add, 16));
         assert!((a16 / a8 - 2.0).abs() < 1e-9);
         // multiplier is quadratic
-        let m8 = lib.node_area(&Node::new(NodeType::Mul, 8));
-        let m16 = lib.node_area(&Node::new(NodeType::Mul, 16));
+        let m8 = node_area(&Node::new(NodeType::Mul, 8));
+        let m16 = node_area(&Node::new(NodeType::Mul, 16));
         assert!((m16 / m8 - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn relative_cell_costs_are_sane() {
-        let lib = CellLibrary::default();
-        let dff = lib.node_area(&Node::new(NodeType::Reg, 1));
-        let inv = lib.node_area(&Node::new(NodeType::Not, 1));
-        let mux = lib.node_area(&Node::new(NodeType::Mux, 1));
+        let dff = node_area(&Node::new(NodeType::Reg, 1));
+        let inv = node_area(&Node::new(NodeType::Not, 1));
+        let mux = node_area(&Node::new(NodeType::Mux, 1));
         assert!(dff > mux && mux > inv);
     }
 
@@ -123,9 +95,8 @@ mod tests {
         let mut g = CircuitGraph::new("a");
         g.add_node(NodeType::Reg, 8);
         g.add_node(NodeType::Add, 8);
-        let lib = CellLibrary::default();
-        let expect = 8.0 * lib.dff + 8.0 * lib.full_adder;
-        assert!((area_of_graph(&g, &lib) - expect).abs() < 1e-9);
-        assert!(gate_count(&g, &lib) > 0);
+        let expect = 8.0 * DFF + 8.0 * FULL_ADDER;
+        assert!((area_of_graph(&g) - expect).abs() < 1e-9);
+        assert!(gate_count(&g) > 0);
     }
 }

@@ -2,7 +2,7 @@
 //! with a lock-striped, thread-shareable synthesis cache.
 //!
 //! The exact Phase-3 reward re-synthesizes the *whole design* for every
-//! candidate swap ([`crate::passes::optimize_with`]), although one
+//! candidate swap ([`crate::passes::optimize`]), although one
 //! atomic parent swap perturbs at most a handful of register cones. This
 //! module decomposes the design-level PCS into per-cone synthesis
 //! results and skips the work a swap cannot have changed at two levels:
@@ -39,13 +39,13 @@
 //!
 //! # Sharing the warm state across workers
 //!
-//! The memo table lives in [`SharedConeSynthCache`]. It is lock-striped:
-//! the key's first word picks the shard by its low bits and the home slot
-//! by higher ones, and each shard is one `Mutex`-guarded flat
-//! open-addressed array of (key, area) entries. So concurrent workers,
-//! e.g. the threads of a `generate_batch` fan-out, deduplicate cone
-//! synthesis *between requests* instead of each re-synthesizing the same
-//! cones. Each worker owns a [`ConeSynthCache`] view: the shared table
+//! The memo table lives in [`SharedConeSynthCache`]. It is lock-striped
+//! into [`SHARD_COUNT`] = 16 shards: the key's first word picks the
+//! shard by its low bits and the home slot by higher ones, and each
+//! shard is one `Mutex`-guarded flat open-addressed array of (key, area)
+//! entries. So concurrent workers, e.g. the threads of a
+//! `generate_batch` fan-out, deduplicate cone synthesis *between
+//! requests* instead of each re-synthesizing the same cones. Each worker owns a [`ConeSynthCache`] view: the shared table
 //! behind an `Arc`, plus private tag-stamped scratch (observability mask,
 //! the walk's visited marks, member/boundary lists and cone-local
 //! positions), so warm queries stay **allocation-free** and never contend
@@ -65,7 +65,7 @@
 //!
 //! Long-lived serving processes bound the table with a per-shard entry
 //! capacity (CLOCK / second-chance eviction, see
-//! [`SharedConeSynthCache::with_shards_and_capacity`]); because the
+//! [`SharedConeSynthCache::with_capacity`]); because the
 //! table memoizes a pure function of the structural key, bounding never
 //! changes returned areas — an evicted cone is simply re-synthesized on
 //! its next miss.
@@ -86,7 +86,6 @@
 //! Score: `(Σ observed register-cone areas + Σ output-cone areas) /
 //! node_count`, matching the whole-design PCS normalization.
 
-use crate::area::CellLibrary;
 use crate::passes::{with_scratch, SynthScratch};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -375,16 +374,14 @@ impl ConeMemo {
     }
 }
 
-/// Default stripe count of a [`SharedConeSynthCache`].
-pub const DEFAULT_SHARD_COUNT: usize = 16;
+/// Stripe count of every [`SharedConeSynthCache`]: a power of two, so
+/// the low bits of a key's first word pick its shard.
+pub const SHARD_COUNT: usize = 16;
 
-/// Low bits of a key's first word that the shard choice may use; the
-/// home slot inside a shard comes from the bits above them.
+/// Low bits of a key's first word set aside for the shard choice (which
+/// reads the lowest four); the home slot inside a shard comes from the
+/// bits above them.
 const SHARD_BITS: u32 = 16;
-
-/// Most stripes a [`SharedConeSynthCache`] builds; larger requests are
-/// clamped to it.
-pub const MAX_SHARD_COUNT: usize = 1 << SHARD_BITS;
 
 /// One memoized cone.
 #[derive(Clone, Copy, Debug)]
@@ -622,11 +619,11 @@ impl Shard {
 /// results.
 ///
 /// Keys are 128-bit structural cone keys (see the module docs), and
-/// every hit compares both words. The first word picks a power-of-two
-/// shard by its low bits and the home slot inside the shard by bits the
-/// shard choice does not use. Values are a pure function of the key, so
-/// concurrent insertion races are benign: every racer computes identical
-/// bits, and publishing keeps the first.
+/// every hit compares both words. The first word picks one of the
+/// [`SHARD_COUNT`] shards by its low bits and the home slot inside the
+/// shard by bits the shard choice does not use. Values are a pure
+/// function of the key, so concurrent insertion races are benign: every
+/// racer computes identical bits, and publishing keeps the first.
 ///
 /// Each shard is one flat open-addressed array of (key, area) entries
 /// plus two state bits per slot (occupied, referenced). It is empty (no
@@ -637,7 +634,7 @@ impl Shard {
 ///
 /// # Bounding
 ///
-/// A per-shard capacity ([`SharedConeSynthCache::with_shards_and_capacity`])
+/// A per-shard capacity ([`SharedConeSynthCache::with_capacity`])
 /// caps residency: past it, inserts displace a CLOCK / second-chance
 /// victim (hits set a reference bit; the sweeping hand evicts the first
 /// unreferenced entry). Because the table memoizes a **pure function**
@@ -655,9 +652,7 @@ impl Shard {
 /// the shard locks.
 #[derive(Debug)]
 pub struct SharedConeSynthCache {
-    lib: CellLibrary,
-    shards: Box<[Shard]>,
-    mask: u64,
+    shards: [Shard; SHARD_COUNT],
     /// Per-shard entry capacity (`0` = unbounded).
     capacity: usize,
     /// Cone areas that views reused from their memos (table-wide: memo
@@ -672,60 +667,35 @@ impl Default for SharedConeSynthCache {
 }
 
 impl SharedConeSynthCache {
-    /// Shared cache with the default cell library and
-    /// [`DEFAULT_SHARD_COUNT`] stripes.
+    /// Unbounded shared cache.
     pub fn new() -> Self {
-        Self::with_library(CellLibrary::default())
+        Self::with_capacity(0)
     }
 
-    /// Shared cache with an explicit cell library.
-    pub fn with_library(lib: CellLibrary) -> Self {
-        Self::with_shards(lib, DEFAULT_SHARD_COUNT)
-    }
-
-    /// Shared cache with an explicit stripe count (rounded up to the
-    /// next power of two and clamped to [`MAX_SHARD_COUNT`]; `0` means
-    /// [`DEFAULT_SHARD_COUNT`]), unbounded.
-    pub fn with_shards(lib: CellLibrary, shards: usize) -> Self {
-        Self::with_shards_and_capacity(lib, shards, 0)
-    }
-
-    /// Shared cache with an explicit stripe count (as in
-    /// [`with_shards`](SharedConeSynthCache::with_shards)) and a
-    /// per-shard entry capacity. `capacity == 0` means unbounded;
-    /// otherwise each shard holds at most `capacity` memoized cones and
-    /// further inserts evict a CLOCK / second-chance victim. Bounding
-    /// never changes returned areas (the table memoizes a pure function
-    /// of the key) — it only trades recall for a residency ceiling of
-    /// `shards × capacity` entries. No shard allocates its table before
-    /// its first insert, whatever the capacity.
-    pub fn with_shards_and_capacity(lib: CellLibrary, shards: usize, capacity: usize) -> Self {
-        let count = match shards {
-            0 => DEFAULT_SHARD_COUNT,
-            n => n.min(MAX_SHARD_COUNT).next_power_of_two(),
-        };
+    /// Shared cache with a per-shard entry capacity. `capacity == 0`
+    /// means unbounded; otherwise each shard holds at most `capacity`
+    /// memoized cones and further inserts evict a CLOCK / second-chance
+    /// victim. Bounding never changes returned areas (the table memoizes
+    /// a pure function of the key) — it only trades recall for a
+    /// residency ceiling of [`SHARD_COUNT`] `× capacity` entries. No
+    /// shard allocates its table before its first insert, whatever the
+    /// capacity.
+    pub fn with_capacity(capacity: usize) -> Self {
         SharedConeSynthCache {
-            lib,
-            shards: (0..count).map(|_| Shard::default()).collect(),
-            mask: count as u64 - 1,
+            shards: Default::default(),
             capacity,
             reused: AtomicU64::new(0),
         }
     }
 
-    /// Number of lock stripes.
+    /// Number of lock stripes ([`SHARD_COUNT`]).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        SHARD_COUNT
     }
 
     /// Per-shard entry capacity (`0` = unbounded).
     pub fn per_shard_capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The cell library cone misses are synthesized against.
-    pub fn library(&self) -> &CellLibrary {
-        &self.lib
     }
 
     /// Per-shard hit/miss/eviction/entry/byte counters, in shard order.
@@ -792,19 +762,19 @@ impl SharedConeSynthCache {
     }
 
     fn shard(&self, key: &ConeKey) -> &Shard {
-        &self.shards[(key[0] & self.mask) as usize]
+        &self.shards[key[0] as usize % SHARD_COUNT]
     }
 
     /// Memoized area for `key`, synthesizing with `synth` on a miss.
     /// `synth` runs outside the shard lock.
-    fn area_or_insert(&self, key: ConeKey, synth: impl FnOnce(&CellLibrary) -> f64) -> f64 {
+    fn area_or_insert(&self, key: ConeKey, synth: impl FnOnce() -> f64) -> f64 {
         let shard = self.shard(&key);
         if let Some(a) = shard.lock_table().get(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return a;
         }
         shard.misses.fetch_add(1, Ordering::Relaxed);
-        let a = synth(&self.lib);
+        let a = synth();
         let mut table = shard.lock_table();
         match table.publish(key, a, self.capacity) {
             Published::Already(first) => first,
@@ -858,14 +828,9 @@ impl Default for ConeSynthCache {
 }
 
 impl ConeSynthCache {
-    /// Evaluator with the default cell library and a private table.
+    /// Evaluator with a private, unbounded table.
     pub fn new() -> Self {
         Self::with_shared(Arc::new(SharedConeSynthCache::new()))
-    }
-
-    /// Evaluator with an explicit cell library and a private table.
-    pub fn with_library(lib: CellLibrary) -> Self {
-        Self::with_shared(Arc::new(SharedConeSynthCache::with_library(lib)))
     }
 
     /// Worker view over an existing shared table.
@@ -952,10 +917,10 @@ impl ConeSynthCache {
         }
         let key = self.walk.walk(g, apex);
         let walk = &self.walk;
-        let area = self.shared.area_or_insert(key, |lib| {
+        let area = self.shared.area_or_insert(key, || {
             with_scratch(|synth| {
                 walk.load(g, apex, synth);
-                synth.area(lib)
+                synth.area()
             })
         });
         if let Some(stamps) = stamps {
@@ -1123,8 +1088,8 @@ mod tests {
 
     #[test]
     fn shard_striping_covers_multiple_shards() {
-        let shared = Arc::new(SharedConeSynthCache::with_shards(CellLibrary::default(), 4));
-        assert_eq!(shared.shard_count(), 4);
+        let shared = Arc::new(SharedConeSynthCache::new());
+        assert_eq!(shared.shard_count(), SHARD_COUNT);
         let mut ev = ConeSynthCache::with_shared(shared.clone());
         // A handful of distinct cones lands entries across shards.
         let mut rng_widths = [2u32, 4, 8, 16, 24, 32, 48, 64];
@@ -1139,7 +1104,7 @@ mod tests {
             ev.pcs(&g);
         }
         let stats = shared.stats();
-        assert_eq!(stats.len(), 4);
+        assert_eq!(stats.len(), SHARD_COUNT);
         let populated = stats.iter().filter(|s| s.entries > 0).count();
         assert!(
             populated >= 2,
@@ -1147,43 +1112,6 @@ mod tests {
         );
         let entries: usize = stats.iter().map(|s| s.entries).sum();
         assert_eq!(entries, shared.entries());
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(
-            SharedConeSynthCache::with_shards(CellLibrary::default(), 0).shard_count(),
-            DEFAULT_SHARD_COUNT
-        );
-        assert_eq!(
-            SharedConeSynthCache::with_shards(CellLibrary::default(), 3).shard_count(),
-            4
-        );
-        assert_eq!(
-            SharedConeSynthCache::with_shards(CellLibrary::default(), 8).shard_count(),
-            8
-        );
-    }
-
-    #[test]
-    fn shard_count_is_clamped() {
-        // A stripe count past the cap builds the cap, not an overflow or
-        // an empty stripe array, and the cache still answers.
-        let shared = Arc::new(SharedConeSynthCache::with_shards(
-            CellLibrary::default(),
-            usize::MAX,
-        ));
-        assert_eq!(shared.shard_count(), MAX_SHARD_COUNT);
-        let mut private = ConeSynthCache::new();
-        let mut ev = ConeSynthCache::with_shared(shared.clone());
-        let (alive, _) = alive_and_dead();
-        assert_eq!(ev.pcs(&alive).to_bits(), private.pcs(&alive).to_bits());
-        assert!(shared.entries() > 0);
-        assert_eq!(
-            SharedConeSynthCache::with_shards(CellLibrary::default(), MAX_SHARD_COUNT + 1)
-                .shard_count(),
-            MAX_SHARD_COUNT
-        );
     }
 
     /// The masked-counter fixture: a self-feeding counter behind a
@@ -1279,7 +1207,6 @@ mod tests {
         // flat netlist and its area against the standalone cone circuit.
         use crate::passes::optimized_area;
         use syncircuit_graph::cone::cone_circuit_parts;
-        let lib = CellLibrary::default();
         let mut synth = SynthScratch::default();
         for_each_walked_cone(|g, apex, walk| {
             walk.load(g, apex, &mut synth);
@@ -1297,8 +1224,8 @@ mod tests {
                     g.name()
                 );
             }
-            let in_place = synth.area(&lib);
-            let standalone = optimized_area(&oracle, &lib);
+            let in_place = synth.area();
+            let standalone = optimized_area(&oracle);
             assert_eq!(
                 in_place.to_bits(),
                 standalone.to_bits(),
@@ -1326,30 +1253,47 @@ mod tests {
         g
     }
 
+    /// `count` probes whose register cones all key into one stripe,
+    /// shortest chains first. Their output cones share one key (an
+    /// output fed by an 8-bit register), so a per-shard capacity below
+    /// `count` churns that stripe as it would a one-stripe table.
+    fn probes_in_one_stripe(count: usize) -> Vec<CircuitGraph> {
+        let mut walk = ConeWalk::default();
+        let mut stripe = |len: usize| {
+            let g = probe(len);
+            let reg = g.nodes_of_type(NodeType::Reg)[0];
+            walk.walk(&g, reg)[0] as usize % SHARD_COUNT
+        };
+        let target = stripe(0);
+        (0..)
+            .filter(|&len| stripe(len) == target)
+            .take(count)
+            .map(probe)
+            .collect()
+    }
+
+    /// Whether every shard holds at most `capacity` entries.
+    fn within(shared: &SharedConeSynthCache, capacity: usize) -> bool {
+        shared.stats().iter().all(|s| s.entries <= capacity)
+    }
+
     #[test]
     fn bounded_cache_matches_unbounded_bit_for_bit() {
-        // A 1-shard, 2-entry table under heavy churn must return exactly
-        // what the unbounded table does — eviction only costs work.
+        // Eight cones in one 2-entry stripe under heavy churn must return
+        // exactly what the unbounded table does — eviction only costs
+        // work.
         let unbounded = Arc::new(SharedConeSynthCache::new());
-        let bounded = Arc::new(SharedConeSynthCache::with_shards_and_capacity(
-            CellLibrary::default(),
-            1,
-            2,
-        ));
+        let bounded = Arc::new(SharedConeSynthCache::with_capacity(2));
         assert_eq!(bounded.per_shard_capacity(), 2);
         let mut u = ConeSynthCache::with_shared(unbounded.clone());
         let mut b = ConeSynthCache::with_shared(bounded.clone());
-        let graphs: Vec<CircuitGraph> = (0..8).map(probe).collect();
+        let graphs = probes_in_one_stripe(8);
         for _round in 0..3 {
             for g in &graphs {
                 assert_eq!(u.pcs(g).to_bits(), b.pcs(g).to_bits());
             }
         }
-        assert!(
-            bounded.entries() <= 2,
-            "capacity holds: {}",
-            bounded.entries()
-        );
+        assert!(within(&bounded, 2), "capacity holds: {:?}", bounded.stats());
         let s = bounded.total_stats();
         assert!(s.evictions > 0, "churn must evict: {s:?}");
         assert_eq!(
@@ -1365,16 +1309,13 @@ mod tests {
         // through fresh keys must leave the hot keys resident more often
         // than not: re-query them and require zero new misses when they
         // were just re-referenced back-to-back.
-        let shared = Arc::new(SharedConeSynthCache::with_shards_and_capacity(
-            CellLibrary::default(),
-            1,
-            3,
-        ));
+        let shared = Arc::new(SharedConeSynthCache::with_capacity(3));
         let mut ev = ConeSynthCache::with_shared(shared.clone());
-        let hot = probe(0);
-        ev.pcs(&hot); // resident, referenced
+        let probes = probes_in_one_stripe(6);
+        let hot = &probes[0];
+        ev.pcs(hot); // resident, referenced
         let misses_warm = shared.total_stats().misses;
-        ev.pcs(&hot);
+        ev.pcs(hot);
         assert_eq!(
             shared.total_stats().misses,
             misses_warm,
@@ -1383,43 +1324,44 @@ mod tests {
         // Churn far past capacity, then confirm the table still answers
         // every key correctly (exactness under displacement).
         let mut cold = ConeSynthCache::new();
-        for len in 0..6 {
-            let g = probe(len);
-            assert_eq!(ev.pcs(&g).to_bits(), cold.pcs(&g).to_bits());
+        for g in &probes {
+            assert_eq!(ev.pcs(g).to_bits(), cold.pcs(g).to_bits());
         }
-        assert!(shared.entries() <= 3);
+        assert!(shared.total_stats().evictions > 0, "the stripe churns");
+        assert!(within(&shared, 3));
     }
 
     #[test]
     fn entry_counters_are_lock_free_mirrors() {
         // stats()/entries() must agree with the locked maps.
-        let shared = Arc::new(SharedConeSynthCache::with_shards_and_capacity(
-            CellLibrary::default(),
-            2,
-            2,
-        ));
+        let shared = Arc::new(SharedConeSynthCache::with_capacity(2));
         let mut ev = ConeSynthCache::with_shared(shared.clone());
-        for len in 0..7 {
-            ev.pcs(&probe(len));
+        for g in &probes_in_one_stripe(7) {
+            ev.pcs(g);
         }
         let stats = shared.stats();
         let mirrored: usize = stats.iter().map(|s| s.entries).sum();
         assert_eq!(mirrored, shared.entries());
+        assert_eq!(check_tables(&shared), mirrored);
         assert!((1..=4).contains(&mirrored), "within 2 shards x 2 slots");
     }
 
     #[test]
     fn poisoned_shard_recovers_by_clearing() {
-        let shared = Arc::new(SharedConeSynthCache::with_shards(CellLibrary::default(), 1));
+        let shared = Arc::new(SharedConeSynthCache::new());
         let mut ev = ConeSynthCache::with_shared(shared.clone());
         let g = probe(2);
         let before = ev.pcs(&g);
         assert!(shared.entries() > 0);
-        // Poison the shard: panic while holding its map lock.
+        // Poison every shard: panic while holding all their map locks.
         let poisoner = shared.clone();
         assert!(std::panic::catch_unwind(move || {
-            let _guard = poisoner.shards[0].table.lock().unwrap();
-            panic!("poison the cone shard");
+            let _guards: Vec<_> = poisoner
+                .shards
+                .iter()
+                .map(|s| s.table.lock().unwrap())
+                .collect();
+            panic!("poison the cone shards");
         })
         .is_err());
         // The next query recovers by clearing the shard — memo entries
@@ -1486,7 +1428,7 @@ mod tests {
         }
         assert!(private.stats().reused > 0, "the memo must be exercised");
         for workers in [1u64, 2, 4, 8] {
-            let shared = Arc::new(SharedConeSynthCache::with_shards(CellLibrary::default(), 2));
+            let shared = Arc::new(SharedConeSynthCache::new());
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let shared = shared.clone();
@@ -1531,10 +1473,7 @@ mod tests {
         let mut private = ConeSynthCache::new();
         let a0 = private.pcs(&alive).to_bits();
         let d0 = private.pcs(&dead).to_bits();
-        let shared = Arc::new(SharedConeSynthCache::with_shards(
-            CellLibrary::default(),
-            2, // few stripes: force contention
-        ));
+        let shared = Arc::new(SharedConeSynthCache::new());
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -1585,13 +1524,13 @@ mod tests {
     fn both_key_words_are_compared() {
         // Word 0 picks shard and slot; two keys that agree in it must
         // still be two entries, each returning its own area.
-        let shared = SharedConeSynthCache::with_shards(CellLibrary::default(), 4);
+        let shared = SharedConeSynthCache::new();
         let a = [0x0123_4567_89AB_CDEF, 1];
         let b = [0x0123_4567_89AB_CDEF, 2];
-        assert_eq!(shared.area_or_insert(a, |_| 1.5), 1.5);
-        assert_eq!(shared.area_or_insert(b, |_| 2.5), 2.5, "b is not a's entry");
+        assert_eq!(shared.area_or_insert(a, || 1.5), 1.5);
+        assert_eq!(shared.area_or_insert(b, || 2.5), 2.5, "b is not a's entry");
         assert_eq!(shared.entries(), 2);
-        let hit = |_: &CellLibrary| -> f64 { panic!("a stored key must hit") };
+        let hit = || -> f64 { panic!("a stored key must hit") };
         assert_eq!(shared.area_or_insert(a, hit), 1.5);
         assert_eq!(shared.area_or_insert(b, hit), 2.5);
         assert_eq!(shared.total_stats().hits, 2);
@@ -1602,11 +1541,12 @@ mod tests {
     fn the_zero_key_is_an_ordinary_key() {
         // Emptiness lives in the state bits: an empty slot, whose entry
         // is all zero, must not answer the all-zero key, and that key
-        // must be stored like any other.
-        let shared = SharedConeSynthCache::with_shards(CellLibrary::default(), 1);
-        assert_eq!(shared.area_or_insert([5, 6], |_| 1.0), 1.0);
-        assert_eq!(shared.area_or_insert([0, 0], |_| 2.0), 2.0, "a miss");
-        let hit = |_: &CellLibrary| -> f64 { panic!("the zero key must be stored") };
+        // must be stored like any other. The first key shares the zero
+        // key's stripe and home slot, so its table is allocated.
+        let shared = SharedConeSynthCache::new();
+        assert_eq!(shared.area_or_insert([0x50, 6], || 1.0), 1.0);
+        assert_eq!(shared.area_or_insert([0, 0], || 2.0), 2.0, "a miss");
+        let hit = || -> f64 { panic!("the zero key must be stored") };
         assert_eq!(shared.area_or_insert([0, 0], hit), 2.0);
         assert_eq!(check_tables(&shared), 2);
     }
@@ -1625,18 +1565,22 @@ mod tests {
             pool.push([(k << 40) | 0x5, rng.gen()]);
         }
         pool.push([0, 0]);
+        let stripe_bits = SHARD_COUNT as u64 - 1;
         for capacity in [0usize, 1, 2, 3, 64] {
-            for shards in [1usize, 4] {
-                let shared = SharedConeSynthCache::with_shards_and_capacity(
-                    CellLibrary::default(),
-                    shards,
-                    capacity,
-                );
+            // Every key routed into stripe 0 (its low bits cleared), so
+            // one table sees them all; then keys spread over the stripes.
+            for one_stripe in [true, false] {
+                let shared = SharedConeSynthCache::with_capacity(capacity);
                 let mut model: HashMap<ConeKey, f64> = HashMap::new();
                 for step in 0..4000 {
-                    let key = pool[rng.gen_range(0..pool.len())];
+                    let [w0, w1] = pool[rng.gen_range(0..pool.len())];
+                    let key = if one_stripe {
+                        [w0 & !stripe_bits, w1]
+                    } else {
+                        [w0, w1]
+                    };
                     let missed = Cell::new(false);
-                    let got = shared.area_or_insert(key, |_| {
+                    let got = shared.area_or_insert(key, || {
                         missed.set(true);
                         area_of(key)
                     });
@@ -1668,10 +1612,13 @@ mod tests {
                     assert_eq!(stats.evictions, 0, "unbounded never evicts");
                     assert_eq!(stats.misses as usize, model.len(), "one miss per key");
                     for key in model.keys() {
-                        shared.area_or_insert(*key, |_| panic!("unbounded lost {key:x?}"));
+                        shared.area_or_insert(*key, || panic!("unbounded lost {key:x?}"));
                     }
                 } else if capacity < 64 {
-                    assert!(stats.evictions > 0, "cap {capacity} x {shards} must churn");
+                    assert!(
+                        stats.evictions > 0,
+                        "cap {capacity} (one stripe: {one_stripe}) must churn"
+                    );
                 }
             }
         }
@@ -1693,8 +1640,7 @@ mod tests {
         // return the area published first, stored once.
         let workers = stress_workers();
         for capacity in [0, 1] {
-            let shared =
-                SharedConeSynthCache::with_shards_and_capacity(CellLibrary::default(), 2, capacity);
+            let shared = SharedConeSynthCache::with_capacity(capacity);
             let key = [0x00DD_BA11_C0FF_EE00, 7];
             let barrier = std::sync::Barrier::new(workers);
             let got: Vec<f64> = std::thread::scope(|scope| {
@@ -1702,7 +1648,7 @@ mod tests {
                     .map(|w| {
                         let (shared, barrier) = (&shared, &barrier);
                         scope.spawn(move || {
-                            shared.area_or_insert(key, |_| {
+                            shared.area_or_insert(key, || {
                                 barrier.wait();
                                 w as f64
                             })
@@ -1716,7 +1662,7 @@ mod tests {
                 "one area for all: {got:?}"
             );
             assert_eq!(
-                shared.area_or_insert(key, |_| -1.0),
+                shared.area_or_insert(key, || -1.0),
                 got[0],
                 "the stored area"
             );
@@ -1729,13 +1675,9 @@ mod tests {
 
     #[test]
     fn tables_allocate_nothing_before_the_first_insert() {
-        // The widest stripe count with a capacity no table could hold:
-        // still no table bytes until a cone is stored.
-        let shared = SharedConeSynthCache::with_shards_and_capacity(
-            CellLibrary::default(),
-            MAX_SHARD_COUNT,
-            usize::MAX,
-        );
+        // A capacity no table could hold: still no table bytes until a
+        // cone is stored.
+        let shared = SharedConeSynthCache::with_capacity(usize::MAX);
         assert_eq!(shared.bytes(), 0);
         assert!(shared
             .stats()

@@ -8,9 +8,9 @@
 //! factors < 1 constrain below the critical path so some endpoints
 //! violate, as in aggressive tapeout corners.
 
-use crate::area::{area_of_graph, gate_count, CellLibrary};
-use crate::passes::{optimize_with, SynthResult};
-use crate::sta::{timing_analysis_with, DelayModel, TimingReport};
+use crate::area::{area_of_graph, gate_count};
+use crate::passes::{optimize, SynthResult};
+use crate::sta::{timing_analysis, TimingReport};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use syncircuit_graph::{CircuitGraph, NodeId};
@@ -27,20 +27,15 @@ use syncircuit_graph::{CircuitGraph, NodeId};
 /// it is a constraint, not an outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LabelConfig {
-    /// Candidate absolute clock periods (same units as the delay model).
+    /// Candidate absolute clock periods (same units as the cell delays
+    /// of [`crate::sta`]).
     pub clock_menu: Vec<f64>,
-    /// Cell library for area.
-    pub library: CellLibrary,
-    /// Delay model for STA.
-    pub delays: DelayModel,
 }
 
 impl Default for LabelConfig {
     fn default() -> Self {
         LabelConfig {
             clock_menu: vec![1.0, 2.0, 4.0],
-            library: CellLibrary::default(),
-            delays: DelayModel::default(),
         }
     }
 }
@@ -50,7 +45,6 @@ impl LabelConfig {
     pub fn fixed(clock_period: f64) -> Self {
         LabelConfig {
             clock_menu: vec![clock_period],
-            ..LabelConfig::default()
         }
     }
 
@@ -102,11 +96,11 @@ pub fn label_design(
     g: &CircuitGraph,
     config: &LabelConfig,
 ) -> (DesignLabels, SynthResult, TimingReport) {
-    let synth = optimize_with(g, &config.library);
+    let synth = optimize(g);
     // Unconstrained pass to learn the critical delay.
-    let probe = timing_analysis_with(&synth.netlist, 1e9, &config.delays);
+    let probe = timing_analysis(&synth.netlist, 1e9);
     let clock = config.period_for(g.name()).max(1e-9);
-    let timing = timing_analysis_with(&synth.netlist, clock, &config.delays);
+    let timing = timing_analysis(&synth.netlist, clock);
 
     // Per-original-register slack through the synthesis register map.
     let netlist_slacks: HashMap<NodeId, f64> = timing
@@ -123,8 +117,8 @@ pub fn label_design(
 
     let labels = DesignLabels {
         name: g.name().to_string(),
-        area: area_of_graph(&synth.netlist, &config.library),
-        gates: gate_count(&synth.netlist, &config.library),
+        area: area_of_graph(&synth.netlist),
+        gates: gate_count(&synth.netlist),
         wns: timing.wns,
         tns: timing.tns,
         nvp: timing.nvp,

@@ -50,10 +50,10 @@ pub mod labels;
 pub mod passes;
 pub mod sta;
 
-pub use area::{area_of_graph, gate_count, CellLibrary};
+pub use area::{area_of_graph, gate_count};
 pub use incremental::{ConeCacheStats, ConeShardStats, ConeSynthCache, SharedConeSynthCache};
 pub use labels::{label_design, DesignLabels, LabelConfig};
-pub use passes::{optimize, optimized_area, pcs_with, SynthResult, SynthStats};
+pub use passes::{optimize, optimized_area, optimized_pcs, SynthResult, SynthStats};
 pub use sta::{timing_analysis, TimingReport};
 
 /// Sequential cell preservation ratio (paper §VI): sequential bits in the

@@ -11,12 +11,13 @@
 //! Every entry point runs the same core on a crate-private
 //! `SynthScratch`: a flat netlist (nodes plus at most three parent slots
 //! each), the replacement links the passes write, the liveness marks
-//! and the CSE table. [`optimize_with`] and [`optimized_area`] load it
-//! from a [`CircuitGraph`]; the cone cache's miss path
-//! ([`crate::incremental`]) pushes a cone straight from its host graph,
-//! with no standalone cone circuit in between. Each thread keeps one
-//! scratch whose buffers keep their capacity between runs, so a warm
-//! synthesis allocates nothing.
+//! and the CSE table. [`optimize`], [`optimized_area`] and
+//! [`optimized_pcs`] load it from a [`CircuitGraph`]; the cone cache's
+//! miss path ([`crate::incremental`]) pushes a cone straight from its
+//! host graph, with no standalone cone circuit in between. Each thread
+//! keeps one scratch whose buffers keep their capacity between runs, so
+//! a warm synthesis allocates nothing. Every entry point prices the
+//! surviving cells with the one cell-area table of [`crate::area`].
 //!
 //! CSE keys each node by its type, width, aux and resolved parents in a
 //! flat open-addressed table. A pass clears the table by bumping a tag
@@ -34,7 +35,7 @@
 //! only *after* an initialization transient, which the semantics
 //! property tests account for.
 
-use crate::area::{area_of_graph, gate_count, CellLibrary};
+use crate::area::{area_of_graph, gate_count, node_area};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use syncircuit_graph::interp::eval_op;
@@ -75,14 +76,18 @@ pub struct SynthResult {
     pub reg_map: HashMap<NodeId, NodeId>,
 }
 
-/// Runs the full optimization pipeline with the default cell library.
+/// Runs the full optimization pipeline.
 ///
 /// # Panics
 ///
 /// Debug-asserts that the input graph is valid (correct arities, no
 /// combinational loops); optimizing an invalid graph is unspecified.
 pub fn optimize(g: &CircuitGraph) -> SynthResult {
-    optimize_with(g, &CellLibrary::default())
+    with_scratch(|s| {
+        s.load(g);
+        s.run();
+        compact(g, s)
+    })
 }
 
 /// Fixed-capacity parent slots (arity ≤ 3 = Mux): the working copy of
@@ -117,7 +122,7 @@ impl Slots {
 ///
 /// Load a netlist with [`clear`](SynthScratch::clear) and
 /// [`push`](SynthScratch::push) (or from a graph), then run the core
-/// once with [`area`](SynthScratch::area) or through [`optimize_with`].
+/// once with [`area`](SynthScratch::area) or through [`optimize`].
 /// Parents are netlist indices and may point forward, as graph parents
 /// may; the loaded netlist must be a valid circuit (correct arities, no
 /// combinational loops).
@@ -221,12 +226,12 @@ impl SynthScratch {
 
     /// Synthesizes the loaded netlist and returns its post-synthesis
     /// cell area, summed over the surviving nodes in netlist order.
-    pub(crate) fn area(&mut self, lib: &CellLibrary) -> f64 {
+    pub(crate) fn area(&mut self) -> f64 {
         self.run();
         let mut area = 0.0;
         for u in 0..self.nodes.len() {
             if self.survives(u) {
-                area += lib.node_area(&self.nodes[u]);
+                area += node_area(&self.nodes[u]);
             }
         }
         area
@@ -245,35 +250,26 @@ impl SynthScratch {
     }
 }
 
-/// Runs the full optimization pipeline with an explicit cell library.
-pub fn optimize_with(g: &CircuitGraph, lib: &CellLibrary) -> SynthResult {
-    with_scratch(|s| {
-        s.load(g);
-        s.run();
-        compact(g, s, lib)
-    })
-}
-
 /// Post-synthesis circuit size of `g` without materializing the
 /// compacted netlist: runs the same fixpoint and liveness, then sums
 /// cell areas of the surviving nodes directly. Bit-identical to
-/// `crate::pcs(&optimize_with(g, lib))` (same nodes, same summation
-/// order), but skips netlist construction, the register map, and the
-/// before-side statistics — the Phase-3 reward hot path.
-pub fn pcs_with(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
+/// `crate::pcs(&optimize(g))` (same nodes, same summation order), but
+/// skips netlist construction, the register map, and the before-side
+/// statistics — the Phase-3 reward hot path.
+pub fn optimized_pcs(g: &CircuitGraph) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
     }
-    optimized_area(g, lib) / n as f64
+    optimized_area(g) / n as f64
 }
 
 /// Post-synthesis cell area of `g` without materializing the netlist;
-/// bit-identical to `optimize_with(g, lib).stats.area_after`.
-pub fn optimized_area(g: &CircuitGraph, lib: &CellLibrary) -> f64 {
+/// bit-identical to `optimize(g).stats.area_after`.
+pub fn optimized_area(g: &CircuitGraph) -> f64 {
     with_scratch(|s| {
         s.load(g);
-        s.area(lib)
+        s.area()
     })
 }
 
@@ -642,7 +638,7 @@ fn cse(nodes: &[Node], parents: &[Slots], repl: &mut [Option<usize>], seen: &mut
 
 /// Dead-code elimination + compaction of a synthesized scratch into a
 /// fresh graph.
-fn compact(original: &CircuitGraph, s: &SynthScratch, lib: &CellLibrary) -> SynthResult {
+fn compact(original: &CircuitGraph, s: &SynthScratch) -> SynthResult {
     let n = s.nodes.len();
     let mut netlist = CircuitGraph::new(original.name());
     let mut old_to_new: Vec<Option<NodeId>> = vec![None; n];
@@ -678,12 +674,12 @@ fn compact(original: &CircuitGraph, s: &SynthScratch, lib: &CellLibrary) -> Synt
     let stats = SynthStats {
         nodes_before: original.node_count(),
         nodes_after: netlist.node_count(),
-        area_before: area_of_graph(original, lib),
-        area_after: area_of_graph(&netlist, lib),
+        area_before: area_of_graph(original),
+        area_after: area_of_graph(&netlist),
         seq_bits_before: original.register_bits(),
         seq_bits_after: netlist.register_bits(),
-        gates_before: gate_count(original, lib),
-        gates_after: gate_count(&netlist, lib),
+        gates_before: gate_count(original),
+        gates_after: gate_count(&netlist),
     };
     SynthResult {
         netlist,
@@ -1001,22 +997,21 @@ mod tests {
     }
 
     #[test]
-    fn pcs_with_is_bit_identical_to_full_pipeline() {
+    fn optimized_pcs_is_bit_identical_to_full_pipeline() {
         use rand::{rngs::StdRng, SeedableRng};
         use syncircuit_graph::testing::random_circuit_with_size;
-        let lib = CellLibrary::default();
         let mut rng = StdRng::seed_from_u64(11);
         for n in [5usize, 12, 25, 40, 60] {
             let g = random_circuit_with_size(&mut rng, n);
-            let full = crate::pcs(&optimize_with(&g, &lib));
-            let fast = pcs_with(&g, &lib);
+            let full = crate::pcs(&optimize(&g));
+            let fast = optimized_pcs(&g);
             assert_eq!(
                 full.to_bits(),
                 fast.to_bits(),
-                "pcs_with must match the materializing pipeline on {n} nodes"
+                "optimized_pcs must match the materializing pipeline on {n} nodes"
             );
         }
-        assert_eq!(pcs_with(&CircuitGraph::new("empty"), &lib), 0.0);
+        assert_eq!(optimized_pcs(&CircuitGraph::new("empty")), 0.0);
     }
 
     #[test]

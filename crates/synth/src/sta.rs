@@ -2,70 +2,49 @@
 //!
 //! Arrival times propagate through the combinational DAG (registers and
 //! inputs launch, register D-pins and outputs capture). Cell delays are
-//! NanGate45-inspired and width-aware: ripple-carry adders are linear in
-//! width, comparators and shifters logarithmic, array multipliers linear
-//! with a larger constant.
+//! NanGate45-inspired constants in nanosecond-like units, one set for
+//! the one modelled technology, and width-aware: ripple-carry adders are
+//! linear in width, comparators and shifters logarithmic, array
+//! multipliers linear with a larger constant.
 
 use serde::{Deserialize, Serialize};
 use syncircuit_graph::algo::comb_topo_order;
 use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
 
-/// Delay model parameters (nanosecond-like units).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct DelayModel {
-    /// Clock-to-Q delay of a register.
-    pub clk_to_q: f64,
-    /// Register setup time.
-    pub setup: f64,
-    /// Inverter delay.
-    pub not: f64,
-    /// AND/OR gate delay.
-    pub and_or: f64,
-    /// XOR gate delay.
-    pub xor: f64,
-    /// 2:1 mux delay.
-    pub mux: f64,
-    /// Per-bit carry delay of ripple arithmetic.
-    pub carry: f64,
-    /// Per-level delay of comparator / shifter trees.
-    pub tree_level: f64,
-    /// Base gate delay added to every combinational cell.
-    pub base: f64,
-}
+/// Clock-to-Q delay of a register.
+const CLK_TO_Q: f64 = 0.10;
+/// Register setup time.
+const SETUP: f64 = 0.05;
+/// Inverter delay.
+const NOT: f64 = 0.03;
+/// AND/OR gate delay.
+const AND_OR: f64 = 0.05;
+/// XOR gate delay.
+const XOR: f64 = 0.09;
+/// 2:1 mux delay.
+const MUX: f64 = 0.07;
+/// Per-bit carry delay of ripple arithmetic.
+const CARRY: f64 = 0.09;
+/// Per-level delay of comparator / shifter trees.
+const TREE_LEVEL: f64 = 0.07;
+/// Base gate delay added to every combinational cell.
+const BASE: f64 = 0.02;
 
-impl Default for DelayModel {
-    fn default() -> Self {
-        DelayModel {
-            clk_to_q: 0.10,
-            setup: 0.05,
-            not: 0.03,
-            and_or: 0.05,
-            xor: 0.09,
-            mux: 0.07,
-            carry: 0.09,
-            tree_level: 0.07,
-            base: 0.02,
-        }
-    }
-}
-
-impl DelayModel {
-    /// Propagation delay through one node.
-    pub fn node_delay(&self, node: &Node) -> f64 {
-        let w = node.width() as f64;
-        let levels = (node.width().max(2) as f64).log2().ceil();
-        match node.ty() {
-            NodeType::Input | NodeType::Const | NodeType::Output | NodeType::Reg => 0.0,
-            NodeType::BitSelect | NodeType::Concat => 0.0,
-            NodeType::Not => self.base + self.not,
-            NodeType::And | NodeType::Or => self.base + self.and_or,
-            NodeType::Xor => self.base + self.xor,
-            NodeType::Mux => self.base + self.mux,
-            NodeType::Add | NodeType::Sub => self.base + w * self.carry,
-            NodeType::Mul => self.base + 2.0 * w * self.carry,
-            NodeType::Eq | NodeType::Lt => self.base + levels * self.tree_level,
-            NodeType::Shl | NodeType::Shr => self.base + levels * self.tree_level,
-        }
+/// Propagation delay through one node.
+fn node_delay(node: &Node) -> f64 {
+    let w = node.width() as f64;
+    let levels = (node.width().max(2) as f64).log2().ceil();
+    match node.ty() {
+        NodeType::Input | NodeType::Const | NodeType::Output | NodeType::Reg => 0.0,
+        NodeType::BitSelect | NodeType::Concat => 0.0,
+        NodeType::Not => BASE + NOT,
+        NodeType::And | NodeType::Or => BASE + AND_OR,
+        NodeType::Xor => BASE + XOR,
+        NodeType::Mux => BASE + MUX,
+        NodeType::Add | NodeType::Sub => BASE + w * CARRY,
+        NodeType::Mul => BASE + 2.0 * w * CARRY,
+        NodeType::Eq | NodeType::Lt => BASE + levels * TREE_LEVEL,
+        NodeType::Shl | NodeType::Shr => BASE + levels * TREE_LEVEL,
     }
 }
 
@@ -121,25 +100,12 @@ impl TimingReport {
     }
 }
 
-/// Runs STA with the default delay model.
+/// Runs STA at `clock_period`.
 ///
 /// # Panics
 ///
 /// Panics if the graph has a combinational loop (invalid circuit).
 pub fn timing_analysis(g: &CircuitGraph, clock_period: f64) -> TimingReport {
-    timing_analysis_with(g, clock_period, &DelayModel::default())
-}
-
-/// Runs STA with an explicit delay model.
-///
-/// # Panics
-///
-/// Panics if the graph has a combinational loop (invalid circuit).
-pub fn timing_analysis_with(
-    g: &CircuitGraph,
-    clock_period: f64,
-    model: &DelayModel,
-) -> TimingReport {
     let order = comb_topo_order(g).expect("timing analysis requires a loop-free circuit");
     let n = g.node_count();
     let mut arrival = vec![0.0f64; n];
@@ -148,14 +114,14 @@ pub fn timing_analysis_with(
         let node = g.node(u);
         match node.ty() {
             NodeType::Input | NodeType::Const => arrival[u.index()] = 0.0,
-            NodeType::Reg => arrival[u.index()] = model.clk_to_q,
+            NodeType::Reg => arrival[u.index()] = CLK_TO_Q,
             _ => {
                 let worst_parent = g
                     .parents(u)
                     .iter()
                     .map(|p| arrival[p.index()])
                     .fold(0.0f64, f64::max);
-                arrival[u.index()] = worst_parent + model.node_delay(node);
+                arrival[u.index()] = worst_parent + node_delay(node);
             }
         }
     }
@@ -168,7 +134,7 @@ pub fn timing_analysis_with(
                 let Some(&d) = g.parents(id).first() else {
                     continue;
                 };
-                (true, arrival[d.index()] + model.setup)
+                (true, arrival[d.index()] + SETUP)
             }
             NodeType::Output => (false, arrival[id.index()]),
             _ => continue,
@@ -262,14 +228,13 @@ mod tests {
         g.set_parents(s, &[r1, one]).unwrap();
         g.set_parents(r2, &[s]).unwrap();
         g.set_parents(o, &[r2]).unwrap();
-        let model = DelayModel::default();
         let rep = timing_analysis(&g, 10.0);
         let r2_ep = rep
             .endpoints
             .iter()
             .find(|e| e.node == r2)
             .expect("r2 endpoint");
-        let expect = model.clk_to_q + model.base + 8.0 * model.carry + model.setup;
+        let expect = CLK_TO_Q + BASE + 8.0 * CARRY + SETUP;
         assert!((r2_ep.arrival - expect).abs() < 1e-9, "{}", r2_ep.arrival);
     }
 

@@ -6,9 +6,7 @@
 //! cargo run --release --example redundancy_opt
 //! ```
 
-use syncircuit::core::{
-    optimize_cone_mcts, optimize_cone_random, ExactSynthReward, MctsConfig,
-};
+use syncircuit::core::{optimize_cone_mcts, optimize_random_walk, ExactSynthReward, MctsConfig};
 use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 use syncircuit::graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit::synth::{optimize, scpr};
@@ -48,8 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let mcts = optimize_cone_mcts(&cc.circuit, &reward, &mcts_cfg);
-        let random = optimize_cone_random(
+        let random = optimize_random_walk(
             &cc.circuit,
+            None,
+            false,
             &reward,
             mcts.evaluations,
             mcts_cfg.max_depth,

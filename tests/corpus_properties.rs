@@ -90,3 +90,46 @@ fn synthesis_preserves_corpus_semantics() {
         }
     }
 }
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins every label of every corpus design bit for bit: area, gates,
+/// timing, redundancy scores, the chosen clock and each surviving
+/// register's slack (in node order). The synthesis simulator's cell
+/// areas and delays are constants; this digest is what shows that a
+/// change to how they are stored or summed kept every bit.
+#[test]
+fn corpus_labels_keep_their_bits() {
+    let config = LabelConfig::default();
+    let mut words = Vec::new();
+    for d in syncircuit::datasets::corpus() {
+        let (labels, _, _) = label_design(&d.graph, &config);
+        words.extend([
+            labels.area.to_bits(),
+            labels.gates,
+            labels.wns.to_bits(),
+            labels.tns.to_bits(),
+            labels.nvp as u64,
+            labels.scpr.to_bits(),
+            labels.pcs.to_bits(),
+            labels.clock_period.to_bits(),
+            labels.critical_delay.to_bits(),
+        ]);
+        let mut slacks: Vec<_> = labels.reg_slacks.into_iter().collect();
+        slacks.sort_by_key(|&(node, _)| node);
+        for (node, slack) in slacks {
+            words.extend([node.index() as u64, slack.to_bits()]);
+        }
+    }
+    assert_eq!(format!("{:016x}", fnv1a(words)), "b913aa482b8305cf");
+}
