@@ -93,7 +93,10 @@ impl Mlp {
     ///
     /// Panics if fewer than two widths are given.
     pub fn new<R: Rng>(store: &mut ParamStore, widths: &[usize], rng: &mut R) -> Self {
-        assert!(widths.len() >= 2, "an MLP needs at least input and output widths");
+        assert!(
+            widths.len() >= 2,
+            "an MLP needs at least input and output widths"
+        );
         let layers = widths
             .windows(2)
             .map(|w| Linear::new(store, w[0], w[1], rng))
@@ -263,10 +266,7 @@ impl GruCell {
         let cand = self.wh.forward(tape, xrh);
         let cand = tape.tanh(cand);
         // h' = (1 - z) ⊙ h + z ⊙ cand
-        let ones = tape.leaf(Matrix::ones(
-            tape.value(z).rows(),
-            tape.value(z).cols(),
-        ));
+        let ones = tape.leaf(Matrix::ones(tape.value(z).rows(), tape.value(z).cols()));
         let one_minus_z = tape.sub(ones, z);
         let keep = tape.hadamard(one_minus_z, h);
         let update = tape.hadamard(z, cand);

@@ -112,7 +112,11 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        Matrix { rows: r, cols: c, data }
+        Matrix {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Standard-normal random matrix (Box–Muller) scaled by `std`.
@@ -830,7 +834,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let a = Matrix::randn(100, 100, 2.0, &mut rng);
         let mean = a.sum() / 10_000.0;
-        let var = a.data().iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / 10_000.0;
+        let var = a
+            .data()
+            .iter()
+            .map(|&x| (x - mean) * (x - mean))
+            .sum::<f32>()
+            / 10_000.0;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.1, "std {}", var.sqrt());
     }

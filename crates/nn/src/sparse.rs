@@ -43,7 +43,11 @@ impl RowNormAdj {
         self.val.clear();
         self.row_ptr.push(0u32);
         for ps in parents {
-            let w = if ps.is_empty() { 0.0 } else { 1.0 / ps.len() as f32 };
+            let w = if ps.is_empty() {
+                0.0
+            } else {
+                1.0 / ps.len() as f32
+            };
             for &p in ps {
                 self.col_idx.push(p);
                 self.val.push(w);
@@ -99,13 +103,7 @@ impl RowNormAdj {
     ///
     /// Panics if `x.rows() != self.len()`.
     pub fn matmul(&self, x: &Matrix) -> Matrix {
-        spmm(
-            self.n,
-            &self.row_ptr,
-            &self.col_idx,
-            &self.val,
-            x,
-        )
+        spmm(self.n, &self.row_ptr, &self.col_idx, &self.val, x)
     }
 
     /// Writes `A × X` into `out` (reshaped in place), bit-identical to
@@ -125,13 +123,7 @@ impl RowNormAdj {
     ///
     /// Panics if `x.rows() != self.len()`.
     pub fn matmul_transposed(&self, x: &Matrix) -> Matrix {
-        spmm(
-            self.n,
-            &self.t_row_ptr,
-            &self.t_col_idx,
-            &self.t_val,
-            x,
-        )
+        spmm(self.n, &self.t_row_ptr, &self.t_col_idx, &self.t_val, x)
     }
 }
 
@@ -150,7 +142,14 @@ fn spmm(n: usize, row_ptr: &[u32], col_idx: &[u32], val: &[f32], x: &Matrix) -> 
 /// to `+0.0`, which is precisely the historical behavior), so results
 /// stay bit-identical while the kernel touches each output row once
 /// instead of twice.
-fn spmm_into(n: usize, row_ptr: &[u32], col_idx: &[u32], val: &[f32], x: &Matrix, out: &mut Matrix) {
+fn spmm_into(
+    n: usize,
+    row_ptr: &[u32],
+    col_idx: &[u32],
+    val: &[f32],
+    x: &Matrix,
+    out: &mut Matrix,
+) {
     assert_eq!(x.rows(), n, "spmm row mismatch");
     let d = x.cols();
     out.reset_shape_any(n, d);

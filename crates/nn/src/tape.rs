@@ -501,11 +501,7 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Central finite-difference gradient of `f` w.r.t. one param.
-    fn numeric_grad(
-        store: &mut ParamStore,
-        id: ParamId,
-        f: &dyn Fn(&ParamStore) -> f32,
-    ) -> Matrix {
+    fn numeric_grad(store: &mut ParamStore, id: ParamId, f: &dyn Fn(&ParamStore) -> f32) -> Matrix {
         let eps = 1e-3f32;
         let shape = store.get(id).shape();
         let mut out = Matrix::zeros(shape.0, shape.1);
