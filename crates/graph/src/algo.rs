@@ -73,8 +73,7 @@ pub fn tarjan_scc_filtered<F: Fn(NodeId) -> bool>(
                             descended = true;
                             break;
                         } else if st.on_stack[w.index()] {
-                            st.lowlink[v.index()] =
-                                st.lowlink[v.index()].min(st.index[w.index()]);
+                            st.lowlink[v.index()] = st.lowlink[v.index()].min(st.index[w.index()]);
                         }
                     }
                     if descended {
@@ -131,10 +130,7 @@ pub fn comb_topo_order(g: &CircuitGraph) -> Option<Vec<NodeId>> {
         }
     }
     let children = g.children_index();
-    let mut queue: Vec<NodeId> = g
-        .node_ids()
-        .filter(|&id| indeg[id.index()] == 0)
-        .collect();
+    let mut queue: Vec<NodeId> = g.node_ids().filter(|&id| indeg[id.index()] == 0).collect();
     let mut order = Vec::with_capacity(n);
     let mut head = 0;
     while head < queue.len() {

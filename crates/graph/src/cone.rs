@@ -168,7 +168,11 @@ pub fn cone_circuit_parts(
     boundary: &[NodeId],
 ) -> ConeCircuit {
     let apex_node = g.node(apex);
-    let kind = if apex_node.ty().is_sink() { "sink" } else { "cone" };
+    let kind = if apex_node.ty().is_sink() {
+        "sink"
+    } else {
+        "cone"
+    };
     let mut out = CircuitGraph::new(format!("{}_{kind}_{apex}", g.name()));
     let mut mapping: HashMap<NodeId, NodeId> = HashMap::new();
 
@@ -268,8 +272,8 @@ mod tests {
         g.set_parents(r, &[s]).unwrap();
         let cone = driving_cone(&g, r);
         assert_eq!(cone.members.len(), 1); // add
-        // The apex itself is not "another" register: the feedback edge
-        // stays internal to the cone, so only the const is a boundary leaf.
+                                           // The apex itself is not "another" register: the feedback edge
+                                           // stays internal to the cone, so only the const is a boundary leaf.
         assert_eq!(cone.boundary, vec![one]);
         assert!(!cone.boundary.contains(&r));
         // The standalone cone circuit keeps the feedback loop through the
@@ -326,7 +330,11 @@ mod tests {
             let reference = driving_cone(&g, reg);
             let (members, boundary) = fanin_cone_into(&g, reg, &mut scratch);
             assert_eq!(members, reference.members.as_slice(), "members for {reg}");
-            assert_eq!(boundary, reference.boundary.as_slice(), "boundary for {reg}");
+            assert_eq!(
+                boundary,
+                reference.boundary.as_slice(),
+                "boundary for {reg}"
+            );
         }
     }
 

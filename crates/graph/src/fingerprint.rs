@@ -42,10 +42,9 @@ fn token(child: u64, slot: u64, parent: u64) -> u64 {
 #[inline]
 pub fn child_contribution(child: NodeId, parents: &[NodeId]) -> u64 {
     let c = child.index() as u64;
-    parents
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (slot, p)| acc ^ token(c, slot as u64, p.index() as u64))
+    parents.iter().enumerate().fold(0u64, |acc, (slot, p)| {
+        acc ^ token(c, slot as u64, p.index() as u64)
+    })
 }
 
 /// Structural fingerprint of a graph, computed from scratch in O(V + E).

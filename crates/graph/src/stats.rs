@@ -273,12 +273,7 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
 
     // Non-induced closed forms shared by the sparse-orbit equations.
     let b: Vec<i64> = (0..n)
-        .map(|v| {
-            skel.neighbors(v)
-                .iter()
-                .map(|&w| deg(w as usize) - 1)
-                .sum()
-        })
+        .map(|v| skel.neighbors(v).iter().map(|&w| deg(w as usize) - 1).sum())
         .collect();
 
     // Non-induced 4-cycles through u: for every two-hop partner w, any
@@ -312,14 +307,20 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
             .zip(&tri[u])
             .map(|(&v, &t_uv)| (deg(u) - 1) * (deg(v as usize) - 1) - t_uv as i64)
             .sum();
-        let ne: i64 = skel.neighbors(u).iter().map(|&v| b[v as usize]).sum::<i64>()
+        let ne: i64 = skel
+            .neighbors(u)
+            .iter()
+            .map(|&v| b[v as usize])
+            .sum::<i64>()
             - deg(u) * (deg(u) - 1)
             - 2 * t_node[u];
         let o7 = choose2_3(deg(u)) - o11[u] - o13[u] - o14;
         let o6 = ns - o9[u] - o10[u] - 2 * o12[u] - o13[u] - 3 * o14;
         let o5 = np - o10[u] - 2 * o11[u] - 2 * o8 - 2 * o12[u] - 4 * o13[u] - 6 * o14;
         let o4 = ne - 2 * o9[u] - o10[u] - 2 * o8 - 4 * o12[u] - 2 * o13[u] - 6 * o14;
-        let derived = [o4, o5, o6, o7, o8, o9[u], o10[u], o11[u], o12[u], o13[u], o14];
+        let derived = [
+            o4, o5, o6, o7, o8, o9[u], o10[u], o11[u], o12[u], o13[u], o14,
+        ];
         for (k, &val) in derived.iter().enumerate() {
             debug_assert!(val >= 0, "orbit {} of node {u} went negative: {val}", k + 4);
             counts[u][k + 4] = val as u64;
@@ -451,7 +452,10 @@ impl StampCounts {
     }
 
     fn drain(&mut self, f: impl Fn(u32) -> i64) -> i64 {
-        self.touched.iter().map(|&k| f(self.count[k as usize])).sum()
+        self.touched
+            .iter()
+            .map(|&k| f(self.count[k as usize]))
+            .sum()
     }
 }
 
@@ -612,10 +616,7 @@ fn classify_quad(skel: &Skeleton, quad: &[usize; 4], counts: &mut [[u64; NUM_ORB
 /// summed over classes that have at least one out-edge.
 pub fn homophily(g: &CircuitGraph) -> f64 {
     let labels: Vec<usize> = g.iter().map(|(_, n)| n.ty().category()).collect();
-    let pairs: Vec<(usize, usize)> = g
-        .edges()
-        .map(|e| (e.from.index(), e.to.index()))
-        .collect();
+    let pairs: Vec<(usize, usize)> = g.edges().map(|e| (e.from.index(), e.to.index())).collect();
     homophily_from_pairs(&labels, &pairs, ALL_NODE_TYPES.len())
 }
 
@@ -785,10 +786,7 @@ mod tests {
 
     #[test]
     fn clique4_orbits() {
-        let g = graph_from_edges(
-            4,
-            &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-        );
+        let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let s = Skeleton::new(&g);
         let orb = orbit_counts(&s);
         for node in &orb[..4] {

@@ -378,7 +378,12 @@ mod tests {
         let children0 = sg.children.clone();
         // swap (i1→x slot0) with (i2→a slot0)
         let d = sg
-            .try_apply(NodeId::new(0), NodeId::new(2), NodeId::new(1), NodeId::new(3))
+            .try_apply(
+                NodeId::new(0),
+                NodeId::new(2),
+                NodeId::new(1),
+                NodeId::new(3),
+            )
             .expect("valid swap");
         assert_ne!(sg.fingerprint(), fp0);
         assert!(sg.children_in_sync());
@@ -394,7 +399,12 @@ mod tests {
         let g = fixture();
         let mut sg = SwapGraph::new(g.clone());
         let d = sg
-            .try_apply(NodeId::new(0), NodeId::new(2), NodeId::new(1), NodeId::new(3))
+            .try_apply(
+                NodeId::new(0),
+                NodeId::new(2),
+                NodeId::new(1),
+                NodeId::new(3),
+            )
             .expect("valid swap");
         let applied = sg.graph().clone();
         let fp_applied = sg.fingerprint();
@@ -410,19 +420,39 @@ mod tests {
         let mut sg = SwapGraph::new(fixture());
         // identical edge
         assert!(sg
-            .try_apply(NodeId::new(0), NodeId::new(2), NodeId::new(0), NodeId::new(2))
+            .try_apply(
+                NodeId::new(0),
+                NodeId::new(2),
+                NodeId::new(0),
+                NodeId::new(2)
+            )
             .is_none());
         // same child
         assert!(sg
-            .try_apply(NodeId::new(0), NodeId::new(2), NodeId::new(1), NodeId::new(2))
+            .try_apply(
+                NodeId::new(0),
+                NodeId::new(2),
+                NodeId::new(1),
+                NodeId::new(2)
+            )
             .is_none());
         // output as new parent
         assert!(sg
-            .try_apply(NodeId::new(5), NodeId::new(2), NodeId::new(0), NodeId::new(3))
+            .try_apply(
+                NodeId::new(5),
+                NodeId::new(2),
+                NodeId::new(0),
+                NodeId::new(3)
+            )
             .is_none());
         // missing edge
         assert!(sg
-            .try_apply(NodeId::new(1), NodeId::new(2), NodeId::new(0), NodeId::new(3))
+            .try_apply(
+                NodeId::new(1),
+                NodeId::new(2),
+                NodeId::new(0),
+                NodeId::new(3)
+            )
             .is_none());
         // rejection leaves state untouched
         assert_eq!(sg.graph(), &fixture());
@@ -443,7 +473,9 @@ mod tests {
         g.set_parents(n, &[r]).unwrap();
         g.set_parents(o, &[n]).unwrap();
         let mut sg = SwapGraph::new(g.clone());
-        let d = sg.try_apply(r, n, i1, r).expect("register self-loop is legal");
+        let d = sg
+            .try_apply(r, n, i1, r)
+            .expect("register self-loop is legal");
         assert!(sg.graph().has_edge(r, r));
         assert!(sg.graph().has_edge(i1, n));
         assert!(sg.children_in_sync());

@@ -55,7 +55,9 @@ pub fn random_valid_circuit<R: Rng>(rng: &mut R, config: &RandomCircuitConfig) -
     let n_consts = ((n as f64 * config.const_fraction) as usize).max(1);
     let n_regs = ((n as f64 * config.reg_fraction) as usize).max(1);
     let n_outputs = config.num_outputs.max(1);
-    let n_comb = n.saturating_sub(n_inputs + n_consts + n_regs + n_outputs).max(1);
+    let n_comb = n
+        .saturating_sub(n_inputs + n_consts + n_regs + n_outputs)
+        .max(1);
 
     let pick_width = |rng: &mut R| *config.widths.choose(rng).unwrap_or(&8);
 
@@ -123,7 +125,11 @@ pub fn random_valid_circuit<R: Rng>(rng: &mut R, config: &RandomCircuitConfig) -
             let w = g.node(id).width();
             let pw = g.node(parent).width();
             let max_off = pw - w;
-            let off = if max_off == 0 { 0 } else { rng.gen_range(0..=max_off) };
+            let off = if max_off == 0 {
+                0
+            } else {
+                rng.gen_range(0..=max_off)
+            };
             g.replace_node(id, Node::with_aux(NodeType::BitSelect, w, off as u64));
             g.set_parents_unchecked(id, &[parent]);
         } else {

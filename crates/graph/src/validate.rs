@@ -117,8 +117,13 @@ mod tests {
         let c = g.add_node(NodeType::Const, 1);
         g.add_edge(c, i).unwrap(); // unchecked edge into an input
         let errs = g.validate().unwrap_err();
-        assert!(errs.iter().any(
-            |e| matches!(e, ValidateError::BadArity { expected: 0, got: 1, .. })
-        ));
+        assert!(errs.iter().any(|e| matches!(
+            e,
+            ValidateError::BadArity {
+                expected: 0,
+                got: 1,
+                ..
+            }
+        )));
     }
 }

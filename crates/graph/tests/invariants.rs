@@ -190,5 +190,7 @@ fn mutated_register_in_cycle_becomes_invalid() {
     let _ = rng.gen::<u64>();
     g.replace_node(r, syncircuit_graph::Node::new(NodeType::Not, 1));
     let errs = g.validate().unwrap_err();
-    assert!(errs.iter().any(|e| matches!(e, ValidateError::CombLoop { .. })));
+    assert!(errs
+        .iter()
+        .any(|e| matches!(e, ValidateError::CombLoop { .. })));
 }
