@@ -131,39 +131,13 @@ pub fn build_dag_circuit(
             .collect();
         g.set_parents_unchecked(k_id(k), &parents);
     }
-    legalize_bitselects(&mut g);
+    g.legalize_bit_selects();
     debug_assert!(g.is_valid(), "{:?}", g.validate());
     Some(g)
 }
 
 fn k_id(k: usize) -> NodeId {
     NodeId::new(k)
-}
-
-/// Clamps bit-select offsets/widths against their chosen parents (same
-/// rule as `syncircuit_hdl::legalize`), iterated to a fixpoint because
-/// select chains can cascade shrinkage.
-pub fn legalize_bitselects(g: &mut CircuitGraph) {
-    loop {
-        let fixes: Vec<(NodeId, Node)> = g
-            .iter()
-            .filter(|(_, n)| n.ty() == NodeType::BitSelect)
-            .filter_map(|(id, n)| {
-                let parent = *g.parents(id).first()?;
-                let pw = g.node(parent).width();
-                let w = n.width().min(pw);
-                let off = (n.aux() as u32).min(pw - w);
-                (w != n.width() || off as u64 != n.aux())
-                    .then(|| (id, Node::with_aux(NodeType::BitSelect, w, off as u64)))
-            })
-            .collect();
-        if fixes.is_empty() {
-            return;
-        }
-        for (id, node) in fixes {
-            g.replace_node(id, node);
-        }
-    }
 }
 
 /// Gravity-inspired direction assignment (Salha et al., used by the

@@ -7,7 +7,7 @@
 //! meet the circuit constraints (the paper's adaptation: "we must refine
 //! the parent edges in a specific node order").
 
-use crate::common::{legalize_bitselects, GravityDirection};
+use crate::common::GravityDirection;
 use crate::BaselineError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -132,7 +132,7 @@ impl GraphMaker {
                 generator: "graphmaker",
                 nodes: n,
             })?;
-        legalize_bitselects(&mut g);
+        g.legalize_bit_selects();
         g.set_name(format!("graphmaker_{seed:x}"));
         Ok(g)
     }

@@ -7,7 +7,7 @@
 //! refines for validity — direction information is never learned, the
 //! baseline's documented limitation.
 
-use crate::common::{legalize_bitselects, GravityDirection};
+use crate::common::GravityDirection;
 use crate::BaselineError;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashSet;
@@ -301,7 +301,7 @@ impl SparseDigress {
                 generator: "sparsedigress",
                 nodes: n,
             })?;
-        legalize_bitselects(&mut g);
+        g.legalize_bit_selects();
         g.set_name(format!("sparsedigress_{seed:x}"));
         Ok(g)
     }

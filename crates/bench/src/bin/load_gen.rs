@@ -504,10 +504,7 @@ fn run(args: &Args, dir: &Path) -> Result<(), String> {
     let mut transport = match &args.net {
         None => Transport::Local(Daemon::start_with_faults(config, injector)),
         Some(addr) => {
-            let daemon = NetServerConfig {
-                daemon: config,
-                ..NetServerConfig::default()
-            };
+            let daemon = NetServerConfig { daemon: config };
             let server = NetServer::bind_with_faults(addr.as_str(), daemon, injector)
                 .map_err(|e| format!("bind {addr}: {e}"))?;
             let shared = match faults {

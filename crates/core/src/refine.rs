@@ -23,7 +23,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
 use syncircuit_graph::comb::edge_would_close_comb_loop;
-use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
+use syncircuit_graph::{CircuitGraph, Node, NodeId};
 
 /// Phase 2 configuration.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -199,41 +199,10 @@ pub fn refine(
     }
 
     // Emittability: clamp bit-select ranges against chosen parents.
-    syncircuit_hdl_legalize(&mut g);
+    g.legalize_bit_selects();
 
     debug_assert!(g.is_valid(), "refinement must produce valid graphs: {:?}", g.validate());
     Ok(g)
-}
-
-/// Local clone of `syncircuit_hdl::legalize` to avoid a dependency cycle
-/// (hdl depends only on graph; core must not depend on hdl just for
-/// this). Keeps bit-selects within their parent's width; iterates to a
-/// fixpoint because select chains can cascade shrinkage.
-fn syncircuit_hdl_legalize(g: &mut CircuitGraph) {
-    loop {
-        let fixes: Vec<(NodeId, Node)> = g
-            .iter()
-            .filter(|(_, n)| n.ty() == NodeType::BitSelect)
-            .filter_map(|(id, n)| {
-                let parent = *g.parents(id).first()?;
-                let pw = g.node(parent).width();
-                let w = n.width().min(pw);
-                let max_off = pw - w;
-                let off = (n.aux() as u32).min(max_off);
-                if w != n.width() || off as u64 != n.aux() {
-                    Some((id, Node::with_aux(NodeType::BitSelect, w, off as u64)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        if fixes.is_empty() {
-            return;
-        }
-        for (id, node) in fixes {
-            g.replace_node(id, node);
-        }
-    }
 }
 
 /// "SynCircuit w/o diff" ablation (Table II): random edge probabilities
@@ -268,6 +237,7 @@ mod tests {
     use super::*;
     use crate::diffusion::EdgeProbs;
     use syncircuit_graph::testing::random_circuit_with_size;
+    use syncircuit_graph::NodeType;
 
     fn model() -> AttrModel {
         let mut rng = StdRng::seed_from_u64(0);

@@ -231,12 +231,30 @@ proptest! {
 
 // --- 1. packed kernels ≡ naive matmul, ragged shapes -------------------
 
+/// The reference product: a plain ikj triple loop, accumulating in
+/// ascending `k` from `+0.0` and skipping zero `a` entries (the zero-skip
+/// invariant documented on `Matrix::matmul`).
+fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for k in 0..a.cols() {
+            let x = a.at(i, k);
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..b.cols() {
+                *out.at_mut(i, j) += x * b.at(k, j);
+            }
+        }
+    }
+    out
+}
+
 /// The packed-B kernels under the public `syncircuit_nn` surface must
-/// reproduce the naive `matmul_into` bit for bit on every shape the
-/// sampler can reach — ragged K/N, single rows/columns, and the empty
-/// edges (0 rows, 0 inner dim, 0 output columns). The suffix-fused
-/// variant is checked against materialising `[A | 1⊗s]` and running
-/// the plain path.
+/// reproduce the reference loop bit for bit on every shape the sampler
+/// can reach — ragged K/N, single rows/columns, and the empty edges (0
+/// rows, 0 inner dim, 0 output columns). The suffix-fused variant is
+/// checked against materialising `[A | 1⊗s]` and running the loop.
 #[test]
 fn packed_kernels_match_naive_on_ragged_shapes() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -266,7 +284,7 @@ fn packed_kernels_match_naive_on_ragged_shapes() {
         let bias = Matrix::randn(1, d, 1.0, &mut rng);
         let pack = b.pack_b();
 
-        // Naive reference over the materialised concatenation.
+        // The reference over the materialised concatenation.
         let mut cat = Matrix::zeros(m, k + s);
         for i in 0..m {
             for j in 0..k {
@@ -276,12 +294,12 @@ fn packed_kernels_match_naive_on_ragged_shapes() {
                 *cat.at_mut(i, k + j) = v;
             }
         }
-        let mut want = Matrix::zeros(0, 0);
-        cat.matmul_into(&b, &mut want);
+        let want = naive(&cat, &b);
         let mut got = Matrix::zeros(0, 0);
         if s == 0 {
             a.matmul_packed_into(&pack, &mut got);
             assert_eq!(bits(&want), bits(&got), "plain packed {m}x{k}x{d}");
+            assert_eq!(bits(&want), bits(&a.matmul(&b)), "matmul {m}x{k}x{d}");
         }
         for relu in [false, true] {
             let mut want_b = want.clone();

@@ -1,6 +1,6 @@
 //! Generic graph algorithms over [`CircuitGraph`]: strongly connected
-//! components, reachability, and topological ordering of the combinational
-//! subgraph.
+//! components, topological ordering of the combinational subgraph and
+//! logic depth.
 
 use crate::circuit::CircuitGraph;
 use crate::node::NodeId;
@@ -158,53 +158,6 @@ pub fn comb_topo_order(g: &CircuitGraph) -> Option<Vec<NodeId>> {
     }
 }
 
-/// Set of nodes from which at least one [`Output`](crate::NodeType::Output)
-/// node is reachable (following edge direction). Outputs themselves are
-/// included. This is the "live" set used by dead-code elimination.
-pub fn reaches_output(g: &CircuitGraph) -> Vec<bool> {
-    let n = g.node_count();
-    let mut live = vec![false; n];
-    let mut stack: Vec<NodeId> = g
-        .iter()
-        .filter(|(_, node)| node.ty().is_sink())
-        .map(|(id, _)| id)
-        .collect();
-    for &s in &stack {
-        live[s.index()] = true;
-    }
-    while let Some(u) = stack.pop() {
-        for &p in g.parents(u) {
-            if !live[p.index()] {
-                live[p.index()] = true;
-                stack.push(p);
-            }
-        }
-    }
-    live
-}
-
-/// Nodes reachable *from* the given seeds following children edges.
-pub fn reachable_from(g: &CircuitGraph, children: &[Vec<NodeId>], seeds: &[NodeId]) -> Vec<bool> {
-    let n = g.node_count();
-    let mut seen = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in seeds {
-        if !seen[s.index()] {
-            seen[s.index()] = true;
-            stack.push(s);
-        }
-    }
-    while let Some(u) = stack.pop() {
-        for &c in &children[u.index()] {
-            if !seen[c.index()] {
-                seen[c.index()] = true;
-                stack.push(c);
-            }
-        }
-    }
-    seen
-}
-
 /// Length (in nodes) of the longest combinational path in the graph, i.e.
 /// the logic depth. Returns `None` when a combinational loop exists.
 pub fn comb_depth(g: &CircuitGraph) -> Option<usize> {
@@ -295,23 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn liveness() {
-        let mut g = CircuitGraph::new("live");
-        let i = g.add_node(NodeType::Input, 1);
-        let dead = g.add_node(NodeType::Not, 1);
-        let n = g.add_node(NodeType::Not, 1);
-        let o = g.add_node(NodeType::Output, 1);
-        g.set_parents(dead, &[i]).unwrap();
-        g.set_parents(n, &[i]).unwrap();
-        g.set_parents(o, &[n]).unwrap();
-        let live = reaches_output(&g);
-        assert!(live[i.index()]);
-        assert!(live[n.index()]);
-        assert!(live[o.index()]);
-        assert!(!live[dead.index()]);
-    }
-
-    #[test]
     fn depth_of_chain() {
         let mut g = CircuitGraph::new("chain");
         let i = g.add_node(NodeType::Input, 1);
@@ -324,14 +260,6 @@ mod tests {
         let o = g.add_node(NodeType::Output, 1);
         g.set_parents(o, &[prev]).unwrap();
         assert_eq!(comb_depth(&g), Some(6)); // 5 NOTs + output endpoint
-    }
-
-    #[test]
-    fn reachable_from_seeds() {
-        let g = pipeline();
-        let children = g.children_index();
-        let seen = reachable_from(&g, &children, &[NodeId::new(0)]);
-        assert!(seen.iter().all(|&b| b)); // input reaches everything here
     }
 
     #[test]

@@ -18,41 +18,17 @@ pub struct Edge {
 /// Nodes carry a [`NodeType`] and a bit width (the attributes `X` of the
 /// paper's formulation). Each node stores its parents in *slot order* —
 /// the order is semantically meaningful (e.g. a [`NodeType::Mux`]'s first
-/// parent is the select). A derived children index is kept in sync for
-/// forward traversal.
+/// parent is the select). Forward traversals build the children
+/// adjacency once with [`CircuitGraph::children_index`].
 ///
 /// The container itself permits invalid intermediate states (wrong arity,
 /// combinational loops) so that generative models can operate freely;
 /// [`CircuitGraph::validate`] checks the paper's constraints `C`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CircuitGraph {
     name: String,
     nodes: Vec<Node>,
     parents: Vec<Vec<NodeId>>,
-    #[serde(skip)]
-    children: ChildIndex,
-}
-
-/// Lazily rebuilt children adjacency (not serialized).
-#[derive(Debug, Default)]
-struct ChildIndex {
-    lists: Vec<Vec<NodeId>>,
-    valid: bool,
-}
-
-impl Clone for ChildIndex {
-    fn clone(&self) -> Self {
-        // A stale cache would be rebuilt before use anyway — don't pay
-        // for deep-copying it (graph clones are a Phase-3 hot path).
-        if self.valid {
-            ChildIndex {
-                lists: self.lists.clone(),
-                valid: true,
-            }
-        } else {
-            ChildIndex::default()
-        }
-    }
 }
 
 impl CircuitGraph {
@@ -62,7 +38,6 @@ impl CircuitGraph {
             name: name.into(),
             nodes: Vec::new(),
             parents: Vec::new(),
-            children: ChildIndex::default(),
         }
     }
 
@@ -108,7 +83,6 @@ impl CircuitGraph {
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(node);
         self.parents.push(Vec::new());
-        self.children.valid = false;
         id
     }
 
@@ -162,18 +136,7 @@ impl CircuitGraph {
         &self.parents[id.index()]
     }
 
-    /// Children of `id` (unordered, with multiplicity).
-    ///
-    /// The children index is rebuilt lazily after mutations; this method
-    /// requires `&mut self` for that reason. Use
-    /// [`CircuitGraph::children_index`] to precompute it once and query
-    /// immutably afterwards.
-    pub fn children(&mut self, id: NodeId) -> &[NodeId] {
-        self.rebuild_children();
-        &self.children.lists[id.index()]
-    }
-
-    /// Precomputes and returns the full children adjacency.
+    /// Builds the full children adjacency.
     ///
     /// Index `i` holds the children of node `i`, with multiplicity.
     pub fn children_index(&self) -> Vec<Vec<NodeId>> {
@@ -184,13 +147,6 @@ impl CircuitGraph {
             }
         }
         lists
-    }
-
-    fn rebuild_children(&mut self) {
-        if !self.children.valid {
-            self.children.lists = self.children_index();
-            self.children.valid = true;
-        }
     }
 
     /// Replaces the parent list of `node`.
@@ -216,7 +172,6 @@ impl CircuitGraph {
             });
         }
         self.parents[node.index()] = parents.to_vec();
-        self.children.valid = false;
         Ok(())
     }
 
@@ -230,7 +185,6 @@ impl CircuitGraph {
             assert!(p.index() < self.nodes.len(), "parent {p} out of range");
         }
         self.parents[node.index()] = parents.to_vec();
-        self.children.valid = false;
     }
 
     /// Appends a parent slot (`from` drives `to`), without arity checking.
@@ -242,7 +196,6 @@ impl CircuitGraph {
         self.check_node(from)?;
         self.check_node(to)?;
         self.parents[to.index()].push(from);
-        self.children.valid = false;
         Ok(())
     }
 
@@ -258,20 +211,16 @@ impl CircuitGraph {
         match slots.iter().position(|&p| p == from) {
             Some(pos) => {
                 slots.remove(pos);
-                self.children.valid = false;
                 Ok(())
             }
             None => Err(GraphError::MissingEdge { from, to }),
         }
     }
 
-    /// Crate-internal direct access to one node's parent slot list.
-    ///
-    /// Invalidates the lazily rebuilt children cache; the in-place swap
-    /// engine ([`crate::swap::SwapGraph`]) uses this for O(arity) slot
-    /// surgery while maintaining its own children index.
+    /// Crate-internal direct access to one node's parent slot list: the
+    /// in-place swap engine ([`crate::swap::SwapGraph`]) uses this for
+    /// O(arity) slot surgery while maintaining its own children index.
     pub(crate) fn parents_vec_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
-        self.children.valid = false;
         &mut self.parents[id.index()]
     }
 
@@ -355,14 +304,6 @@ impl CircuitGraph {
     }
 }
 
-impl PartialEq for CircuitGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name && self.nodes == other.nodes && self.parents == other.parents
-    }
-}
-
-impl Eq for CircuitGraph {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,9 +333,9 @@ mod tests {
     fn children_index_tracks_mutations() {
         let mut g = tiny();
         let s = NodeId::new(2);
-        assert_eq!(g.children(NodeId::new(0)), &[s]);
+        assert_eq!(g.children_index()[0], [s]);
         g.remove_edge(NodeId::new(0), s).unwrap();
-        assert!(g.children(NodeId::new(0)).is_empty());
+        assert!(g.children_index()[0].is_empty());
         assert_eq!(g.parents(s), &[NodeId::new(1)]);
     }
 
@@ -460,9 +401,7 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let g2: CircuitGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, g2);
-        // children index rebuilt lazily after deserialization
-        let mut g2 = g2;
-        assert_eq!(g2.children(NodeId::new(0)), &[NodeId::new(2)]);
+        assert_eq!(g2.children_index()[0], [NodeId::new(2)]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::circuit::CircuitGraph;
 use crate::comb;
 use crate::error::ValidateError;
+use crate::node::{Node, NodeId, NodeType};
 
 impl CircuitGraph {
     /// Checks the paper's circuit constraints `C` (§II):
@@ -50,12 +51,43 @@ impl CircuitGraph {
     pub fn is_valid(&self) -> bool {
         self.validate().is_ok()
     }
+
+    /// Rewrites out-of-range bit-selects so every select reads inside
+    /// its parent (the precondition of HDL emission): the select width
+    /// shrinks to the parent's width when the parent is narrower
+    /// (Verilog's implicit zero-extension on assignment), and the offset
+    /// is clamped. A select without a parent is left alone.
+    ///
+    /// Runs to a fixpoint: shrinking one bit-select can push a
+    /// downstream bit-select out of range (chains of selects), so passes
+    /// repeat until nothing changes.
+    pub fn legalize_bit_selects(&mut self) {
+        loop {
+            let fixes: Vec<(NodeId, Node)> = self
+                .iter()
+                .filter(|(_, n)| n.ty() == NodeType::BitSelect)
+                .filter_map(|(id, n)| {
+                    let parent = *self.parents(id).first()?;
+                    let pw = self.node(parent).width();
+                    let w = n.width().min(pw);
+                    let off = (n.aux() as u32).min(pw - w);
+                    (w != n.width() || off as u64 != n.aux())
+                        .then(|| (id, Node::with_aux(NodeType::BitSelect, w, off as u64)))
+                })
+                .collect();
+            if fixes.is_empty() {
+                return;
+            }
+            for (id, node) in fixes {
+                self.replace_node(id, node);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeType;
 
     #[test]
     fn valid_counter() {

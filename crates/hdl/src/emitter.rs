@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
-use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
+use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
 
 /// Error produced by [`emit`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -14,7 +14,8 @@ pub enum EmitError {
         details: String,
     },
     /// A bit-select reads past its parent's width and cannot be printed
-    /// as a legal Verilog part-select. Run [`legalize`] first.
+    /// as a legal Verilog part-select. Run
+    /// [`CircuitGraph::legalize_bit_selects`] first.
     BitSelectOutOfRange {
         /// The offending node.
         node: NodeId,
@@ -50,41 +51,6 @@ impl fmt::Display for EmitError {
 
 impl Error for EmitError {}
 
-/// Rewrites out-of-range bit-selects so the graph becomes emittable:
-/// offsets are clamped and, when the parent is narrower than the select,
-/// the select width is reduced to the parent width (semantically this
-/// matches Verilog's implicit zero-extension on assignment).
-///
-/// Runs to a fixpoint: shrinking one bit-select can push a downstream
-/// bit-select out of range (chains of selects), so passes repeat until
-/// nothing changes.
-pub fn legalize(g: &mut CircuitGraph) {
-    loop {
-        let fixes: Vec<(NodeId, Node)> = g
-            .iter()
-            .filter(|(_, n)| n.ty() == NodeType::BitSelect)
-            .filter_map(|(id, n)| {
-                let parent = *g.parents(id).first()?;
-                let pw = g.node(parent).width();
-                let w = n.width().min(pw);
-                let max_off = pw - w;
-                let off = (n.aux() as u32).min(max_off);
-                if w != n.width() || off as u64 != n.aux() {
-                    Some((id, Node::with_aux(NodeType::BitSelect, w, off as u64)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        if fixes.is_empty() {
-            return;
-        }
-        for (id, node) in fixes {
-            g.replace_node(id, node);
-        }
-    }
-}
-
 /// Prints a valid circuit graph as a Verilog-2001 module.
 ///
 /// Every node becomes a signal named `n<id>`; inputs/outputs appear in the
@@ -96,7 +62,7 @@ pub fn legalize(g: &mut CircuitGraph) {
 /// Returns [`EmitError::InvalidGraph`] when the graph violates the
 /// circuit constraints, and [`EmitError::BitSelectOutOfRange`] when a
 /// bit-select cannot be printed as a legal part-select (fix with
-/// [`legalize`]).
+/// [`CircuitGraph::legalize_bit_selects`]).
 pub fn emit(g: &CircuitGraph) -> Result<String, EmitError> {
     if let Err(errs) = g.validate() {
         let details = errs
@@ -288,7 +254,7 @@ mod tests {
             emit(&g).unwrap_err(),
             EmitError::BitSelectOutOfRange { .. }
         ));
-        legalize(&mut g);
+        g.legalize_bit_selects();
         let v = emit(&g).unwrap();
         // clamped to offset 0 (width 4 of a 4-bit parent)
         assert!(v.contains("assign n1 = n0[3:0];"));
@@ -309,8 +275,8 @@ mod tests {
         g.set_parents(b2, &[b1]).unwrap();
         g.set_parents(b3, &[b2]).unwrap();
         g.set_parents(o, &[b3]).unwrap();
-        legalize(&mut g);
-        let v = emit(&g).expect("chain must be emittable after legalize");
+        g.legalize_bit_selects();
+        let v = emit(&g).expect("chain must be emittable after legalizing");
         assert!(parse(&v).is_ok());
         for (id, node) in g.iter() {
             if node.ty() == NodeType::BitSelect {

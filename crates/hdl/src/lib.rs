@@ -42,5 +42,5 @@
 mod emitter;
 mod parser;
 
-pub use emitter::{emit, legalize, EmitError};
+pub use emitter::{emit, EmitError};
 pub use parser::{parse, ParseError};

@@ -6,8 +6,11 @@
 //! machinery from scratch, with no external ML dependencies:
 //!
 //! - [`Matrix`] — dense row-major `f32` matrices, with a panel-packed
-//!   weight layout ([`PackedB`]) and one safe serving kernel, compiled
-//!   per SIMD tier (portable, AVX2, AVX-512F) and picked at runtime
+//!   weight layout ([`PackedB`]) and one safe dense kernel, compiled
+//!   per SIMD tier (portable, AVX2, AVX-512F) and picked at runtime.
+//!   The same kernel serves training ([`Matrix::matmul`], which the
+//!   tape calls) and serving; the unit tests prove it against a plain
+//!   ikj loop on every tier the host has
 //! - [`Tape`] — reverse-mode automatic differentiation over matrix ops;
 //!   it trains every model and is the oracle for serving passes, which
 //!   call the packed kernels directly (`Linear::forward_packed_into`,

@@ -4,10 +4,10 @@ use rand::Rng;
 use serde::{DeError, Deserialize, Reader, Serialize};
 use std::fmt;
 
-/// Output-column tile width shared by [`Matrix::matmul_into`] and the
-/// packed-B kernel: 16 `f32`s = 64 bytes = one cache line, so each
-/// panel row of a [`PackedB`] is exactly one line and the accumulator
-/// tile fits in one 512-bit or two 256-bit vector registers.
+/// Output-column tile width of the packed-B kernel: 16 `f32`s = 64
+/// bytes = one cache line, so each panel row of a [`PackedB`] is
+/// exactly one line and the accumulator tile fits in one 512-bit or two
+/// 256-bit vector registers.
 const TILE: usize = 16;
 
 /// Writeback of one tile accumulator: broadcast bias add, optional
@@ -184,14 +184,32 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self × rhs` (ikj loop order).
+    /// Matrix product `self × rhs`: packs `rhs` with
+    /// [`Matrix::pack_b`] and runs [`Matrix::matmul_packed_into`], so
+    /// the tape (training) and serving multiply on one kernel. Per
+    /// output element, contributions accumulate in ascending `k`, one
+    /// multiply and one add each, with zero `self` entries skipped.
+    ///
+    /// # Zero-skip invariant (deliberately non-IEEE)
+    ///
+    /// A zero left-hand entry contributes nothing **even when the
+    /// matching `rhs` entry is `NaN` or `±∞`** — IEEE would give
+    /// `0.0 × NaN = NaN` and `0.0 × ∞ = NaN`. This divergence is
+    /// observable, load-bearing, and locked by a regression test
+    /// (`zero_skip_masks_nonfinite_rhs`): every product (tape, packed,
+    /// fused serving passes) must produce the same bits, and the skip is
+    /// part of the result they agree on. A non-zero `a` against a
+    /// non-finite `rhs` still propagates NaN/∞ normally, and a `NaN` in
+    /// `a` is *not* skipped (`NaN == 0.0` is false). For finite weights
+    /// the kernel reproduces the skip without a branch — see
+    /// [`PackedB`].
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
+        self.matmul_packed_into(&rhs.pack_b(), &mut out);
         out
     }
 
@@ -260,98 +278,6 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Writes `self × rhs` into `out` (reshaped in place). Per output
-    /// element, contributions accumulate in ascending `k` with zero `a`
-    /// entries skipped — the historical ikj order — but the inner loop
-    /// is tiled over output columns so the running sums live in
-    /// registers instead of round-tripping through the output row every
-    /// `k`. Identical scalar operation sequence per element, so results
-    /// are bit-identical to the straightforward loop; [`Matrix::matmul`]
-    /// delegates here, keeping the allocating and scratch-reusing paths
-    /// equal by construction.
-    ///
-    /// # Zero-skip invariant (deliberately non-IEEE)
-    ///
-    /// The `a == 0.0` skip means a zero left-hand entry contributes
-    /// nothing **even when the matching `rhs` entry is `NaN` or `±∞`**
-    /// — IEEE would give `0.0 × NaN = NaN` and `0.0 × ∞ = NaN`. This
-    /// divergence is observable, load-bearing, and locked by a
-    /// regression test (`zero_skip_masks_nonfinite_rhs`): every matmul
-    /// path (tape, tiled, `d == 1` dot, packed) must produce the same
-    /// bits, and the skip is part of the result they agree on. A
-    /// non-zero `a` against a non-finite `rhs` still propagates
-    /// NaN/∞ normally, and a `NaN` in `a` is *not* skipped (`NaN ==
-    /// 0.0` is false). [`Matrix::matmul_packed_into`] reproduces the
-    /// skip bit for bit, without a branch when the weights are finite
-    /// — see [`PackedB`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} × {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        out.reset_shape_any(self.rows, rhs.cols);
-        let d = rhs.cols;
-        if self.cols == 0 || d == 0 {
-            out.data.fill(0.0);
-            return;
-        }
-        if d == 1 {
-            // Column output: a plain dot product per row (same k order
-            // and zero-skip as the tiled path below).
-            for (arow, o) in self.data.chunks_exact(self.cols).zip(out.data.iter_mut()) {
-                let mut acc = 0.0f32;
-                for (&a, &r) in arow.iter().zip(&rhs.data) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    acc += a * r;
-                }
-                *o = acc;
-            }
-            return;
-        }
-        for (arow, orow) in self
-            .data
-            .chunks_exact(self.cols)
-            .zip(out.data.chunks_exact_mut(d))
-        {
-            for (tile, otile) in orow.chunks_mut(TILE).enumerate() {
-                let w = otile.len();
-                let mut acc = [0.0f32; TILE];
-                if w == TILE {
-                    // Full tile: fixed-width inner loop (vectorizes
-                    // without runtime trip counts).
-                    for (rrow, &a) in rhs.data.chunks_exact(d).zip(arow) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let rtile: &[f32; TILE] =
-                            rrow[tile * TILE..tile * TILE + TILE].try_into().unwrap();
-                        for (ac, &r) in acc.iter_mut().zip(rtile) {
-                            *ac += a * r;
-                        }
-                    }
-                } else {
-                    for (rrow, &a) in rhs.data.chunks_exact(d).zip(arow) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let rtile = &rrow[tile * TILE..tile * TILE + w];
-                        for (ac, &r) in acc[..w].iter_mut().zip(rtile) {
-                            *ac += a * r;
-                        }
-                    }
-                }
-                otile.copy_from_slice(&acc[..w]);
-            }
-        }
-    }
-
     /// Packs this matrix into the panel layout consumed by
     /// [`Matrix::matmul_packed_into`] (allocating; see
     /// [`Matrix::pack_b_into`] for the reusing variant).
@@ -382,18 +308,18 @@ impl Matrix {
         }
     }
 
-    /// Writes `self × rhs` into `out`, bit-identical to
-    /// [`Matrix::matmul_into`] with the unpacked `rhs`, using the
-    /// panel-major [`PackedB`] layout.
+    /// Writes `self × rhs` into `out` (reshaped in place) using the
+    /// panel-major [`PackedB`] layout: the one dense kernel, with the
+    /// zero-skip semantics documented on [`Matrix::matmul`].
     ///
-    /// Two things make the naive kernel slow on serving activations:
+    /// Two things make a row-major loop slow on serving activations:
     /// `rhs` rows are strided (one cache line per `k` touches `d`
     /// columns), and the `a == 0.0` skip — hit 25–50% of the time on
     /// post-ReLU data — is an unpredictable branch. The packed layout
     /// makes every panel read sequential, and for finite weights the
     /// skip needs no branch at all (see [`PackedB`]), so each lane is a
-    /// plain multiply and add. Proven against [`Matrix::matmul_into`]
-    /// across ragged shapes and non-finite inputs in the test suite.
+    /// plain multiply and add. Proven against a plain ikj triple loop
+    /// across ragged shapes and non-finite inputs in the unit tests.
     ///
     /// One safe kernel body is compiled once per SIMD tier (portable,
     /// AVX2, AVX-512F), and the widest tier the CPU supports runs
@@ -564,12 +490,14 @@ impl Deserialize for Matrix {
 /// An accumulator starts at `+0.0`, and round-to-nearest addition gives
 /// `-0.0` only from `(-0.0) + (-0.0)`, so it never holds `-0.0`; every
 /// other value is unchanged by adding `±0.0`. Against a `NaN` or `±∞`
-/// weight a zero entry would form `NaN`, so a matrix with one is
-/// multiplied by a second instantiation of the same kernel that skips
-/// zero entries with a branch, as [`Matrix::matmul_into`] does.
+/// weight a zero entry would form `NaN`, which the zero-skip invariant
+/// (see [`Matrix::matmul`]) forbids, so a matrix with one is multiplied
+/// by a second instantiation of the same kernel that skips zero entries
+/// with a branch.
 ///
 /// A `PackedB` is a pure function of the source matrix — repack after
-/// any weight change. It is a serving-side acceleration structure and
+/// any weight change. [`Matrix::matmul`] packs its right operand for
+/// each product; serving packs each weight once per model. It is
 /// deliberately not serializable; artifacts store the row-major
 /// [`Matrix`] and repack on load.
 #[derive(Clone, Debug, Default)]
@@ -649,8 +577,8 @@ fn packed_tiles<const R: usize>(
     for tile in 0..d.div_ceil(TILE) {
         let (panel, shared) = rhs.data[tile * rhs.rows..][..rhs.rows].split_at(k);
         // The suffix products are the same for every row, so they are
-        // formed once per tile; zero entries are skipped as in
-        // `matmul_into`.
+        // formed once per tile; zero entries are skipped, as the row
+        // kernel skips them.
         sprod.clear();
         sprod.extend(
             suffix
@@ -874,6 +802,27 @@ mod tests {
         m.data().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The reference product the packed kernel is proven against: a
+    /// plain ikj triple loop, accumulating in ascending `k` from `+0.0`
+    /// and skipping zero `a` entries (the zero-skip invariant on
+    /// [`Matrix::matmul`]).
+    fn naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "naive shape mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let x = a.at(i, k);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    *out.at_mut(i, j) += x * b.at(k, j);
+                }
+            }
+        }
+        out
+    }
+
     /// Sprinkles exact zeros into a random matrix so the zero-skip path
     /// is exercised (post-ReLU serving activations look like this).
     fn sparse_randn(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
@@ -948,10 +897,10 @@ mod tests {
     }
 
     /// Locks the deliberate IEEE divergence documented on
-    /// [`Matrix::matmul_into`]: a zero `a` entry contributes nothing
-    /// even against NaN/∞ in `rhs`, a non-zero `a` propagates them, and
-    /// a NaN `a` is never skipped. Both the naive and packed kernels
-    /// must agree bit-for-bit.
+    /// [`Matrix::matmul`]: a zero `a` entry contributes nothing even
+    /// against NaN/∞ in `rhs`, a non-zero `a` propagates them, and a NaN
+    /// `a` is never skipped. The reference loop, `matmul` and every
+    /// packed instantiation must agree bit-for-bit.
     #[test]
     fn zero_skip_masks_nonfinite_rhs() {
         let a = Matrix::from_rows(&[&[0.0, 2.0], &[0.0, 0.0], &[f32::NAN, 1.0], &[-0.0, 3.0]]);
@@ -959,20 +908,21 @@ mod tests {
             &[f32::NAN, f32::INFINITY, 1.0],
             &[5.0, f32::NEG_INFINITY, 2.0],
         ]);
-        let naive = a.matmul(&b);
+        let want = naive(&a, &b);
         // Row 0: a = 0 skips the NaN/∞ row entirely.
-        assert_eq!(naive.row(0)[0], 10.0);
-        assert_eq!(naive.row(0)[1], f32::NEG_INFINITY);
+        assert_eq!(want.row(0)[0], 10.0);
+        assert_eq!(want.row(0)[1], f32::NEG_INFINITY);
         // Row 1: all-zero a gives exact +0.0, not NaN.
-        assert!(naive.row(1).iter().all(|&x| x.to_bits() == 0));
+        assert!(want.row(1).iter().all(|&x| x.to_bits() == 0));
         // Row 2: NaN a is NOT skipped and poisons its products.
-        assert!(naive.row(2).iter().all(|x| x.is_nan()));
+        assert!(want.row(2).iter().all(|x| x.is_nan()));
         // Row 3: -0.0 skips like +0.0.
-        assert_eq!(naive.row(3)[0], 15.0);
+        assert_eq!(want.row(3)[0], 15.0);
+        assert_eq!(bits(&want), bits(&a.matmul(&b)));
         let packed = b.pack_b();
         let mut packed_out = Matrix::zeros(0, 0);
         a.matmul_packed_into(&packed, &mut packed_out);
-        assert_eq!(bits(&naive), bits(&packed_out));
+        assert_eq!(bits(&want), bits(&packed_out));
         let job = Job {
             a: &a,
             suffix: &[],
@@ -980,12 +930,13 @@ mod tests {
             bias: None,
             relu: false,
         };
-        assert_every_tier(&naive, job, "non-finite weights");
+        assert_every_tier(&want, job, "non-finite weights");
     }
 
-    /// Packed-B ≡ naive, bit-for-bit, across ragged shapes including
-    /// the degenerate 0-row/0-col edges and widths straddling tile
-    /// boundaries, with both a cold and a reused output buffer.
+    /// Packed-B ≡ the reference loop, bit-for-bit, across ragged shapes
+    /// including the degenerate 0-row/0-col edges, one-column outputs
+    /// and widths straddling tile boundaries, with both a cold and a
+    /// reused output buffer.
     #[test]
     fn packed_matches_naive_across_shapes() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -1010,12 +961,13 @@ mod tests {
             let b = Matrix::randn(k, n, 1.0, &mut rng);
             b.pack_b_into(&mut packed);
             assert_eq!((packed.rows(), packed.cols()), (k, n));
-            let naive = a.matmul(&b);
+            let want = naive(&a, &b);
+            assert_eq!(bits(&want), bits(&a.matmul(&b)), "matmul {m}x{k}x{n}");
             let mut cold = Matrix::zeros(0, 0);
             a.matmul_packed_into(&packed, &mut cold);
             a.matmul_packed_into(&packed, &mut warm);
-            assert_eq!(bits(&naive), bits(&cold), "cold {m}x{k}x{n}");
-            assert_eq!(bits(&naive), bits(&warm), "warm {m}x{k}x{n}");
+            assert_eq!(bits(&want), bits(&cold), "cold {m}x{k}x{n}");
+            assert_eq!(bits(&want), bits(&warm), "warm {m}x{k}x{n}");
             let job = Job {
                 a: &a,
                 suffix: &[],
@@ -1023,13 +975,13 @@ mod tests {
                 bias: None,
                 relu: false,
             };
-            assert_every_tier(&naive, job, &format!("{m}x{k}x{n}"));
+            assert_every_tier(&want, job, &format!("{m}x{k}x{n}"));
         }
     }
 
     /// Checks the shared-suffix fused op against the materialized
     /// pipeline it replaces: concatenate the suffix row onto every `A`
-    /// row, naive matmul, broadcast bias add, optional ReLU. Every third
+    /// row, reference matmul, broadcast bias add, optional ReLU. Every third
     /// suffix entry is zero, and the first faces a NaN weight that the
     /// zero-skip must mask out exactly like the branchy skip.
     fn assert_cat_matches_materialized(m: usize, kp: usize, s: usize, d: usize, rng: &mut StdRng) {
@@ -1053,7 +1005,7 @@ mod tests {
         }
         let packed = b.pack_b();
         for relu in [false, true] {
-            let mut want = cat.matmul(&b);
+            let mut want = naive(&cat, &b);
             for row in 0..m {
                 for (x, &bv) in want.data_mut()[row * d..(row + 1) * d]
                     .iter_mut()
@@ -1129,7 +1081,7 @@ mod tests {
         let a = sparse_randn(6, 4, &mut rng);
         let mut out = Matrix::zeros(0, 0);
         a.matmul_packed_into(&packed, &mut out);
-        let want = a.matmul(&small);
+        let want = naive(&a, &small);
         assert_eq!(bits(&want), bits(&out));
         let job = Job {
             a: &a,

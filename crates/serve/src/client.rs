@@ -68,7 +68,6 @@ pub struct NetClient {
     next_id: u64,
     /// Responses that arrived while waiting for a different id.
     stashed: HashMap<u64, Result<Generated, ClientError>>,
-    max_frame_bytes: usize,
 }
 
 impl fmt::Debug for NetClient {
@@ -92,7 +91,6 @@ impl NetClient {
             stream,
             next_id: 1,
             stashed: HashMap::new(),
-            max_frame_bytes: MAX_FRAME_BYTES,
         })
     }
 
@@ -131,7 +129,7 @@ impl NetClient {
             artifact: artifact.to_string(),
             request,
         });
-        write_frame(&mut self.stream, &payload, self.max_frame_bytes)?;
+        write_frame(&mut self.stream, &payload, MAX_FRAME_BYTES)?;
         Ok(id)
     }
 
@@ -153,7 +151,7 @@ impl NetClient {
             if let Some(outcome) = self.stashed.remove(&id) {
                 return outcome;
             }
-            let payload = match read_frame(&mut self.stream, self.max_frame_bytes) {
+            let payload = match read_frame(&mut self.stream, MAX_FRAME_BYTES) {
                 Ok(Some(payload)) => payload,
                 Ok(None) => return Err(ClientError::Disconnected),
                 Err(WireError::Io(msg)) => return Err(ClientError::Io(msg)),

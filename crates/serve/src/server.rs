@@ -71,22 +71,12 @@ use std::time::{Duration, Instant};
 /// blocks its writer mid-send) cannot hold shutdown up.
 const SHUTDOWN_WRITE_GRACE: Duration = Duration::from_secs(1);
 
-/// Configuration of a [`NetServer`].
-#[derive(Clone, Debug)]
+/// Configuration of a [`NetServer`]. Frames in both directions are
+/// bounded by [`MAX_FRAME_BYTES`].
+#[derive(Clone, Debug, Default)]
 pub struct NetServerConfig {
     /// Configuration of the daemon behind the socket.
     pub daemon: DaemonConfig,
-    /// Per-frame payload bound (both directions).
-    pub max_frame_bytes: usize,
-}
-
-impl Default for NetServerConfig {
-    fn default() -> Self {
-        NetServerConfig {
-            daemon: DaemonConfig::default(),
-            max_frame_bytes: MAX_FRAME_BYTES,
-        }
-    }
 }
 
 /// What the writer thread processes. Responses go out in *completion*
@@ -109,7 +99,6 @@ struct ServerShared {
     daemon: Daemon,
     injector: Arc<dyn FaultInjector>,
     stopping: AtomicBool,
-    max_frame_bytes: usize,
     /// A handle on each live connection's socket, by connection number,
     /// for shutdown to close. Each connection removes its own entry when
     /// it ends.
@@ -175,7 +164,6 @@ impl NetServer {
             daemon: Daemon::start_with_faults(config.daemon, injector.clone()),
             injector,
             stopping: AtomicBool::new(false),
-            max_frame_bytes: config.max_frame_bytes,
             conns: Mutex::new(HashMap::new()),
             conn_closed: Condvar::new(),
         });
@@ -322,10 +310,9 @@ fn serve_connection(stream: TcpStream, shared: &ServerShared) {
         return;
     };
     let (tx, rx) = mpsc::channel::<WriterItem>();
-    let max_frame_bytes = shared.max_frame_bytes;
     let writer = std::thread::Builder::new()
         .name("syncircuit-net-writer".to_string())
-        .spawn(move || write_loop(write_half, &rx, max_frame_bytes));
+        .spawn(move || write_loop(write_half, &rx));
     let Ok(writer) = writer else {
         return;
     };
@@ -359,7 +346,7 @@ fn respond_on_completion(
 /// injected connection drop.
 fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &ServerShared) {
     loop {
-        let payload = match read_frame(&mut stream, shared.max_frame_bytes) {
+        let payload = match read_frame(&mut stream, MAX_FRAME_BYTES) {
             Ok(Some(payload)) => payload,
             Ok(None) => return, // clean close
             Err(e) => {
@@ -425,14 +412,14 @@ fn read_loop(mut stream: TcpStream, tx: &mpsc::Sender<WriterItem>, shared: &Serv
 /// gone and every held frame is out, so joining the writer means the
 /// connection has no hook pending. After a write failure it still
 /// drains, but writes nothing further.
-fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>, max_frame_bytes: usize) {
+fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>) {
     // Delayed frames by due time; equal times keep their arrival order.
     let mut held: VecDeque<(Instant, ResponseFrame)> = VecDeque::new();
     let mut live = true;
     loop {
         while live && held.front().is_some_and(|(due, _)| *due <= Instant::now()) {
             let (_, frame) = held.pop_front().expect("a held frame is due");
-            live = send(&mut stream, &frame, max_frame_bytes);
+            live = send(&mut stream, &frame);
         }
         if !live {
             held.clear();
@@ -465,10 +452,10 @@ fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>, max_frame_
                 held.insert(at, (due, frame));
             }
             WriterItem::Ready { frame, slow: None } => {
-                live = send(&mut stream, &frame, max_frame_bytes);
+                live = send(&mut stream, &frame);
             }
             WriterItem::Fatal(frame) => {
-                send(&mut stream, &frame, max_frame_bytes);
+                send(&mut stream, &frame);
                 let _ = stream.shutdown(Shutdown::Both);
                 live = false;
             }
@@ -479,8 +466,8 @@ fn write_loop(mut stream: TcpStream, rx: &mpsc::Receiver<WriterItem>, max_frame_
 
 /// Sends one response frame. On failure it closes the socket, so the
 /// reader stops too, and returns `false`.
-fn send(stream: &mut TcpStream, frame: &ResponseFrame, max_frame_bytes: usize) -> bool {
-    let sent = write_frame(stream, &encode_response(frame), max_frame_bytes).is_ok();
+fn send(stream: &mut TcpStream, frame: &ResponseFrame) -> bool {
+    let sent = write_frame(stream, &encode_response(frame), MAX_FRAME_BYTES).is_ok();
     if !sent {
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -504,7 +491,6 @@ mod tests {
                     queue_capacity: 1,
                     ..DaemonConfig::default()
                 },
-                ..NetServerConfig::default()
             },
         )
         .expect("bind ephemeral port");
@@ -564,7 +550,6 @@ mod tests {
                     queue_capacity: 4,
                     ..DaemonConfig::default()
                 },
-                ..NetServerConfig::default()
             },
             Arc::new(SlowOddSeeds),
         )

@@ -80,7 +80,6 @@ fn server(workers: usize) -> NetServer {
                 budget: RegistryBudget::unlimited(),
                 ..DaemonConfig::default()
             },
-            ..NetServerConfig::default()
         },
     )
     .expect("bind ephemeral port")
@@ -259,7 +258,6 @@ fn overload_is_a_typed_frame_not_a_hangup() {
                 queue_capacity: 2,
                 ..DaemonConfig::default()
             },
-            ..NetServerConfig::default()
         },
     )
     .expect("bind");

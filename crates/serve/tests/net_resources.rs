@@ -79,7 +79,6 @@ fn server(workers: usize, queue_capacity: usize) -> NetServer {
                 budget: RegistryBudget::unlimited(),
                 ..DaemonConfig::default()
             },
-            ..NetServerConfig::default()
         },
     )
     .expect("bind ephemeral port")
@@ -227,7 +226,6 @@ fn a_peer_that_stops_reading_cannot_hold_shutdown_up() {
                 retry: RetryPolicy::none(),
                 ..DaemonConfig::default()
             },
-            ..NetServerConfig::default()
         },
     )
     .expect("bind ephemeral port");

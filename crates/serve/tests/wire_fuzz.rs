@@ -58,7 +58,6 @@ fn fuzz_server() -> NetServer {
                 budget: RegistryBudget::unlimited(),
                 ..DaemonConfig::default()
             },
-            ..NetServerConfig::default()
         },
     )
     .expect("bind ephemeral port")

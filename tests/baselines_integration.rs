@@ -56,3 +56,26 @@ fn baseline_outputs_are_emittable() {
         assert_eq!(syncircuit::hdl::parse(&v).expect("parseable"), g);
     }
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The Verilog of designs generated from a `tiny()` GraphRNN fit keeps
+/// its recorded digest. GraphRNN trains and generates through the
+/// tape's matmul, and every edge it samples reads the trained weights.
+#[test]
+fn graphrnn_training_keeps_its_bits() {
+    let model = GraphRnn::train(&corpus(), GraphRnnConfig::tiny(), 5);
+    let text: String = (0..4)
+        .map(|seed| {
+            let g = model.generate(35, seed).expect("generation");
+            syncircuit::hdl::emit(&g).expect("emittable")
+        })
+        .collect();
+    let got = fnv1a(text.as_bytes());
+    assert_eq!(got, 0x1bb0_efa8_c7d3_2e14, "digest {got:#018x} != recorded");
+}
