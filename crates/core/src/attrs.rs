@@ -29,7 +29,9 @@ pub struct AttrModel {
 }
 
 fn bucket(width: u32) -> usize {
-    (32 - (width.max(1)).leading_zeros()).saturating_sub(1).min(6) as usize
+    (32 - (width.max(1)).leading_zeros())
+        .saturating_sub(1)
+        .min(6) as usize
 }
 
 impl AttrModel {
@@ -153,7 +155,9 @@ impl AttrModel {
 
     fn make_node<R: Rng>(&self, ty: NodeType, width: u32, rng: &mut R) -> Node {
         match ty {
-            NodeType::Const => Node::with_aux(ty, width, rng.gen::<u64>() & syncircuit_graph::mask(width)),
+            NodeType::Const => {
+                Node::with_aux(ty, width, rng.gen::<u64>() & syncircuit_graph::mask(width))
+            }
             // Offsets are clamped against the eventual parent in Phase 2.
             NodeType::BitSelect => Node::with_aux(ty, width, rng.gen_range(0..width.max(1)) as u64),
             _ => Node::new(ty, width),
@@ -210,7 +214,12 @@ mod tests {
         for n in [6, 10, 40] {
             let attrs = model.sample_attrs(n, &mut rng);
             assert_eq!(attrs.len(), n);
-            for ty in [NodeType::Input, NodeType::Const, NodeType::Reg, NodeType::Output] {
+            for ty in [
+                NodeType::Input,
+                NodeType::Const,
+                NodeType::Reg,
+                NodeType::Output,
+            ] {
                 assert!(attrs.iter().any(|a| a.ty() == ty), "missing {ty}");
             }
             let outputs = attrs.iter().filter(|a| a.ty() == NodeType::Output).count();

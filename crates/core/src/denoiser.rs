@@ -14,11 +14,11 @@
 
 use crate::attrs::AttrModel;
 use rand::Rng;
+use std::rc::Rc;
+use syncircuit_graph::Node;
 use syncircuit_nn::layers::{Linear, Mlp};
 use syncircuit_nn::sparse::RowNormAdj;
 use syncircuit_nn::{sigmoid, Matrix, PackedB, ParamStore, Tape, Var};
-use syncircuit_graph::Node;
-use std::rc::Rc;
 
 /// One MPNN layer of the encoder (the paper's update rule plus a ReLU).
 #[derive(Clone, Debug)]
@@ -109,13 +109,7 @@ impl Denoiser {
 
     /// Scores directed candidate pairs, returning a `K×1` logit matrix
     /// aligned with `pairs` (each `(from, to)`).
-    pub fn decode_pairs(
-        &self,
-        tape: &mut Tape,
-        h: Var,
-        pairs: &[(u32, u32)],
-        t: usize,
-    ) -> Var {
+    pub fn decode_pairs(&self, tape: &mut Tape, h: Var, pairs: &[(u32, u32)], t: usize) -> Var {
         let k = pairs.len();
         let src: Vec<u32> = pairs.iter().map(|p| p.0).collect();
         let dst: Vec<u32> = pairs.iter().map(|p| p.1).collect();
@@ -218,7 +212,8 @@ impl Denoiser {
         pack: &DenoiserWeightPack,
         out: &mut Matrix,
     ) {
-        self.feat_proj.forward_packed_into(store, features, &pack.feat_proj, out);
+        self.feat_proj
+            .forward_packed_into(store, features, &pack.feat_proj, out);
     }
 
     /// Encode + decode + sigmoid as one fixed pass over the packed

@@ -437,7 +437,12 @@ impl DiffusionModel {
             }
         }
 
-        Ok(DiffusionModel::assemble(store, denoiser, config, mean_degree))
+        Ok(DiffusionModel::assemble(
+            store,
+            denoiser,
+            config,
+            mean_degree,
+        ))
     }
 
     /// Final assembly shared by training and artifact restore: builds
@@ -590,7 +595,10 @@ impl DiffusionModel {
             let mut group_j = u32::MAX;
             for (k, &(i, j)) in scratch.pairs.iter().enumerate() {
                 if j != group_j {
-                    debug_assert!(group_j == u32::MAX || j > group_j, "pairs must stay grouped");
+                    debug_assert!(
+                        group_j == u32::MAX || j > group_j,
+                        "pairs must stay grouped"
+                    );
                     scratch.stamps.begin(n);
                     for &p in &scratch.current[j as usize] {
                         scratch.stamps.insert(p);

@@ -110,10 +110,7 @@ impl PcsDiscriminator {
         let mlp = Mlp::new(&mut store, &MLP_WIDTHS, &mut rng);
         let mut adam = Adam::with_lr(5e-3);
 
-        let scale = labeled
-            .iter()
-            .map(|(_, y)| *y)
-            .fold(1.0f32, f32::max);
+        let scale = labeled.iter().map(|(_, y)| *y).fold(1.0f32, f32::max);
         let rows: Vec<&[f32]> = labeled.iter().map(|(f, _)| f.as_slice()).collect();
         let x = Matrix::from_rows(&rows);
         let y = Matrix::from_vec(

@@ -173,9 +173,7 @@ impl PersistError {
     pub fn at_path(self, path: &str) -> PersistError {
         match self {
             PersistError::Parse(msg) => PersistError::Parse(format!("{path}: {msg}")),
-            PersistError::Inconsistent(msg) => {
-                PersistError::Inconsistent(format!("{path}: {msg}"))
-            }
+            PersistError::Inconsistent(msg) => PersistError::Inconsistent(format!("{path}: {msg}")),
             PersistError::ShapeMismatch(msg) => {
                 PersistError::ShapeMismatch(format!("{path}: {msg}"))
             }

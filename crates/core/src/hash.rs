@@ -42,7 +42,9 @@ impl std::hash::Hasher for FxHasher {
         self.write_u64(v as u64);
     }
     fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
+        self.0 = (self.0 ^ v)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(23);
     }
 }
 

@@ -47,13 +47,13 @@
 
 pub mod attrs;
 pub mod config;
-mod hash;
-mod par;
 pub mod denoiser;
 pub mod diffusion;
 pub mod discriminator;
 pub mod error;
+mod hash;
 pub mod mcts;
+mod par;
 pub mod persist;
 pub mod pipeline;
 pub mod refine;
@@ -68,15 +68,14 @@ pub use diffusion::{
 pub use discriminator::PcsDiscriminator;
 pub use error::{Error, PersistError, RequestError};
 pub use mcts::{
-    optimize_cone_mcts, optimize_random_walk, optimize_registers,
-    optimize_registers_random, ConeSelection, ExactSynthReward, IncrementalConeReward, MctsConfig,
-    MctsOutcome, RewardModel,
+    optimize_cone_mcts, optimize_random_walk, optimize_registers, optimize_registers_random,
+    ConeSelection, ExactSynthReward, IncrementalConeReward, MctsConfig, MctsOutcome, RewardModel,
 };
 pub use persist::{MODEL_FORMAT, MODEL_VERSION};
 pub use pipeline::{Generated, SynCircuit};
-pub use syncircuit_synth::{ConeCacheStats, ConeShardStats, SharedConeSynthCache};
 pub use refine::{refine, refine_without_diffusion, RefineConfig, RefineError};
 pub use request::{
     GenRequest, Generator, PhaseToggles, MAX_DENSE_REQUEST_NODES, MAX_REQUEST_NODES,
 };
 pub use schedule::NoiseSchedule;
+pub use syncircuit_synth::{ConeCacheStats, ConeShardStats, SharedConeSynthCache};

@@ -59,11 +59,11 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use syncircuit_graph::cone::all_driving_cones;
 use syncircuit_graph::fingerprint::zobrist_fingerprint;
 use syncircuit_graph::swap::{SwapDelta, SwapGraph};
 use syncircuit_graph::{CircuitGraph, NodeId};
-use std::sync::Arc;
 use syncircuit_synth::incremental::{ConeCacheStats, ConeSynthCache, SharedConeSynthCache};
 
 /// Reward oracle: post-synthesis circuit size of a candidate state.
@@ -453,7 +453,9 @@ impl Engine {
             // iff `second` is.
             return None;
         }
-        let a = self.pool.first(rng.gen_range(0..self.pool.first_len()), self.graph());
+        let a = self
+            .pool
+            .first(rng.gen_range(0..self.pool.first_len()), self.graph());
         let b = self.pool.second(rng.gen_range(0..second_len), self.graph());
         Some(Swap {
             i: a.0,
@@ -527,7 +529,12 @@ struct TreeNode {
 /// Samples up to `count` distinct candidate actions from the live pool
 /// view (hash-set dedup instead of the former quadratic `contains`;
 /// `seen` is caller-owned scratch reused across expansions).
-fn propose_actions(engine: &Engine, count: usize, rng: &mut StdRng, seen: &mut SwapSet) -> Vec<Swap> {
+fn propose_actions(
+    engine: &Engine,
+    count: usize,
+    rng: &mut StdRng,
+    seen: &mut SwapSet,
+) -> Vec<Swap> {
     let mut out = Vec::with_capacity(count);
     seen.clear();
     for _ in 0..count * 4 {
@@ -902,8 +909,8 @@ pub fn optimize_registers_random(
 #[doc(hidden)]
 pub mod oracle {
     use super::{
-        node_mask, selected_registers, zobrist_fingerprint, ConeSelection, MctsConfig,
-        MctsOutcome, RewardCache, RewardModel, Swap,
+        node_mask, selected_registers, zobrist_fingerprint, ConeSelection, MctsConfig, MctsOutcome,
+        RewardCache, RewardModel, Swap,
     };
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use syncircuit_graph::comb::edge_would_close_comb_loop;
@@ -1384,11 +1391,7 @@ mod tests {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(77);
         let g = syncircuit_graph::testing::random_circuit_with_size(&mut rng, 30);
-        let focus: Vec<NodeId> = g
-            .nodes_of_type(NodeType::Reg)
-            .into_iter()
-            .take(2)
-            .collect();
+        let focus: Vec<NodeId> = g.nodes_of_type(NodeType::Reg).into_iter().take(2).collect();
         for (focus_opt, include) in [
             (None, false),
             (Some(&focus[..]), true),

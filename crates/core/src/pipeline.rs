@@ -84,7 +84,9 @@ pub struct SynCircuit {
 /// each with the config's per-shard CLOCK capacity (an operational knob
 /// that never changes generated bytes).
 pub(crate) fn new_cone_cache(config: &PipelineConfig) -> Arc<SharedConeSynthCache> {
-    Arc::new(SharedConeSynthCache::with_capacity(config.cone_cache_capacity()))
+    Arc::new(SharedConeSynthCache::with_capacity(
+        config.cone_cache_capacity(),
+    ))
 }
 
 impl SynCircuit {
@@ -398,11 +400,16 @@ impl SynCircuit {
         requests: &[GenRequest],
         workers: usize,
     ) -> Vec<Result<Generated, Error>> {
-        crate::par::parallel_map_with(requests.len(), workers, SamplerScratch::new, |scratch, k| {
-            let request = &requests[k];
-            let seed = request.seed().unwrap_or(self.config.seed);
-            self.generate_resolved_with(request, seed, scratch)
-        })
+        crate::par::parallel_map_with(
+            requests.len(),
+            workers,
+            SamplerScratch::new,
+            |scratch, k| {
+                let request = &requests[k];
+                let seed = request.seed().unwrap_or(self.config.seed);
+                self.generate_resolved_with(request, seed, scratch)
+            },
+        )
     }
 }
 

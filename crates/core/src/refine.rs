@@ -116,10 +116,10 @@ pub fn refine(
 
         let mut chosen: Vec<u32> = Vec::new();
         let try_add = |cand: u32,
-                           chosen: &mut Vec<u32>,
-                           g: &CircuitGraph,
-                           children: &mut Vec<Vec<NodeId>>,
-                           out_deg: &mut Vec<u32>|
+                       chosen: &mut Vec<u32>,
+                       g: &CircuitGraph,
+                       children: &mut Vec<Vec<NodeId>>,
+                       out_deg: &mut Vec<u32>|
          -> bool {
             let c = cand as usize;
             if chosen.len() >= arity {
@@ -201,7 +201,11 @@ pub fn refine(
     // Emittability: clamp bit-select ranges against chosen parents.
     g.legalize_bit_selects();
 
-    debug_assert!(g.is_valid(), "refinement must produce valid graphs: {:?}", g.validate());
+    debug_assert!(
+        g.is_valid(),
+        "refinement must produce valid graphs: {:?}",
+        g.validate()
+    );
     Ok(g)
 }
 

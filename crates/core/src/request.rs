@@ -216,7 +216,9 @@ impl Deserialize for GenRequest {
         }
         let attrs = field(attrs, "attrs")?;
         if attrs.as_ref().is_some_and(Vec::is_empty) {
-            return Err(DeError::msg("GenRequest attrs must be non-empty when present"));
+            return Err(DeError::msg(
+                "GenRequest attrs must be non-empty when present",
+            ));
         }
         let deadline_ms = field(deadline_ms, "deadline_ms")?;
         Ok(GenRequest {
@@ -305,7 +307,10 @@ mod tests {
 
     #[test]
     fn request_builders_compose() {
-        let r = GenRequest::nodes(40).seeded(9).without_diffusion().optimize(true);
+        let r = GenRequest::nodes(40)
+            .seeded(9)
+            .without_diffusion()
+            .optimize(true);
         assert_eq!(r.node_count(), 40);
         assert_eq!(r.seed(), Some(9));
         assert!(!r.phases().diffusion);
@@ -320,7 +325,10 @@ mod tests {
     fn requests_round_trip_the_wire_encoding() {
         let requests = vec![
             GenRequest::nodes(12),
-            GenRequest::nodes(40).seeded(9).without_diffusion().optimize(true),
+            GenRequest::nodes(40)
+                .seeded(9)
+                .without_diffusion()
+                .optimize(true),
             GenRequest::nodes(7)
                 .seeded(u64::MAX)
                 .deadline(std::time::Duration::from_millis(250)),
@@ -347,11 +355,18 @@ mod tests {
         let text = serde_json::to_string(&r).unwrap();
         assert!(text.contains("\"deadline_ms\":1500"), "{text}");
         let back: GenRequest = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.time_budget(), Some(std::time::Duration::from_millis(1500)));
+        assert_eq!(
+            back.time_budget(),
+            Some(std::time::Duration::from_millis(1500))
+        );
         // Sub-millisecond budgets truncate to wire granularity.
         let fine = GenRequest::nodes(8).deadline(std::time::Duration::from_micros(2500));
-        let back: GenRequest = serde_json::from_str(&serde_json::to_string(&fine).unwrap()).unwrap();
-        assert_eq!(back.time_budget(), Some(std::time::Duration::from_millis(2)));
+        let back: GenRequest =
+            serde_json::from_str(&serde_json::to_string(&fine).unwrap()).unwrap();
+        assert_eq!(
+            back.time_budget(),
+            Some(std::time::Duration::from_millis(2))
+        );
     }
 
     #[test]
@@ -373,7 +388,10 @@ mod tests {
 
     #[test]
     fn attrs_request_takes_count_from_attrs() {
-        let attrs = vec![Node::new(NodeType::Input, 8), Node::new(NodeType::Output, 8)];
+        let attrs = vec![
+            Node::new(NodeType::Input, 8),
+            Node::new(NodeType::Output, 8),
+        ];
         let r = GenRequest::with_attrs(attrs);
         assert_eq!(r.node_count(), 2);
         assert_eq!(r.attrs().unwrap().len(), 2);

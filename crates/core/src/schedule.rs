@@ -31,7 +31,10 @@ impl NoiseSchedule {
     /// Panics if `steps == 0` or `pi` is outside `(0, 1)`.
     pub fn cosine(steps: usize, pi: f64) -> Self {
         assert!(steps >= 1, "need at least one diffusion step");
-        assert!(pi > 0.0 && pi < 1.0, "noise prior must be in (0,1), got {pi}");
+        assert!(
+            pi > 0.0 && pi < 1.0,
+            "noise prior must be in (0,1), got {pi}"
+        );
         const S: f64 = 0.008;
         let f = |t: f64| {
             let x = (t / steps as f64 + S) / (1.0 + S) * std::f64::consts::FRAC_PI_2;

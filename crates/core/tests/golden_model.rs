@@ -77,7 +77,10 @@ fn golden_v1_artifact_still_loads_and_streams_identically() {
         raw.contains("\"version\": 1"),
         "fixture must stay a version-1 artifact"
     );
-    assert_eq!(MODEL_VERSION, 1, "a version bump needs a new golden fixture pair");
+    assert_eq!(
+        MODEL_VERSION, 1,
+        "a version bump needs a new golden fixture pair"
+    );
 
     let expect: Vec<String> = {
         let text = std::fs::read_to_string(expect_path()).expect("expectation file");
@@ -174,5 +177,9 @@ fn regenerate_golden_fixture() {
         serde_json::to_string_pretty(&serde_json::to_value(&digests)).unwrap(),
     )
     .unwrap();
-    println!("wrote {} and {}", model_path().display(), expect_path().display());
+    println!(
+        "wrote {} and {}",
+        model_path().display(),
+        expect_path().display()
+    );
 }

@@ -22,9 +22,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::OnceLock;
-use syncircuit_core::denoiser::{
-    adjacency_operator, feature_matrix, Denoiser, DenoiserScratch,
-};
+use syncircuit_core::denoiser::{adjacency_operator, feature_matrix, Denoiser, DenoiserScratch};
 use syncircuit_core::{
     DecodeMode, DiffusionConfig, DiffusionModel, GenRequest, PipelineConfig, SampledGraph,
     SamplerScratch, SynCircuit,
@@ -276,7 +274,9 @@ fn packed_kernels_match_naive_on_ragged_shapes() {
                 *x = 0.0;
             }
         }
-        let sfx: Vec<f32> = (0..s).map(|j| if j % 2 == 0 { 0.0 } else { 0.25 }).collect();
+        let sfx: Vec<f32> = (0..s)
+            .map(|j| if j % 2 == 0 { 0.0 } else { 0.25 })
+            .collect();
         let mut b = Matrix::randn(k + s, d, 1.0, &mut rng);
         if k + s > 0 && d > 0 {
             b.data_mut()[0] = f32::NAN;
@@ -377,7 +377,10 @@ fn dense_mode_sampling_matches_oracle() {
 fn one_shot_sample_equals_oracle() {
     let model = diffusion_model();
     let attrs = random_attrs(18, 4);
-    assert_sampled_identical(&model.sample(&attrs, 12), &model.sample_via_tape(&attrs, 12));
+    assert_sampled_identical(
+        &model.sample(&attrs, 12),
+        &model.sample_via_tape(&attrs, 12),
+    );
 }
 
 // --- 5. scratch reuse across the service surface -----------------------

@@ -48,8 +48,9 @@ fn interleaved_save_and_load_never_tear() {
         let loader = scope.spawn(|| {
             let mut loads = 0u32;
             while !stop.load(Ordering::Relaxed) {
-                let loaded = SynCircuit::load(&path)
-                    .unwrap_or_else(|e| panic!("torn or unreadable artifact after {loads} loads: {e}"));
+                let loaded = SynCircuit::load(&path).unwrap_or_else(|e| {
+                    panic!("torn or unreadable artifact after {loads} loads: {e}")
+                });
                 assert_eq!(
                     loaded.to_json(),
                     reference,
@@ -79,7 +80,10 @@ fn save_leaves_no_temp_droppings() {
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .filter(|n| n.starts_with("clean.json.tmp."))
         .collect();
-    assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
     std::fs::remove_file(&path).unwrap();
 }
 

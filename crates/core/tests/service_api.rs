@@ -42,9 +42,8 @@ fn model() -> &'static SynCircuit {
 /// The same model after one JSON artifact round-trip.
 fn restored() -> &'static SynCircuit {
     static RESTORED: OnceLock<SynCircuit> = OnceLock::new();
-    RESTORED.get_or_init(|| {
-        SynCircuit::from_json(&model().to_json()).expect("artifact round-trips")
-    })
+    RESTORED
+        .get_or_init(|| SynCircuit::from_json(&model().to_json()).expect("artifact round-trips"))
 }
 
 /// Byte-level equality of two generation results: slot-exact graphs,
@@ -295,10 +294,7 @@ fn artifact_text_is_stable_and_versioned() {
 #[test]
 fn restored_config_matches_original() {
     assert_eq!(restored().config().seed(), model().config().seed());
-    assert_eq!(
-        restored().config().reward(),
-        model().config().reward()
-    );
+    assert_eq!(restored().config().reward(), model().config().reward());
     assert_eq!(
         restored().config().optimize_redundancy(),
         model().config().optimize_redundancy()
@@ -310,8 +306,12 @@ fn save_and_load_through_the_filesystem() {
     let path = std::env::temp_dir().join("syncircuit_service_api_model.json");
     model().save(&path).unwrap();
     let loaded = SynCircuit::load(&path).unwrap();
-    let a = model().generate_one(&GenRequest::nodes(20).seeded(4)).unwrap();
-    let b = loaded.generate_one(&GenRequest::nodes(20).seeded(4)).unwrap();
+    let a = model()
+        .generate_one(&GenRequest::nodes(20).seeded(4))
+        .unwrap();
+    let b = loaded
+        .generate_one(&GenRequest::nodes(20).seeded(4))
+        .unwrap();
     assert_generated_identical(&a, &b);
     std::fs::remove_file(&path).ok();
 }

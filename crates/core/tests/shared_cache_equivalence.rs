@@ -21,8 +21,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::OnceLock;
 use syncircuit_core::{
-    DiffusionConfig, DiffusionModel, GenRequest, Generated, PipelineConfig, RewardKind,
-    SynCircuit,
+    DiffusionConfig, DiffusionModel, GenRequest, Generated, PipelineConfig, RewardKind, SynCircuit,
 };
 use syncircuit_graph::testing::random_circuit_with_size;
 use syncircuit_graph::CircuitGraph;
@@ -161,8 +160,8 @@ fn parallel_fit_reproduces_sequential_paramstore_bits() {
         RewardKind::IncrementalCone,
         RewardKind::Discriminator { epochs: 25 },
     ] {
-        let reference = SynCircuit::fit_with_workers(&graphs, fit_config(reward), 1)
-            .expect("sequential fit");
+        let reference =
+            SynCircuit::fit_with_workers(&graphs, fit_config(reward), 1).expect("sequential fit");
         let reference_artifact = reference.to_json();
         for workers in [2usize, 3, 5] {
             let parallel = SynCircuit::fit_with_workers(&graphs, fit_config(reward), workers)
@@ -192,7 +191,10 @@ fn parallel_fit_reproduces_reward_trajectories() {
         let req = GenRequest::nodes(24).seeded(seed);
         let a = seq.generate_one(&req).unwrap();
         let b = par.generate_one(&req).unwrap();
-        assert!(!a.mcts.is_empty(), "Phase 3 must run for this check to bite");
+        assert!(
+            !a.mcts.is_empty(),
+            "Phase 3 must run for this check to bite"
+        );
         assert_generated_identical(&a, &b);
     }
 }
@@ -234,8 +236,7 @@ fn repeated_cone_corpus_hits_across_requests() {
     let m = SynCircuit::fit_with_workers(&corpus(), cfg, 1).unwrap();
     assert_eq!(m.cone_cache().shard_count(), SHARD_COUNT);
 
-    let requests: Vec<GenRequest> =
-        (0..6).map(|_| GenRequest::nodes(22).seeded(9)).collect();
+    let requests: Vec<GenRequest> = (0..6).map(|_| GenRequest::nodes(22).seeded(9)).collect();
     let sequential: Vec<_> = requests.iter().map(|r| m.generate_one(r)).collect();
     let after_seq = m.cone_cache().total_stats();
     assert!(
@@ -248,7 +249,10 @@ fn repeated_cone_corpus_hits_across_requests() {
         assert_generated_identical(s.as_ref().unwrap(), p.as_ref().unwrap());
     }
     let after_batch = m.cone_cache().total_stats();
-    assert!(after_batch.hits > after_seq.hits, "batch workers hit the warm table");
+    assert!(
+        after_batch.hits > after_seq.hits,
+        "batch workers hit the warm table"
+    );
 
     // Shard accounting stays consistent with the aggregate view.
     let shards = m.cone_cache_stats();
