@@ -145,7 +145,6 @@ fn train_fleet(dir: &Path, tenants: usize) -> Vec<String> {
             let cfg = PipelineConfig::builder()
                 .seed(1000 + t)
                 .reward(RewardKind::IncrementalCone)
-                .cone_cache_capacity(64) // exercise the bounded cache too
                 .build()
                 .expect("valid configuration");
             let model = SynCircuit::fit(&corpus, cfg).expect("fit tenant model");

@@ -81,9 +81,9 @@ pub struct PipelineConfig {
     pub(crate) reward: RewardKind,
     /// Master seed (training and default generation).
     pub(crate) seed: u64,
-    /// Per-shard entry capacity of the shared cone-synthesis cache
-    /// (`0` ⇒ unbounded). Operational knob: bounds residency under CLOCK
-    /// eviction, never results — excluded from model artifacts.
+    /// Accepted and ignored: Phase 3 keeps no cone table to bound (see
+    /// [`PipelineConfigBuilder::cone_cache_capacity`]). Excluded from
+    /// model artifacts.
     #[serde(skip)]
     pub(crate) cone_cache_capacity: usize,
 }
@@ -179,11 +179,9 @@ impl PipelineConfig {
         self.seed
     }
 
-    /// Per-shard entry capacity of the shared cone-synthesis cache
-    /// (`0` ⇒ unbounded). When set, each shard keeps at most this many
-    /// memoized cones, evicting CLOCK / second-chance victims past it —
-    /// the residency ceiling a long-lived serving process needs. See
-    /// [`syncircuit_synth::SharedConeSynthCache`].
+    /// The capacity given to
+    /// [`PipelineConfigBuilder::cone_cache_capacity`] (`0` by default).
+    /// Nothing reads it: Phase 3 keeps no cone table to bound.
     pub fn cone_cache_capacity(&self) -> usize {
         self.cone_cache_capacity
     }
@@ -345,15 +343,12 @@ impl PipelineConfigBuilder {
         self
     }
 
-    /// Sets the per-shard entry capacity of the shared cone-synthesis
-    /// cache (`0` ⇒ unbounded, the default).
-    ///
-    /// Operational knob: bounding only trades cache recall for a
-    /// residency ceiling — the table memoizes a pure function of cone
-    /// structure, so every capacity produces byte-identical generation
-    /// output (property-tested in
-    /// `tests/bounded_cache_equivalence.rs`) — so it is not persisted
-    /// in model artifacts.
+    /// Accepted and ignored: Phase 3 keeps no cone table to bound (each
+    /// cone's area is derived from structural classes of the design, see
+    /// [`syncircuit_synth::incremental`]), so every capacity generates
+    /// the same bytes (`tests/bounded_cache_equivalence.rs`). The value
+    /// is kept for [`PipelineConfig::cone_cache_capacity`] and is not
+    /// persisted in model artifacts.
     pub fn cone_cache_capacity(mut self, per_shard_entries: usize) -> Self {
         self.config.cone_cache_capacity = per_shard_entries;
         self

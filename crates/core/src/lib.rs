@@ -78,4 +78,4 @@ pub use request::{
     GenRequest, Generator, PhaseToggles, MAX_DENSE_REQUEST_NODES, MAX_REQUEST_NODES,
 };
 pub use schedule::NoiseSchedule;
-pub use syncircuit_synth::{ConeCacheStats, ConeShardStats, SharedConeSynthCache};
+pub use syncircuit_synth::{ConeCacheStats, SharedConeSynthCache};

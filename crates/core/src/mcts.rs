@@ -98,48 +98,49 @@ impl RewardModel for ExactSynthReward {
     }
 }
 
-/// Dirty-cone incremental reward: design PCS decomposed into memoized
-/// per-cone synthesis results (`syncircuit_synth::incremental`), so a
-/// reward query after a swap only re-synthesizes the cones whose fan-in
-/// changed. Deterministic and self-consistent, but *not* bit-identical
-/// to [`ExactSynthReward`] (global CSE is invisible to cone-local
-/// synthesis); use it where reward-model throughput dominates, e.g.
-/// full-design register optimization.
+/// Dirty-cone incremental reward: design PCS decomposed into per-cone
+/// post-synthesis areas (`syncircuit_synth::incremental`). Each query
+/// gives every node a structural class in one pass and reads each
+/// cone's area off the classes, bit for bit what synthesizing the cone
+/// would give, with no cone synthesized. Deterministic and
+/// self-consistent, but *not* bit-identical to [`ExactSynthReward`]
+/// (global CSE is invisible to cone-local synthesis); use it where
+/// reward-model throughput dominates, e.g. full-design register
+/// optimization.
 ///
 /// Scored through [`RewardModel::pcs_swap`] (as the search engine does),
 /// it also reuses every cone the engine's swaps left untouched: a cone
 /// whose apex and members keep their parent-list stamps returns its
-/// recorded area with no walk, key or table lookup, and only the cones
-/// containing a rewritten parent list are keyed and looked up again.
+/// recorded area with no walk, and only the cones containing a
+/// rewritten parent list are derived again.
 ///
-/// The memo table can be shared between reward instances — and between
-/// worker threads — via [`IncrementalConeReward::with_shared`]: each
-/// instance keeps private query scratch (this type is deliberately
-/// `!Sync`; give every worker its own instance over one
-/// [`SharedConeSynthCache`] `Arc`), while cone synthesis results
-/// deduplicate globally. Sharing never changes returned rewards: the
-/// table memoizes a pure function of cone structure.
+/// Reward instances — and worker threads — can count into one
+/// [`SharedConeSynthCache`] via [`IncrementalConeReward::with_shared`]:
+/// each instance keeps private query scratch (this type is deliberately
+/// `!Sync`; give every worker its own instance over one `Arc`). The
+/// handle holds counters only, so sharing never changes returned
+/// rewards.
 #[derive(Debug, Default)]
 pub struct IncrementalConeReward {
     cache: RefCell<ConeSynthCache>,
 }
 
 impl IncrementalConeReward {
-    /// Evaluator with the default cell library and a private table.
+    /// Evaluator with private counters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Evaluator view over an existing shared cone-synthesis table
-    /// (fresh private scratch, shared memo entries).
+    /// Evaluator counting into an existing shared handle (fresh private
+    /// scratch).
     pub fn with_shared(shared: Arc<SharedConeSynthCache>) -> Self {
         IncrementalConeReward {
             cache: RefCell::new(ConeSynthCache::with_shared(shared)),
         }
     }
 
-    /// Cone-cache hit/miss counters accumulated so far (summed over all
-    /// views of the underlying table when it is shared).
+    /// Cone counters accumulated so far (summed over all views of the
+    /// handle when it is shared).
     pub fn cache_stats(&self) -> ConeCacheStats {
         self.cache.borrow().stats()
     }
@@ -1594,8 +1595,9 @@ mod tests {
         assert!(reward.pcs(&alive) > reward.pcs(&dead));
     }
 
-    /// Same contract for the incremental cone evaluator, plus cache
-    /// effectiveness across repeated queries.
+    /// Same contract for the incremental cone evaluator, plus memo
+    /// effectiveness across repeated queries: one memo reuse replaces one
+    /// derivation.
     #[test]
     fn incremental_reward_orders_redundancy_and_caches() {
         let reward = IncrementalConeReward::new();
@@ -1603,8 +1605,15 @@ mod tests {
         let first = reward.pcs(&g);
         let second = reward.pcs(&g);
         assert_eq!(first, second, "evaluator must be deterministic");
+        let cones = reward.cache_stats().misses / 2;
+        assert!(cones > 0, "each stateless query derives every cone");
+        let sg = SwapGraph::new(g);
+        assert_eq!(reward.pcs_swap(&sg), first);
+        assert_eq!(reward.pcs_swap(&sg), first);
         let stats = reward.cache_stats();
-        assert!(stats.hits > 0, "second query must hit the cone cache");
+        assert_eq!(stats.misses, 3 * cones, "the first swap query derives");
+        assert_eq!(stats.reused, cones, "the second swap query reuses");
+        assert_eq!((stats.hits, stats.evictions), (0, 0));
     }
 
     #[test]
@@ -1621,8 +1630,8 @@ mod tests {
         let g = syncircuit_graph::testing::random_circuit_with_size(&mut rng, 40);
         let mut cfg = MctsConfig::tiny();
         cfg.seed = 17;
-        // Single thread, private unbounded tables: a memo reuse stands in
-        // for exactly one table hit.
+        // Private counters: the engine derives every cone it does not
+        // reuse from its memo, and the stateless reward derives them all.
         let engine = IncrementalConeReward::new();
         let stateless = Stateless(IncrementalConeReward::new());
         let (eg, eo) = optimize_registers(&g, &engine, &cfg, ConeSelection::All);
@@ -1636,10 +1645,16 @@ mod tests {
             assert_eq!(e.evaluations, s.evaluations);
         }
         let (e, s) = (engine.cache_stats(), stateless.0.cache_stats());
-        assert_eq!(e.misses, s.misses, "reuse never replaces a synthesis");
-        assert_eq!(e.hits + e.reused, s.hits, "each reuse replaces one hit");
-        assert_eq!(s.reused, 0);
-        assert!(e.reused > e.hits, "most cones outlive a swap: {e:?}");
+        assert_eq!(
+            e.misses + e.reused,
+            s.misses,
+            "each reuse replaces one derivation"
+        );
+        assert_eq!((e.hits, s.hits, s.reused), (0, 0, 0));
+        assert!(
+            3 * e.reused > s.misses,
+            "a swap leaves many cones untouched: {e:?}"
+        );
     }
 
     #[test]

@@ -362,15 +362,14 @@ impl SynCircuit {
             }
             _ => {}
         }
-        // The shared cone cache is warm *state*, not model parameters:
-        // a restored model starts cold and re-warms as it serves.
-        let cone_cache = crate::pipeline::new_cone_cache(&config);
+        // The cone counters are telemetry, not model parameters: a
+        // restored model starts them at zero.
         Ok(SynCircuit {
             diffusion,
             attrs,
             discriminator,
             config,
-            cone_cache,
+            cone_cache: std::sync::Arc::default(),
         })
     }
 

@@ -15,10 +15,10 @@
 //! - [`SynCircuit::generate_batch`] fans independent requests out
 //!   across scoped worker threads — byte-identical to running them
 //!   sequentially, because the zero-clone Phase 3 engine shares no
-//!   mutable state between searches and the one thing workers *do*
-//!   share, the lock-striped cone-synthesis cache
-//!   ([`SynCircuit::cone_cache`]), memoizes a pure function of cone
-//!   structure;
+//!   mutable state between searches: each request's reward derives its
+//!   cone areas from its own design, and the one thing workers *do*
+//!   share, the cone counters ([`SynCircuit::cone_cache`]), never feeds
+//!   back into a result;
 //! - [`SynCircuit::fit_with_workers`] fans per-graph training work out
 //!   the same way, with a deterministic gradient merge — parallel `fit`
 //!   reproduces the sequential [`ParamStore`](syncircuit_nn::ParamStore)
@@ -41,7 +41,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit_graph::{CircuitGraph, Node};
-use syncircuit_synth::{ConeShardStats, SharedConeSynthCache};
+use syncircuit_synth::{ConeCacheStats, SharedConeSynthCache};
 
 /// One generated circuit with its intermediate artifacts.
 ///
@@ -72,21 +72,10 @@ pub struct SynCircuit {
     pub(crate) attrs: AttrModel,
     pub(crate) discriminator: Option<PcsDiscriminator>,
     pub(crate) config: PipelineConfig,
-    /// Lock-striped cone-synthesis memo table shared by every request
-    /// this model serves (including all `generate_batch` workers).
-    /// Memoizes a pure function of cone structure, so sharing never
-    /// changes output bytes — it only deduplicates synthesis work.
+    /// Cone counters shared by every request this model serves
+    /// (including all `generate_batch` workers). Telemetry only: no
+    /// result reads them.
     pub(crate) cone_cache: Arc<SharedConeSynthCache>,
-}
-
-/// Builds the model-wide shared cone cache for a validated config:
-/// [`SHARD_COUNT`](syncircuit_synth::incremental::SHARD_COUNT) stripes,
-/// each with the config's per-shard CLOCK capacity (an operational knob
-/// that never changes generated bytes).
-pub(crate) fn new_cone_cache(config: &PipelineConfig) -> Arc<SharedConeSynthCache> {
-    Arc::new(SharedConeSynthCache::with_capacity(
-        config.cone_cache_capacity(),
-    ))
 }
 
 impl SynCircuit {
@@ -180,13 +169,12 @@ impl SynCircuit {
             }
         };
 
-        let cone_cache = new_cone_cache(&config);
         Ok(SynCircuit {
             diffusion,
             attrs,
             discriminator,
             config,
-            cone_cache,
+            cone_cache: Arc::default(),
         })
     }
 
@@ -205,19 +193,21 @@ impl SynCircuit {
         &self.config
     }
 
-    /// The model-wide shared cone-synthesis cache (the warm state all
-    /// requests — sequential, streamed, or batched across workers —
-    /// deduplicate cone synthesis through). Only exercised when Phase 3
-    /// runs with [`RewardKind::IncrementalCone`].
+    /// The model-wide cone counters every request counts into
+    /// (sequential, streamed, or batched across workers). Phase 3 with
+    /// [`RewardKind::IncrementalCone`] derives each cone's area from
+    /// structural classes and keeps no cone table, so the handle holds
+    /// counters only: derived cones count as misses, cones reused from
+    /// a per-apex memo as reused.
     pub fn cone_cache(&self) -> &Arc<SharedConeSynthCache> {
         &self.cone_cache
     }
 
-    /// Per-shard hit/miss/entry counters of the shared cone cache (see
-    /// [`SharedConeSynthCache::stats`]). Counters are telemetry only:
-    /// they never change generated bytes.
-    pub fn cone_cache_stats(&self) -> Vec<ConeShardStats> {
-        self.cone_cache.stats()
+    /// The counters of [`SynCircuit::cone_cache`], as one entry. Hits and
+    /// evictions read 0: there is no cone table to hit or to evict from.
+    /// Telemetry only: the counters never change generated bytes.
+    pub fn cone_cache_stats(&self) -> Vec<ConeCacheStats> {
+        vec![self.cone_cache.total_stats()]
     }
 
     /// Serves one generation request.
@@ -340,9 +330,9 @@ impl SynCircuit {
         let reward: &dyn RewardModel = match (&self.discriminator, self.config.reward) {
             (Some(d), _) => d,
             (None, RewardKind::IncrementalCone) => {
-                // Worker view over the model-wide shared table: scratch
-                // stays request-local (thread-local in a batch fan-out),
-                // memoized cone areas are shared across all requests.
+                // Worker view over the model-wide counters: scratch and
+                // cone memos stay request-local (thread-local in a batch
+                // fan-out).
                 incremental = IncrementalConeReward::with_shared(self.cone_cache.clone());
                 &incremental
             }
@@ -377,11 +367,9 @@ impl SynCircuit {
     /// calling [`SynCircuit::generate_one`] sequentially: per-request
     /// seeds fix every random choice, the Phase 3 zero-clone engine
     /// shares no mutable state between searches, and the one structure
-    /// workers *do* share — the lock-striped
-    /// [`SynCircuit::cone_cache`] — memoizes a pure function of cone
-    /// structure, so insertion order cannot influence any reward
-    /// (property-tested across worker counts in
-    /// `tests/shared_cache_equivalence.rs`).
+    /// workers *do* share — the counters of [`SynCircuit::cone_cache`] —
+    /// is never read by a reward (property-tested across worker counts
+    /// in `tests/shared_cache_equivalence.rs`).
     pub fn generate_batch(&self, requests: &[GenRequest]) -> Vec<Result<Generated, Error>> {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())

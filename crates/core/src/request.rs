@@ -18,12 +18,11 @@
 //! | `generate_with_attrs(attrs, s)` | `GenRequest::with_attrs(attrs).seeded(s)` |
 //! | `generate_without_diffusion(n, s)` | `GenRequest::nodes(n).seeded(s).without_diffusion().optimize(false)` |
 //!
-//! Every request served through one model shares its lock-striped
-//! cone-synthesis cache ([`crate::SynCircuit::cone_cache`]): repeated
-//! cone structure across a stream or batch is synthesized once. The
-//! cache memoizes a pure function of cone structure, so results are
-//! byte-identical whether requests run sequentially, interleaved, or on
-//! concurrent workers.
+//! Every request served through one model counts its Phase-3 cones into
+//! the model's cone counters ([`crate::SynCircuit::cone_cache`]). Each
+//! request derives its cone areas from its own design and nothing else,
+//! so results are byte-identical whether requests run sequentially,
+//! interleaved, or on concurrent workers.
 
 use crate::diffusion::SamplerScratch;
 use crate::error::Error;

@@ -1,14 +1,12 @@
-//! Bounded cone cache ≡ unbounded cone cache, end to end.
+//! A cone-cache capacity changes no generated byte, end to end.
 //!
-//! `PipelineConfig::cone_cache_capacity` bounds the model-wide
-//! [`SharedConeSynthCache`](syncircuit_synth::SharedConeSynthCache) to a
-//! per-shard entry budget with CLOCK eviction. The cache memoizes a
-//! *pure* function of the cone's structural key, so eviction may only
-//! ever cost re-synthesis — never change a result. This battery pins
-//! that down at the pipeline level: a bounded model must generate
-//! byte-identical designs to an unbounded one, sequentially and at
-//! 1/4/8 workers, while actually evicting under the pressure we apply.
-//! The CI stress step widens the worker counts via
+//! `PipelineConfigBuilder::cone_cache_capacity` once bounded a
+//! model-wide cone table. Phase 3 now derives every cone's area from
+//! structural classes of the design and keeps no table, so the builder
+//! accepts the capacity and ignores it. This battery pins that down at
+//! the pipeline level: a model built with a tiny capacity must generate
+//! byte-identical designs to one built without, sequentially and at
+//! 1/4/8 workers. The CI stress step widens the worker counts via
 //! `SYNCIRCUIT_STRESS_WORKERS` (see [`worker_counts`]).
 
 use proptest::prelude::*;
@@ -41,10 +39,8 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// Identically-trained models differing only in the operational cache
-/// bound: the reference is unbounded, the subject gives each of the
-/// default shards a tiny capacity so realistic workloads force CLOCK
-/// churn.
+/// Identically-trained models differing only in the cache capacity they
+/// were given: the reference none, the subject a tiny one.
 fn models() -> &'static (SynCircuit, SynCircuit) {
     static MODELS: OnceLock<(SynCircuit, SynCircuit)> = OnceLock::new();
     MODELS.get_or_init(|| {
@@ -86,8 +82,8 @@ proptest! {
     #[test]
     fn bounded_generation_matches_unbounded_at_1_4_8_workers(base in any::<u64>()) {
         let (unbounded, bounded) = models();
-        // Varied sizes spread requests over many cone keys; duplicates
-        // make workers revisit keys the bound may have evicted.
+        // Varied sizes spread requests over many cones; duplicates make
+        // workers score the same cones again.
         let mut requests: Vec<GenRequest> = (0..6u64)
             .map(|k| {
                 GenRequest::nodes(18 + (base.wrapping_add(k) % 8) as usize)
@@ -121,61 +117,4 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn the_bound_actually_bites() {
-    // The equivalence above is vacuous if the bound never evicts; pin
-    // the pressure: capacity is respected and CLOCK churn is non-zero,
-    // while the unbounded reference never evicts.
-    let (unbounded, bounded) = models();
-    for k in 0..5u64 {
-        let req = GenRequest::nodes(20 + k as usize).seeded(900 + k);
-        let a = unbounded.generate_one(&req).unwrap();
-        let b = bounded.generate_one(&req).unwrap();
-        assert_generated_identical(&a, &b);
-    }
-    let cap = bounded.config().cone_cache_capacity();
-    assert_eq!(cap, 3);
-    assert!(
-        bounded.cone_cache().entries() <= cap * bounded.cone_cache().shard_count(),
-        "resident entries must respect the per-shard bound"
-    );
-    assert!(
-        bounded.cone_cache().total_stats().evictions > 0,
-        "this workload must force CLOCK eviction for the battery to bite"
-    );
-    assert_eq!(unbounded.cone_cache().total_stats().evictions, 0);
-}
-
-#[test]
-fn a_huge_capacity_allocates_like_an_unbounded_table() {
-    // No shard table is sized from the capacity: a bound no table could
-    // reach allocates nothing up front, and after the same Phase-3
-    // request holds exactly the bytes an unbounded model does.
-    let fit = |capacity: usize| {
-        let config = PipelineConfig::builder()
-            .seed(61)
-            .reward(RewardKind::IncrementalCone)
-            .cone_cache_capacity(capacity)
-            .build()
-            .expect("valid configuration");
-        SynCircuit::fit(&corpus(), config).expect("fit")
-    };
-    let (huge, unbounded) = (fit(usize::MAX), fit(0));
-    assert_eq!(huge.cone_cache().bytes(), 0, "nothing allocated at fit");
-    let req = GenRequest::nodes(22).seeded(5);
-    let a = huge.generate_one(&req).unwrap();
-    let b = unbounded.generate_one(&req).unwrap();
-    assert_generated_identical(&a, &b);
-    assert!(a.mcts.iter().any(|r| r.evaluations > 0), "Phase 3 ran");
-    assert!(huge.cone_cache().bytes() > 0);
-    assert_eq!(huge.cone_cache().bytes(), unbounded.cone_cache().bytes());
-    assert_eq!(
-        huge.cone_cache().entries(),
-        unbounded.cone_cache().entries()
-    );
-    let per_shard =
-        |m: &SynCircuit| -> Vec<usize> { m.cone_cache_stats().iter().map(|s| s.bytes).collect() };
-    assert_eq!(per_shard(&huge), per_shard(&unbounded));
 }

@@ -183,9 +183,9 @@ fn incremental_shapes() -> Vec<(&'static str, GenRequest)> {
     ]
 }
 
-/// Expected digests for [`incremental_shapes`], in order. Recorded with
-/// the standalone-cone-circuit miss path, so they pin the in-place one
-/// to the same bytes.
+/// Expected digests for [`incremental_shapes`], in order. Recorded when
+/// every cone was synthesized as a standalone circuit, so they pin the
+/// areas read off structural classes to the same bytes.
 const INCREMENTAL_DIGESTS: [u64; 4] = [
     0xF277_B3EC_5ACB_3CAE, // nodes(30)
     0x6332_C843_BD30_02AA, // nodes(26).seeded(5)
@@ -207,7 +207,7 @@ fn incremental_reward_matches_recorded_expectations() {
         );
     }
     let misses: u64 = m.cone_cache_stats().iter().map(|s| s.misses).sum();
-    assert!(misses > 0, "the cone cache synthesized no cone");
+    assert!(misses > 0, "Phase 3 derived no cone from the classes");
 }
 
 /// Regeneration helper: prints the `RECORDED_DIGESTS` and

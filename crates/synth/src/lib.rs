@@ -51,7 +51,7 @@ pub mod passes;
 pub mod sta;
 
 pub use area::{area_of_graph, gate_count};
-pub use incremental::{ConeCacheStats, ConeShardStats, ConeSynthCache, SharedConeSynthCache};
+pub use incremental::{ConeCacheStats, ConeSynthCache, SharedConeSynthCache};
 pub use labels::{label_design, DesignLabels, LabelConfig};
 pub use passes::{optimize, optimized_area, optimized_pcs, SynthResult, SynthStats};
 pub use sta::{timing_analysis, TimingReport};

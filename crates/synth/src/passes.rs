@@ -12,12 +12,15 @@
 //! `SynthScratch`: a flat netlist (nodes plus at most three parent slots
 //! each), the replacement links the passes write, the liveness marks
 //! and the CSE table. [`optimize`], [`optimized_area`] and
-//! [`optimized_pcs`] load it from a [`CircuitGraph`]; the cone cache's
-//! miss path ([`crate::incremental`]) pushes a cone straight from its
-//! host graph, with no standalone cone circuit in between. Each thread
-//! keeps one scratch whose buffers keep their capacity between runs, so
-//! a warm synthesis allocates nothing. Every entry point prices the
-//! surviving cells with the one cell-area table of [`crate::area`].
+//! [`optimized_pcs`] load it from a [`CircuitGraph`]. Each thread keeps
+//! one scratch whose buffers keep their capacity between runs, so a warm
+//! synthesis allocates nothing. Every entry point prices the surviving
+//! cells with the one cell-area table of [`crate::area`].
+//!
+//! The fold rules are one pure function of a node and its parents. The
+//! fixpoint applies it to netlist indices; the cone classes of
+//! [`crate::incremental`] apply the same function to class ids, so one
+//! copy of the rules serves both.
 //!
 //! CSE keys each node by its type, width, aux and resolved parents in a
 //! flat open-addressed table. A pass clears the table by bumping a tag
@@ -120,14 +123,14 @@ impl Slots {
 /// netlist the passes rewrite in place, the replacement links, the
 /// liveness marks and stack, and the CSE table.
 ///
-/// Load a netlist with [`clear`](SynthScratch::clear) and
-/// [`push`](SynthScratch::push) (or from a graph), then run the core
-/// once with [`area`](SynthScratch::area) or through [`optimize`].
-/// Parents are netlist indices and may point forward, as graph parents
-/// may; the loaded netlist must be a valid circuit (correct arities, no
+/// Load a netlist from a graph (or with [`clear`](SynthScratch::clear)
+/// and [`push`](SynthScratch::push)), then run the core once with
+/// [`area`](SynthScratch::area) or through [`optimize`]. Parents are
+/// netlist indices and may point forward, as graph parents may; the
+/// loaded netlist must be a valid circuit (correct arities, no
 /// combinational loops).
 #[derive(Debug, Default)]
-pub(crate) struct SynthScratch {
+struct SynthScratch {
     nodes: Vec<Node>,
     parents: Vec<Slots>,
     repl: Vec<Option<usize>>,
@@ -142,20 +145,20 @@ thread_local! {
 
 /// Runs `f` on this thread's synthesis scratch. `f` must not synthesize
 /// again itself: the scratch is borrowed for the whole call.
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut SynthScratch) -> R) -> R {
+fn with_scratch<R>(f: impl FnOnce(&mut SynthScratch) -> R) -> R {
     SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 impl SynthScratch {
     /// Empties the netlist, keeping every buffer's capacity.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.nodes.clear();
         self.parents.clear();
     }
 
     /// Appends `node`, wired to the netlist nodes `parents` (at most
     /// three, in slot order).
-    pub(crate) fn push(&mut self, node: Node, parents: impl IntoIterator<Item = usize>) {
+    fn push(&mut self, node: Node, parents: impl IntoIterator<Item = usize>) {
         let mut slots = Slots::default();
         for p in parents {
             debug_assert!(slots.len() < 3, "node arity exceeds Mux");
@@ -226,7 +229,7 @@ impl SynthScratch {
 
     /// Synthesizes the loaded netlist and returns its post-synthesis
     /// cell area, summed over the surviving nodes in netlist order.
-    pub(crate) fn area(&mut self) -> f64 {
+    fn area(&mut self) -> f64 {
         self.run();
         let mut area = 0.0;
         for u in 0..self.nodes.len() {
@@ -235,18 +238,6 @@ impl SynthScratch {
             }
         }
         area
-    }
-
-    /// The loaded netlist's node `u` and its parents' indices.
-    #[cfg(test)]
-    pub(crate) fn node(&self, u: usize) -> (Node, &[usize]) {
-        (self.nodes[u], self.parents[u].as_slice())
-    }
-
-    /// Number of nodes loaded.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
     }
 }
 
@@ -289,8 +280,171 @@ fn resolve(repl: &[Option<usize>], mut u: usize) -> usize {
     u
 }
 
-fn is_const(nodes: &[Node], u: usize) -> Option<u64> {
-    (nodes[u].ty() == NodeType::Const).then(|| nodes[u].aux())
+/// What the fold rules make of one node, given its parents.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fold<H> {
+    /// No rule fires: the node stays as it is.
+    Keep,
+    /// The node is this constant (already masked to its width).
+    Const(u64),
+    /// The node computes what this parent does.
+    Replace(H),
+}
+
+/// What the fold rules may ask about a parent, behind a handle: a
+/// netlist index resolved through the replacement links in the fixpoint,
+/// a class id in the cone classes ([`crate::incremental`]).
+pub(crate) trait Operands<H> {
+    /// The parent's value, if it is a constant.
+    fn constant(&self, h: H) -> Option<u64>;
+    /// The parent's width.
+    fn width(&self, h: H) -> u32;
+    /// The parent's operand, if the parent is a `Not` that stays.
+    fn not_operand(&self, h: H) -> Option<H>;
+}
+
+/// The fold rules for one node that is not an input, constant or
+/// output: sequential constant propagation for a register; for
+/// combinational nodes, full constant folding, then the width-preserving
+/// algebraic identities. `ps` are the node's parents in slot order.
+///
+/// Every rule fires on facts that only accumulate (constant parents and
+/// equal parents), so the fixpoint and the cone classes, which apply it
+/// in different orders, agree on what every node computes.
+pub(crate) fn fold_rule<H: Copy + Eq>(node: Node, ps: &[H], ops: &impl Operands<H>) -> Fold<H> {
+    let ty = node.ty();
+    let w = node.width();
+    let same_width = |h: H| ops.width(h) == w;
+
+    // Registers: sequential constant propagation.
+    if ty == NodeType::Reg {
+        return match ops.constant(ps[0]) {
+            Some(v) => Fold::Const(v & mask(w)),
+            None => Fold::Keep,
+        };
+    }
+
+    // Full constant folding.
+    let mut const_buf = [None; 3];
+    for (v, &p) in const_buf.iter_mut().zip(ps) {
+        *v = ops.constant(p);
+    }
+    let const_vals = &const_buf[..ps.len()];
+    if !ps.is_empty() && const_vals.iter().all(Option::is_some) {
+        let aux = if ty == NodeType::Concat {
+            u64::from(ops.width(ps[1]))
+        } else {
+            node.aux()
+        };
+        return Fold::Const(eval_op(ty, aux, |k| const_vals[k].unwrap_or(0)) & mask(w));
+    }
+
+    // Width-preserving algebraic identities.
+    let replace_if_same_width = |h: H| {
+        if same_width(h) {
+            Fold::Replace(h)
+        } else {
+            Fold::Keep
+        }
+    };
+    let constant = |v: u64| Fold::Const(v & mask(w));
+    match ty {
+        NodeType::And => {
+            if ps[0] == ps[1] && same_width(ps[0]) {
+                Fold::Replace(ps[0])
+            } else if const_vals.iter().flatten().any(|&v| v & mask(w) == 0) {
+                constant(0)
+            } else if let Some(k) = all_ones_side(const_vals, w) {
+                replace_if_same_width(ps[1 - k])
+            } else {
+                Fold::Keep
+            }
+        }
+        NodeType::Or => {
+            if ps[0] == ps[1] && same_width(ps[0]) {
+                Fold::Replace(ps[0])
+            } else if let Some(k) = zero_side(const_vals) {
+                replace_if_same_width(ps[1 - k])
+            } else if all_ones_side(const_vals, w).is_some() {
+                constant(mask(w))
+            } else {
+                Fold::Keep
+            }
+        }
+        NodeType::Xor => {
+            if ps[0] == ps[1] {
+                constant(0)
+            } else if let Some(k) = zero_side(const_vals) {
+                replace_if_same_width(ps[1 - k])
+            } else {
+                Fold::Keep
+            }
+        }
+        NodeType::Add => match zero_side(const_vals) {
+            Some(k) => replace_if_same_width(ps[1 - k]),
+            None => Fold::Keep,
+        },
+        NodeType::Sub => {
+            if ps[0] == ps[1] {
+                constant(0)
+            } else if const_vals[1] == Some(0) {
+                replace_if_same_width(ps[0])
+            } else {
+                Fold::Keep
+            }
+        }
+        NodeType::Mul => {
+            if const_vals.iter().flatten().any(|&v| v == 0) {
+                constant(0)
+            } else if let Some(k) = const_vals.iter().position(|&v| v == Some(1)) {
+                replace_if_same_width(ps[1 - k])
+            } else {
+                Fold::Keep
+            }
+        }
+        NodeType::Eq if ps[0] == ps[1] => constant(1),
+        NodeType::Lt if ps[0] == ps[1] => constant(0),
+        NodeType::Shl | NodeType::Shr if const_vals[1] == Some(0) => replace_if_same_width(ps[0]),
+        NodeType::Mux => {
+            if let Some(sel) = const_vals[0] {
+                replace_if_same_width(if sel != 0 { ps[1] } else { ps[2] })
+            } else if ps[1] == ps[2] {
+                replace_if_same_width(ps[1])
+            } else {
+                Fold::Keep
+            }
+        }
+        // ~~x → x (all widths equal)
+        NodeType::Not => match ops.not_operand(ps[0]) {
+            Some(x) if same_width(ps[0]) => replace_if_same_width(x),
+            _ => Fold::Keep,
+        },
+        NodeType::BitSelect if node.aux() == 0 => replace_if_same_width(ps[0]),
+        _ => Fold::Keep,
+    }
+}
+
+/// The loaded netlist as the fold rules see it: parents are resolved
+/// indices.
+struct Netlist<'a> {
+    nodes: &'a [Node],
+    parents: &'a [Slots],
+    repl: &'a [Option<usize>],
+}
+
+impl Operands<usize> for Netlist<'_> {
+    fn constant(&self, u: usize) -> Option<u64> {
+        let node = self.nodes[u];
+        (node.ty() == NodeType::Const).then(|| node.aux())
+    }
+
+    fn width(&self, u: usize) -> u32 {
+        self.nodes[u].width()
+    }
+
+    fn not_operand(&self, u: usize) -> Option<usize> {
+        (self.nodes[u].ty() == NodeType::Not).then(|| resolve(self.repl, self.parents[u].p[0]))
+    }
 }
 
 fn fold_and_simplify(
@@ -298,169 +452,40 @@ fn fold_and_simplify(
     parents: &mut [Slots],
     repl: &mut [Option<usize>],
 ) -> bool {
-    let n = nodes.len();
     let mut changed = false;
-    for u in 0..n {
+    for u in 0..nodes.len() {
         if repl[u].is_some() {
             continue;
         }
-        let ty = nodes[u].ty();
-        if matches!(ty, NodeType::Input | NodeType::Const | NodeType::Output) {
+        if matches!(
+            nodes[u].ty(),
+            NodeType::Input | NodeType::Const | NodeType::Output
+        ) {
             continue;
         }
-        // Resolve parents through the replacement map, in place (arity
-        // is at most 3, so a stack buffer avoids per-node allocations).
+        // Resolve parents through the replacement map, in place.
         let arity = parents[u].len();
-        let mut ps_buf = [0usize; 3];
-        for (slot, p) in ps_buf.iter_mut().enumerate().take(arity) {
-            let r = resolve(repl, parents[u].p[slot]);
-            parents[u].p[slot] = r;
-            *p = r;
+        for slot in 0..arity {
+            parents[u].p[slot] = resolve(repl, parents[u].p[slot]);
         }
-        let ps = &ps_buf[..arity];
-        let w = nodes[u].width();
-        let same_width = |v: usize, nodes: &[Node]| nodes[v].width() == w;
-
-        // Registers: sequential constant propagation.
-        if ty == NodeType::Reg {
-            if let Some(v) = is_const(nodes, ps[0]) {
-                nodes[u] = Node::with_aux(NodeType::Const, w, v & mask(w));
+        let ps = parents[u];
+        let netlist = Netlist {
+            nodes,
+            parents,
+            repl,
+        };
+        match fold_rule(nodes[u], ps.as_slice(), &netlist) {
+            Fold::Keep => {}
+            Fold::Const(v) => {
+                nodes[u] = Node::with_aux(NodeType::Const, nodes[u].width(), v);
                 parents[u].clear();
                 changed = true;
             }
-            continue;
-        }
-
-        // Full constant folding.
-        let mut const_buf = [None; 3];
-        for (slot, v) in const_buf.iter_mut().enumerate().take(arity) {
-            *v = is_const(nodes, ps[slot]);
-        }
-        let const_vals = &const_buf[..arity];
-        if !ps.is_empty() && const_vals.iter().all(Option::is_some) {
-            let aux = if ty == NodeType::Concat {
-                nodes[ps[1]].width() as u64
-            } else {
-                nodes[u].aux()
-            };
-            let v = eval_op(ty, aux, |k| const_vals[k].unwrap_or(0)) & mask(w);
-            nodes[u] = Node::with_aux(NodeType::Const, w, v);
-            parents[u].clear();
-            changed = true;
-            continue;
-        }
-
-        // Width-preserving algebraic identities.
-        let mut replace_with: Option<usize> = None;
-        let mut rewrite_const: Option<u64> = None;
-        match ty {
-            NodeType::And => {
-                if ps[0] == ps[1] && same_width(ps[0], nodes) {
-                    replace_with = Some(ps[0]);
-                } else if const_vals.iter().flatten().any(|&v| v & mask(w) == 0) {
-                    rewrite_const = Some(0);
-                } else if let Some(k) = all_ones_side(const_vals, w) {
-                    let other = ps[1 - k];
-                    if same_width(other, nodes) {
-                        replace_with = Some(other);
-                    }
+            Fold::Replace(target) => {
+                if target != u {
+                    repl[u] = Some(target);
+                    changed = true;
                 }
-            }
-            NodeType::Or => {
-                if ps[0] == ps[1] && same_width(ps[0], nodes) {
-                    replace_with = Some(ps[0]);
-                } else if let Some(k) = zero_side(const_vals) {
-                    let other = ps[1 - k];
-                    if same_width(other, nodes) {
-                        replace_with = Some(other);
-                    }
-                } else if all_ones_side(const_vals, w).is_some() {
-                    rewrite_const = Some(mask(w));
-                }
-            }
-            NodeType::Xor => {
-                if ps[0] == ps[1] {
-                    rewrite_const = Some(0);
-                } else if let Some(k) = zero_side(const_vals) {
-                    let other = ps[1 - k];
-                    if same_width(other, nodes) {
-                        replace_with = Some(other);
-                    }
-                }
-            }
-            NodeType::Add => {
-                if let Some(k) = zero_side(const_vals) {
-                    let other = ps[1 - k];
-                    if same_width(other, nodes) {
-                        replace_with = Some(other);
-                    }
-                }
-            }
-            NodeType::Sub => {
-                if ps[0] == ps[1] {
-                    rewrite_const = Some(0);
-                } else if const_vals[1] == Some(0) && same_width(ps[0], nodes) {
-                    replace_with = Some(ps[0]);
-                }
-            }
-            NodeType::Mul => {
-                if const_vals.iter().flatten().any(|&v| v == 0) {
-                    rewrite_const = Some(0);
-                } else if let Some(k) = const_vals.iter().position(|&v| v == Some(1)) {
-                    let other = ps[1 - k];
-                    if same_width(other, nodes) {
-                        replace_with = Some(other);
-                    }
-                }
-            }
-            NodeType::Eq if ps[0] == ps[1] => {
-                rewrite_const = Some(1);
-            }
-            NodeType::Lt if ps[0] == ps[1] => {
-                rewrite_const = Some(0);
-            }
-            NodeType::Shl | NodeType::Shr
-                if const_vals[1] == Some(0) && same_width(ps[0], nodes) =>
-            {
-                replace_with = Some(ps[0]);
-            }
-            NodeType::Mux => {
-                if let Some(sel) = is_const(nodes, ps[0]) {
-                    let chosen = if sel != 0 { ps[1] } else { ps[2] };
-                    if same_width(chosen, nodes) {
-                        replace_with = Some(chosen);
-                    }
-                } else if ps[1] == ps[2] && same_width(ps[1], nodes) {
-                    replace_with = Some(ps[1]);
-                }
-            }
-            NodeType::Not => {
-                // ~~x → x (all widths equal)
-                let inner = ps[0];
-                if nodes[inner].ty() == NodeType::Not
-                    && repl[inner].is_none()
-                    && same_width(inner, nodes)
-                {
-                    let x = resolve(repl, parents[inner].p[0]);
-                    if same_width(x, nodes) && x != u {
-                        replace_with = Some(x);
-                    }
-                }
-            }
-            NodeType::BitSelect if nodes[u].aux() == 0 && same_width(ps[0], nodes) => {
-                replace_with = Some(ps[0]);
-            }
-            _ => {}
-        }
-
-        if let Some(v) = rewrite_const {
-            nodes[u] = Node::with_aux(NodeType::Const, w, v & mask(w));
-            parents[u].clear();
-            changed = true;
-        } else if let Some(target) = replace_with {
-            if target != u {
-                repl[u] = Some(target);
-                changed = true;
             }
         }
     }
@@ -479,17 +504,53 @@ fn all_ones_side(const_vals: &[Option<u64>], w: u32) -> Option<usize> {
 
 /// A node's identity for CSE: type, width, aux and resolved parents
 /// (arity ≤ 3, padded with `usize::MAX` and disambiguated by `len`).
+/// The cone classes key their classes the same way, with class ids as
+/// parents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[cfg_attr(test, derive(Hash))]
-struct CseKey {
-    ty: NodeType,
-    width: u32,
-    aux: u64,
-    ps: [usize; 3],
-    len: u8,
+pub(crate) struct CseKey {
+    pub(crate) ty: NodeType,
+    pub(crate) width: u32,
+    pub(crate) aux: u64,
+    pub(crate) ps: [usize; 3],
+    pub(crate) len: u8,
 }
 
 impl CseKey {
+    /// The key of `node` with the (resolved) parents `ps[..len]`, sorted
+    /// for commutative operators; the slots past `len` must hold
+    /// `usize::MAX`.
+    #[inline]
+    pub(crate) fn new(node: Node, mut ps: [usize; 3], len: usize) -> Self {
+        let ty = node.ty();
+        if matches!(
+            ty,
+            NodeType::And
+                | NodeType::Or
+                | NodeType::Xor
+                | NodeType::Add
+                | NodeType::Mul
+                | NodeType::Eq
+        ) {
+            // Every commutative type has two slots; order them without a
+            // sort call.
+            if len == 2 {
+                let (a, b) = (ps[0], ps[1]);
+                ps[0] = a.min(b);
+                ps[1] = a.max(b);
+            } else {
+                ps[..len].sort_unstable();
+            }
+        }
+        CseKey {
+            ty,
+            width: node.width(),
+            aux: node.aux(),
+            ps,
+            len: len as u8,
+        }
+    }
+
     /// Three words mixed by multiply-rotate steps. Which node CSE keeps
     /// is decided by index order, never by the hash, so the hash only
     /// sets the speed. It does not resist crafted collisions: such a
@@ -525,7 +586,7 @@ struct CseSlot {
 /// at least 16), so the table is at most half full and a large table
 /// left by a large netlist costs a small one nothing.
 #[derive(Debug, Default)]
-struct CseTable {
+pub(crate) struct CseTable {
     slots: Vec<CseSlot>,
     tag: u32,
     /// Index mask of the slots the current pass probes.
@@ -546,7 +607,7 @@ impl CseTable {
     };
 
     /// Empties the table for a pass over `n` nodes.
-    fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         let slots = (2 * n).next_power_of_two().max(16);
         if self.slots.len() < slots {
             self.slots.resize(slots, Self::VACANT);
@@ -563,7 +624,7 @@ impl CseTable {
 
     /// The node stored under `key` in this pass, storing `u` if none is.
     #[inline]
-    fn first_or_insert(&mut self, key: CseKey, u: usize) -> usize {
+    pub(crate) fn first_or_insert(&mut self, key: CseKey, u: usize) -> usize {
         let mut i = key.hash().rotate_left(26) as usize & self.mask;
         loop {
             let slot = &mut self.slots[i];
@@ -584,35 +645,14 @@ impl CseTable {
 }
 
 /// The CSE key of node `u`: its attributes and its parents resolved
-/// through `repl`, sorted for commutative operators.
+/// through `repl`.
 fn cse_key(nodes: &[Node], parents: &[Slots], repl: &[Option<usize>], u: usize) -> CseKey {
-    let ty = nodes[u].ty();
     let len = parents[u].len();
     let mut ps = [usize::MAX; 3];
     for (slot, p) in ps.iter_mut().enumerate().take(len) {
         *p = resolve(repl, parents[u].p[slot]);
     }
-    if matches!(
-        ty,
-        NodeType::And | NodeType::Or | NodeType::Xor | NodeType::Add | NodeType::Mul | NodeType::Eq
-    ) {
-        // Every commutative type has two slots; order them without a
-        // sort call.
-        if len == 2 {
-            let (a, b) = (ps[0], ps[1]);
-            ps[0] = a.min(b);
-            ps[1] = a.max(b);
-        } else {
-            ps[..len].sort_unstable();
-        }
-    }
-    CseKey {
-        ty,
-        width: nodes[u].width(),
-        aux: nodes[u].aux(),
-        ps,
-        len: len as u8,
-    }
+    CseKey::new(nodes[u], ps, len)
 }
 
 /// Common-subexpression elimination. Inputs and outputs never merge;
