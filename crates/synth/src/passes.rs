@@ -281,7 +281,7 @@ fn resolve(repl: &[Option<usize>], mut u: usize) -> usize {
 }
 
 /// What the fold rules make of one node, given its parents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum Fold<H> {
     /// No rule fires: the node stays as it is.
     Keep,
