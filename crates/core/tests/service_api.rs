@@ -155,8 +155,8 @@ fn ablation_shape_still_skips_phases() {
 }
 
 /// The same corpus and seed with Phase 3 on the incremental cone reward
-/// over every register cone, so each request runs the cone cache's miss
-/// path (per-cone synthesis) on every cone it has not seen before.
+/// over every register cone, so each request derives the area of every
+/// cone its per-apex memo cannot answer.
 fn incremental_model() -> &'static SynCircuit {
     static MODEL: OnceLock<SynCircuit> = OnceLock::new();
     MODEL.get_or_init(|| {

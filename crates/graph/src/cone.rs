@@ -158,9 +158,10 @@ pub fn cone_circuit(g: &CircuitGraph, cone: &DrivingCone) -> ConeCircuit {
 /// kept as-is; any other apex (registers, combinational nodes) survives
 /// and drives a fresh [`NodeType::Output`] port.
 ///
-/// The node order is boundary, members, apex, then the port. The cone
-/// cache of `syncircuit-synth` lays a missed cone out in exactly this
-/// order without building the circuit, and is tested against it.
+/// The node order is boundary, members, apex, then the port. The
+/// incremental reward of `syncircuit-synth` reads each cone's area off
+/// structural classes without building this circuit, and is tested
+/// against the synthesized area of it.
 pub fn cone_circuit_parts(
     g: &CircuitGraph,
     apex: NodeId,

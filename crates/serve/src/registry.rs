@@ -16,8 +16,7 @@
 //!   cycles out and reloads serves byte-identical designs to one that
 //!   stayed resident the whole time (property-tested in
 //!   `tests/registry_equivalence.rs`). The only state an eviction
-//!   discards is the model's warm cone-synthesis cache — work, never
-//!   bytes.
+//!   discards is the model's cone counters — telemetry, never bytes.
 //!
 //! A model's budget cost is its artifact's rendered size in bytes (the
 //! exact on-disk length the registry read), so byte budgets track real
