@@ -20,6 +20,14 @@ use syncircuit_nn::layers::{Linear, Mlp};
 use syncircuit_nn::sparse::RowNormAdj;
 use syncircuit_nn::{sigmoid, Matrix, PackedB, ParamStore, Tape, Var};
 
+/// Candidate pairs the serving decoder scores per head call (see
+/// [`Denoiser::predict_probs_into`]). The decoder's scratch then stays at
+/// `DECODE_CHUNK × hidden` floats per buffer, 32 KiB at hidden 32,
+/// whatever the pair count. A 600-node request scores about 8,000 pairs
+/// per step; scored whole, its head input and first head layer took
+/// 1–2 MiB each.
+const DECODE_CHUNK: usize = 256;
+
 /// One MPNN layer of the encoder (the paper's update rule plus a ReLU).
 #[derive(Clone, Debug)]
 struct EncoderLayer {
@@ -284,22 +292,28 @@ impl Denoiser {
         // intermediates. The time conditioning `d(t)` — identical for
         // every pair — is never materialised: the head's first layer
         // treats it as a shared suffix row (same bits again, see
-        // `Mlp::forward_packed_cat_into`).
+        // `Mlp::forward_packed_cat_into`). Pairs go through the head
+        // `DECODE_CHUNK` at a time: every head row depends on its own
+        // pair alone, so chunking changes no bit, and the head input
+        // and outputs stay one chunk long however many pairs a step has.
         let r = &cache.r[t].data()[..hc];
         let hdata = s.h.data();
-        s.cat.reset_shape_any(pairs.len(), hc);
-        for (row, &(i, j)) in s.cat.data_mut().chunks_exact_mut(hc).zip(pairs) {
-            let hi = &hdata[i as usize * hc..i as usize * hc + hc];
-            let hj = &hdata[j as usize * hc..j as usize * hc + hc];
-            for k in 0..hc {
-                row[k] = (hi[k] + r[k]) * hj[k];
-            }
-        }
         let d = cache.d[t].data();
-        let logits = self
-            .head
-            .forward_packed_cat_into(store, &s.cat, d, &pack.head, &mut s.head);
-        out.extend(logits.data().iter().map(|&x| sigmoid(x)));
+        out.reserve(pairs.len());
+        for chunk in pairs.chunks(DECODE_CHUNK) {
+            s.cat.reset_shape_any(chunk.len(), hc);
+            for (row, &(i, j)) in s.cat.data_mut().chunks_exact_mut(hc).zip(chunk) {
+                let hi = &hdata[i as usize * hc..i as usize * hc + hc];
+                let hj = &hdata[j as usize * hc..j as usize * hc + hc];
+                for k in 0..hc {
+                    row[k] = (hi[k] + r[k]) * hj[k];
+                }
+            }
+            let logits =
+                self.head
+                    .forward_packed_cat_into(store, &s.cat, d, &pack.head, &mut s.head);
+            out.extend(logits.data().iter().map(|&x| sigmoid(x)));
+        }
     }
 }
 
@@ -329,7 +343,8 @@ pub struct TimeEmbCache {
 /// Reusable buffers for [`Denoiser::predict_probs_into`], one per
 /// value of its fixed pass: the node states `h`, each MPNN layer's
 /// self term, messages and aggregate, the fused decoder input `cat`,
-/// and the head's two alternating layer outputs. One scratch serves any
+/// and the head's two alternating layer outputs (the last three hold
+/// one chunk of at most 256 pairs). One scratch serves any
 /// sequence of requests (shapes may differ between calls; every step
 /// fully overwrites its output, so no stale state carries over).
 #[derive(Debug, Default)]

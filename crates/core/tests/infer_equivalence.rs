@@ -121,7 +121,9 @@ proptest! {
 /// run the widths real configs use, `standard()` (48) and `paper()`
 /// (256), each with its preset's layer and step counts, at the first,
 /// a middle and the last step, for a sparse pair set (one candidate
-/// parent per node) and a dense one (every ordered pair).
+/// parent per node), a dense one (every ordered pair) and a long one
+/// that the serving decoder scores in three chunks of at most 256
+/// pairs.
 #[test]
 fn predict_probs_into_matches_tape_at_preset_widths() {
     for (preset, cfg) in [
@@ -136,6 +138,7 @@ fn predict_probs_into_matches_tape_at_preset_widths() {
         let adj = adjacency_operator(&random_parents(n as usize, 18));
         let sparse: Vec<(u32, u32)> = (0..n).map(|j| (rng.gen_range(0..n), j)).collect();
         let dense: Vec<(u32, u32)> = (0..n).flat_map(|j| (0..n).map(move |i| (i, j))).collect();
+        let long: Vec<(u32, u32)> = dense.iter().copied().cycle().take(600).collect();
         let cache = den.build_time_cache(&store);
         let pack = den.pack_weights(&store);
         let mut proj = Matrix::zeros(0, 0);
@@ -143,7 +146,7 @@ fn predict_probs_into_matches_tape_at_preset_widths() {
         let mut scratch = DenoiserScratch::new();
         let mut got = Vec::new();
         for t in [1, cfg.steps / 2 + 1, cfg.steps] {
-            for (kind, pairs) in [("sparse", &sparse), ("dense", &dense)] {
+            for (kind, pairs) in [("sparse", &sparse), ("dense", &dense), ("long", &long)] {
                 let want = den.predict_probs(&store, feats.clone(), &adj, pairs, t);
                 den.predict_probs_into(
                     &store,
