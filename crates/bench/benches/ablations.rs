@@ -29,17 +29,34 @@ fn main() {
     println!("\n(1) sparse vs dense decoding (structure vs real `tinyrocket`):");
     for (name, decode) in [
         ("dense", DecodeMode::Dense),
-        ("sparse(12)", DecodeMode::Sparse { candidates_per_node: 12 }),
-        ("sparse(4)", DecodeMode::Sparse { candidates_per_node: 4 }),
+        (
+            "sparse(12)",
+            DecodeMode::Sparse {
+                candidates_per_node: 12,
+            },
+        ),
+        (
+            "sparse(4)",
+            DecodeMode::Sparse {
+                candidates_per_node: 4,
+            },
+        ),
     ] {
         let base = syncircuit_bench::syncircuit_config(false);
         let mut diffusion = base.diffusion().clone();
         diffusion.decode = decode;
         diffusion.epochs = 40;
-        let cfg = base.into_builder().diffusion(diffusion).build().expect("valid config");
+        let cfg = base
+            .into_builder()
+            .diffusion(diffusion)
+            .build()
+            .expect("valid config");
         let model = SynCircuit::fit(&corpus, cfg).expect("fit");
         let set = generate_set(4, |s| {
-            model.generate_one(&GenRequest::nodes(n).seeded(s)).map(|g| g.gval).ok()
+            model
+                .generate_one(&GenRequest::nodes(n).seeded(s))
+                .map(|g| g.gval)
+                .ok()
         });
         let c = compare_against_real(&eval.graph, &set);
         println!(
@@ -68,7 +85,10 @@ fn main() {
             .expect("valid config");
         let model = SynCircuit::fit(&corpus, cfg).expect("fit");
         let set = generate_set(4, |s| {
-            model.generate_one(&GenRequest::nodes(n).seeded(s)).map(|g| g.gval).ok()
+            model
+                .generate_one(&GenRequest::nodes(n).seeded(s))
+                .map(|g| g.gval)
+                .ok()
         });
         let c = compare_against_real(&eval.graph, &set);
         println!(
@@ -89,16 +109,26 @@ fn main() {
     }
     let disc = PcsDiscriminator::train(&samples, 400, EXPERIMENT_SEED).expect("non-empty cones");
     let err = disc.validate(&samples);
-    println!("  mean relative PCS error on the training corpus: {}", cell(err));
+    println!(
+        "  mean relative PCS error on the training corpus: {}",
+        cell(err)
+    );
 
     // rank agreement on held-out synthetic designs
     let base = syncircuit_bench::syncircuit_config(false);
     let mut diffusion = base.diffusion().clone();
     diffusion.epochs = 40;
-    let cfg = base.into_builder().diffusion(diffusion).build().expect("valid config");
+    let cfg = base
+        .into_builder()
+        .diffusion(diffusion)
+        .build()
+        .expect("valid config");
     let model = SynCircuit::fit(&corpus, cfg).expect("fit");
     let designs = generate_set(6, |s| {
-        model.generate_one(&GenRequest::nodes(60).seeded(s)).map(|g| g.gval).ok()
+        model
+            .generate_one(&GenRequest::nodes(60).seeded(s))
+            .map(|g| g.gval)
+            .ok()
     });
     let exact = ExactSynthReward::new();
     let exact_scores: Vec<f64> = designs.iter().map(|g| exact.pcs(g)).collect();

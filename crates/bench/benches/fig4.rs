@@ -27,7 +27,9 @@ fn main() {
     println!("training SynCircuit (w/o Phase 3) and generating {BATCH} G_val designs...");
     let syn = train_syncircuit(false);
     let gvals = generate_set(BATCH, |s| {
-        syn.generate_one(&GenRequest::nodes(NODES).seeded(s)).map(|g| g.gval).ok()
+        syn.generate_one(&GenRequest::nodes(NODES).seeded(s))
+            .map(|g| g.gval)
+            .ok()
     });
 
     let mcts_cfg = MctsConfig {
@@ -52,11 +54,14 @@ fn main() {
 
     for (k, gval) in gvals.iter().enumerate() {
         let before = scpr_of(gval);
-        let (mcts_opt, outcomes) =
-            optimize_registers(gval, &reward, &mcts_cfg, ConeSelection::All);
+        let (mcts_opt, outcomes) = optimize_registers(gval, &reward, &mcts_cfg, ConeSelection::All);
         // The paper's ablation randomly alters edges of the whole G_val
         // (no cone curriculum) with the same total evaluation budget.
-        let total_budget = outcomes.iter().map(|o| o.evaluations).sum::<usize>().max(10);
+        let total_budget = outcomes
+            .iter()
+            .map(|o| o.evaluations)
+            .sum::<usize>()
+            .max(10);
         budget_report = total_budget;
         let rand_outcome = optimize_random_walk(
             gval,
@@ -80,7 +85,9 @@ fn main() {
             mcts,
         });
     }
-    println!("total evaluation budget per design (matched for random): {budget_report} synthesis calls");
+    println!(
+        "total evaluation budget per design (matched for random): {budget_report} synthesis calls"
+    );
 
     // (a): the 5 worst-redundancy examples
     rows.sort_by(|a, b| a.before.total_cmp(&b.before));

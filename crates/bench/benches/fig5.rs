@@ -6,7 +6,9 @@
 //! WNS / TNS-per-violation cluster near zero, while SynCircuit tracks the
 //! real designs' heavier-tailed timing behavior.
 
-use syncircuit_bench::{banner, cell, five_number_summary, generate_set, train_dvae, train_graphrnn, train_syncircuit};
+use syncircuit_bench::{
+    banner, cell, five_number_summary, generate_set, train_dvae, train_graphrnn, train_syncircuit,
+};
 use syncircuit_core::GenRequest;
 use syncircuit_datasets::corpus;
 use syncircuit_graph::CircuitGraph;
@@ -36,7 +38,9 @@ fn main() {
 
     let real: Vec<CircuitGraph> = corpus().into_iter().map(|d| d.graph).collect();
     let syn_set = generate_set(SET_SIZE, |s| {
-        syn.generate_one(&GenRequest::nodes(NODES).seeded(s)).map(|g| g.graph).ok()
+        syn.generate_one(&GenRequest::nodes(NODES).seeded(s))
+            .map(|g| g.graph)
+            .ok()
     });
     let rnn_set = generate_set(SET_SIZE, |s| graphrnn.generate(NODES, s).ok());
     let dvae_set = generate_set(SET_SIZE, |s| dvae.generate(NODES, s).ok());

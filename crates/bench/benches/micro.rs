@@ -8,8 +8,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 use syncircuit_core::{
     optimize_cone_mcts, optimize_registers, ConeSelection, DiffusionConfig, DiffusionModel,
-    ExactSynthReward, GenRequest, IncrementalConeReward, MctsConfig, PipelineConfig,
-    RefineConfig, RewardKind, RewardModel, SynCircuit,
+    ExactSynthReward, GenRequest, IncrementalConeReward, MctsConfig, PipelineConfig, RefineConfig,
+    RewardKind, RewardModel, SynCircuit,
 };
 use syncircuit_datasets::design;
 use syncircuit_graph::cone::{all_driving_cones, cone_circuit};
@@ -126,7 +126,10 @@ fn bench_refine(c: &mut Criterion) {
 
 fn bench_mcts_cone(c: &mut Criterion) {
     let g = design("oc_fifo").expect("corpus design").graph;
-    let cone = all_driving_cones(&g).into_iter().next().expect("has registers");
+    let cone = all_driving_cones(&g)
+        .into_iter()
+        .next()
+        .expect("has registers");
     let cc = cone_circuit(&g, &cone);
     let reward = ExactSynthReward::new();
     let cfg = MctsConfig {

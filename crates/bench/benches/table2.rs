@@ -9,10 +9,10 @@
 //! (paper): SynCircuit w/ diff wins most columns; w/o diff clearly worse;
 //! the direction-blind one-shot baselines trail on degree realism.
 
-use syncircuit_bench::{banner, cell, generate_set, train_dvae, train_graphrnn, train_syncircuit};
 use syncircuit_baselines::{GraphMaker, SparseDigress, SparseDigressConfig};
-use syncircuit_core::GenRequest;
+use syncircuit_bench::{banner, cell, generate_set, train_dvae, train_graphrnn, train_syncircuit};
 use syncircuit_bench::{train_graphs, EXPERIMENT_SEED};
+use syncircuit_core::GenRequest;
 use syncircuit_datasets::design;
 use syncircuit_graph::CircuitGraph;
 use syncircuit_metrics::{compare_against_real, StructuralComparison};
@@ -40,10 +40,7 @@ fn main() {
     type Generator<'a> = Box<dyn Fn(usize, u64) -> Option<CircuitGraph> + 'a>;
     let mut rows: Vec<(&str, Vec<StructuralComparison>)> = Vec::new();
     let models: Vec<(&str, Generator)> = vec![
-        (
-            "GraphRNN",
-            Box::new(|n, s| graphrnn.generate(n, s).ok()),
-        ),
+        ("GraphRNN", Box::new(|n, s| graphrnn.generate(n, s).ok())),
         ("DVAE", Box::new(|n, s| dvae.generate(n, s).ok())),
         (
             "GraphMaker-v",
@@ -57,7 +54,10 @@ fn main() {
             "SynCircuit w/o diff",
             Box::new(|n, s| {
                 syn.generate_one(
-                    &GenRequest::nodes(n).seeded(s).without_diffusion().optimize(false),
+                    &GenRequest::nodes(n)
+                        .seeded(s)
+                        .without_diffusion()
+                        .optimize(false),
                 )
                 .map(|g| g.graph)
                 .ok()
@@ -66,7 +66,9 @@ fn main() {
         (
             "SynCircuit w/ diff",
             Box::new(|n, s| {
-                syn.generate_one(&GenRequest::nodes(n).seeded(s)).map(|g| g.gval).ok()
+                syn.generate_one(&GenRequest::nodes(n).seeded(s))
+                    .map(|g| g.gval)
+                    .ok()
             }),
         ),
     ];
@@ -85,13 +87,35 @@ fn main() {
     // print: metric blocks with one column per eval design
     println!(
         "\n{:<20} {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}",
-        "", "OutDeg", "", "Cluster", "", "Orbit", "", "|Tri-1|", "", "|h(A)-1|", "", "|h(A2)-1|", ""
+        "",
+        "OutDeg",
+        "",
+        "Cluster",
+        "",
+        "Orbit",
+        "",
+        "|Tri-1|",
+        "",
+        "|h(A)-1|",
+        "",
+        "|h(A2)-1|",
+        ""
     );
     println!(
         "{:<20} {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}  {:>9} {:>9}",
         "Model",
-        "tinyrkt", "core", "tinyrkt", "core", "tinyrkt", "core",
-        "tinyrkt", "core", "tinyrkt", "core", "tinyrkt", "core"
+        "tinyrkt",
+        "core",
+        "tinyrkt",
+        "core",
+        "tinyrkt",
+        "core",
+        "tinyrkt",
+        "core",
+        "tinyrkt",
+        "core",
+        "tinyrkt",
+        "core"
     );
     for (name, comps) in &rows {
         let d: Vec<[f64; 3]> = comps.iter().map(|c| c.scalar_deviations()).collect();
@@ -139,8 +163,12 @@ fn main() {
     println!(
         "\nSynCircuit w/ diff wins {syn_wins}/{total_cells} cells (paper: best in 5/6 metric families)"
     );
-    let agg_with: f64 = rows.last().map(|(_, c)| c[0].aggregate() + c[1].aggregate()).unwrap_or(0.0);
-    let agg_without: f64 = rows[rows.len() - 2].1[0].aggregate() + rows[rows.len() - 2].1[1].aggregate();
+    let agg_with: f64 = rows
+        .last()
+        .map(|(_, c)| c[0].aggregate() + c[1].aggregate())
+        .unwrap_or(0.0);
+    let agg_without: f64 =
+        rows[rows.len() - 2].1[0].aggregate() + rows[rows.len() - 2].1[1].aggregate();
     println!(
         "ablation check: aggregate(w/ diff) = {} vs aggregate(w/o diff) = {} (lower is better)",
         cell(agg_with),

@@ -43,15 +43,24 @@ fn report_row(name: &str, report: &PpaReport) {
 }
 
 fn main() {
-    banner("Table III: PPA prediction with augmentation", "paper §VII-B.3 Table III");
+    banner(
+        "Table III: PPA prediction with augmentation",
+        "paper §VII-B.3 Table III",
+    );
     let (train_designs, test_designs) = split();
     let label_cfg = LabelConfig::default();
     let train_all: Vec<LabeledDesign> = label_all(
-        &train_designs.iter().map(|d| d.graph.clone()).collect::<Vec<_>>(),
+        &train_designs
+            .iter()
+            .map(|d| d.graph.clone())
+            .collect::<Vec<_>>(),
         &label_cfg,
     );
     let test: Vec<LabeledDesign> = label_all(
-        &test_designs.iter().map(|d| d.graph.clone()).collect::<Vec<_>>(),
+        &test_designs
+            .iter()
+            .map(|d| d.graph.clone())
+            .collect::<Vec<_>>(),
         &label_cfg,
     );
 
@@ -95,12 +104,20 @@ fn main() {
         .map(|(name, gs)| (*name, label_all(gs, &label_cfg)))
         .collect();
 
-    for (label, base_count) in [("(a) 15 real base designs", 15usize), ("(b) 5 real base designs", 5)] {
+    for (label, base_count) in [
+        ("(a) 15 real base designs", 15usize),
+        ("(b) 5 real base designs", 5),
+    ] {
         let base: Vec<LabeledDesign> = train_all.iter().take(base_count).cloned().collect();
         println!("\n{label}:");
         print!("{:<22}", "Model");
         for t in Target::ALL {
-            print!(" | {:>6} {:>6} {:>6}", t.name().split(' ').next().unwrap_or(""), "MAPE", "RRSE");
+            print!(
+                " | {:>6} {:>6} {:>6}",
+                t.name().split(' ').next().unwrap_or(""),
+                "MAPE",
+                "RRSE"
+            );
         }
         println!("   (first col per block = R)");
 

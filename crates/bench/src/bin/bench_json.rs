@@ -166,7 +166,9 @@ fn main() -> ExitCode {
         return check(&args[2]);
     }
     if args.len() < 3 {
-        eprintln!("usage: bench-json <current-run.json>... <trajectory.json> | --check <trajectory.json>");
+        eprintln!(
+            "usage: bench-json <current-run.json>... <trajectory.json> | --check <trajectory.json>"
+        );
         return ExitCode::FAILURE;
     }
     let trajectory = args.last().expect("len checked above").clone();

@@ -157,7 +157,9 @@ mod tests {
 
     #[test]
     fn generate_set_retries() {
-        let got = generate_set(3, |s| (s % 2 == 0).then(|| CircuitGraph::new(format!("{s}"))));
+        let got = generate_set(3, |s| {
+            (s % 2 == 0).then(|| CircuitGraph::new(format!("{s}")))
+        });
         assert_eq!(got.len(), 3);
     }
 }
