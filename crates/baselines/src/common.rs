@@ -162,9 +162,7 @@ impl GravityDirection {
                 as_target[g.ty(e.to).category()] += 1.0;
             }
         }
-        let mass = (0..t)
-            .map(|k| (as_target[k] / as_source[k]).ln())
-            .collect();
+        let mass = (0..t).map(|k| (as_target[k] / as_source[k]).ln()).collect();
         GravityDirection { mass }
     }
 

@@ -127,11 +127,17 @@ impl GraphMaker {
             }
         }
         let sampled = SampledGraph { parents, probs };
-        let mut g = refine(&attrs, &sampled, &self.attrs, &RefineConfig::default(), seed)
-            .map_err(|_| BaselineError::Unbuildable {
-                generator: "graphmaker",
-                nodes: n,
-            })?;
+        let mut g = refine(
+            &attrs,
+            &sampled,
+            &self.attrs,
+            &RefineConfig::default(),
+            seed,
+        )
+        .map_err(|_| BaselineError::Unbuildable {
+            generator: "graphmaker",
+            nodes: n,
+        })?;
         g.legalize_bit_selects();
         g.set_name(format!("graphmaker_{seed:x}"));
         Ok(g)

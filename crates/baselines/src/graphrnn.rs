@@ -111,7 +111,9 @@ impl GraphRnn {
                 }
                 let feats = order
                     .iter()
-                    .map(|&v| AttrModel::features(g.node(syncircuit_graph::NodeId::new(v as usize))))
+                    .map(|&v| {
+                        AttrModel::features(g.node(syncircuit_graph::NodeId::new(v as usize)))
+                    })
                     .collect();
                 Seq { feats, targets }
             })

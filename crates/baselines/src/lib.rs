@@ -46,7 +46,10 @@ impl fmt::Display for BaselineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BaselineError::Unbuildable { generator, nodes } => {
-                write!(f, "{generator} could not build a valid {nodes}-node circuit")
+                write!(
+                    f,
+                    "{generator} could not build a valid {nodes}-node circuit"
+                )
             }
         }
     }

@@ -296,11 +296,17 @@ impl SparseDigress {
             parents[to as usize].push(from);
         }
         let sampled = SampledGraph { parents, probs };
-        let mut g = refine(&attrs, &sampled, &self.attrs, &RefineConfig::default(), seed)
-            .map_err(|_| BaselineError::Unbuildable {
-                generator: "sparsedigress",
-                nodes: n,
-            })?;
+        let mut g = refine(
+            &attrs,
+            &sampled,
+            &self.attrs,
+            &RefineConfig::default(),
+            seed,
+        )
+        .map_err(|_| BaselineError::Unbuildable {
+            generator: "sparsedigress",
+            nodes: n,
+        })?;
         g.legalize_bit_selects();
         g.set_name(format!("sparsedigress_{seed:x}"));
         Ok(g)
