@@ -138,10 +138,12 @@ impl RegistryBudget {
 /// Counters and residency snapshot of a [`ModelRegistry`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// Lookups served by a resident model.
+    /// Lookups served by a resident model, counting a cold lookup that
+    /// parsed the artifact but found a racer's model published first.
     pub hits: u64,
-    /// Artifact loads (cold lookups and reloads after eviction) that
-    /// succeeded.
+    /// Models published by a successful artifact load (cold lookups and
+    /// reloads after eviction): one per residency, however many lookups
+    /// raced to parse it.
     pub loads: u64,
     /// Models evicted under budget pressure.
     pub evictions: u64,
@@ -412,14 +414,16 @@ impl ModelRegistry {
         let mut inner = self.lock_inner();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.loads += 1;
         inner.strikes.remove(path); // a successful load clears the record
         if let Some(entry) = inner.resident.get_mut(path) {
             // A racer published while we parsed; serve its copy so every
             // in-flight request for one path shares one resident model.
             entry.last_used = tick;
-            return Ok(entry.model.clone());
+            let model = entry.model.clone();
+            inner.hits += 1;
+            return Ok(model);
         }
+        inner.loads += 1;
         inner.resident.insert(
             path.to_string(),
             Entry {
@@ -838,6 +842,47 @@ mod tests {
         assert_eq!(s.resident, 1);
         assert!(s.resident_bytes > 0, "byte total re-validated after poison");
         assert_eq!(s.hits, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Holds every artifact read until two readers have arrived, so two
+    /// lookups of one cold path both parse it before either publishes.
+    #[derive(Debug)]
+    struct PairedReads(std::sync::Barrier);
+
+    impl crate::fault::FaultInjector for PairedReads {
+        fn artifact_read(&self, _path: &str, _seed: u64, _attempt: u32) -> Option<ReadFault> {
+            self.0.wait();
+            None
+        }
+    }
+
+    #[test]
+    fn racing_cold_lookups_count_one_load() {
+        let dir = temp_dir("race");
+        let path = save_tiny_model(&dir, 17).display().to_string();
+        let reg = ModelRegistry::with_resilience(
+            RegistryBudget::unlimited(),
+            RetryPolicy::none(),
+            QuarantinePolicy::default(),
+            Arc::new(PairedReads(std::sync::Barrier::new(2))),
+        );
+        let models: Vec<_> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| reg.get_or_load(&path).unwrap()))
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(
+            Arc::ptr_eq(&models[0], &models[1]),
+            "the loser serves the published model"
+        );
+        let s = reg.stats();
+        assert_eq!(
+            (s.loads, s.hits, s.resident),
+            (1, 1, 1),
+            "one model was published; the racer's lookup is a hit"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
