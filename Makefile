@@ -10,7 +10,7 @@ test: build
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
-	cargo fmt -p syncircuit-serve -p syncircuit-synth -p syncircuit-nn -p syncircuit-graph -p syncircuit-core -p serde -p serde_json -p serde_derive -- --check
+	cargo fmt -p syncircuit-serve -p syncircuit-synth -p syncircuit-nn -p syncircuit-graph -p syncircuit-core -p syncircuit-bench -p syncircuit-baselines -p serde -p serde_json -p serde_derive -- --check
 
 fmt-check:
 	cargo fmt --all -- --check
