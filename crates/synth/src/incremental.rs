@@ -25,8 +25,10 @@
 //!   rule function of [`crate::passes`], applied to its parents' classes:
 //!   its parent's class (a replacement), an interned constant, or an
 //!   interned class keyed the way CSE keys a node (type, width, aux and
-//!   parent classes, the commutative pair ordered). A node whose outcome
-//!   is not a replacement is a *candidate*.
+//!   parent classes, the commutative pair ordered). A node that takes
+//!   that last outcome (no rule fires) is *kept*, and the class stores
+//!   its `node_area`. A node whose outcome is not a replacement is a
+//!   *candidate*; a non-constant class's candidates are its kept nodes.
 //!
 //! Every rule fires on facts that only accumulate: constants and class
 //! equalities. So a node's outcome at the fixpoint depends only on its
@@ -42,19 +44,31 @@
 //! The walk of a cone is the reverse breadth-first search of
 //! `syncircuit_graph::cone::fanin_cone_into`, stopping at `const` / `in`
 //! / `reg` boundary nodes, and lists the same members in the same order.
+//! It writes every parent into a member buffer sized for the design and
+//! advances the member count past it only if it is a fresh member, so it
+//! branches on no parent.
+//!
 //! A register apex whose D input has a constant class folds to that
 //! constant: its cone scores `0.0`. Otherwise the classes reachable over
 //! class parents from the D input's class (from an output apex's
-//! parent's class) are live, and the area sums `node_area` over the
-//! first candidate, in member order, of each live non-constant class,
-//! then adds the register apex's own area. These are the fixpoint's bits:
+//! parent's class) are live, and the area sums the stored area of each
+//! live class at its first kept member, in member order, then adds the
+//! register apex's own area. These are the fixpoint's bits:
 //!
 //! - CSE keeps the lowest-index candidate of each class, so the
 //!   survivors are the first candidates in netlist order, which is member
 //!   order;
 //! - liveness follows resolved parents, and those are the class parents;
+//! - every kept node of a class has the type, width and aux of the key,
+//!   so its `node_area` is the one the class stores;
 //! - constants, inputs, bit-selects, concats and output ports add `+0.0`,
 //!   which never changes a non-negative sum.
+//!
+//! When every member is kept and the apex has one parent, no liveness
+//! search runs. With no replacement and no constant fold, class parents
+//! mirror node parents, and every member is reachable from the D input,
+//! so every member's class is live: the area sums each class at its first
+//! member.
 //!
 //! A test checks every register and output cone of random circuits,
 //! along random swap walks, against the synthesized cone circuit.
@@ -165,34 +179,45 @@ impl Marks {
 #[derive(Debug, Default)]
 struct ConeWalk {
     seen: Marks,
-    members: Vec<NodeId>,
+    /// The members in `..len`; the buffer spans the design's nodes.
+    buf: Vec<NodeId>,
+    len: usize,
 }
 
 impl ConeWalk {
-    /// Walks the fan-in cone of `apex` into `members` (see the module
-    /// docs): a node takes its place when it is first reached, and in a
-    /// FIFO queue first push is first pop.
+    /// Walks the fan-in cone of `apex` (see the module docs): a node takes
+    /// its place when it is first reached, and in a FIFO queue first push
+    /// is first pop.
+    ///
+    /// Every parent is written at `len`, and `len` moves past it only if
+    /// it is a fresh member, so the walk branches on no parent. Members
+    /// are distinct nodes other than the apex: `len` stays below the node
+    /// count, and so does every write.
     fn walk(&mut self, g: &CircuitGraph, apex: NodeId) {
-        self.seen.clear(g.node_count());
-        self.members.clear();
-        self.seen.mark(apex.index());
-        self.reach(g, apex);
-        let mut head = 0;
-        while head < self.members.len() {
-            let u = self.members[head];
-            head += 1;
-            self.reach(g, u);
+        let n = g.node_count();
+        self.seen.clear(n);
+        if self.buf.len() < n {
+            self.buf.resize(n, apex);
         }
+        self.seen.mark(apex.index());
+        let (mut len, mut head, mut u) = (0, 0, apex);
+        loop {
+            for &p in g.parents(u) {
+                self.buf[len] = p;
+                len += usize::from(self.seen.mark(p.index()) & !is_boundary(g.ty(p)));
+            }
+            if head == len {
+                break;
+            }
+            u = self.buf[head];
+            head += 1;
+        }
+        self.len = len;
     }
 
-    /// Marks `u`'s unreached parents and queues those that are members.
-    #[inline]
-    fn reach(&mut self, g: &CircuitGraph, u: NodeId) {
-        for &p in g.parents(u) {
-            if self.seen.mark(p.index()) && !is_boundary(g.ty(p)) {
-                self.members.push(p);
-            }
-        }
+    /// The members the last walk listed.
+    fn members(&self) -> &[NodeId] {
+        &self.buf[..self.len]
     }
 }
 
@@ -208,11 +233,15 @@ struct ConeClasses {
     classed: Marks,
     /// Per classed node: its class.
     class: Vec<usize>,
-    /// Per classed node: whether its outcome is not a replacement.
-    candidate: Vec<bool>,
+    /// Per classed node: whether its outcome is [`Fold::Keep`].
+    kept: Vec<bool>,
     /// Per class: its key. A constant's masked value is its `aux`; a leaf
     /// has its node's attributes and no parents.
     keys: Vec<CseKey>,
+    /// Per class: `node_area` of the kept node that made it (every kept
+    /// node of the class has its type, width and aux); 0.0 for a
+    /// constant or a leaf.
+    areas: Vec<f64>,
     table: CseTable,
     /// The depth-first stack of the search.
     stack: Vec<NodeId>,
@@ -246,10 +275,11 @@ impl ConeClasses {
         let n = g.node_count();
         if self.class.len() < n {
             self.class.resize(n, VISITING);
-            self.candidate.resize(n, false);
+            self.kept.resize(n, false);
         }
         self.classed.clear(n);
         self.keys.clear();
+        self.areas.clear();
         self.table.begin(n);
     }
 
@@ -296,13 +326,16 @@ impl ConeClasses {
             self.stack.pop();
             let node = *g.node(u);
             let len = parents.len();
-            let (class, candidate) = match fold_rule(node, &ps[..len], &Classes(&self.keys)) {
+            let (class, kept) = match fold_rule(node, &ps[..len], &Classes(&self.keys)) {
                 Fold::Replace(c) => (c, false),
-                Fold::Const(v) => (self.constant(node.width(), v), true),
-                Fold::Keep => (self.intern(CseKey::new(node, ps, len)), true),
+                Fold::Const(v) => (self.constant(node.width(), v), false),
+                Fold::Keep => {
+                    let key = CseKey::new(node, ps, len);
+                    (self.intern(key, node_area(&node)), true)
+                }
             };
             self.class[u.index()] = class;
-            self.candidate[u.index()] = candidate;
+            self.kept[u.index()] = kept;
         }
     }
 
@@ -313,21 +346,23 @@ impl ConeClasses {
             return self.constant(node.width(), node.aux());
         }
         self.keys.push(CseKey::new(node, [usize::MAX; 3], 0));
+        self.areas.push(0.0);
         self.keys.len() - 1
     }
 
     /// The class of the constant `value` (masked here) of width `width`.
     fn constant(&mut self, width: u32, value: u64) -> usize {
         let node = Node::with_aux(NodeType::Const, width, value & mask(width));
-        self.intern(CseKey::new(node, [usize::MAX; 3], 0))
+        self.intern(CseKey::new(node, [usize::MAX; 3], 0), 0.0)
     }
 
-    /// The class keyed `key`, made if it is new.
-    fn intern(&mut self, key: CseKey) -> usize {
+    /// The class keyed `key`, made with area `area` if it is new.
+    fn intern(&mut self, key: CseKey, area: f64) -> usize {
         let fresh = self.keys.len();
         let class = self.table.first_or_insert(key, fresh);
         if class == fresh {
             self.keys.push(key);
+            self.areas.push(area);
         }
         class
     }
@@ -340,13 +375,24 @@ impl ConeClasses {
         if register && self.keys[d].ty == NodeType::Const {
             return 0.0;
         }
-        self.mark_live(d);
         let mut area = 0.0;
-        for &m in members {
-            let class = self.class[m.index()];
-            if self.candidate[m.index()] && self.live.contains(class) {
-                area += node_area(g.node(m));
-                self.live.unmark(class);
+        if g.parents(apex).len() == 1 && members.iter().all(|m| self.kept[m.index()]) {
+            // No member folds: every member's class is live.
+            self.live.clear(self.keys.len());
+            for &m in members {
+                let class = self.class[m.index()];
+                if self.live.mark(class) {
+                    area += self.areas[class];
+                }
+            }
+        } else {
+            self.mark_live(d);
+            for &m in members {
+                let class = self.class[m.index()];
+                if self.kept[m.index()] && self.live.contains(class) {
+                    area += self.areas[class];
+                    self.live.unmark(class);
+                }
             }
         }
         if register {
@@ -356,16 +402,22 @@ impl ConeClasses {
     }
 
     /// Marks the non-constant classes reachable over class parents from
-    /// `root`.
+    /// `root`. A class is marked when it is pushed, so each is pushed
+    /// once.
     fn mark_live(&mut self, root: usize) {
         self.live.clear(self.keys.len());
         self.pending.clear();
-        self.pending.push(root);
+        let keys = &self.keys;
+        let mut reach = |c: usize| keys[c].ty != NodeType::Const && self.live.mark(c);
+        if reach(root) {
+            self.pending.push(root);
+        }
         while let Some(c) = self.pending.pop() {
-            let key = self.keys[c];
-            if key.ty != NodeType::Const && self.live.mark(c) {
-                self.pending
-                    .extend_from_slice(&key.ps[..usize::from(key.len)]);
+            let key = &keys[c];
+            for &p in &key.ps[..usize::from(key.len)] {
+                if reach(p) {
+                    self.pending.push(p);
+                }
             }
         }
     }
@@ -582,10 +634,11 @@ impl ConeSynthCache {
             }
         }
         self.walk.walk(g, apex);
-        let area = self.classes.area(g, apex, &self.walk.members);
+        let members = self.walk.members();
+        let area = self.classes.area(g, apex, members);
         self.derived += 1;
         if let Some(stamps) = stamps {
-            self.memo[apex.index()].record(apex, &self.walk.members, stamps, area);
+            self.memo[apex.index()].record(apex, members, stamps, area);
         }
         area
     }
@@ -781,7 +834,7 @@ mod tests {
                     walk.walk(&g, apex);
                     let (members, _) = fanin_cone_into(&g, apex, &mut cone);
                     assert_eq!(
-                        walk.members,
+                        walk.members(),
                         members,
                         "{}: members of the {apex} cone",
                         g.name()
@@ -812,22 +865,26 @@ mod tests {
 
     /// Which of (register apex folded to a constant, self-feeding apex,
     /// sink apex, CSE merge, Not-Not, Mux with a constant select, Concat
-    /// fold) the cone of `apex` shows, read off the classes.
+    /// fold, members that all stay, a member that folds or is replaced)
+    /// the cone of `apex` shows, read off the classes.
     fn cone_shapes(
         g: &CircuitGraph,
         apex: NodeId,
         members: &[NodeId],
         classes: &ConeClasses,
-    ) -> [bool; 7] {
+    ) -> [bool; 9] {
         let class = |id: NodeId| classes.class[id.index()];
         let constant = |id: NodeId| classes.keys[class(id)].ty == NodeType::Const;
-        let candidate = |id: NodeId| classes.candidate[id.index()];
+        let kept = |id: NodeId| classes.kept[id.index()];
+        // A constant outcome makes a constant class, so this is a
+        // replacement.
+        let replaced = |id: NodeId| !kept(id) && !constant(id);
         let register = g.ty(apex) == NodeType::Reg;
-        let mut kept = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         let merged = members
             .iter()
-            .filter(|&&m| candidate(m) && !constant(m))
-            .any(|&m| !kept.insert(class(m)));
+            .filter(|&&m| kept(m))
+            .any(|&m| !seen.insert(class(m)));
         let any = |ty: NodeType, shape: &dyn Fn(NodeId, &[NodeId]) -> bool| {
             members
                 .iter()
@@ -841,9 +898,11 @@ mod tests {
                     .any(|&m| g.parents(m).contains(&apex)),
             g.ty(apex).is_sink(),
             merged,
-            any(NodeType::Not, &|m, _| !candidate(m)),
-            any(NodeType::Mux, &|m, ps| !candidate(m) && constant(ps[0])),
+            any(NodeType::Not, &|m, _| replaced(m)),
+            any(NodeType::Mux, &|m, ps| replaced(m) && constant(ps[0])),
             any(NodeType::Concat, &|_, ps| ps.iter().all(|&p| constant(p))),
+            !members.is_empty() && members.iter().all(|&m| kept(m)),
+            members.iter().any(|&m| !kept(m)),
         ]
     }
 
@@ -859,7 +918,7 @@ mod tests {
         let mut classes = ConeClasses::default();
         let mut walk = ConeWalk::default();
         let mut cone = ConeScratch::new();
-        let mut covered = [false; 7];
+        let mut covered = [false; 9];
         let mut check = |g: &CircuitGraph| {
             classes.begin(g);
             for (apex, node) in g.iter() {
@@ -870,14 +929,14 @@ mod tests {
                 let (members, boundary) = fanin_cone_into(g, apex, &mut cone);
                 let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
                 let want = optimized_area(&circuit);
-                let got = classes.area(g, apex, &walk.members);
+                let got = classes.area(g, apex, walk.members());
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "{}: area of the {apex} cone ({got} != {want})",
                     g.name()
                 );
-                let shapes = cone_shapes(g, apex, &walk.members, &classes);
+                let shapes = cone_shapes(g, apex, walk.members(), &classes);
                 for (all, one) in covered.iter_mut().zip(shapes) {
                     *all |= one;
                 }
@@ -899,9 +958,53 @@ mod tests {
             }
         }
         assert_eq!(
-            covered, [true; 7],
+            covered, [true; 9],
             "folded apex, self-feeding apex, sink apex, CSE merge, Not-Not, \
-             Mux with a constant select, Concat fold"
+             Mux with a constant select, Concat fold, unfolded cone, cone \
+             with a folded or replaced member"
+        );
+    }
+
+    #[test]
+    fn class_areas_are_the_areas_of_their_kept_nodes() {
+        // The area sum reads one stored area per class. It is exact
+        // because every kept node of a class has the area stored with
+        // it, and every other class (a constant or a leaf) stores 0.0.
+        let mut classes = ConeClasses::default();
+        let (mut kept_nodes, mut shared) = (0, 0);
+        for g in [masked_counter(), rule_fixture()]
+            .into_iter()
+            .chain(battery_circuits())
+        {
+            classes.begin(&g);
+            let mut makers = vec![None; g.node_count()];
+            for (u, node) in g.iter() {
+                let class = classes.class_of(&g, u);
+                let area = classes.areas[class];
+                // A leaf's outcome is not recorded: only members read it.
+                if !is_boundary(node.ty()) && classes.kept[u.index()] {
+                    kept_nodes += 1;
+                    assert_eq!(
+                        node_area(node).to_bits(),
+                        area.to_bits(),
+                        "{}: {u} keeps class {class}",
+                        g.name()
+                    );
+                    let first = *makers[class].get_or_insert(u);
+                    shared += usize::from(first != u);
+                } else if classes.keys[class].ty == NodeType::Const || is_boundary(node.ty()) {
+                    assert_eq!(area.to_bits(), 0.0f64.to_bits(), "{}: {u}", g.name());
+                }
+            }
+            for (class, key) in classes.keys.iter().enumerate() {
+                if key.ty == NodeType::Const || key.len == 0 {
+                    assert_eq!(classes.areas[class].to_bits(), 0.0f64.to_bits());
+                }
+            }
+        }
+        assert!(
+            kept_nodes > 1000 && shared > 0,
+            "{kept_nodes} kept, {shared} shared"
         );
     }
 
