@@ -64,11 +64,19 @@
 //! - constants, inputs, bit-selects, concats and output ports add `+0.0`,
 //!   which never changes a non-negative sum.
 //!
-//! When every member is kept and the apex has one parent, no liveness
-//! search runs. With no replacement and no constant fold, class parents
-//! mirror node parents, and every member is reachable from the D input,
-//! so every member's class is live: the area sums each class at its first
-//! member.
+//! Most cones find their live classes without a search. The first 64
+//! classes a query makes each carry a reach mask, one bit per class
+//! reachable over class parents (itself included, constants not). A
+//! class's parents are made before it, so their ids are lower and their
+//! masks are complete: a new class's mask is its own bit or'ed with
+//! theirs. When the D input's class has a mask, the mask is the live set.
+//!
+//! Past the masks, when every member is kept and the apex has one parent,
+//! no search runs either. With no replacement and no constant fold, class
+//! parents mirror node parents, and every member is reachable from the D
+//! input, so every member's class is live: the area sums each class at its
+//! first member. Any other cone searches the class parents from the D
+//! input's class.
 //!
 //! A test checks every register and output cone of random circuits,
 //! along random swap walks, against the synthesized cone circuit.
@@ -224,6 +232,20 @@ impl ConeWalk {
 /// [`ConeClasses::class`] of a node on the search's stack.
 const VISITING: usize = usize::MAX;
 
+/// The classes a query makes first, those with an id below this, carry
+/// the classes reachable from them as a bit mask.
+const MASKED: usize = 64;
+
+/// Class `c`'s bit in a reach mask; 0 for a class past [`MASKED`].
+#[inline]
+fn mask_bit(c: usize) -> u64 {
+    if c < MASKED {
+        1 << c
+    } else {
+        0
+    }
+}
+
 /// The structural classes of one design's nodes, made on demand and
 /// valid for one query (see the module docs), plus the liveness scratch
 /// of the cone areas.
@@ -242,6 +264,10 @@ struct ConeClasses {
     /// node of the class has its type, width and aux); 0.0 for a
     /// constant or a leaf.
     areas: Vec<f64>,
+    /// Per class below [`MASKED`]: the non-constant classes reachable from
+    /// it over class parents, itself included. A class's parents are made
+    /// before it, so their ids are lower and their masks are complete.
+    reach: Vec<u64>,
     table: CseTable,
     /// The depth-first stack of the search.
     stack: Vec<NodeId>,
@@ -280,6 +306,7 @@ impl ConeClasses {
         self.classed.clear(n);
         self.keys.clear();
         self.areas.clear();
+        self.reach.clear();
         self.table.begin(n);
     }
 
@@ -345,9 +372,11 @@ impl ConeClasses {
         if node.ty() == NodeType::Const {
             return self.constant(node.width(), node.aux());
         }
+        let class = self.keys.len();
         self.keys.push(CseKey::new(node, [usize::MAX; 3], 0));
         self.areas.push(0.0);
-        self.keys.len() - 1
+        self.reach.push(mask_bit(class));
+        class
     }
 
     /// The class of the constant `value` (masked here) of width `width`.
@@ -361,8 +390,15 @@ impl ConeClasses {
         let fresh = self.keys.len();
         let class = self.table.first_or_insert(key, fresh);
         if class == fresh {
+            let reach = if key.ty == NodeType::Const || fresh >= MASKED {
+                0
+            } else {
+                let ps = &key.ps[..usize::from(key.len)];
+                ps.iter().fold(mask_bit(fresh), |r, &p| r | self.reach[p])
+            };
             self.keys.push(key);
             self.areas.push(area);
+            self.reach.push(reach);
         }
         class
     }
@@ -376,7 +412,17 @@ impl ConeClasses {
             return 0.0;
         }
         let mut area = 0.0;
-        if g.parents(apex).len() == 1 && members.iter().all(|m| self.kept[m.index()]) {
+        if d < MASKED {
+            // The live classes are d's reach mask.
+            let mut live = self.reach[d];
+            for &m in members {
+                let class = self.class[m.index()];
+                if self.kept[m.index()] && live & mask_bit(class) != 0 {
+                    area += self.areas[class];
+                    live &= !mask_bit(class);
+                }
+            }
+        } else if g.parents(apex).len() == 1 && members.iter().all(|m| self.kept[m.index()]) {
             // No member folds: every member's class is live.
             self.live.clear(self.keys.len());
             for &m in members {
@@ -846,33 +892,36 @@ mod tests {
 
     /// Random circuits for the class battery: the default generator, and
     /// configs that make the rules fire often (up to 40% constants) and
-    /// CSE find equal nodes (one or two narrow widths).
+    /// CSE find equal nodes (one or two narrow widths); then larger ones,
+    /// whose queries make more classes than carry reach masks.
     fn battery_circuits() -> impl Iterator<Item = CircuitGraph> {
         use rand::{rngs::StdRng, SeedableRng};
         use syncircuit_graph::testing::{random_valid_circuit, RandomCircuitConfig};
-        let mut rng = StdRng::seed_from_u64(0x0C1A_55E5);
         let widths: [&[u32]; 5] = [&[1, 2, 4, 8, 16, 32], &[1], &[1, 2], &[1, 4], &[8]];
-        (0..200).map(move |k| {
-            let config = RandomCircuitConfig {
-                num_nodes: 8 + k % 56,
-                const_fraction: [0.06, 0.2, 0.4][k % 3],
-                widths: widths[k % widths.len()].to_vec(),
-                ..RandomCircuitConfig::default()
-            };
-            random_valid_circuit(&mut rng, &config)
-        })
+        let config = move |k: usize, num_nodes: usize| RandomCircuitConfig {
+            num_nodes,
+            const_fraction: [0.06, 0.2, 0.4][k % 3],
+            widths: widths[k % widths.len()].to_vec(),
+            ..RandomCircuitConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0x0C1A_55E5);
+        let small = (0..200).map(move |k| random_valid_circuit(&mut rng, &config(k, 8 + k % 56)));
+        let mut rng = StdRng::seed_from_u64(0x0C1A_55E6);
+        let large = (0..24).map(move |k| random_valid_circuit(&mut rng, &config(k, 100 + 4 * k)));
+        small.chain(large)
     }
 
     /// Which of (register apex folded to a constant, self-feeding apex,
     /// sink apex, CSE merge, Not-Not, Mux with a constant select, Concat
-    /// fold, members that all stay, a member that folds or is replaced)
-    /// the cone of `apex` shows, read off the classes.
+    /// fold, members that all stay, a member that folds or is replaced,
+    /// an area read off a reach mask, an unfolded cone past the masks, a
+    /// liveness search) the cone of `apex` shows, read off the classes.
     fn cone_shapes(
         g: &CircuitGraph,
         apex: NodeId,
         members: &[NodeId],
         classes: &ConeClasses,
-    ) -> [bool; 9] {
+    ) -> [bool; 12] {
         let class = |id: NodeId| classes.class[id.index()];
         let constant = |id: NodeId| classes.keys[class(id)].ty == NodeType::Const;
         let kept = |id: NodeId| classes.kept[id.index()];
@@ -880,6 +929,10 @@ mod tests {
         // replacement.
         let replaced = |id: NodeId| !kept(id) && !constant(id);
         let register = g.ty(apex) == NodeType::Reg;
+        let d = g.parents(apex)[0];
+        let scored = !(register && constant(d));
+        let masked = class(d) < MASKED;
+        let unfolded = g.parents(apex).len() == 1 && members.iter().all(|&m| kept(m));
         let mut seen = std::collections::HashSet::new();
         let merged = members
             .iter()
@@ -891,7 +944,7 @@ mod tests {
                 .any(|&m| g.ty(m) == ty && shape(m, g.parents(m)))
         };
         [
-            register && constant(g.parents(apex)[0]),
+            !scored,
             register
                 && std::iter::once(&apex)
                     .chain(members)
@@ -903,6 +956,9 @@ mod tests {
             any(NodeType::Concat, &|_, ps| ps.iter().all(|&p| constant(p))),
             !members.is_empty() && members.iter().all(|&m| kept(m)),
             members.iter().any(|&m| !kept(m)),
+            scored && masked,
+            scored && !masked && unfolded,
+            scored && !masked && !unfolded,
         ]
     }
 
@@ -918,7 +974,7 @@ mod tests {
         let mut classes = ConeClasses::default();
         let mut walk = ConeWalk::default();
         let mut cone = ConeScratch::new();
-        let mut covered = [false; 9];
+        let mut covered = [false; 12];
         let mut check = |g: &CircuitGraph| {
             classes.begin(g);
             for (apex, node) in g.iter() {
@@ -958,20 +1014,23 @@ mod tests {
             }
         }
         assert_eq!(
-            covered, [true; 9],
+            covered, [true; 12],
             "folded apex, self-feeding apex, sink apex, CSE merge, Not-Not, \
              Mux with a constant select, Concat fold, unfolded cone, cone \
-             with a folded or replaced member"
+             with a folded or replaced member, reach mask, unfolded cone \
+             past the masks, liveness search"
         );
     }
 
     #[test]
-    fn class_areas_are_the_areas_of_their_kept_nodes() {
+    fn class_areas_and_reach_masks_are_exact() {
         // The area sum reads one stored area per class. It is exact
         // because every kept node of a class has the area stored with
         // it, and every other class (a constant or a leaf) stores 0.0.
+        // A reach mask holds exactly the classes the liveness search
+        // marks from its class.
         let mut classes = ConeClasses::default();
-        let (mut kept_nodes, mut shared) = (0, 0);
+        let (mut kept_nodes, mut shared, mut masks) = (0, 0, 0);
         for g in [masked_counter(), rule_fixture()]
             .into_iter()
             .chain(battery_circuits())
@@ -1001,10 +1060,18 @@ mod tests {
                     assert_eq!(classes.areas[class].to_bits(), 0.0f64.to_bits());
                 }
             }
+            for root in 0..classes.keys.len().min(MASKED) {
+                classes.mark_live(root);
+                let searched = (0..classes.keys.len())
+                    .filter(|&c| classes.live.contains(c))
+                    .fold(0, |mask, c| mask | mask_bit(c));
+                assert_eq!(classes.reach[root], searched, "{}: class {root}", g.name());
+                masks += usize::from(searched.count_ones() > 2);
+            }
         }
         assert!(
-            kept_nodes > 1000 && shared > 0,
-            "{kept_nodes} kept, {shared} shared"
+            kept_nodes > 1000 && shared > 0 && masks > 100,
+            "{kept_nodes} kept, {shared} shared, {masks} masks of three or more classes"
         );
     }
 
