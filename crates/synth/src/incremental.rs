@@ -44,9 +44,6 @@
 //! The walk of a cone is the reverse breadth-first search of
 //! `syncircuit_graph::cone::fanin_cone_into`, stopping at `const` / `in`
 //! / `reg` boundary nodes, and lists the same members in the same order.
-//! It writes every parent into a member buffer sized for the design and
-//! advances the member count past it only if it is a fresh member, so it
-//! branches on no parent.
 //!
 //! A register apex whose D input has a constant class folds to that
 //! constant: its cone scores `0.0`. Otherwise the classes reachable over
@@ -69,14 +66,9 @@
 //! reachable over class parents (itself included, constants not). A
 //! class's parents are made before it, so their ids are lower and their
 //! masks are complete: a new class's mask is its own bit or'ed with
-//! theirs. When the D input's class has a mask, the mask is the live set.
-//!
-//! Past the masks, when every member is kept and the apex has one parent,
-//! no search runs either. With no replacement and no constant fold, class
-//! parents mirror node parents, and every member is reachable from the D
-//! input, so every member's class is live: the area sums each class at its
-//! first member. Any other cone searches the class parents from the D
-//! input's class.
+//! theirs. When the D input's class has a mask, the mask is the live set;
+//! otherwise a search over class parents from the D input's class marks
+//! it.
 //!
 //! A test checks every register and output cone of random circuits,
 //! along random swap walks, against the synthesized cone circuit.
@@ -187,45 +179,34 @@ impl Marks {
 #[derive(Debug, Default)]
 struct ConeWalk {
     seen: Marks,
-    /// The members in `..len`; the buffer spans the design's nodes.
-    buf: Vec<NodeId>,
-    len: usize,
+    members: Vec<NodeId>,
 }
 
 impl ConeWalk {
-    /// Walks the fan-in cone of `apex` (see the module docs): a node takes
-    /// its place when it is first reached, and in a FIFO queue first push
-    /// is first pop.
-    ///
-    /// Every parent is written at `len`, and `len` moves past it only if
-    /// it is a fresh member, so the walk branches on no parent. Members
-    /// are distinct nodes other than the apex: `len` stays below the node
-    /// count, and so does every write.
+    /// Walks the fan-in cone of `apex` into `members` (see the module
+    /// docs): a node takes its place when it is first reached, and in a
+    /// FIFO queue first push is first pop.
     fn walk(&mut self, g: &CircuitGraph, apex: NodeId) {
-        let n = g.node_count();
-        self.seen.clear(n);
-        if self.buf.len() < n {
-            self.buf.resize(n, apex);
-        }
+        self.seen.clear(g.node_count());
+        self.members.clear();
         self.seen.mark(apex.index());
-        let (mut len, mut head, mut u) = (0, 0, apex);
-        loop {
-            for &p in g.parents(u) {
-                self.buf[len] = p;
-                len += usize::from(self.seen.mark(p.index()) & !is_boundary(g.ty(p)));
-            }
-            if head == len {
-                break;
-            }
-            u = self.buf[head];
+        self.reach(g, apex);
+        let mut head = 0;
+        while head < self.members.len() {
+            let u = self.members[head];
             head += 1;
+            self.reach(g, u);
         }
-        self.len = len;
     }
 
-    /// The members the last walk listed.
-    fn members(&self) -> &[NodeId] {
-        &self.buf[..self.len]
+    /// Marks `u`'s unreached parents and queues those that are members.
+    #[inline]
+    fn reach(&mut self, g: &CircuitGraph, u: NodeId) {
+        for &p in g.parents(u) {
+            if self.seen.mark(p.index()) && !is_boundary(g.ty(p)) {
+                self.members.push(p);
+            }
+        }
     }
 }
 
@@ -420,15 +401,6 @@ impl ConeClasses {
                 if self.kept[m.index()] && live & mask_bit(class) != 0 {
                     area += self.areas[class];
                     live &= !mask_bit(class);
-                }
-            }
-        } else if g.parents(apex).len() == 1 && members.iter().all(|m| self.kept[m.index()]) {
-            // No member folds: every member's class is live.
-            self.live.clear(self.keys.len());
-            for &m in members {
-                let class = self.class[m.index()];
-                if self.live.mark(class) {
-                    area += self.areas[class];
                 }
             }
         } else {
@@ -680,11 +652,10 @@ impl ConeSynthCache {
             }
         }
         self.walk.walk(g, apex);
-        let members = self.walk.members();
-        let area = self.classes.area(g, apex, members);
+        let area = self.classes.area(g, apex, &self.walk.members);
         self.derived += 1;
         if let Some(stamps) = stamps {
-            self.memo[apex.index()].record(apex, members, stamps, area);
+            self.memo[apex.index()].record(apex, &self.walk.members, stamps, area);
         }
         area
     }
@@ -880,7 +851,7 @@ mod tests {
                     walk.walk(&g, apex);
                     let (members, _) = fanin_cone_into(&g, apex, &mut cone);
                     assert_eq!(
-                        walk.members(),
+                        walk.members,
                         members,
                         "{}: members of the {apex} cone",
                         g.name()
@@ -914,14 +885,14 @@ mod tests {
     /// Which of (register apex folded to a constant, self-feeding apex,
     /// sink apex, CSE merge, Not-Not, Mux with a constant select, Concat
     /// fold, members that all stay, a member that folds or is replaced,
-    /// an area read off a reach mask, an unfolded cone past the masks, a
-    /// liveness search) the cone of `apex` shows, read off the classes.
+    /// an area read off a reach mask, a liveness search) the cone of
+    /// `apex` shows, read off the classes.
     fn cone_shapes(
         g: &CircuitGraph,
         apex: NodeId,
         members: &[NodeId],
         classes: &ConeClasses,
-    ) -> [bool; 12] {
+    ) -> [bool; 11] {
         let class = |id: NodeId| classes.class[id.index()];
         let constant = |id: NodeId| classes.keys[class(id)].ty == NodeType::Const;
         let kept = |id: NodeId| classes.kept[id.index()];
@@ -932,7 +903,6 @@ mod tests {
         let d = g.parents(apex)[0];
         let scored = !(register && constant(d));
         let masked = class(d) < MASKED;
-        let unfolded = g.parents(apex).len() == 1 && members.iter().all(|&m| kept(m));
         let mut seen = std::collections::HashSet::new();
         let merged = members
             .iter()
@@ -957,8 +927,7 @@ mod tests {
             !members.is_empty() && members.iter().all(|&m| kept(m)),
             members.iter().any(|&m| !kept(m)),
             scored && masked,
-            scored && !masked && unfolded,
-            scored && !masked && !unfolded,
+            scored && !masked,
         ]
     }
 
@@ -974,7 +943,7 @@ mod tests {
         let mut classes = ConeClasses::default();
         let mut walk = ConeWalk::default();
         let mut cone = ConeScratch::new();
-        let mut covered = [false; 12];
+        let mut covered = [false; 11];
         let mut check = |g: &CircuitGraph| {
             classes.begin(g);
             for (apex, node) in g.iter() {
@@ -985,14 +954,14 @@ mod tests {
                 let (members, boundary) = fanin_cone_into(g, apex, &mut cone);
                 let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
                 let want = optimized_area(&circuit);
-                let got = classes.area(g, apex, walk.members());
+                let got = classes.area(g, apex, &walk.members);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
                     "{}: area of the {apex} cone ({got} != {want})",
                     g.name()
                 );
-                let shapes = cone_shapes(g, apex, walk.members(), &classes);
+                let shapes = cone_shapes(g, apex, &walk.members, &classes);
                 for (all, one) in covered.iter_mut().zip(shapes) {
                     *all |= one;
                 }
@@ -1014,11 +983,10 @@ mod tests {
             }
         }
         assert_eq!(
-            covered, [true; 12],
+            covered, [true; 11],
             "folded apex, self-feeding apex, sink apex, CSE merge, Not-Not, \
              Mux with a constant select, Concat fold, unfolded cone, cone \
-             with a folded or replaced member, reach mask, unfolded cone \
-             past the masks, liveness search"
+             with a folded or replaced member, reach mask, liveness search"
         );
     }
 
