@@ -392,29 +392,45 @@ impl ConeClasses {
         if register && self.keys[d].ty == NodeType::Const {
             return 0.0;
         }
-        let mut area = 0.0;
-        if d < MASKED {
-            // The live classes are d's reach mask.
-            let mut live = self.reach[d];
-            for &m in members {
-                let class = self.class[m.index()];
-                if self.kept[m.index()] && live & mask_bit(class) != 0 {
-                    area += self.areas[class];
-                    live &= !mask_bit(class);
-                }
-            }
+        let mut area = if d < MASKED {
+            self.masked_sum(d, members)
         } else {
-            self.mark_live(d);
-            for &m in members {
-                let class = self.class[m.index()];
-                if self.kept[m.index()] && self.live.contains(class) {
-                    area += self.areas[class];
-                    self.live.unmark(class);
-                }
-            }
-        }
+            self.searched_sum(d, members)
+        };
         if register {
             area += node_area(g.node(apex));
+        }
+        area
+    }
+
+    /// The stored area of each class live from `d`, summed at its first
+    /// kept member in member order, with `d`'s reach mask (`d` below
+    /// [`MASKED`]) as the live set.
+    #[inline]
+    fn masked_sum(&self, d: usize, members: &[NodeId]) -> f64 {
+        let mut live = self.reach[d];
+        let mut area = 0.0;
+        for &m in members {
+            let class = self.class[m.index()];
+            if self.kept[m.index()] && live & mask_bit(class) != 0 {
+                area += self.areas[class];
+                live &= !mask_bit(class);
+            }
+        }
+        area
+    }
+
+    /// [`ConeClasses::masked_sum`] with the live set marked by a search
+    /// from `d`, which any class allows.
+    fn searched_sum(&mut self, d: usize, members: &[NodeId]) -> f64 {
+        self.mark_live(d);
+        let mut area = 0.0;
+        for &m in members {
+            let class = self.class[m.index()];
+            if self.kept[m.index()] && self.live.contains(class) {
+                area += self.areas[class];
+                self.live.unmark(class);
+            }
         }
         area
     }
@@ -961,6 +977,14 @@ mod tests {
                     "{}: area of the {apex} cone ({got} != {want})",
                     g.name()
                 );
+                // The search marks the live set any cone could read off a
+                // mask, and sums it in the same order.
+                let d = classes.class[g.parents(apex)[0].index()];
+                if d < MASKED {
+                    let masked = classes.masked_sum(d, &walk.members);
+                    let searched = classes.searched_sum(d, &walk.members);
+                    assert_eq!(masked.to_bits(), searched.to_bits(), "{}: {apex}", g.name());
+                }
                 let shapes = cone_shapes(g, apex, &walk.members, &classes);
                 for (all, one) in covered.iter_mut().zip(shapes) {
                     *all |= one;
