@@ -977,8 +977,9 @@ mod tests {
                     "{}: area of the {apex} cone ({got} != {want})",
                     g.name()
                 );
-                // The search marks the live set any cone could read off a
-                // mask, and sums it in the same order.
+                // Where a mask exists, the search must find and sum the
+                // same live set: the large circuits alone reach the
+                // search too rarely to pin its sum's order.
                 let d = classes.class[g.parents(apex)[0].index()];
                 if d < MASKED {
                     let masked = classes.masked_sum(d, &walk.members);
