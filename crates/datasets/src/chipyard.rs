@@ -54,9 +54,7 @@ pub fn pipeline_core(
 
     let regfile_size = 1usize << regfile_logsize;
     // Register file cells (placeholders; written in writeback).
-    let cells: Vec<NodeId> = (0..regfile_size)
-        .map(|_| b.reg_placeholder(xlen))
-        .collect();
+    let cells: Vec<NodeId> = (0..regfile_size).map(|_| b.reg_placeholder(xlen)).collect();
 
     let rs1_bits: Vec<NodeId> = (0..regfile_logsize).map(|i| b.bits(rs1, i, 1)).collect();
     let rs2_bits: Vec<NodeId> = (0..regfile_logsize).map(|i| b.bits(rs2, i, 1)).collect();

@@ -83,32 +83,120 @@ pub fn corpus() -> Vec<Design> {
     };
 
     // --- ITC'99-style (6) ---
-    push("b01_flow", Family::Itc99, itc::fsm_controller("b01_flow", 101, 2, 1, 8));
-    push("b04_ctrl", Family::Itc99, itc::fsm_controller("b04_ctrl", 104, 3, 2, 16));
-    push("b05_seq", Family::Itc99, itc::sequence_detector("b05_seq", 105, 8, 3));
-    push("b10_hand", Family::Itc99, itc::fsm_controller("b10_hand", 110, 4, 3, 16));
-    push("b11_scram", Family::Itc99, itc::sequence_detector("b11_scram", 111, 16, 5));
-    push("b14_unit", Family::Itc99, itc::fsm_controller("b14_unit", 114, 5, 4, 32));
+    push(
+        "b01_flow",
+        Family::Itc99,
+        itc::fsm_controller("b01_flow", 101, 2, 1, 8),
+    );
+    push(
+        "b04_ctrl",
+        Family::Itc99,
+        itc::fsm_controller("b04_ctrl", 104, 3, 2, 16),
+    );
+    push(
+        "b05_seq",
+        Family::Itc99,
+        itc::sequence_detector("b05_seq", 105, 8, 3),
+    );
+    push(
+        "b10_hand",
+        Family::Itc99,
+        itc::fsm_controller("b10_hand", 110, 4, 3, 16),
+    );
+    push(
+        "b11_scram",
+        Family::Itc99,
+        itc::sequence_detector("b11_scram", 111, 16, 5),
+    );
+    push(
+        "b14_unit",
+        Family::Itc99,
+        itc::fsm_controller("b14_unit", 114, 5, 4, 32),
+    );
 
     // --- OpenCores-style (8) ---
-    push("oc_uart", Family::OpenCores, opencores::uart_like("oc_uart", 201, 8, 8));
-    push("oc_crc16", Family::OpenCores, opencores::crc_like("oc_crc16", 202, 16, 4));
-    push("oc_fifo", Family::OpenCores, opencores::fifo_ctrl("oc_fifo", 203, 3, 16));
-    push("oc_alu32", Family::OpenCores, opencores::alu_like("oc_alu32", 204, 32));
-    push("oc_mult", Family::OpenCores, opencores::mult_pipe("oc_mult", 205, 12, 3));
-    push("oc_timer", Family::OpenCores, opencores::timer_unit("oc_timer", 206, 16));
-    push("oc_gray", Family::OpenCores, opencores::gray_codec("oc_gray", 207, 12));
-    push("oc_cksum", Family::OpenCores, opencores::checksum("oc_cksum", 208, 16, 6));
+    push(
+        "oc_uart",
+        Family::OpenCores,
+        opencores::uart_like("oc_uart", 201, 8, 8),
+    );
+    push(
+        "oc_crc16",
+        Family::OpenCores,
+        opencores::crc_like("oc_crc16", 202, 16, 4),
+    );
+    push(
+        "oc_fifo",
+        Family::OpenCores,
+        opencores::fifo_ctrl("oc_fifo", 203, 3, 16),
+    );
+    push(
+        "oc_alu32",
+        Family::OpenCores,
+        opencores::alu_like("oc_alu32", 204, 32),
+    );
+    push(
+        "oc_mult",
+        Family::OpenCores,
+        opencores::mult_pipe("oc_mult", 205, 12, 3),
+    );
+    push(
+        "oc_timer",
+        Family::OpenCores,
+        opencores::timer_unit("oc_timer", 206, 16),
+    );
+    push(
+        "oc_gray",
+        Family::OpenCores,
+        opencores::gray_codec("oc_gray", 207, 12),
+    );
+    push(
+        "oc_cksum",
+        Family::OpenCores,
+        opencores::checksum("oc_cksum", 208, 16, 6),
+    );
 
     // --- Chipyard-style (8) ---
-    push("tinyrocket", Family::Chipyard, chipyard::pipeline_core("tinyrocket", 301, 16, 3, 1));
-    push("core", Family::Chipyard, chipyard::pipeline_core("core", 302, 32, 4, 2));
-    push("smallboom", Family::Chipyard, chipyard::pipeline_core("smallboom", 303, 32, 3, 3));
-    push("scalarunit", Family::Chipyard, chipyard::pipeline_core("scalarunit", 304, 8, 2, 0));
-    push("dspcore", Family::Chipyard, chipyard::pipeline_core("dspcore", 305, 24, 3, 2));
-    push("cachectrl", Family::Chipyard, chipyard::cache_ctrl("cachectrl", 306, 10, 3));
-    push("nocrouter", Family::Chipyard, chipyard::noc_router("nocrouter", 307, 4, 24));
-    push("vectorlane", Family::Chipyard, chipyard::vector_lane("vectorlane", 308, 6, 12));
+    push(
+        "tinyrocket",
+        Family::Chipyard,
+        chipyard::pipeline_core("tinyrocket", 301, 16, 3, 1),
+    );
+    push(
+        "core",
+        Family::Chipyard,
+        chipyard::pipeline_core("core", 302, 32, 4, 2),
+    );
+    push(
+        "smallboom",
+        Family::Chipyard,
+        chipyard::pipeline_core("smallboom", 303, 32, 3, 3),
+    );
+    push(
+        "scalarunit",
+        Family::Chipyard,
+        chipyard::pipeline_core("scalarunit", 304, 8, 2, 0),
+    );
+    push(
+        "dspcore",
+        Family::Chipyard,
+        chipyard::pipeline_core("dspcore", 305, 24, 3, 2),
+    );
+    push(
+        "cachectrl",
+        Family::Chipyard,
+        chipyard::cache_ctrl("cachectrl", 306, 10, 3),
+    );
+    push(
+        "nocrouter",
+        Family::Chipyard,
+        chipyard::noc_router("nocrouter", 307, 4, 24),
+    );
+    push(
+        "vectorlane",
+        Family::Chipyard,
+        chipyard::vector_lane("vectorlane", 308, 6, 12),
+    );
 
     designs
 }
@@ -152,7 +240,10 @@ mod tests {
         }
         // family sizes match Table I
         assert_eq!(c.iter().filter(|d| d.family == Family::Itc99).count(), 6);
-        assert_eq!(c.iter().filter(|d| d.family == Family::OpenCores).count(), 8);
+        assert_eq!(
+            c.iter().filter(|d| d.family == Family::OpenCores).count(),
+            8
+        );
         assert_eq!(c.iter().filter(|d| d.family == Family::Chipyard).count(), 8);
     }
 
@@ -210,9 +301,7 @@ mod tests {
         use syncircuit_graph::algo::tarjan_scc;
         for d in corpus() {
             let has_cycle = tarjan_scc(&d.graph).iter().any(|scc| scc.len() > 1)
-                || d.graph
-                    .node_ids()
-                    .any(|n| d.graph.has_edge(n, n));
+                || d.graph.node_ids().any(|n| d.graph.has_edge(n, n));
             assert!(has_cycle, "{} has no feedback cycle", d.name);
         }
     }

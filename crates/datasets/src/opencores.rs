@@ -343,8 +343,6 @@ mod tests {
     fn fifo_bank_scales_with_ptr_bits() {
         let small = fifo_ctrl("f3", 0, 2, 8);
         let big = fifo_ctrl("f5", 0, 4, 8);
-        assert!(
-            big.count_of_type(NodeType::Reg) > small.count_of_type(NodeType::Reg) * 2
-        );
+        assert!(big.count_of_type(NodeType::Reg) > small.count_of_type(NodeType::Reg) * 2);
     }
 }
