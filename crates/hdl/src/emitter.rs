@@ -161,11 +161,7 @@ pub fn emit(g: &CircuitGraph) -> Result<String, EmitError> {
     // Sequential logic.
     for (id, node) in g.iter() {
         if node.ty() == NodeType::Reg {
-            let _ = writeln!(
-                out,
-                "  always @(posedge clk) {id} <= {};",
-                g.parents(id)[0]
-            );
+            let _ = writeln!(out, "  always @(posedge clk) {id} <= {};", g.parents(id)[0]);
         }
     }
 
@@ -185,7 +181,13 @@ fn range_of(width: u32) -> String {
 fn sanitize_name(name: &str) -> String {
     let mut s: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if s.is_empty() || s.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         s.insert(0, 'm');

@@ -251,8 +251,16 @@ struct Decl {
 enum Rhs {
     Copy(usize),
     Not(usize),
-    Select { src: usize, hi: u32, lo: u32 },
-    Binary { op: &'static str, a: usize, b: usize },
+    Select {
+        src: usize,
+        hi: u32,
+        lo: u32,
+    },
+    Binary {
+        op: &'static str,
+        a: usize,
+        b: usize,
+    },
     Concat(usize, usize),
     Mux(usize, usize, usize),
 }
@@ -397,9 +405,9 @@ pub fn parse(src: &str) -> Result<CircuitGraph, ParseError> {
     let mut reg_drivers: Vec<Option<usize>> = Vec::new();
 
     let ensure_len = |decls: &mut Vec<Option<Decl>>,
-                          assigns: &mut Vec<Option<Rhs>>,
-                          regs: &mut Vec<Option<usize>>,
-                          id: usize| {
+                      assigns: &mut Vec<Option<Rhs>>,
+                      regs: &mut Vec<Option<usize>>,
+                      id: usize| {
         while decls.len() <= id {
             decls.push(None);
             assigns.push(None);
@@ -564,7 +572,10 @@ fn parse_expr(p: &mut Parser) -> Result<Rhs, ParseError> {
                     Ok(Rhs::Mux(a, b, c))
                 }
                 Tok::Sym(op)
-                    if matches!(op, "&" | "|" | "^" | "+" | "-" | "*" | "==" | "<" | "<<" | ">>") =>
+                    if matches!(
+                        op,
+                        "&" | "|" | "^" | "+" | "-" | "*" | "==" | "<" | "<<" | ">>"
+                    ) =>
                 {
                     p.advance();
                     let b = p.node_ref()?;
@@ -681,9 +692,7 @@ fn build_graph(
                     return Err(ParseError {
                         line,
                         col,
-                        message: format!(
-                            "wire n{id} is a plain copy; only outputs may copy"
-                        ),
+                        message: format!("wire n{id} is a plain copy; only outputs may copy"),
                     });
                 }
                 let parents: Vec<NodeId> = match rhs {

@@ -30,7 +30,12 @@ fn corpus_emission_is_a_fixpoint() {
         let v1 = emit(&design.graph).unwrap();
         let g2 = parse(&v1).unwrap();
         let v2 = emit(&g2).unwrap();
-        assert_eq!(v1, v2, "emit∘parse not a fixpoint for {}", design.graph.name());
+        assert_eq!(
+            v1,
+            v2,
+            "emit∘parse not a fixpoint for {}",
+            design.graph.name()
+        );
     }
 }
 
