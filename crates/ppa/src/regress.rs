@@ -132,7 +132,11 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
             acc -= a[col][c] * x[c];
         }
         let pivot = a[col][col];
-        x[col] = if pivot.abs() < 1e-12 { 0.0 } else { acc / pivot };
+        x[col] = if pivot.abs() < 1e-12 {
+            0.0
+        } else {
+            acc / pivot
+        };
     }
     x
 }

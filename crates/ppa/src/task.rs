@@ -24,7 +24,12 @@ pub enum Target {
 
 impl Target {
     /// All targets in table order.
-    pub const ALL: [Target; 4] = [Target::RegisterSlack, Target::Wns, Target::Tns, Target::Area];
+    pub const ALL: [Target; 4] = [
+        Target::RegisterSlack,
+        Target::Wns,
+        Target::Tns,
+        Target::Area,
+    ];
 
     /// Table column label.
     pub fn name(self) -> &'static str {
