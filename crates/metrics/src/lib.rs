@@ -132,8 +132,7 @@ pub fn compare_against_real(
 ) -> StructuralComparison {
     assert!(!generated.is_empty(), "need at least one generated graph");
     let real_stats = StructuralStats::compute(real);
-    let gen_stats: Vec<StructuralStats> =
-        generated.iter().map(StructuralStats::compute).collect();
+    let gen_stats: Vec<StructuralStats> = generated.iter().map(StructuralStats::compute).collect();
 
     let real_deg: Vec<f64> = real_stats.out_degrees.iter().map(|&d| d as f64).collect();
     let gen_deg: Vec<f64> = gen_stats
@@ -141,7 +140,10 @@ pub fn compare_against_real(
         .flat_map(|s| s.out_degrees.iter().map(|&d| d as f64))
         .collect();
 
-    let gen_clust: Vec<f64> = gen_stats.iter().flat_map(|s| s.clustering.clone()).collect();
+    let gen_clust: Vec<f64> = gen_stats
+        .iter()
+        .flat_map(|s| s.clustering.clone())
+        .collect();
     let real_orbit = real_stats.orbit_totals();
     let gen_orbit: Vec<f64> = gen_stats.iter().flat_map(|s| s.orbit_totals()).collect();
 
