@@ -8,8 +8,8 @@
 //! ```
 
 use syncircuit::ppa::{label_all, run_task, Target};
-use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 use syncircuit::synth::LabelConfig;
+use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (train, test) = syncircuit::datasets::train_test_split();

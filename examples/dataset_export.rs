@@ -37,7 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sizes = [40usize, 60, 80, 110];
     println!(
         "generating {count} designs across {} cores...",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     );
     let label_cfg = LabelConfig::default();
     let mut manifest = Vec::new();

@@ -7,9 +7,9 @@
 //! ```
 
 use syncircuit::core::{optimize_cone_mcts, optimize_random_walk, ExactSynthReward, MctsConfig};
-use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 use syncircuit::graph::cone::{all_driving_cones, cone_circuit};
 use syncircuit::synth::{optimize, scpr};
+use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let corpus: Vec<_> = syncircuit::datasets::corpus()

@@ -10,8 +10,8 @@ use syncircuit::synth::{label_design, optimize, scpr, LabelConfig};
 #[test]
 fn every_design_is_emittable_and_round_trips() {
     for d in syncircuit::datasets::corpus() {
-        let verilog = hdl::emit(&d.graph)
-            .unwrap_or_else(|e| panic!("{} not emittable: {e}", d.name));
+        let verilog =
+            hdl::emit(&d.graph).unwrap_or_else(|e| panic!("{} not emittable: {e}", d.name));
         let parsed =
             hdl::parse(&verilog).unwrap_or_else(|e| panic!("{} not parseable: {e}", d.name));
         assert_eq!(parsed, d.graph, "{} round-trip", d.name);
@@ -21,8 +21,8 @@ fn every_design_is_emittable_and_round_trips() {
 #[test]
 fn every_design_simulates_for_32_cycles() {
     for d in syncircuit::datasets::corpus() {
-        let mut sim = Simulator::new(&d.graph)
-            .unwrap_or_else(|e| panic!("{} not simulatable: {e}", d.name));
+        let mut sim =
+            Simulator::new(&d.graph).unwrap_or_else(|e| panic!("{} not simulatable: {e}", d.name));
         let inputs: HashMap<_, _> = sim
             .inputs()
             .iter()
@@ -78,7 +78,9 @@ fn synthesis_preserves_corpus_semantics() {
             let mut va = HashMap::new();
             let mut vb = HashMap::new();
             for (k, &(ia, ib)) in pairs.iter().enumerate() {
-                let v = (cycle as u64).wrapping_mul(0x9E37).wrapping_add(k as u64 * 77);
+                let v = (cycle as u64)
+                    .wrapping_mul(0x9E37)
+                    .wrapping_add(k as u64 * 77);
                 va.insert(ia, v);
                 vb.insert(ib, v);
             }

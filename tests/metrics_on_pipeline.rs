@@ -35,7 +35,10 @@ fn generated_sets_compare_against_real_designs() {
         .filter_map(|s| {
             model
                 .generate_one(
-                    &GenRequest::nodes(n).seeded(s).without_diffusion().optimize(false),
+                    &GenRequest::nodes(n)
+                        .seeded(s)
+                        .without_diffusion()
+                        .optimize(false),
                 )
                 .ok()
                 .map(|g| g.graph)

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 use syncircuit::graph::interp::Simulator;
-use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 use syncircuit::hdl;
 use syncircuit::synth::{optimize, scpr};
+use syncircuit::{GenRequest, PipelineConfig, SynCircuit};
 
 fn trained_model(seed: u64) -> SynCircuit {
     let corpus: Vec<_> = syncircuit::datasets::corpus()
@@ -72,10 +72,7 @@ fn phase3_improves_or_preserves_scpr() {
     assert!(total > 0);
     // Not every seed needs improvement (some G_val are already fine),
     // but the mechanism must fire on at least one.
-    assert!(
-        improved >= 1,
-        "MCTS never improved any of {total} designs"
-    );
+    assert!(improved >= 1, "MCTS never improved any of {total} designs");
 }
 
 /// A denoiser as wide as `PipelineConfig::standard()`'s (hidden 48)
@@ -127,7 +124,9 @@ fn generation_scales_with_node_budget() {
 #[test]
 fn conditioned_generation_mirrors_real_attributes() {
     let model = trained_model(4);
-    let real = syncircuit::datasets::design("b01_flow").expect("exists").graph;
+    let real = syncircuit::datasets::design("b01_flow")
+        .expect("exists")
+        .graph;
     let attrs: Vec<_> = real.iter().map(|(_, n)| *n).collect();
     let generated = model
         .generate_one(&GenRequest::with_attrs(attrs).seeded(9))
