@@ -1,6 +1,6 @@
 # Mirror of the justfile for environments without `just`.
 
-.PHONY: build test lint fmt-check doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke perfbench-smoke bench-json perf-check bench-all determinism stress ci
+.PHONY: build test lint doc example-smoke bench-smoke serve-smoke chaos-smoke net-smoke perfbench-smoke bench-json perf-check bench-all determinism stress ci
 
 build:
 	cargo build --release
@@ -10,9 +10,6 @@ test: build
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
-	cargo fmt -p syncircuit-serve -p syncircuit-synth -p syncircuit-nn -p syncircuit-graph -p syncircuit-core -p syncircuit-bench -p syncircuit-baselines -p serde -p serde_json -p serde_derive -- --check
-
-fmt-check:
 	cargo fmt --all -- --check
 
 doc:

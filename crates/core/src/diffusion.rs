@@ -24,7 +24,7 @@ use crate::schedule::NoiseSchedule;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use syncircuit_graph::fingerprint::splitmix64;
-use syncircuit_graph::{CircuitGraph, Node, NodeType};
+use syncircuit_graph::{CircuitGraph, Marks, Node, NodeType};
 use syncircuit_nn::sparse::RowNormAdj;
 use syncircuit_nn::{Adam, Gradients, Matrix, ParamStore, Tape};
 
@@ -241,9 +241,10 @@ pub struct DiffusionModel {
 /// Reusable buffers for [`DiffusionModel::sample_with`]: the buffers of
 /// the denoiser's serving pass ([`DenoiserScratch`]), the CSR adjacency
 /// rebuilt in place each step, the parent/pair/probability vectors, and
-/// the epoch-stamped per-node sets that replace the per-step hash sets. One scratch serves any sequence
-/// of requests of any size; reuse never changes sampled bytes
-/// (property-tested in `tests/infer_equivalence.rs`).
+/// the per-node [`Marks`] that replace the per-step hash sets. One
+/// scratch serves any sequence of requests of any size; reuse never
+/// changes sampled bytes (property-tested in
+/// `tests/infer_equivalence.rs`).
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
     den: DenoiserScratch,
@@ -257,7 +258,7 @@ pub struct SamplerScratch {
     rec_by_dst: Vec<Vec<(u32, f32)>>,
     rec_slot: Vec<f32>,
     rec_touched: Vec<u32>,
-    stamps: NodeStamps,
+    marks: Marks,
     reg_mask: Vec<bool>,
 }
 
@@ -265,44 +266,6 @@ impl SamplerScratch {
     /// Empty scratch; buffers grow to the request size on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// Epoch-stamped per-node membership set (the `ConeScratch` trick):
-/// `begin` bumps the epoch instead of clearing, so membership resets in
-/// O(1) and the backing vector is reused across steps and requests.
-#[derive(Debug, Default)]
-struct NodeStamps {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl NodeStamps {
-    /// Starts a fresh empty set over `n` nodes.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Inserts `i`, returning `true` when it was not yet present.
-    fn insert(&mut self, i: u32) -> bool {
-        let slot = &mut self.stamp[i as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
-
-    fn contains(&self, i: u32) -> bool {
-        self.stamp[i as usize] == self.epoch
     }
 }
 
@@ -500,8 +463,8 @@ impl DiffusionModel {
     /// Each step runs the denoiser's fixed serving pass on the packed
     /// kernels ([`Denoiser::predict_probs_into`]) with the per-model
     /// time-embedding cache and weight pack; the per-step
-    /// hash sets of the original implementation are epoch-stamped
-    /// per-node sets, the CSR adjacency is rebuilt in place, and the
+    /// hash sets of the original implementation are per-node
+    /// [`Marks`], the CSR adjacency is rebuilt in place, and the
     /// feature matrix is built once per call. Output bytes are
     /// **identical** to [`DiffusionModel::sample_via_tape`] for every
     /// `(attrs, seed)` — same RNG draw sequence, bit-equal
@@ -554,7 +517,7 @@ impl DiffusionModel {
                 n,
                 &scratch.reg_mask,
                 &mut rng,
-                &mut scratch.stamps,
+                &mut scratch.marks,
                 &mut scratch.pairs,
             );
             if scratch.pairs.is_empty() {
@@ -589,7 +552,7 @@ impl DiffusionModel {
 
             // Candidate pairs are grouped by destination `j` (both
             // decode modes emit them that way), so current-edge lookup
-            // for posterior conditioning stamps one parent list per
+            // for posterior conditioning marks one parent list per
             // group instead of building an edge hash set.
             reset_buckets(&mut scratch.next, n);
             let mut group_j = u32::MAX;
@@ -599,13 +562,13 @@ impl DiffusionModel {
                         group_j == u32::MAX || j > group_j,
                         "pairs must stay grouped"
                     );
-                    scratch.stamps.begin(n);
+                    scratch.marks.clear(n);
                     for &p in &scratch.current[j as usize] {
-                        scratch.stamps.insert(p);
+                        scratch.marks.mark(p as usize);
                     }
                     group_j = j;
                 }
-                let a_t = scratch.stamps.contains(i);
+                let a_t = scratch.marks.contains(i as usize);
                 let p0_k = scratch.p0[k];
                 let p0 = (p0_k as f64).clamp(0.0, 1.0);
                 let p_prev = p0 * post[a_t as usize][1] + (1.0 - p0) * post[a_t as usize][0];
@@ -628,10 +591,10 @@ impl DiffusionModel {
 
         // Deferred probability consolidation: `record` keeps the maximum
         // over repeat sightings, and max is order-insensitive, so
-        // folding the per-destination record logs through an
-        // epoch-stamped slot array and bulk-inserting with reserved
-        // capacity yields exactly the map the per-pair `record` calls
-        // build — without growing a hash table inside the hot loop.
+        // folding the per-destination record logs through a marked slot
+        // array and bulk-inserting with reserved capacity yields exactly
+        // the map the per-pair `record` calls build — without growing a
+        // hash table inside the hot loop.
         let mut probs = EdgeProbs::new((pi * 0.5) as f32);
         if scratch.rec_slot.len() < n {
             scratch.rec_slot.resize(n, 0.0);
@@ -640,11 +603,11 @@ impl DiffusionModel {
             if bucket.is_empty() {
                 continue;
             }
-            scratch.stamps.begin(n);
+            scratch.marks.clear(n);
             scratch.rec_touched.clear();
             for &(i, p) in bucket {
                 let slot = &mut scratch.rec_slot[i as usize];
-                if scratch.stamps.insert(i) {
+                if scratch.marks.mark(i as usize) {
                     *slot = p;
                     scratch.rec_touched.push(i);
                 } else {
@@ -796,17 +759,17 @@ fn reset_buckets<T>(lists: &mut Vec<Vec<T>>, n: usize) {
 }
 
 /// Scratch-buffer variant of [`DiffusionModel::candidate_pairs`]: same
-/// pair order and same RNG draw sequence, but the dedup set is an
-/// epoch-stamped per-node set (candidates are grouped by destination
-/// `j`, so dedup only ever needs the sources of the current group) and
-/// the output vector is reused.
+/// pair order and same RNG draw sequence, but the dedup set is
+/// per-node [`Marks`] (candidates are grouped by destination `j`, so
+/// dedup only ever needs the sources of the current group) and the
+/// output vector is reused.
 fn candidate_pairs_into(
     decode: DecodeMode,
     current: &[Vec<u32>],
     n: usize,
     reg_mask: &[bool],
     rng: &mut StdRng,
-    stamps: &mut NodeStamps,
+    marks: &mut Marks,
     pairs: &mut Vec<(u32, u32)>,
 ) {
     pairs.clear();
@@ -825,9 +788,9 @@ fn candidate_pairs_into(
             candidates_per_node,
         } => {
             for (j, ps) in current.iter().enumerate() {
-                stamps.begin(n);
+                marks.clear(n);
                 for &i in ps {
-                    if stamps.insert(i) {
+                    if marks.mark(i as usize) {
                         pairs.push((i, j as u32));
                     }
                 }
@@ -836,7 +799,7 @@ fn candidate_pairs_into(
                     if i as usize == j && !reg_mask[j] {
                         continue;
                     }
-                    if stamps.insert(i) {
+                    if marks.mark(i as usize) {
                         pairs.push((i, j as u32));
                     }
                 }

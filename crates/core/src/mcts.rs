@@ -60,10 +60,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use syncircuit_graph::cone::all_driving_cones;
 use syncircuit_graph::fingerprint::zobrist_fingerprint;
 use syncircuit_graph::swap::{SwapDelta, SwapGraph};
-use syncircuit_graph::{CircuitGraph, NodeId};
+use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
 use syncircuit_synth::incremental::{ConeCacheStats, ConeSynthCache, SharedConeSynthCache};
 
 /// Reward oracle: post-synthesis circuit size of a candidate state.
@@ -819,20 +818,17 @@ fn cone_focus(g: &CircuitGraph, register: NodeId) -> Vec<NodeId> {
 
 /// Registers to optimize under a [`ConeSelection`], in processing order.
 fn selected_registers(g: &CircuitGraph, selection: ConeSelection) -> Vec<NodeId> {
-    let mut registers: Vec<NodeId> = all_driving_cones(g)
+    let registers = g.nodes_of_type(NodeType::Reg);
+    let ConeSelection::WorstK(k) = selection else {
+        return registers;
+    };
+    // Cheap ranking: smaller cones are likelier to collapse entirely.
+    let mut sized: Vec<(NodeId, usize)> = registers
         .into_iter()
-        .map(|c| c.register)
+        .map(|r| (r, syncircuit_graph::cone::driving_cone(g, r).size()))
         .collect();
-    if let ConeSelection::WorstK(k) = selection {
-        // Cheap ranking: smaller cones are likelier to collapse entirely.
-        let mut sized: Vec<(NodeId, usize)> = registers
-            .iter()
-            .map(|&r| (r, syncircuit_graph::cone::driving_cone(g, r).size()))
-            .collect();
-        sized.sort_by_key(|&(_, s)| s);
-        registers = sized.into_iter().take(k).map(|(r, _)| r).collect();
-    }
-    registers
+    sized.sort_by_key(|&(_, s)| s);
+    sized.into_iter().take(k).map(|(r, _)| r).collect()
 }
 
 /// Full Phase 3: optimizes the design register by register (paper §VI-A)
@@ -914,7 +910,7 @@ pub mod oracle {
         RewardCache, RewardModel, Swap,
     };
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    use syncircuit_graph::comb::edge_would_close_comb_loop;
+    use syncircuit_graph::comb::LoopQuery;
     use syncircuit_graph::{CircuitGraph, NodeId, NodeType};
 
     /// Applies a swap if it keeps the circuit valid; returns a new state.
@@ -953,13 +949,14 @@ pub mod oracle {
         out.remove_edge(s.i, s.j).ok()?;
         out.remove_edge(s.p, s.q).ok()?;
         // Check each insertion against combinational loops, incrementally.
+        let mut loops = LoopQuery::default();
         let children = out.children_index();
-        if edge_would_close_comb_loop(&out, &children, s.p, s.j) {
+        if loops.would_close(&out, &children, s.p, s.j) {
             return None;
         }
         out.add_edge(s.p, s.j).ok()?;
         let children = out.children_index();
-        if edge_would_close_comb_loop(&out, &children, s.i, s.q) {
+        if loops.would_close(&out, &children, s.i, s.q) {
             return None;
         }
         out.add_edge(s.i, s.q).ok()?;

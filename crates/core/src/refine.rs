@@ -22,7 +22,7 @@ use crate::diffusion::SampledGraph;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use syncircuit_graph::comb::edge_would_close_comb_loop;
+use syncircuit_graph::comb::LoopQuery;
 use syncircuit_graph::{CircuitGraph, Node, NodeId};
 
 /// Phase 2 configuration.
@@ -103,8 +103,10 @@ pub fn refine(
 
     //
 
-    // Incrementally maintained children index for loop queries.
+    // Incrementally maintained children index for loop queries, and the
+    // one query scratch every candidate reuses.
     let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut loops = LoopQuery::default();
 
     let is_sink = |k: usize| attrs[k].ty().is_sink();
     for i in 0..n {
@@ -115,11 +117,11 @@ pub fn refine(
         }
 
         let mut chosen: Vec<u32> = Vec::new();
-        let try_add = |cand: u32,
-                       chosen: &mut Vec<u32>,
-                       g: &CircuitGraph,
-                       children: &mut Vec<Vec<NodeId>>,
-                       out_deg: &mut Vec<u32>|
+        let mut try_add = |cand: u32,
+                           chosen: &mut Vec<u32>,
+                           g: &CircuitGraph,
+                           children: &mut Vec<Vec<NodeId>>,
+                           out_deg: &mut Vec<u32>|
          -> bool {
             let c = cand as usize;
             if chosen.len() >= arity {
@@ -131,7 +133,7 @@ pub fn refine(
             if c == i && !attrs[i].ty().is_register() {
                 return false;
             }
-            if edge_would_close_comb_loop(g, children, NodeId::new(c), node_id) {
+            if loops.would_close(g, children, NodeId::new(c), node_id) {
                 return false;
             }
             chosen.push(cand);

@@ -3,12 +3,13 @@
 //! A cycle is *combinational* when no node on it is a register; such a
 //! cycle "would cause timing violations" (§II) and must be prevented. This
 //! module offers a whole-graph check ([`find_comb_loop`]) and the
-//! incremental query used by Phase 2 post-processing
-//! ([`edge_would_close_comb_loop`]): before adding an edge from candidate
-//! parent `j` to node `i`, "check if there exists a path from `i` to `j` in
-//! the subgraph that excludes register-type nodes" (§V).
+//! incremental query used by Phase 2 post-processing and the Phase 3 swap
+//! engine ([`LoopQuery`]): before adding an edge from candidate parent `j`
+//! to node `i`, "check if there exists a path from `i` to `j` in the
+//! subgraph that excludes register-type nodes" (§V).
 
 use crate::circuit::CircuitGraph;
+use crate::marks::Marks;
 use crate::node::NodeId;
 
 /// Finds one combinational loop, if any exists.
@@ -36,48 +37,60 @@ pub fn is_comb_loop_free(g: &CircuitGraph) -> bool {
     find_comb_loop(g).is_none()
 }
 
-/// Would adding edge `from → to` close a combinational loop?
-///
-/// The new edge creates a cycle for every existing path `to ⇝ from`; such
-/// a cycle is combinational iff no node on it (including `from` and `to`)
-/// is a register. Therefore: if either endpoint is a register the edge is
-/// always safe; otherwise we search for a path `to ⇝ from` that traverses
-/// only non-register nodes (registers block propagation).
-///
-/// `children` must be the adjacency from
-/// [`CircuitGraph::children_index`], kept in sync with `g` by the caller.
-pub fn edge_would_close_comb_loop(
-    g: &CircuitGraph,
-    children: &[Vec<NodeId>],
-    from: NodeId,
-    to: NodeId,
-) -> bool {
-    if g.ty(from).is_register() || g.ty(to).is_register() {
-        return false;
-    }
-    if from == to {
-        return true; // combinational self-loop
-    }
-    // DFS from `to` over non-register nodes, looking for `from`.
-    let n = g.node_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![to];
-    seen[to.index()] = true;
-    while let Some(u) = stack.pop() {
-        if u == from {
-            return true;
+/// The incremental loop query with reusable scratch: one query serves
+/// every edge a caller checks, so a warm query allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct LoopQuery {
+    seen: Marks,
+    stack: Vec<NodeId>,
+}
+
+impl LoopQuery {
+    /// Would adding edge `from → to` close a combinational loop?
+    ///
+    /// The new edge creates a cycle for every existing path `to ⇝ from`;
+    /// such a cycle is combinational iff no node on it (including `from`
+    /// and `to`) is a register. Therefore: if either endpoint is a
+    /// register the edge is always safe; otherwise we search for a path
+    /// `to ⇝ from` that traverses only non-register nodes (registers
+    /// block propagation).
+    ///
+    /// `children` must be the adjacency from
+    /// [`CircuitGraph::children_index`], kept in sync with `g` by the
+    /// caller.
+    pub fn would_close(
+        &mut self,
+        g: &CircuitGraph,
+        children: &[Vec<NodeId>],
+        from: NodeId,
+        to: NodeId,
+    ) -> bool {
+        if g.ty(from).is_register() || g.ty(to).is_register() {
+            return false;
         }
-        if g.ty(u).is_register() {
-            continue; // do not propagate through registers
+        if from == to {
+            return true; // combinational self-loop
         }
-        for &c in &children[u.index()] {
-            if !seen[c.index()] {
-                seen[c.index()] = true;
-                stack.push(c);
+        // DFS from `to` over non-register nodes, looking for `from`.
+        self.seen.clear(g.node_count());
+        self.seen.mark(to.index());
+        self.stack.clear();
+        self.stack.push(to);
+        while let Some(u) = self.stack.pop() {
+            if u == from {
+                return true;
+            }
+            if g.ty(u).is_register() {
+                continue; // do not propagate through registers
+            }
+            for &c in &children[u.index()] {
+                if self.seen.mark(c.index()) {
+                    self.stack.push(c);
+                }
             }
         }
+        false
     }
-    false
 }
 
 /// Extracts one concrete cycle inside a (non-trivial) SCC.
@@ -185,8 +198,9 @@ mod tests {
         let y = g.add_node(NodeType::Not, 1);
         g.add_edge(x, y).unwrap();
         let children = g.children_index();
-        assert!(edge_would_close_comb_loop(&g, &children, y, x));
-        assert!(!edge_would_close_comb_loop(&g, &children, x, y) || g.has_edge(x, y));
+        let mut query = LoopQuery::default();
+        assert!(query.would_close(&g, &children, y, x));
+        assert!(!query.would_close(&g, &children, x, y) || g.has_edge(x, y));
     }
 
     #[test]
@@ -197,7 +211,7 @@ mod tests {
         g.add_edge(x, r).unwrap();
         let children = g.children_index();
         // r -> x creates a cycle, but it passes through the register.
-        assert!(!edge_would_close_comb_loop(&g, &children, r, x));
+        assert!(!LoopQuery::default().would_close(&g, &children, r, x));
     }
 
     #[test]
@@ -211,7 +225,8 @@ mod tests {
         g.add_edge(a, r).unwrap();
         g.add_edge(r, b).unwrap();
         let children = g.children_index();
-        assert!(!edge_would_close_comb_loop(&g, &children, b, a));
+        let mut query = LoopQuery::default();
+        assert!(!query.would_close(&g, &children, b, a));
         // But with a pure comb chain a -> c -> b, b -> a would be illegal.
         let mut g2 = CircuitGraph::new("inc4");
         let a2 = g2.add_node(NodeType::Not, 1);
@@ -220,7 +235,7 @@ mod tests {
         g2.add_edge(a2, c2).unwrap();
         g2.add_edge(c2, b2).unwrap();
         let children2 = g2.children_index();
-        assert!(edge_would_close_comb_loop(&g2, &children2, b2, a2));
+        assert!(query.would_close(&g2, &children2, b2, a2));
     }
 
     #[test]
@@ -229,7 +244,46 @@ mod tests {
         let a = g.add_node(NodeType::Not, 1);
         let r = g.add_node(NodeType::Reg, 1);
         let children = g.children_index();
-        assert!(edge_would_close_comb_loop(&g, &children, a, a));
-        assert!(!edge_would_close_comb_loop(&g, &children, r, r));
+        let mut query = LoopQuery::default();
+        assert!(query.would_close(&g, &children, a, a));
+        assert!(!query.would_close(&g, &children, r, r));
+    }
+
+    #[test]
+    fn loop_query_matches_find_comb_loop_with_the_edge_added() {
+        // One query, reused over graphs of every size, answers as the
+        // whole-graph search of the graph with the candidate edge added
+        // does. Edges that close no loop are kept, as Phase 2 keeps
+        // them, so the graphs grow denser and later searches go deeper.
+        use crate::testing::random_circuit_with_size;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x100F_C0DE);
+        let mut query = LoopQuery::default();
+        let (mut closing, mut safe) = (0, 0);
+        for k in 0..200 {
+            let mut g = random_circuit_with_size(&mut rng, 4 + k % 60);
+            let mut children = g.children_index();
+            for _ in 0..20 {
+                let n = g.node_count();
+                let from = NodeId::new(rng.gen_range(0..n));
+                let to = NodeId::new(rng.gen_range(0..n));
+                let mut with_edge = g.clone();
+                with_edge.add_edge(from, to).unwrap();
+                let closes = query.would_close(&g, &children, from, to);
+                let want = find_comb_loop(&with_edge).is_some();
+                assert_eq!(closes, want, "{}: {from} -> {to}", g.name());
+                if closes {
+                    closing += 1;
+                } else {
+                    safe += 1;
+                    g = with_edge;
+                    children[from.index()].push(to);
+                }
+            }
+        }
+        assert!(
+            closing > 400 && safe > 400,
+            "{closing} closing, {safe} safe"
+        );
     }
 }

@@ -51,9 +51,11 @@ pub mod testing;
 pub mod validate;
 
 mod circuit;
+mod marks;
 
 pub use circuit::{CircuitGraph, Edge};
 pub use error::{GraphError, ValidateError};
 pub use fingerprint::zobrist_fingerprint;
+pub use marks::Marks;
 pub use node::{mask, Node, NodeId, NodeType, ALL_NODE_TYPES, MAX_WIDTH};
 pub use swap::{SwapDelta, SwapGraph};

@@ -8,6 +8,7 @@
 //! degree statistics and homophily respect edge direction.
 
 use crate::circuit::CircuitGraph;
+use crate::marks::Marks;
 use crate::node::ALL_NODE_TYPES;
 
 /// Undirected skeleton as sorted adjacency lists without duplicates or
@@ -199,8 +200,8 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
     }
 
     // Dense orbits (9..=14) by direct enumeration over edges/triangles
-    // with epoch-stamped neighbor marks; k4e(u,v) = #K4s through the
-    // edge is accumulated per node for orbit 14.
+    // with neighbor marks; k4e(u,v) = #K4s through the edge is
+    // accumulated per node for orbit 14.
     let mut o9 = vec![0i64; n];
     let mut o10 = vec![0i64; n];
     let mut o11 = vec![0i64; n];
@@ -208,9 +209,9 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
     let mut o13 = vec![0i64; n];
     let mut k4_sum = vec![0i64; n];
     let mut common: Vec<u32> = Vec::new(); // C = common neighbors of (u,v)
-    let mut mark_u = Marks::new(n); // x ∈ N(u)
-    let mut mark_v = Marks::new(n); // x ∈ N(v)
-    let mut mark_w = Marks::new(n); // x ∈ N(w)
+    let mut mark_u = Marks::default(); // x ∈ N(u)
+    let mut mark_v = Marks::default(); // x ∈ N(v)
+    let mut mark_w = Marks::default(); // x ∈ N(w)
     for u in 0..n {
         for &v32 in skel.neighbors(u) {
             let v = v32 as usize;
@@ -242,14 +243,14 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
             // each triangle is visited exactly once. A tail at corner a
             // is a neighbor of a adjacent to neither other corner.
             if common.iter().any(|&w| (w as usize) > v) {
-                mark_u.set(skel.neighbors(u));
-                mark_v.set(skel.neighbors(v));
+                mark_all(&mut mark_u, n, skel.neighbors(u));
+                mark_all(&mut mark_v, n, skel.neighbors(v));
                 for &w32 in &common {
                     let w = w32 as usize;
                     if w <= v {
                         continue;
                     }
-                    mark_w.set(skel.neighbors(w));
+                    mark_all(&mut mark_w, n, skel.neighbors(w));
                     for (corner, others, ma, mb) in [
                         (u, [v, w], &mark_v, &mark_w),
                         (v, [u, w], &mark_u, &mark_w),
@@ -257,7 +258,8 @@ pub fn orbit_counts(skel: &Skeleton) -> Vec<[u64; NUM_ORBITS]> {
                     ] {
                         for &x32 in skel.neighbors(corner) {
                             let x = x32 as usize;
-                            if x == others[0] || x == others[1] || ma.has(x) || mb.has(x) {
+                            if x == others[0] || x == others[1] || ma.contains(x) || mb.contains(x)
+                            {
                                 continue;
                             }
                             o9[x] += 1;
@@ -382,72 +384,42 @@ fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Epoch-stamped membership marks over node ids (set in O(|list|),
-/// reset in O(1)).
-struct Marks {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl Marks {
-    fn new(n: usize) -> Self {
-        Marks {
-            stamp: vec![0; n],
-            epoch: 0,
-        }
-    }
-
-    fn set(&mut self, nodes: &[u32]) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        for &x in nodes {
-            self.stamp[x as usize] = self.epoch;
-        }
-    }
-
-    fn has(&self, x: usize) -> bool {
-        self.stamp[x] == self.epoch
+/// Marks exactly the nodes of `list`.
+fn mark_all(marks: &mut Marks, n: usize, list: &[u32]) {
+    marks.clear(n);
+    for &x in list {
+        marks.mark(x as usize);
     }
 }
 
-/// Epoch-stamped counter array with a touched-key list, for two-hop
-/// common-neighbor counting without clearing between nodes.
+/// Counter array with a touched-key list, for two-hop common-neighbor
+/// counting without clearing between nodes.
 struct StampCounts {
-    stamp: Vec<u32>,
+    seen: Marks,
     count: Vec<u32>,
     touched: Vec<u32>,
-    epoch: u32,
 }
 
 impl StampCounts {
     fn new(n: usize) -> Self {
         StampCounts {
-            stamp: vec![0; n],
+            seen: Marks::default(),
             count: vec![0; n],
             touched: Vec::new(),
-            epoch: 0,
         }
     }
 
     fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
+        self.seen.clear(self.count.len());
         self.touched.clear();
     }
 
     fn bump(&mut self, k: usize) {
-        if self.stamp[k] == self.epoch {
-            self.count[k] += 1;
-        } else {
-            self.stamp[k] = self.epoch;
+        if self.seen.mark(k) {
             self.count[k] = 1;
             self.touched.push(k as u32);
+        } else {
+            self.count[k] += 1;
         }
     }
 

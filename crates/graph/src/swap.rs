@@ -22,6 +22,7 @@
 //! unchanged since it last looked.
 
 use crate::circuit::CircuitGraph;
+use crate::comb::LoopQuery;
 use crate::fingerprint::{child_contribution, zobrist_fingerprint};
 use crate::node::{NodeId, NodeType};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,11 +89,8 @@ pub struct SwapGraph {
     fp: u64,
     /// Parent-list stamp per node (see the type docs).
     stamps: Vec<u64>,
-    /// Scratch visited-marks for the comb-loop DFS (epoch-stamped so a
-    /// fresh traversal is a counter bump, not an allocation).
-    seen: Vec<u32>,
-    epoch: u32,
-    stack: Vec<NodeId>,
+    /// Scratch of the comb-loop check of every inserted edge.
+    loops: LoopQuery,
 }
 
 impl SwapGraph {
@@ -101,54 +99,14 @@ impl SwapGraph {
     pub fn new(g: CircuitGraph) -> Self {
         let children = g.children_index();
         let fp = zobrist_fingerprint(&g);
-        let seen = vec![0; g.node_count()];
         let stamps = vec![fresh_stamps(1); g.node_count()];
         SwapGraph {
             g,
             children,
             fp,
             stamps,
-            seen,
-            epoch: 0,
-            stack: Vec::new(),
+            loops: LoopQuery::default(),
         }
-    }
-
-    /// Allocation-free equivalent of
-    /// [`crate::comb::edge_would_close_comb_loop`] on the maintained
-    /// children index: DFS from `to` over non-register nodes looking
-    /// for `from`.
-    fn would_close_comb_loop(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.g.ty(from).is_register() || self.g.ty(to).is_register() {
-            return false;
-        }
-        if from == to {
-            return true; // combinational self-loop
-        }
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.stack.clear();
-        self.stack.push(to);
-        self.seen[to.index()] = epoch;
-        while let Some(u) = self.stack.pop() {
-            if u == from {
-                return true;
-            }
-            if self.g.ty(u).is_register() {
-                continue; // do not propagate through registers
-            }
-            for &c in &self.children[u.index()] {
-                if self.seen[c.index()] != epoch {
-                    self.seen[c.index()] = epoch;
-                    self.stack.push(c);
-                }
-            }
-        }
-        false
     }
 
     /// The current graph state.
@@ -260,7 +218,7 @@ impl SwapGraph {
 
         // --- insert (p→j), guarded by the incremental comb-loop check
         // on the same intermediate state the reference checks ---
-        if self.would_close_comb_loop(p, j) {
+        if self.loops.would_close(&self.g, &self.children, p, j) {
             self.rollback_removals(&delta);
             return None;
         }
@@ -268,7 +226,7 @@ impl SwapGraph {
         self.children[p.index()].push(j);
 
         // --- insert (i→q), same guard ---
-        if self.would_close_comb_loop(i, q) {
+        if self.loops.would_close(&self.g, &self.children, i, q) {
             let popped = self.g.parents_vec_mut(j).pop();
             debug_assert_eq!(popped, Some(p));
             let popped = self.children[p.index()].pop();

@@ -2,7 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
-use syncircuit_graph::{CircuitGraph, Node, NodeId, NodeType};
+use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
 
 /// Parse error with source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -741,14 +741,6 @@ fn rhs_node(rhs: &Rhs, width: u32) -> Result<Node, String> {
         Rhs::Concat(_, _) => Node::new(NodeType::Concat, width),
         Rhs::Mux(_, _, _) => Node::new(NodeType::Mux, width),
     })
-}
-
-fn mask(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
 }
 
 #[cfg(test)]

@@ -41,9 +41,10 @@
 //!
 //! # A cone's area
 //!
-//! The walk of a cone is the reverse breadth-first search of
-//! `syncircuit_graph::cone::fanin_cone_into`, stopping at `const` / `in`
-//! / `reg` boundary nodes, and lists the same members in the same order.
+//! A cone is walked by `syncircuit_graph::cone::fanin_cone_into`, the
+//! reverse breadth-first search that builds the standalone cone circuit,
+//! stopping at `const` / `in` / `reg` boundary nodes: the area reads the
+//! members in the walk's order.
 //!
 //! A register apex whose D input has a constant class folds to that
 //! constant: its cone scores `0.0`. Otherwise the classes reachable over
@@ -109,8 +110,9 @@ use crate::area::node_area;
 use crate::passes::{fold_rule, CseKey, CseTable, Fold, Operands};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use syncircuit_graph::cone::{fanin_cone_into, is_boundary, ConeScratch};
 use syncircuit_graph::swap::SwapGraph;
-use syncircuit_graph::{mask, CircuitGraph, Node, NodeId, NodeType};
+use syncircuit_graph::{mask, CircuitGraph, Marks, Node, NodeId, NodeType};
 
 /// Cone counters of a [`SharedConeSynthCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -124,90 +126,6 @@ pub struct ConeCacheStats {
     /// Cone areas that views reused from their per-apex memos
     /// ([`ConeSynthCache::pcs_swap`]) instead of deriving them.
     pub reused: u64,
-}
-
-/// Whether the walk stops at (and the classes treat as a leaf) a node of
-/// type `ty`.
-#[inline]
-fn is_boundary(ty: NodeType) -> bool {
-    matches!(ty, NodeType::Const | NodeType::Input | NodeType::Reg)
-}
-
-/// Marks over `0..n` that a new round clears by bumping a tag rather
-/// than by touching them.
-#[derive(Debug, Default)]
-struct Marks {
-    seen: Vec<u32>,
-    tag: u32,
-}
-
-impl Marks {
-    /// Clears every mark for a round over `0..n`.
-    fn clear(&mut self, n: usize) {
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
-        }
-        self.tag = self.tag.wrapping_add(1);
-        if self.tag == 0 {
-            self.seen.fill(0);
-            self.tag = 1;
-        }
-    }
-
-    /// Marks `i`; whether it was unmarked.
-    #[inline]
-    fn mark(&mut self, i: usize) -> bool {
-        let fresh = self.seen[i] != self.tag;
-        self.seen[i] = self.tag;
-        fresh
-    }
-
-    #[inline]
-    fn contains(&self, i: usize) -> bool {
-        self.seen[i] == self.tag
-    }
-
-    /// Unmarks `i` (the tag is never 0).
-    #[inline]
-    fn unmark(&mut self, i: usize) {
-        self.seen[i] = 0;
-    }
-}
-
-/// Scratch of the fan-in walk: the nodes reached, and the member list,
-/// which doubles as the FIFO queue.
-#[derive(Debug, Default)]
-struct ConeWalk {
-    seen: Marks,
-    members: Vec<NodeId>,
-}
-
-impl ConeWalk {
-    /// Walks the fan-in cone of `apex` into `members` (see the module
-    /// docs): a node takes its place when it is first reached, and in a
-    /// FIFO queue first push is first pop.
-    fn walk(&mut self, g: &CircuitGraph, apex: NodeId) {
-        self.seen.clear(g.node_count());
-        self.members.clear();
-        self.seen.mark(apex.index());
-        self.reach(g, apex);
-        let mut head = 0;
-        while head < self.members.len() {
-            let u = self.members[head];
-            head += 1;
-            self.reach(g, u);
-        }
-    }
-
-    /// Marks `u`'s unreached parents and queues those that are members.
-    #[inline]
-    fn reach(&mut self, g: &CircuitGraph, u: NodeId) {
-        for &p in g.parents(u) {
-            if self.seen.mark(p.index()) && !is_boundary(g.ty(p)) {
-                self.members.push(p);
-            }
-        }
-    }
 }
 
 /// [`ConeClasses::class`] of a node on the search's stack.
@@ -570,7 +488,7 @@ impl SharedConeSynthCache {
 pub struct ConeSynthCache {
     shared: Arc<SharedConeSynthCache>,
     classes: ConeClasses,
-    walk: ConeWalk,
+    cone: ConeScratch,
     observed: ObservedScratch,
     /// Per-apex memo, indexed by the apex's [`NodeId::index`].
     memo: Vec<ConeMemo>,
@@ -596,7 +514,7 @@ impl ConeSynthCache {
         ConeSynthCache {
             shared,
             classes: ConeClasses::default(),
-            walk: ConeWalk::default(),
+            cone: ConeScratch::new(),
             observed: ObservedScratch::default(),
             memo: Vec::new(),
             derived: 0,
@@ -667,11 +585,11 @@ impl ConeSynthCache {
                 return area;
             }
         }
-        self.walk.walk(g, apex);
-        let area = self.classes.area(g, apex, &self.walk.members);
+        let (members, _) = fanin_cone_into(g, apex, &mut self.cone);
+        let area = self.classes.area(g, apex, members);
         self.derived += 1;
         if let Some(stamps) = stamps {
-            self.memo[apex.index()].record(apex, &self.walk.members, stamps, area);
+            self.memo[apex.index()].record(apex, members, stamps, area);
         }
         area
     }
@@ -847,36 +765,6 @@ mod tests {
         g
     }
 
-    /// The fixture, then 300 random circuits of 6 to 75 nodes.
-    fn walk_fixtures() -> impl Iterator<Item = CircuitGraph> {
-        use rand::{rngs::StdRng, SeedableRng};
-        use syncircuit_graph::testing::random_circuit_with_size;
-        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
-        std::iter::once(masked_counter())
-            .chain((0..300).map(move |k| random_circuit_with_size(&mut rng, 6 + k % 70)))
-    }
-
-    #[test]
-    fn fused_walk_matches_fanin_cone_order() {
-        use syncircuit_graph::cone::{fanin_cone_into, ConeScratch};
-        let mut walk = ConeWalk::default();
-        let mut cone = ConeScratch::new();
-        for g in walk_fixtures() {
-            for (apex, node) in g.iter() {
-                if matches!(node.ty(), NodeType::Reg | NodeType::Output) {
-                    walk.walk(&g, apex);
-                    let (members, _) = fanin_cone_into(&g, apex, &mut cone);
-                    assert_eq!(
-                        walk.members,
-                        members,
-                        "{}: members of the {apex} cone",
-                        g.name()
-                    );
-                }
-            }
-        }
-    }
-
     /// Random circuits for the class battery: the default generator, and
     /// configs that make the rules fire often (up to 40% constants) and
     /// CSE find equal nodes (one or two narrow widths); then larger ones,
@@ -955,9 +843,8 @@ mod tests {
         // circuits along random swap walks.
         use crate::passes::optimized_area;
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        use syncircuit_graph::cone::{cone_circuit_parts, fanin_cone_into, ConeScratch};
+        use syncircuit_graph::cone::cone_circuit_parts;
         let mut classes = ConeClasses::default();
-        let mut walk = ConeWalk::default();
         let mut cone = ConeScratch::new();
         let mut covered = [false; 11];
         let mut check = |g: &CircuitGraph| {
@@ -966,11 +853,10 @@ mod tests {
                 if !matches!(node.ty(), NodeType::Reg | NodeType::Output) {
                     continue;
                 }
-                walk.walk(g, apex);
                 let (members, boundary) = fanin_cone_into(g, apex, &mut cone);
                 let circuit = cone_circuit_parts(g, apex, members, boundary).circuit;
                 let want = optimized_area(&circuit);
-                let got = classes.area(g, apex, &walk.members);
+                let got = classes.area(g, apex, members);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -982,11 +868,11 @@ mod tests {
                 // search too rarely to pin its sum's order.
                 let d = classes.class[g.parents(apex)[0].index()];
                 if d < MASKED {
-                    let masked = classes.masked_sum(d, &walk.members);
-                    let searched = classes.searched_sum(d, &walk.members);
+                    let masked = classes.masked_sum(d, members);
+                    let searched = classes.searched_sum(d, members);
                     assert_eq!(masked.to_bits(), searched.to_bits(), "{}: {apex}", g.name());
                 }
-                let shapes = cone_shapes(g, apex, &walk.members, &classes);
+                let shapes = cone_shapes(g, apex, members, &classes);
                 for (all, one) in covered.iter_mut().zip(shapes) {
                     *all |= one;
                 }
